@@ -1,10 +1,11 @@
 //! Byte-bounded concurrent caches for write-once-valid derived values.
 //!
-//! The pipeline keeps three long-lived caches of expensive derived
+//! The pipeline keeps four long-lived caches of expensive derived
 //! objects: the global SWAP-test readout functional
-//! ([`crate::engine`]), and each ensemble group's fused noisy
-//! superoperators and lowered channel programs
-//! ([`crate::ensemble::EnsembleGroup`]). All three share the same
+//! ([`crate::engine`]), and each ensemble group's readout forms (the
+//! dense noisy engine's), fused noisy superoperators (the per-sample
+//! oracle's) and lowered channel programs (the structured engine's)
+//! ([`crate::ensemble::EnsembleGroup`]). All four share the same
 //! correctness story — every cached value is a pure deterministic
 //! function of its key, so any build of the same key is
 //! interchangeable — and, in a long-lived serving process, the same
@@ -22,7 +23,8 @@
 //!    the budget. Lookups move their entry to the back, so "oldest"
 //!    is least-recently-used.
 //! 3. **Build-under-lock**: deriving a value can take multiple
-//!    milliseconds (a `16^n` superoperator fusion), so it happens
+//!    milliseconds (a `16^n` superoperator fusion, which every readout
+//!    form starts from), so it happens
 //!    **outside** the critical section. Racing builders may duplicate
 //!    the work — the build counter reports every build honestly — but
 //!    the first insert wins and every caller shares one `Arc`.

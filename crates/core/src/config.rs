@@ -30,13 +30,16 @@ pub enum ExecutionMode {
 /// dense [`EngineKind::Density`] engine; at or above it, the structured
 /// [`EngineKind::DensityStructured`] engine.
 ///
-/// The crossover follows the cost model: the dense path spends
-/// `O(16^n)` per (group, level) building and applying one fused
-/// superoperator, while the structured path walks ~hundreds of local
-/// channel ops at `O(4^n)` each — the structured constant is paid off
-/// once `4^n` outgrows the program length, which happens at `n = 5`
-/// (measured ≈3× there, growing ~4× per extra qubit; see
-/// `benches/engine_comparison.rs`).
+/// The crossover follows the **cold** cost. Warm, the dense engine
+/// scores each (sample, level) as one dot product over the
+/// `m(m+1)/2`-entry packed readout form (`m = 2^n(2^n+1)/2`), and it
+/// still beats the structured channel walk at `n = 5`: 0.38 against
+/// 0.56 ms per sample on 1 group × 24 samples × 2 levels (AVX-512 host,
+/// `benches/engine_comparison.rs`). But each form starts from a fused
+/// `16^n` superoperator, so the first pass over a group at `n = 5` costs
+/// 3.8 s against 13 ms for the structured lowering — ≈300×, and `16×`
+/// worse per extra qubit. A detector that scores a batch once pays that
+/// build on every group, so wide registers go structured.
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
 
 /// Which scoring engine evaluates the per-sample deviations.
@@ -261,11 +264,13 @@ impl QuorumConfig {
     }
 
     /// The worker-thread count that will actually run, with 0 resolved to
-    /// the machine's available parallelism. The single source of truth
-    /// for every fan-out site (detector, analysis, engine kernels).
+    /// the machine's available parallelism (probed once per process, the
+    /// figure the resident worker pool is sized from). The single source
+    /// of truth for every fan-out site (detector, analysis, engine
+    /// kernels).
     pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            qsim::parallel::available_cores()
         } else {
             self.threads
         }

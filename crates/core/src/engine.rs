@@ -58,28 +58,41 @@
 //!    ([`qsim::parallel::map_indexed_with`]);
 //! 2. keeps the resulting `vec(ρ_in)` columns packed as the `4^n × S`
 //!    matrix `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
-//!    both registers identically) and pushes the whole batch through each
-//!    level's **fused noisy superoperator** — encoder gates with their
-//!    per-gate channels, the reset Kraus channels, and the decoder —
-//!    built once per (group, compression level) by evolving the
-//!    matrix-unit basis through the lowered gate list and cached on
-//!    [`crate::ensemble::EnsembleGroup::fused_noisy_superop`] — as one
-//!    blocked GEMM `R = S_level·P` through the SIMD kernel seam
-//!    ([`qsim::matrix::CMatrix::matmul_threaded`]);
-//! 3. contracts the batch against a **SWAP-test readout functional**
-//!    `W` — the POVM element `|1⟩⟨1|_anc` pulled backwards (Heisenberg
-//!    picture, adjoint channels) through the *noisy lowered* CSWAP
-//!    network, then restricted to `ancilla = |0⟩`; `W` depends only on
-//!    `(n, noise model)` and is cached globally — as a second GEMM
-//!    `W·P` shared by every level, leaving one column dot product
-//!    `raw_j = Σ_i R[i,j]·(WP)[i,j]` per sample;
+//!    both registers identically) and reads each column through one more
+//!    register-level reduction: the amplitudes are real, the preparation
+//!    applies only RY and CX, and every Kraus channel of the noise model
+//!    is real, so every `ρ_in` is **real symmetric** and its `4^n` vec
+//!    entries carry only `m = 2^n(2^n+1)/2` distinct numbers — the upper
+//!    triangle `h = triu(ρ_in)`;
+//! 3. scores every level as one **real quadratic form**
+//!    `P(1) = hᵀ·G_r·h`. The readout form `G_r` ([`ReadoutForm`]) folds
+//!    the level's **fused noisy superoperator** `S_r` — encoder gates
+//!    with their per-gate channels, the reset Kraus channels and the
+//!    decoder, fused by evolving the matrix-unit basis through the
+//!    lowered gate list ([`build_noisy_superop`]) — and the **SWAP-test
+//!    readout functional** `W` — the POVM element `|1⟩⟨1|_anc` pulled
+//!    backwards (Heisenberg picture, adjoint channels) through the
+//!    *noisy lowered* CSWAP network, restricted to `ancilla = |0⟩`, and
+//!    cached globally per `(n, noise model)` — into `Re(S_rᵀ·W)` over
+//!    symmetric inputs. It is built once per (group, noise model, level)
+//!    through the GEMM seam ([`build_readout_form`]), `S_r` is dropped,
+//!    and the form is cached on
+//!    [`crate::ensemble::EnsembleGroup::readout_form`]: `m(m+1)/2` reals,
+//!    5 KiB at n = 3 against a 64 KiB complex `S_r`. Per sample, the
+//!    level-independent products `h_k·h_l` are formed once
+//!    ([`qsim::kernel::outer_triangle_lanes`]) and each level costs one
+//!    real dot product against its packed form
+//!    ([`qsim::kernel::dot_lanes`]) — about 2 kflop per (group, sample)
+//!    at n = 3 with two levels, where three complex `4^n × 4^n` GEMM
+//!    columns cost ~100;
 //! 4. applies the readout confusion to the resulting `P(1)`.
 //!
-//! [`SampleDensityEngine`] keeps the PR 3 one-matvec-per-(sample, level)
-//! path as the batched engine's cross-check oracle, exactly as
-//! [`AnalyticEngine`] does for the pure-state batch. Both orderings
-//! accumulate per sample in the same index order, so they agree to
-//! machine precision (bit-for-bit without the `simd` feature).
+//! [`SampleDensityEngine`] keeps the unreduced one-matvec-per-(sample,
+//! level) path — `S_r·vec(ρ_in)` contracted against `W·vec(ρ_in)`, with
+//! the per-sample gate-walk preparation — as the batched engine's
+//! cross-check oracle, exactly as [`AnalyticEngine`] does for the
+//! pure-state batch. The two evaluate the same real form in different
+//! summation orders and agree to ~1e-15.
 //!
 //! Every noisy physical gate of the Fig. 2 circuit is accounted for with
 //! the same fused channels the density-matrix backend applies
@@ -111,7 +124,7 @@ use qsim::simulator::{
     Backend, DensityMatrixBackend, GateNoise, OutcomeDistribution, StatevectorBackend,
 };
 use qsim::stateprep::{prepare_real_amplitudes, PrepSkeleton, PrepStep};
-use qsim::{transpile, NoiseModel};
+use qsim::{transpile, NoiseModel, QsimError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -485,9 +498,9 @@ impl ScoringEngine for AnalyticEngine {
 /// sizes).
 const GEMM_PARALLEL_WORK: usize = 1 << 21;
 
-/// Worker threads for one batched GEMM (encoder or superoperator), from
-/// the configured thread count
-/// and the product's `dim² × samples` work estimate. Multi-group
+/// Worker threads for one batched pass (the encoder GEMM, or a density
+/// panel's preparation or structured walk), from the configured thread
+/// count and the pass's `dim² × samples` work estimate. Multi-group
 /// ensembles keep the GEMM sequential regardless of size: the detector
 /// already fans groups out across cores, and threading inside each
 /// worker would multiply the two levels of parallelism into
@@ -768,6 +781,96 @@ pub(crate) fn build_noisy_superop(
     Ok(superop)
 }
 
+/// The upper-triangle coordinates `(a, b)`, `a ≤ b`, of a `dim × dim`
+/// matrix in row-major order — the layout of `h = triu(ρ)` and of a
+/// [`ReadoutForm`]'s coordinates.
+fn upper_triangle(dim: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..dim).flat_map(move |a| (a..dim).map(move |b| (a, b)))
+}
+
+/// The dense density engine's readout at one (group, noise model,
+/// compression level): the real symmetric quadratic form `G_r` with
+/// `P(1) = hᵀ·G_r·h` before readout confusion, for `h` the upper
+/// triangle of a real symmetric prepared state (see the module docs).
+///
+/// Stored as its packed upper triangle, row-major over coordinate pairs
+/// `k ≤ l`, with every off-diagonal entry doubled — so the form is one
+/// dot product ([`qsim::kernel::dot_lanes`]) against the packed products
+/// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]). Built by
+/// [`build_readout_form`] and cached per group
+/// ([`EnsembleGroup::readout_form`]).
+#[derive(Debug)]
+pub struct ReadoutForm {
+    packed: Vec<f64>,
+}
+
+impl ReadoutForm {
+    /// Heap bytes the form holds — the size measure of its byte-bounded
+    /// cache (5 KiB at n = 3, 1.1 MiB at n = 5).
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(self.packed.as_slice())
+    }
+}
+
+/// Builds the [`ReadoutForm`] of one group's bottlenecked segment at
+/// `reset_count` under `noise`.
+///
+/// The unreduced path scores `raw = vec(ρ)ᵀ·S_rᵀ·W·vec(ρ)` from the fused
+/// superoperator `S_r` ([`build_noisy_superop`]) and the cached SWAP-test
+/// functional `W`. For a real symmetric `ρ` with upper triangle `h`,
+/// `vec(ρ) = F·h`, where `F` sends coordinate `(a, b)` to both vec
+/// indices `(a, b)` and `(b, a)`, so `Re(raw) = hᵀ·Re((S_r·F)ᵀ·(W·F))·h`.
+/// Both folds are column sums; their product `Re(S_rᵀ·W)` restricted to
+/// symmetric inputs runs through the GEMM seam
+/// ([`qsim::matrix::CMatrix::matmul`]) as an `m × 4^n · 4^n × m` product,
+/// and the result is symmetrised into the packed triangle. `S_r` is
+/// dropped. Called through the per-group cache
+/// ([`EnsembleGroup::readout_form`]).
+///
+/// # Errors
+///
+/// Propagates superoperator and functional construction failures
+/// (effectively infallible for valid ansätze).
+pub(crate) fn build_readout_form(
+    ansatz: &AnsatzParams,
+    noise: &NoiseModel,
+    reset_count: usize,
+) -> Result<ReadoutForm, QuorumError> {
+    let n = ansatz.num_qubits();
+    let dim = 1usize << n;
+    let superop = build_noisy_superop(ansatz, noise, reset_count)?;
+    let w = swap_test_functional(n, noise)?;
+    // Coordinate (a, b) collects vec columns (a, b) and (b, a) — once on
+    // the diagonal.
+    let fold = |mat: &CMatrix, i: usize, a: usize, b: usize| {
+        let v = mat[(i, a * dim + b)];
+        if a == b {
+            v
+        } else {
+            v + mat[(i, b * dim + a)]
+        }
+    };
+    let pairs: Vec<(usize, usize)> = upper_triangle(dim).collect();
+    let m = pairs.len();
+    let mut sf_t = CMatrix::zeros(m, dim * dim);
+    let mut wf = CMatrix::zeros(dim * dim, m);
+    for (k, &(a, b)) in pairs.iter().enumerate() {
+        for i in 0..dim * dim {
+            sf_t[(k, i)] = fold(&superop, i, a, b);
+            wf[(i, k)] = fold(&w, i, a, b);
+        }
+    }
+    drop(superop);
+    let g = sf_t.matmul(&wf)?;
+    // hᵀ·G·h = Σ_k G_kk·h_k² + Σ_{k<l} (G_kl + G_lk)·h_k·h_l.
+    let mut packed = Vec::with_capacity(m * (m + 1) / 2);
+    for k in 0..m {
+        packed.push(g[(k, k)].re);
+        packed.extend((k + 1..m).map(|l| g[(k, l)].re + g[(l, k)].re));
+    }
+    Ok(ReadoutForm { packed })
+}
+
 /// Lowers the same bottlenecked autoencoder segment as
 /// [`build_noisy_superop`] — encoder, `reset_count` resets, decoder —
 /// into a structured per-gate [`ChannelProgram`]
@@ -989,37 +1092,36 @@ fn cached_prep_skeleton(num_qubits: usize) -> Arc<PrepSkeleton> {
 }
 
 /// The batched analytic density-matrix noise engine: `n`-qubit mixed-state
-/// algebra with all sample-independent structure fused and cached, and the
-/// whole group's samples pushed through each level's superoperator (and
-/// the readout functional) as blocked `4^n × S` GEMMs on the SIMD kernel
-/// seam. State preparation itself runs in **lockstep** — all samples
-/// evolve through the shared Möttönen skeleton together, the shared
-/// gates and channels hitting the whole panel per step (see
-/// [`DensityEngine::prepare_batch`]). The default
+/// algebra with all sample-independent structure fused and cached. State
+/// preparation runs in **lockstep** — all samples evolve through the
+/// shared Möttönen skeleton together, the shared gates and channels
+/// hitting the whole panel per step (see [`DensityEngine::prepare_batch`])
+/// — and each level is scored as one real quadratic form in the upper
+/// triangle of every prepared column, against the group's cached
+/// [`ReadoutForm`] (see [`DensityEngine::score_prepared`]). The default
 /// for Noisy execution (see the module docs for the math);
-/// [`SampleDensityEngine`] keeps the one-matvec-per-sample ordering (and
-/// the per-sample gate-walk preparation) as the in-family oracle and the
-/// paper-literal [`CircuitEngine`] remains the gate-level one.
+/// [`SampleDensityEngine`] keeps the unreduced one-matvec-per-sample
+/// path (and the per-sample gate-walk preparation) as the in-family
+/// oracle and the paper-literal [`CircuitEngine`] remains the gate-level
+/// one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DensityEngine;
 
-/// The sample-independent structure of one noisy group pass, fetched or
-/// fused once and shared by both density engines: per-gate channels, the
-/// readout functional, one superoperator per level, and the readout
-/// confusion probability.
-struct NoisyPassContext {
-    gate_noise: Arc<GateNoise>,
-    w: Arc<CMatrix>,
-    superops: Vec<Arc<CMatrix>>,
+/// The validated frame of one noisy group pass, shared by the dense and
+/// per-sample density engines: the noise model, the optional shot count
+/// and the readout confusion probability.
+struct NoisyPass<'a> {
+    noise: &'a NoiseModel,
+    shots: Option<u64>,
     readout: f64,
 }
 
-impl NoisyPassContext {
+impl<'a> NoisyPass<'a> {
     fn prepare(
         group: &EnsembleGroup,
-        config: &QuorumConfig,
+        config: &'a QuorumConfig,
         levels: &[usize],
-    ) -> Result<(Self, Option<u64>), QuorumError> {
+    ) -> Result<Self, QuorumError> {
         ensure_noisy(config)?;
         let (noise, shots) = match &config.execution {
             ExecutionMode::Noisy { noise, shots } => (noise, *shots),
@@ -1029,30 +1131,19 @@ impl NoisyPassContext {
         for &reset_count in levels {
             ensure_reset_range(reset_count, n)?;
         }
-        let gate_noise = cached_gate_noise(noise);
-        let w = swap_test_functional(n, noise)?;
-        let superops = levels
-            .iter()
-            .map(|&reset_count| group.fused_noisy_superop(noise, reset_count))
-            .collect::<Result<Vec<_>, _>>()?;
-        let readout = gate_noise.readout_error();
-        Ok((
-            NoisyPassContext {
-                gate_noise,
-                w,
-                superops,
-                readout,
-            },
+        let readout = cached_gate_noise(noise).readout_error();
+        Ok(NoisyPass {
+            noise,
             shots,
-        ))
+            readout,
+        })
     }
 
     /// Readout confusion plus optional shot sampling on one exact raw
-    /// overlap — the final step both density engines share per sample.
+    /// overlap — the final step both engines share per sample.
     fn finish(
         &self,
-        raw: C64,
-        shots: Option<u64>,
+        raw: f64,
         config: &QuorumConfig,
         group_index: usize,
         reset_count: usize,
@@ -1061,7 +1152,7 @@ impl NoisyPassContext {
         finish_deviation(
             self.readout,
             raw,
-            shots,
+            self.shots,
             config,
             group_index,
             reset_count,
@@ -1071,20 +1162,20 @@ impl NoisyPassContext {
 }
 
 /// Readout confusion plus optional shot sampling on one exact raw
-/// overlap — shared verbatim by every density-family engine (dense,
-/// per-sample, structured), so engine switches never change the
-/// deviation model.
+/// overlap (its real part — the SWAP-test probability) — shared verbatim
+/// by every density-family engine (dense, per-sample, structured), so
+/// engine switches never change the deviation model.
 #[allow(clippy::too_many_arguments)] // a formula, not an interface
 fn finish_deviation(
     readout: f64,
-    raw: C64,
+    raw: f64,
     shots: Option<u64>,
     config: &QuorumConfig,
     group_index: usize,
     reset_count: usize,
     sample: usize,
 ) -> f64 {
-    let exact = readout + (1.0 - 2.0 * readout) * raw.re;
+    let exact = readout + (1.0 - 2.0 * readout) * raw;
     match shots {
         Some(k) => {
             let seed = shot_seed(config, group_index, reset_count, sample);
@@ -1115,13 +1206,13 @@ struct PrepScratch {
     coeffs: RyCoeffs,
 }
 
-/// Reusable buffers for the dense scoring half: the readout image
-/// `W·P`, the per-level evolved panel, and the raw column dots.
+/// Reusable buffers for the dense scoring half: the panel's upper
+/// triangles `h` (sample-major, one `m`-run per column) and one column's
+/// packed products `h_k·h_l`.
 #[derive(Default)]
 struct ScoreScratch {
-    wp: CMatrix,
-    evolved: CMatrix,
-    raw: Vec<C64>,
+    h: Vec<f64>,
+    z: Vec<f64>,
 }
 
 /// The whole per-thread scratch of one dense noisy group pass. Held in a
@@ -1401,14 +1492,19 @@ impl DensityEngine {
 
     /// Scores an already-prepared `4^n × S` batch (the output of
     /// [`DensityEngine::prepare_batch`]) at every requested compression
-    /// level: the readout functional `W·P` once, one cached superoperator
-    /// GEMM plus column dots per level — the score half of the prep/score
-    /// seam, reusable across calls for streaming workloads.
+    /// level — the score half of the prep/score seam, reusable across
+    /// calls for streaming workloads. Every column is `vec(ρ_in)` of a
+    /// real symmetric state, so only the real upper triangle `h` is read;
+    /// per column, the products `h_k·h_l` are formed once and each level
+    /// is one dot product against the group's cached [`ReadoutForm`].
+    /// Each column is scored on its own, in a fixed order, so its bits do
+    /// not depend on the panel width, its position in the panel or the
+    /// thread count.
     ///
     /// # Errors
     ///
-    /// Rejects non-noisy execution and bad reset counts; propagates
-    /// simulation failures.
+    /// Rejects non-noisy execution, bad reset counts and panels whose
+    /// row count is not `4^n`; propagates simulation failures.
     pub fn score_prepared(
         group: &EnsembleGroup,
         packed: &CMatrix,
@@ -1422,9 +1518,9 @@ impl DensityEngine {
     }
 
     /// The body of [`DensityEngine::score_prepared`] running on reusable
-    /// scratch: the two GEMM products land in resident matrices and the
-    /// per-sample accumulator vector is recycled, so steady-state scoring
-    /// allocates nothing panel-proportional.
+    /// scratch: the upper triangles and the per-column products live in
+    /// resident buffers, so steady-state scoring allocates nothing
+    /// panel-proportional.
     fn score_prepared_scratch(
         group: &EnsembleGroup,
         packed: &CMatrix,
@@ -1432,39 +1528,47 @@ impl DensityEngine {
         levels: &[usize],
         scratch: &mut ScoreScratch,
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        let (ctx, shots) = NoisyPassContext::prepare(group, config, levels)?;
-        let dim2 = packed.rows();
-        let samples = packed.cols();
-        let threads = gemm_threads(config, dim2, samples);
-        ctx.w
-            .matmul_threaded_into(packed, threads, &mut scratch.wp)?;
+        let pass = NoisyPass::prepare(group, config, levels)?;
+        let forms = levels
+            .iter()
+            .map(|&reset_count| group.readout_form(pass.noise, reset_count))
+            .collect::<Result<Vec<_>, _>>()?;
+        let dim = 1usize << group.ansatz().num_qubits();
+        if packed.rows() != dim * dim {
+            return Err(QuorumError::Simulation(QsimError::DimensionMismatch {
+                expected: dim * dim,
+                actual: packed.rows(),
+            }));
+        }
+        // The realness invariant the forms rest on (pinned in
+        // `tests/engine_lockstep_properties.rs`): the lockstep
+        // preparation never produces an imaginary part.
+        debug_assert!(
+            packed.as_slice().iter().all(|v| v.im == 0.0),
+            "prepared vec(ρ) panels must be real"
+        );
 
-        let mut out = Vec::with_capacity(levels.len());
-        for (level, superop) in ctx.superops.iter().enumerate() {
-            superop.matmul_threaded_into(packed, threads, &mut scratch.evolved)?;
-            // raw_j = Σ_i evolved[i,j]·wp[i,j], accumulated row-by-row so
-            // each sample sums in the same index order as the per-sample
-            // matvec path — the two engines agree to machine precision.
-            scratch.raw.clear();
-            scratch.raw.resize(samples, C64::ZERO);
-            for i in 0..dim2 {
-                for ((acc, &a), &b) in scratch
-                    .raw
-                    .iter_mut()
-                    .zip(scratch.evolved.row(i))
-                    .zip(scratch.wp.row(i))
-                {
-                    *acc += a * b;
-                }
+        // h = triu(P), sample-major: column j's coordinates sit at
+        // h[j·m..(j+1)·m], so a 1-column panel reads one m-run, exactly
+        // like every column of a wide one.
+        let samples = packed.cols();
+        let m = dim * (dim + 1) / 2;
+        scratch.h.clear();
+        scratch.h.resize(samples * m, 0.0);
+        for (k, (a, b)) in upper_triangle(dim).enumerate() {
+            for (j, v) in packed.row(a * dim + b).iter().enumerate() {
+                scratch.h[j * m + k] = v.re;
             }
-            out.push(
-                scratch
-                    .raw
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &z)| ctx.finish(z, shots, config, group.index(), levels[level], j))
-                    .collect(),
-            );
+        }
+        scratch.z.clear();
+        scratch.z.resize(m * (m + 1) / 2, 0.0);
+        let mut out: Vec<Vec<f64>> = levels.iter().map(|_| Vec::with_capacity(samples)).collect();
+        for (j, h) in scratch.h.chunks_exact(m).enumerate() {
+            qsim::kernel::outer_triangle_lanes(h, &mut scratch.z);
+            for ((deviations, form), &level) in out.iter_mut().zip(&forms).zip(levels) {
+                let raw = qsim::kernel::dot_lanes(&form.packed, &scratch.z);
+                deviations.push(pass.finish(raw, config, group.index(), level, j));
+            }
         }
         Ok(out)
     }
@@ -1518,9 +1622,9 @@ impl ScoringEngine for DensityEngine {
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         // The batch: every sample's vec(ρ_in) as one matrix column,
-        // prepared in lockstep. The readout functional applies to the
-        // whole batch once (`W·P` is level-independent); each level then
-        // costs one superoperator GEMM plus column dot products.
+        // prepared in lockstep. Each column's products h_k·h_l are
+        // level-independent; each level then costs one dot product per
+        // column against its cached readout form.
         Self::deviations_rows(
             group,
             config,
@@ -1558,12 +1662,14 @@ struct StructuredScratch {
 /// ([`EnsembleGroup::channel_program`]), and the SWAP-test readout is
 /// folded into a bond-4 matrix-product sweep ([`SwapTestMpo`]). No
 /// `16^n` object is ever built or applied, so the per-(group, level)
-/// cost drops from `O(16^n) + O(16^n · S)` to `O(ops · 4^n · S)` —
-/// dense wins below ~5 data qubits (tiny `4^n`, one GEMM), structured
-/// wins at and above it and is the only density path past the dense
-/// width cap. The dense engine stays the bit-exact small-n oracle the
-/// structured path is pinned against (≤ 1e-9, `tests/`
-/// `engine_structured_properties`).
+/// build drops from an `O(16^n)` superoperator fusion to `O(ops)` and
+/// the apply costs `O(ops · 4^n · S)` — the warm dense readout forms
+/// still score faster at `n = 5`, but the dense build dominates any
+/// pass that is not amortised over many panels from there on
+/// ([`crate::config::STRUCTURED_AUTO_MIN_QUBITS`]), and the structured
+/// engine is the only density path past the dense width cap. The dense
+/// engine stays the small-n oracle the structured path is pinned
+/// against (≤ 1e-9, `tests/` `engine_structured_properties`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructuredDensityEngine;
 
@@ -1630,7 +1736,7 @@ impl StructuredDensityEngine {
                 s.evolved.extend_from_slice(&s.panel);
                 program.apply_panel(&mut s.evolved, width);
                 // raw_j = Σ_i evolved[i,j]·y[i,j], row-by-row in the
-                // same index order as the dense engine's accumulation.
+                // same index order as the per-sample oracle's contraction.
                 let mut raw = vec![C64::ZERO; width];
                 for i in 0..dim2 {
                     let ev = &s.evolved[i * width..(i + 1) * width];
@@ -1650,7 +1756,7 @@ impl StructuredDensityEngine {
                 out[level].extend(raw.into_iter().enumerate().map(|(j, z)| {
                     finish_deviation(
                         readout,
-                        z,
+                        z.re,
                         shots,
                         config,
                         group.index(),
@@ -1717,10 +1823,12 @@ impl ScoringEngine for StructuredDensityEngine {
     }
 }
 
-/// The per-sample density oracle: PR 3's one-`4^n`-matvec-per-(sample,
-/// level) ordering — and the per-sample gate-walk state preparation —
-/// kept selectable (and benchmarked) as the reference the batched
-/// [`DensityEngine`] is pinned against, the mixed-state analogue of
+/// The per-sample density oracle: the unreduced one-`4^n`-matvec-per-
+/// (sample, level) path — `S_r·vec(ρ_in)` contracted against the
+/// readout image `W·vec(ρ_in)`, with no realness assumption — and the
+/// per-sample gate-walk state preparation, kept selectable (and
+/// benchmarked) as the reference the batched [`DensityEngine`]'s
+/// readout forms are pinned against, the mixed-state analogue of
 /// [`AnalyticEngine`] vs [`BatchedAnalyticEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleDensityEngine;
@@ -1791,8 +1899,14 @@ impl ScoringEngine for SampleDensityEngine {
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        let (ctx, shots) = NoisyPassContext::prepare(group, config, levels)?;
+        let pass = NoisyPass::prepare(group, config, levels)?;
         let n = group.ansatz().num_qubits();
+        let gate_noise = cached_gate_noise(pass.noise);
+        let w = swap_test_functional(n, pass.noise)?;
+        let superops = levels
+            .iter()
+            .map(|&reset_count| group.fused_noisy_superop(pass.noise, reset_count))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let mut out: Vec<Vec<f64>> = levels
             .iter()
@@ -1803,12 +1917,12 @@ impl ScoringEngine for SampleDensityEngine {
         for (i, row) in normalized.rows().iter().enumerate() {
             group.features().project_into(row, &mut values);
             crate::embed::amplitudes_with_overflow_into(&values, n, &mut amps)?;
-            let rho_in = noisy_prepared_state(&amps, n, ctx.gate_noise.as_ref())?;
-            let wb = ctx.w.mul_vec(rho_in.as_slice());
-            for (level, superop) in ctx.superops.iter().enumerate() {
+            let rho_in = noisy_prepared_state(&amps, n, &gate_noise)?;
+            let wb = w.mul_vec(rho_in.as_slice());
+            for (level, superop) in superops.iter().enumerate() {
                 let rho_a = superop.mul_vec(rho_in.as_slice());
                 let raw: C64 = rho_a.iter().zip(&wb).map(|(a, b)| *a * *b).sum();
-                out[level].push(ctx.finish(raw, shots, config, group.index(), levels[level], i));
+                out[level].push(pass.finish(raw.re, config, group.index(), levels[level], i));
             }
         }
         Ok(out)
@@ -2057,11 +2171,10 @@ mod tests {
 
     #[test]
     fn batched_density_matches_per_sample_density() {
-        // The batched vec(ρ) GEMM path accumulates each sample in the
-        // same index order as the per-sample matvec path, so the two
-        // density engines agree to machine precision across noise models
-        // and the whole level sweep (bit-for-bit without `simd`; the FMA
-        // kernel stays within 1e-12).
+        // The readout-form path and the unreduced per-sample matvec path
+        // evaluate the same real form in different summation orders, so
+        // the two density engines agree to machine precision across noise
+        // models and the whole level sweep.
         let ds = tiny_dataset();
         for noise in [
             qsim::NoiseModel::ideal(),
@@ -2105,32 +2218,60 @@ mod tests {
     }
 
     #[test]
-    fn noisy_scoring_fuses_one_superop_per_level() {
+    fn noisy_scoring_builds_one_readout_form_per_level() {
         // The noisy-cache regression pin: a full group pass pays for
-        // exactly one superoperator fusion per compression level, across
-        // any number of samples and repeated passes.
+        // exactly one readout-form build per compression level, across
+        // any number of samples and repeated passes — and never caches a
+        // superoperator (only the per-sample oracle does).
         let ds = tiny_dataset();
         let config = noisy_config(qsim::NoiseModel::brisbane(), None).with_seed(29);
         let levels = config.effective_compression_levels();
         let group = group_for(&config, &ds, 1);
-        assert_eq!(group.noisy_superop_fusions(), 0);
+        assert_eq!(group.readout_form_builds(), 0);
         group.run_with(&DensityEngine, &ds, &config).unwrap();
         assert_eq!(
-            group.noisy_superop_fusions(),
+            group.readout_form_builds(),
             levels.len(),
-            "each compression level fuses exactly once"
+            "each compression level builds exactly once"
         );
         group.run_with(&DensityEngine, &ds, &config).unwrap();
-        assert_eq!(group.noisy_superop_fusions(), levels.len());
-        // A different noise model is a different channel: it fuses anew.
+        assert_eq!(group.readout_form_builds(), levels.len());
+        assert_eq!(group.noisy_superop_fusions(), 0);
+        // A different noise model is a different channel: it builds anew.
         let scaled = noisy_config(qsim::NoiseModel::brisbane().scaled(0.5), None).with_seed(29);
         group.run_with(&DensityEngine, &ds, &scaled).unwrap();
-        assert_eq!(group.noisy_superop_fusions(), 2 * levels.len());
+        assert_eq!(group.readout_form_builds(), 2 * levels.len());
         // Clones start cold, like the encoder cache.
         let fresh = group.clone();
-        assert_eq!(fresh.noisy_superop_fusions(), 0);
+        assert_eq!(fresh.readout_form_builds(), 0);
         fresh.run_with(&DensityEngine, &ds, &config).unwrap();
+        assert_eq!(fresh.readout_form_builds(), levels.len());
+        // The per-sample oracle fuses through its own cache.
+        fresh.run_with(&SampleDensityEngine, &ds, &config).unwrap();
         assert_eq!(fresh.noisy_superop_fusions(), levels.len());
+        assert_eq!(fresh.readout_form_builds(), levels.len());
+    }
+
+    #[test]
+    fn dense_scores_do_not_depend_on_panel_company() {
+        // Each column is scored on its own: a sample's deviations are
+        // bit-identical alone and at every position of a wider panel.
+        let ds = tiny_dataset();
+        let config = noisy_config(qsim::NoiseModel::brisbane(), None);
+        let levels = config.effective_compression_levels();
+        let group = group_for(&config, &ds, 1);
+        let panel = DensityEngine
+            .deviations_all_levels(&group, &ds, &config, &levels)
+            .unwrap();
+        for (j, row) in ds.rows().iter().enumerate() {
+            let one = Dataset::from_rows("one", vec![row.clone()], None).unwrap();
+            let alone = DensityEngine
+                .deviations_all_levels(&group, &one, &config, &levels)
+                .unwrap();
+            for (level, devs) in alone.iter().enumerate() {
+                assert_eq!(devs[0].to_bits(), panel[level][j].to_bits(), "sample {j}");
+            }
+        }
     }
 
     #[test]
@@ -2144,7 +2285,12 @@ mod tests {
         let group = group_for(&config, &ds, 0);
         let before = group.run_with(&DensityEngine, &ds, &config).unwrap();
         SWAP_FUNCTIONAL_CACHE.poison_for_test();
-        let after = group.run_with(&DensityEngine, &ds, &config).unwrap();
+        // A cold clone rebuilds its readout forms, reading the functional
+        // back through the poisoned cache.
+        let after = group
+            .clone()
+            .run_with(&DensityEngine, &ds, &config)
+            .unwrap();
         assert_eq!(before, after, "recovered cache must score identically");
     }
 

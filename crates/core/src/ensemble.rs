@@ -10,7 +10,7 @@ use crate::ansatz::AnsatzParams;
 use crate::bucket::BucketPlan;
 use crate::cache::ByteBounded;
 use crate::config::QuorumConfig;
-use crate::engine::{self, ScoringEngine};
+use crate::engine::{self, ReadoutForm, ScoringEngine};
 use crate::error::QuorumError;
 use crate::features::FeatureSelection;
 use qdata::Dataset;
@@ -56,17 +56,25 @@ impl Clone for EncoderCache {
 /// gigabytes.
 const NOISY_SUPEROP_CACHE_BYTES: usize = 64 << 20;
 
+/// Bytes one group's readout-form cache may retain. A form is
+/// `m(m+1)/2` reals for `m = 2^n(2^n+1)/2` — 5 KiB at n = 3, ~73 KiB at
+/// n = 4, ~1.1 MiB at n = 5 — so every level of every width up to n = 5
+/// fits many times over; at the n = 6 extreme (~17 MiB per form) three
+/// levels stay resident and the rest are rebuilt.
+const READOUT_FORM_CACHE_BYTES: usize = 64 << 20;
+
 /// Bytes one group's program cache may retain — programs are a
 /// few KiB, so this holds hundreds of `(model, level)` pairs.
 const CHANNEL_PROGRAM_CACHE_BYTES: usize = 1 << 20;
 
 /// One randomized ensemble group: buckets, feature subset and ansatz.
 ///
-/// The three per-group caches — the fused encoder, the fused noisy
-/// superoperators and the lowered channel programs — live on the group
+/// The four per-group caches — the fused encoder, the dense engine's
+/// readout forms, the fused noisy superoperators (the per-sample
+/// oracle's) and the lowered channel programs — live on the group
 /// itself, so a **resident** group (the serving runtime keeps thawed
 /// groups alive for the process lifetime) amortises every fusion across
-/// all requests that score through it. The two keyed caches share the
+/// all requests that score through it. The three keyed caches share the
 /// poison-recovering, oldest-first-evicting [`ByteBounded`] store.
 #[derive(Debug, Clone)]
 pub struct EnsembleGroup {
@@ -75,6 +83,7 @@ pub struct EnsembleGroup {
     features: FeatureSelection,
     buckets: Vec<Vec<usize>>,
     encoder_cache: EncoderCache,
+    readout_form_cache: ByteBounded<(NoiseModel, usize), ReadoutForm>,
     noisy_superop_cache: ByteBounded<(NoiseModel, usize), CMatrix>,
     channel_program_cache: ByteBounded<(NoiseModel, usize), ChannelProgram>,
 }
@@ -114,6 +123,7 @@ impl EnsembleGroup {
             features,
             buckets,
             encoder_cache: EncoderCache::default(),
+            readout_form_cache: ByteBounded::new(),
             noisy_superop_cache: ByteBounded::new(),
             channel_program_cache: ByteBounded::new(),
         }
@@ -180,12 +190,58 @@ impl EnsembleGroup {
         let _ = self.encoder_cache.fused.set(encoder);
     }
 
+    /// The dense density engine's [`ReadoutForm`] for this group at one
+    /// `(noise model, compression level)`: the noisy segment and the
+    /// SWAP-test readout folded into one real quadratic form over the
+    /// upper triangle of a prepared state, built at most once per pair
+    /// and cached for the group's lifetime — a noisy scoring pass then
+    /// costs one dot product per (sample, level). The build fuses the
+    /// level's superoperator and drops it; it does not go through (or
+    /// count in) the superoperator cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::engine`] construction failures (effectively
+    /// infallible for valid ansätze).
+    pub fn readout_form(
+        &self,
+        noise: &NoiseModel,
+        reset_count: usize,
+    ) -> Result<Arc<ReadoutForm>, QuorumError> {
+        self.readout_form_bounded(noise, reset_count, READOUT_FORM_CACHE_BYTES)
+    }
+
+    /// [`EnsembleGroup::readout_form`] with an explicit byte budget (the
+    /// eviction-test seam). Like the other keyed caches, the build runs
+    /// **outside** the cache lock — racing duplicates are counted and the
+    /// first insert wins — and an overflowing insert evicts oldest-first.
+    pub(crate) fn readout_form_bounded(
+        &self,
+        noise: &NoiseModel,
+        reset_count: usize,
+        budget: usize,
+    ) -> Result<Arc<ReadoutForm>, QuorumError> {
+        self.readout_form_cache.get_or_try_build(
+            &(noise.clone(), reset_count),
+            budget,
+            ReadoutForm::approx_bytes,
+            || engine::build_readout_form(&self.ansatz, noise, reset_count),
+        )
+    }
+
+    /// How many readout forms this group actually built — the observable
+    /// behind the dense engine's cache regression tests. Stays at the
+    /// number of distinct `(noise model, compression level)` pairs scored,
+    /// however many samples and passes ran; racing builders each count.
+    pub fn readout_form_builds(&self) -> usize {
+        self.readout_form_cache.builds()
+    }
+
     /// The group's bottlenecked autoencoder segment (encoder, `reset_count`
     /// resets, decoder) fused into a `4^n × 4^n` noisy superoperator over
     /// `vec(ρ)`, built at most once per `(noise model, compression level)`
-    /// and cached for the group's lifetime — a noisy scoring pass applies
-    /// the same matrix to the whole packed sample batch in one GEMM (or
-    /// per sample, through the per-sample oracle engine).
+    /// and cached for the group's lifetime — the per-sample oracle engine
+    /// applies it to every sample's `vec(ρ)` as a matvec.
     ///
     /// # Errors
     ///
@@ -269,19 +325,22 @@ impl EnsembleGroup {
         self.channel_program_cache.builds()
     }
 
-    /// How many noisy superoperators this group actually fused — the
-    /// observable behind the density engine's cache regression tests.
-    /// Stays at the number of distinct `(noise model, compression level)`
-    /// pairs scored — however many samples and passes ran — as long as the
-    /// entries fit the cache's byte bound (always true at the paper's
-    /// widths; only the n = 6 extreme re-fuses per pass). Like
+    /// How many noisy superoperators this group fused into its
+    /// superoperator cache — the observable behind the per-sample density
+    /// oracle's cache regression tests (readout-form builds fuse their
+    /// superoperator privately and are counted by
+    /// [`EnsembleGroup::readout_form_builds`] instead). Stays at the number
+    /// of distinct `(noise model, compression level)` pairs scored —
+    /// however many samples and passes ran — as long as the entries fit
+    /// the cache's byte bound (always true at the paper's widths; only the
+    /// n = 6 extreme re-fuses per pass). Like
     /// [`EnsembleGroup::channel_program_fusions`], racing builders each
     /// count.
     pub fn noisy_superop_fusions(&self) -> usize {
         self.noisy_superop_cache.builds()
     }
 
-    /// Deliberately poisons both keyed derived-object caches by
+    /// Deliberately poisons every keyed derived-object cache by
     /// panicking threads that hold their mutexes — the chaos-suite
     /// fault-injection hook. Scoring through a poisoned cache must keep
     /// working (guards are recovered via `PoisonError::into_inner`), so
@@ -289,17 +348,19 @@ impl EnsembleGroup {
     /// lock, not data corruption: entries are write-once-valid.
     #[cfg(any(test, feature = "failpoints"))]
     pub fn poison_derived_caches(&self) {
+        self.readout_form_cache.poison_for_test();
         self.noisy_superop_cache.poison_for_test();
         self.channel_program_cache.poison_for_test();
     }
 
-    /// Drops every cached fused superoperator and lowered channel
-    /// program, leaving the build counters intact — the cold-restart
-    /// chaos hook. A supervisor that restarts a worker re-warms these
-    /// through the same build path, so the counters observe exactly what
-    /// a restart pays.
+    /// Drops every cached readout form, fused superoperator and lowered
+    /// channel program, leaving the build counters intact — the
+    /// cold-restart chaos hook. A supervisor that restarts a worker
+    /// re-warms these through the same build path, so the counters
+    /// observe exactly what a restart pays.
     #[cfg(any(test, feature = "failpoints"))]
     pub fn purge_derived_caches(&self) {
+        self.readout_form_cache.purge();
         self.noisy_superop_cache.purge();
         self.channel_program_cache.purge();
     }
@@ -542,7 +603,7 @@ mod tests {
     fn scoring_survives_poisoned_group_caches() {
         // The long-lived-server regression: a scorer thread that panics
         // while holding a cache mutex must not wedge every later request
-        // on that group. Poison both keyed caches, then score again and
+        // on that group. Poison every keyed cache, then score again and
         // expect identical results.
         let ds = tiny_dataset();
         let noise = NoiseModel::brisbane();
@@ -556,18 +617,38 @@ mod tests {
         let before_structured = group
             .run_with(&engine::StructuredDensityEngine, &ds, &cfg)
             .unwrap();
-        group.noisy_superop_cache.poison_for_test();
-        group.channel_program_cache.poison_for_test();
+        group.poison_derived_caches();
         let after_dense = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
         let after_structured = group
             .run_with(&engine::StructuredDensityEngine, &ds, &cfg)
             .unwrap();
         assert_eq!(before_dense, after_dense);
         assert_eq!(before_structured, after_structured);
-        // The pre-poison entries survived: no re-fusion was needed.
+        // The pre-poison entries survived: no rebuild was needed, and
+        // neither engine touched the per-sample oracle's superoperators.
         let levels = cfg.effective_compression_levels().len();
-        assert_eq!(group.noisy_superop_fusions(), levels);
+        assert_eq!(group.readout_form_builds(), levels);
         assert_eq!(group.channel_program_fusions(), levels);
+        assert_eq!(group.noisy_superop_fusions(), 0);
+    }
+
+    #[test]
+    fn purged_caches_rebuild_on_next_use() {
+        // The cold-restart hook empties every keyed cache; the next pass
+        // rebuilds exactly one entry per level and scores identically.
+        let ds = tiny_dataset();
+        let cfg = config().with_execution(ExecutionMode::Noisy {
+            noise: NoiseModel::brisbane(),
+            shots: None,
+        });
+        let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
+        let group = EnsembleGroup::generate(1, &cfg, ds.num_features(), &plan);
+        let before = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
+        group.purge_derived_caches();
+        let after = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
+        assert_eq!(before, after);
+        let levels = cfg.effective_compression_levels().len();
+        assert_eq!(group.readout_form_builds(), 2 * levels);
     }
 
     #[test]
@@ -614,6 +695,31 @@ mod tests {
             4,
             "the oldest (brisbane, 2) entry is the one evicted"
         );
+    }
+
+    #[test]
+    fn readout_form_overflow_evicts_oldest_and_spares_the_hot_entry() {
+        // Same pin for the readout-form cache, with the budget derived
+        // from a measured form size (every n = 3 form is the same size).
+        let ds = tiny_dataset();
+        let cfg = config();
+        let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
+        let group = EnsembleGroup::generate(0, &cfg, ds.num_features(), &plan);
+        let brisbane = NoiseModel::brisbane();
+        let scaled = NoiseModel::brisbane().scaled(2.0);
+        let probe = group.readout_form(&brisbane, 1).unwrap();
+        // Room for two form-sized entries, not three.
+        let budget = probe.approx_bytes() * 5 / 2;
+        let fresh = group.clone();
+        fresh.readout_form_bounded(&brisbane, 1, budget).unwrap();
+        fresh.readout_form_bounded(&brisbane, 2, budget).unwrap();
+        fresh.readout_form_bounded(&brisbane, 1, budget).unwrap();
+        fresh.readout_form_bounded(&scaled, 1, budget).unwrap();
+        assert_eq!(fresh.readout_form_builds(), 3);
+        fresh.readout_form_bounded(&brisbane, 1, budget).unwrap();
+        assert_eq!(fresh.readout_form_builds(), 3, "hot entry survived");
+        fresh.readout_form_bounded(&brisbane, 2, budget).unwrap();
+        assert_eq!(fresh.readout_form_builds(), 4, "oldest entry evicted");
     }
 
     #[test]

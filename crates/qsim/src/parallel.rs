@@ -31,6 +31,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// sizes itself to `std::thread::available_parallelism()`.
 pub const POOL_THREADS_ENV: &str = "QUORUM_POOL_THREADS";
 
+/// `std::thread::available_parallelism()` (1 when it cannot be read),
+/// probed once per process. The probe is not free — on Linux it re-reads
+/// the cgroup CPU quota files, tens of microseconds per call — and every
+/// scored panel needs the figure, so it is cached; the process-wide pool
+/// sizes itself from the same value.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
 /// A resident, parked worker pool for borrowed (non-`'static`) jobs.
 ///
 /// Jobs are dispatched by reference: the caller hands the pool a
@@ -161,11 +172,7 @@ impl WorkerPool {
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
-                });
+                .unwrap_or_else(available_cores);
             WorkerPool::new(participants.saturating_sub(1))
         })
     }

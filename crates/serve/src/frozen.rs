@@ -689,7 +689,10 @@ impl FrozenDetector {
     /// [`FrozenDetector::prewarm`] for one engine kind over a subset of
     /// groups — the sharded scorer warms each shard's groups for the
     /// engine that shard will actually run, so a per-shard engine
-    /// override never pays fusion or lowering at request time.
+    /// override never pays fusion or lowering at request time. The
+    /// `(group, level)` builds fan out over the worker pool: each is
+    /// deterministic and runs outside its cache's lock, so the warmed
+    /// entries do not depend on the schedule.
     pub(crate) fn prewarm_groups(
         &self,
         kind: EngineKind,
@@ -699,25 +702,24 @@ impl FrozenDetector {
             return Ok(());
         };
         let levels = self.config.effective_compression_levels();
-        for &g in groups {
-            let group = &self.groups[g];
-            for &level in &levels {
+        let builds = map_indexed(
+            groups.len() * levels.len(),
+            self.config.effective_threads(),
+            |i| {
+                let group = &self.groups[groups[i / levels.len()]];
+                let level = levels[i % levels.len()];
                 match kind {
-                    EngineKind::Density | EngineKind::DensitySample => {
-                        group
-                            .fused_noisy_superop(noise, level)
-                            .map_err(ServeError::Quorum)?;
-                    }
-                    EngineKind::DensityStructured => {
-                        group
-                            .channel_program(noise, level)
-                            .map_err(ServeError::Quorum)?;
-                    }
-                    _ => {}
+                    EngineKind::Density => group.readout_form(noise, level).map(drop),
+                    EngineKind::DensitySample => group.fused_noisy_superop(noise, level).map(drop),
+                    EngineKind::DensityStructured => group.channel_program(noise, level).map(drop),
+                    _ => Ok(()),
                 }
-            }
-        }
-        Ok(())
+            },
+        );
+        builds
+            .into_iter()
+            .collect::<Result<(), _>>()
+            .map_err(ServeError::Quorum)
     }
 }
 

@@ -28,8 +28,9 @@
 //!    budget the request fails with a typed [`ServeError::Faulted`].
 //!
 //! Restarted workers re-warm their groups' noisy per-group caches
-//! (superoperator fusions, channel programs) before taking traffic, so
-//! a crash never turns into a latency cliff for the next panel.
+//! (readout forms, superoperators, channel programs) before taking
+//! traffic, so a crash never turns into a latency cliff for the next
+//! panel.
 
 use crate::batch::PanelScorer;
 use crate::error::ServeError;

@@ -187,7 +187,7 @@ fn delayed_shard_replies_do_not_change_scores() {
 
 /// A crashed lock holder poisons the per-group derived caches; the
 /// byte-bounded caches recover the poisoned mutexes and scoring —
-/// including the noisy fused-superoperator path — stays bit-identical.
+/// including the dense noisy readout-form path — stays bit-identical.
 #[test]
 fn poisoned_caches_are_absorbed_bit_identically() {
     let _serial = fault::tests_serialized();

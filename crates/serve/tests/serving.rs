@@ -112,35 +112,43 @@ fn round_trip_is_bit_identical_minmax_normalization() {
     assert_round_trip_bit_identical(base_config().with_normalization(Normalization::MinMax));
 }
 
-/// Thawing pre-fuses: a full reference replay on a thawed noisy detector
-/// must not trigger any new superoperator fusions.
+/// Thawing pre-builds: a full reference replay on a thawed noisy detector
+/// must not trigger any new readout-form builds.
 #[test]
 fn thaw_prewarms_the_noisy_caches() {
     let config = base_config().with_execution(ExecutionMode::Noisy {
         noise: NoiseModel::brisbane(),
         shots: None,
     });
+    let levels = config.effective_compression_levels().len();
     let ds = reference();
     let frozen = FrozenDetector::freeze(config, &ds).unwrap();
     let thawed = FrozenDetector::from_bytes(&frozen.to_bytes().unwrap()).unwrap();
-    let fusions_after_thaw: Vec<usize> = thawed
+    let builds_after_thaw: Vec<usize> = thawed
         .groups()
         .iter()
-        .map(|g| g.noisy_superop_fusions())
+        .map(|g| g.readout_form_builds())
         .collect();
     assert!(
-        fusions_after_thaw.iter().all(|&f| f > 0),
-        "thaw must pre-warm every group's superoperator cache"
+        builds_after_thaw.iter().all(|&b| b == levels),
+        "thaw must pre-warm one readout form per level in every group: {builds_after_thaw:?}"
     );
     thawed.score_dataset(&ds).unwrap();
-    let fusions_after_score: Vec<usize> = thawed
+    let builds_after_score: Vec<usize> = thawed
         .groups()
         .iter()
-        .map(|g| g.noisy_superop_fusions())
+        .map(|g| g.readout_form_builds())
         .collect();
     assert_eq!(
-        fusions_after_thaw, fusions_after_score,
+        builds_after_thaw, builds_after_score,
         "scoring after thaw must hit only warm caches"
+    );
+    assert!(
+        thawed
+            .groups()
+            .iter()
+            .all(|g| g.noisy_superop_fusions() == 0),
+        "the dense engine caches no superoperators"
     );
 }
 

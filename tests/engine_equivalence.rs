@@ -263,9 +263,9 @@ fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
         }
     }
     // Forcing the (batched) density engine explicitly lands on the same
-    // draws, and so does the per-sample density oracle: the batched
-    // vec(ρ) GEMM preserves the per-sample accumulation order, so the
-    // exact deviations — and hence the seeded binomial draws — coincide.
+    // draws, and so does the per-sample density oracle: its unreduced
+    // contraction agrees with the readout forms to ~1e-15, far inside
+    // any binomial draw's threshold, so the seeded draws coincide.
     let forced = QuorumDetector::new(
         base.clone()
             .with_engine(EngineKind::Density)

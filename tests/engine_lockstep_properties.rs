@@ -68,7 +68,10 @@ fn noisy_config(data_qubits: usize, seed: u64, noise: NoiseModel) -> QuorumConfi
 
 /// The core pin: lockstep-prepared vec(ρ) columns against the per-sample
 /// gate walk, entrywise, for one (width, seed, group, batch-size) draw
-/// across every noise model.
+/// across every noise model — plus the realness invariant the dense
+/// engine's readout forms rest on: real amplitudes, RY/CX-only
+/// preparation and real Kraus channels leave every imaginary part of the
+/// lockstep panel at exactly zero, so scoring may read `Re(P)` alone.
 fn check_lockstep_vs_per_sample(data_qubits: usize, seed: u64, group_index: usize, samples: usize) {
     for noise in noise_models() {
         let config = noisy_config(data_qubits, seed, noise);
@@ -86,6 +89,10 @@ fn check_lockstep_vs_per_sample(data_qubits: usize, seed: u64, group_index: usiz
                 assert!(
                     (l.re - p.re).abs() <= 1e-9 && (l.im - p.im).abs() <= 1e-9,
                     "n={data_qubits} seed={seed} entry ({i},{j}): lockstep {l} vs per-sample {p}"
+                );
+                assert!(
+                    l.im == 0.0,
+                    "n={data_qubits} seed={seed} entry ({i},{j}): lockstep {l} is not real"
                 );
             }
         }
