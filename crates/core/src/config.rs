@@ -33,13 +33,15 @@ pub enum ExecutionMode {
 /// The crossover follows the **cold** cost. Warm, the dense engine
 /// scores each (sample, level) as one dot product over the
 /// `m(m+1)/2`-entry packed readout form (`m = 2^n(2^n+1)/2`), and it
-/// still beats the structured channel walk at `n = 5`: 0.38 against
-/// 0.56 ms per sample on 1 group × 24 samples × 2 levels (AVX-512 host,
-/// `benches/engine_comparison.rs`). But each form starts from a fused
-/// `16^n` superoperator, so the first pass over a group at `n = 5` costs
-/// 3.8 s against 13 ms for the structured lowering — ≈300×, and `16×`
-/// worse per extra qubit. A detector that scores a batch once pays that
-/// build on every group, so wide registers go structured.
+/// still beats the structured channel walk at `n = 5`: 0.52 against
+/// 0.68 ms per sample on 1 group × 24 samples × 2 levels (medians of
+/// three runs on a 2-vCPU AVX-512 host, `benches/engine_comparison.rs`).
+/// But each form starts from a fused `16^n` superoperator, so the first
+/// pass over a fresh group at `n = 5` costs 1.5–1.6 s against 13–20 ms
+/// for the structured lowering — 80–110×, with the caches every group
+/// shares already built, and `16×` worse per extra qubit. A detector
+/// that scores a batch once pays that build on every group, so wide
+/// registers go structured.
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
 
 /// Which scoring engine evaluates the per-sample deviations.

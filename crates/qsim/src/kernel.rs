@@ -1164,8 +1164,7 @@ fn phase_damp_body(v1: &mut [C64], v2: &mut [C64], damp: f64) {
 }
 
 /// Partial sums [`dot_lanes`] keeps: one 512-bit vector, two 256-bit or
-/// four 128-bit ones, so every rung of the ladder runs the same
-/// per-accumulator arithmetic.
+/// four 128-bit ones, so the loop autovectorises at any SIMD width.
 const DOT_ACCUMULATORS: usize = 8;
 
 /// The packed upper triangle of the outer product `h·hᵀ`: for `k ≤ l` in
@@ -1173,8 +1172,6 @@ const DOT_ACCUMULATORS: usize = 8;
 /// `m(m+1)/2` entries for `m = h.len()`. The level-independent half of the
 /// dense noisy readout, whose quadratic forms `hᵀ·G·h` then become one
 /// [`dot_lanes`] of `z` against each form's packed coefficients.
-/// Elementwise, so every rung of the runtime AVX recompilation ladder
-/// produces identical values.
 ///
 /// # Panics
 ///
@@ -1182,56 +1179,9 @@ const DOT_ACCUMULATORS: usize = 8;
 pub fn outer_triangle_lanes(h: &[f64], z: &mut [f64]) {
     let m = h.len();
     assert_eq!(z.len(), m * (m + 1) / 2, "packed triangle length");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `outer_triangle_body`.
-        unsafe {
-            outer_triangle_avx512(h, z);
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `outer_triangle_body`.
-        unsafe {
-            outer_triangle_avx(h, z);
-        }
-        return;
-    }
-    outer_triangle_body(h, z);
-}
-
-/// [`outer_triangle_lanes`]'s body recompiled with 512-bit AVX-512
-/// vectors enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn outer_triangle_avx512(h: &[f64], z: &mut [f64]) {
-    outer_triangle_body(h, z);
-}
-
-/// [`outer_triangle_lanes`]'s body recompiled with 256-bit AVX vectors
-/// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn outer_triangle_avx(h: &[f64], z: &mut [f64]) {
-    outer_triangle_body(h, z);
-}
-
-#[inline(always)]
-fn outer_triangle_body(h: &[f64], z: &mut [f64]) {
     let mut rest = z;
     for (k, &hk) in h.iter().enumerate() {
-        let (row, tail) = rest.split_at_mut(h.len() - k);
+        let (row, tail) = rest.split_at_mut(m - k);
         for (zt, &hl) in row.iter_mut().zip(&h[k..]) {
             *zt = hk * hl;
         }
@@ -1244,56 +1194,13 @@ fn outer_triangle_body(h: &[f64], z: &mut [f64]) {
 /// to partial sum `t mod 8`; the eight partials are combined pairwise and
 /// the remainder, summed in index order, is added last. The pattern
 /// depends only on the length, so a given pair of slices always rounds
-/// the same way — on every rung of the runtime AVX recompilation ladder
-/// (plain multiply then add, never contracted) and wherever the slices
-/// came from.
+/// the same way, wherever the slices came from.
 ///
 /// # Panics
 ///
 /// Panics when the slices differ in length.
 pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot operands differ in length");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `dot_body`.
-        return unsafe { dot_avx512(a, b) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `dot_body`.
-        return unsafe { dot_avx(a, b) };
-    }
-    dot_body(a, b)
-}
-
-/// [`dot_lanes`]'s body recompiled with 512-bit AVX-512 vectors enabled —
-/// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn dot_avx512(a: &[f64], b: &[f64]) -> f64 {
-    dot_body(a, b)
-}
-
-/// [`dot_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
-/// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn dot_avx(a: &[f64], b: &[f64]) -> f64 {
-    dot_body(a, b)
-}
-
-#[inline(always)]
-fn dot_body(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [0.0_f64; DOT_ACCUMULATORS];
     let a_chunks = a.chunks_exact(DOT_ACCUMULATORS);
     let b_chunks = b.chunks_exact(DOT_ACCUMULATORS);
@@ -1611,16 +1518,24 @@ mod tests {
     }
 
     #[test]
-    fn dot_lanes_rounds_like_the_baseline_body_on_every_rung() {
-        // The dispatched rung must round exactly like the baseline body
-        // (no contraction, same partial-sum pattern), and the pattern must
-        // stay a faithful dot product — at lengths below, at and past the
-        // partial-sum count.
+    fn dot_lanes_sums_in_its_documented_pattern() {
+        // Eight strided partial sums combined pairwise, then the index-order
+        // remainder — at lengths below, at and past the partial-sum count —
+        // and still a faithful dot product.
         for len in [0usize, 1, 7, 8, 9, 17, 666] {
             let a: Vec<f64> = (0..len).map(|t| (t as f64 * 0.71).cos()).collect();
             let b: Vec<f64> = (0..len).map(|t| (t as f64 * 1.13).sin()).collect();
+            let body = len - len % 8;
+            let mut acc = [0.0_f64; 8];
+            for t in 0..body {
+                acc[t % 8] += a[t] * b[t];
+            }
+            let tail = (body..len).fold(0.0, |s, t| s + a[t] * b[t]);
+            let pattern = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+                + tail;
             let fast = dot_lanes(&a, &b);
-            assert_eq!(fast.to_bits(), dot_body(&a, &b).to_bits(), "len {len}");
+            assert_eq!(fast.to_bits(), pattern.to_bits(), "len {len}");
             let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!(
                 (fast - naive).abs() <= 1e-12,
