@@ -47,23 +47,27 @@
 //! 1. prepares **all** samples' noisy input states in **lockstep**: the
 //!    Möttönen preparation's gate skeleton is sample-independent
 //!    ([`qsim::stateprep::PrepSkeleton`] — only the RY angles carry the
-//!    data), so the whole batch evolves as one `4^n × S` vec(ρ) panel —
-//!    per skeleton step, one per-column RY conjugation
+//!    data), so the whole batch evolves as one `4^n × S` vec(ρ) panel.
+//!    The amplitudes are real, the preparation applies only RY and CX,
+//!    and every Kraus channel of the noise model is real, so no entry
+//!    ever gains an imaginary part: the panel is a real `f64` matrix
+//!    ([`RealPanel`]), so every kernel moves half the bytes a complex
+//!    panel would, and a fused 1q channel costs 16 real multiply-adds per
+//!    lane instead of 16 complex ones. Per skeleton step, one per-column
+//!    RY conjugation
 //!    ([`qsim::density::ry_conjugate_columns`], the only sample-dependent
 //!    operation) plus the **shared** channel/gate superoperators applied
 //!    to the whole panel through sample-contiguous lane kernels
-//!    ([`GateNoise::apply_after_gate_columns`],
-//!    [`qsim::density::permute_cx_columns`]), with fixed-width column
-//!    blocks distributed across workers
+//!    ([`GateNoise::apply_after_gate_columns`] with the real views of
+//!    the fused channels, [`qsim::density::permute_cx_columns`]), with
+//!    fixed-width column blocks distributed across workers
 //!    ([`qsim::parallel::map_indexed_with`]);
-//! 2. keeps the resulting `vec(ρ_in)` columns packed as the `4^n × S`
-//!    matrix `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
+//! 2. keeps the resulting real `vec(ρ_in)` columns as the `4^n × S`
+//!    panel `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
 //!    both registers identically) and reads each column through one more
-//!    register-level reduction: the amplitudes are real, the preparation
-//!    applies only RY and CX, and every Kraus channel of the noise model
-//!    is real, so every `ρ_in` is **real symmetric** and its `4^n` vec
-//!    entries carry only `m = 2^n(2^n+1)/2` distinct numbers — the upper
-//!    triangle `h = triu(ρ_in)`;
+//!    register-level reduction: every `ρ_in` is real **symmetric**, so
+//!    its `4^n` vec entries carry only `m = 2^n(2^n+1)/2` distinct
+//!    numbers — the upper triangle `h = triu(ρ_in)`;
 //! 3. scores every level as one **real quadratic form**
 //!    `P(1) = hᵀ·G_r·h`. The readout form `G_r` ([`ReadoutForm`]) folds
 //!    the level's **fused noisy superoperator** `S_r` — encoder gates
@@ -1185,6 +1189,57 @@ fn finish_deviation(
     }
 }
 
+/// A lockstep-prepared batch: a row-major real `4^n × S` matrix whose
+/// column `j` is `vec(ρ_in)` of sample `j`. The preparation applies only
+/// real amplitudes, RY and CX gates and real Kraus channels, so every
+/// entry is real; the panel stores `f64`s, half the bytes of a complex
+/// panel, and its type carries the realness the readout forms rest on.
+/// Produced by [`DensityEngine::prepare_batch`] and consumed by
+/// [`DensityEngine::score_prepared`] and
+/// [`StructuredDensityEngine::score_prepared`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RealPanel {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl RealPanel {
+    /// Number of rows: `4^n`, one per `vec(ρ)` entry.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns: one per sample.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `i`: entry `i` of every sample's `vec(ρ_in)`, contiguous.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.rows, "row index out of range");
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// The row-major entries.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Reshapes to `rows × cols` with every entry zero, reusing the
+    /// allocation when its capacity suffices.
+    fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+}
+
 /// Reusable per-worker scratch for one lockstep column block: the RY
 /// coefficient lanes (`cos²`, `cos·sin`, `sin²` of the half-angles).
 #[derive(Default)]
@@ -1225,7 +1280,7 @@ struct ScoreScratch {
 #[derive(Default)]
 struct DensityScratch {
     prep: PrepScratch,
-    packed: CMatrix,
+    packed: RealPanel,
     score: ScoreScratch,
 }
 
@@ -1235,7 +1290,7 @@ thread_local! {
 
 impl DensityEngine {
     /// Packs every sample's noisy prepared state into the columns of a
-    /// `4^n × S` matrix — column `j` is `vec(ρ_in)` of sample `j` after
+    /// real `4^n × S` panel — column `j` is `vec(ρ_in)` of sample `j` after
     /// the per-gate-noisy Möttönen preparation (one preparation serves as
     /// `ρ_B` and as register A's input alike, since Fig. 2 preps both
     /// identically) — by evolving the whole batch **in lockstep** through
@@ -1244,7 +1299,8 @@ impl DensityEngine {
     /// 1. each sample contributes only its angle vector
     ///    ([`PrepSkeleton::angles_for_into`]); every gate *position* is
     ///    shared, so one skeleton walk serves all `S` columns;
-    /// 2. the batch starts as `4^n × S` columns of `vec(|0…0⟩⟨0…0|)`;
+    /// 2. the batch starts as a real `4^n × S` panel ([`RealPanel`]) of
+    ///    `vec(|0…0⟩⟨0…0|)` columns;
     ///    each skeleton rotation applies the per-column RY conjugation
     ///    ([`qsim::density::ry_conjugate_columns`] — the only
     ///    sample-dependent operation) and every shared operation — the
@@ -1262,10 +1318,12 @@ impl DensityEngine {
     ///    every thread count.
     ///
     /// The per-element arithmetic of every lockstep kernel replicates the
-    /// per-sample walk's term for term, so the packed result equals
-    /// [`SampleDensityEngine::prepare_batch`]'s to machine precision —
-    /// with none of the per-sample circuit construction, lowering, or
-    /// strided small-kernel dispatch.
+    /// real plane of the per-sample walk term for term, so the packed
+    /// result equals the real parts of
+    /// [`SampleDensityEngine::prepare_batch`]'s complex panel (whose
+    /// imaginary parts are all zero) to machine precision — with none of
+    /// the per-sample circuit construction, lowering, or strided
+    /// small-kernel dispatch, and with half the bytes per lane.
     ///
     /// Public as the batch half of the prep/score seam — streaming callers
     /// can prepare once and score against many frozen ensembles via
@@ -1280,8 +1338,8 @@ impl DensityEngine {
         group: &EnsembleGroup,
         normalized: &Dataset,
         config: &QuorumConfig,
-    ) -> Result<CMatrix, QuorumError> {
-        let mut packed = CMatrix::zeros(0, 0);
+    ) -> Result<RealPanel, QuorumError> {
+        let mut packed = RealPanel::default();
         DENSITY_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             Self::prepare_panel_into(
@@ -1299,7 +1357,7 @@ impl DensityEngine {
     /// The generic body of [`DensityEngine::prepare_batch`]: consumes the
     /// rows from any contiguous source (a [`Dataset`]'s row vectors or a
     /// flat [`SamplePanel`]) and writes the packed `4^n × S` batch into a
-    /// caller-owned matrix through reusable scratch — the zero-allocation
+    /// caller-owned panel through reusable scratch — the zero-allocation
     /// seam the steady-state serving loop runs on. Identical arithmetic
     /// and iteration order to the allocating path.
     fn prepare_panel_into<'a>(
@@ -1308,7 +1366,7 @@ impl DensityEngine {
         samples: usize,
         config: &QuorumConfig,
         scratch: &mut PrepScratch,
-        packed: &mut CMatrix,
+        packed: &mut RealPanel,
     ) -> Result<(), QuorumError> {
         ensure_noisy_mode(config)?;
         let noise = match &config.execution {
@@ -1389,7 +1447,7 @@ impl DensityEngine {
             let c0 = b * GEMM_COL_BLOCK;
             let width = panel.cols();
             for i in 0..dim * dim {
-                packed.as_mut_slice()[i * samples + c0..i * samples + c0 + width]
+                packed.data[i * samples + c0..i * samples + c0 + width]
                     .copy_from_slice(panel.row(i));
             }
         }
@@ -1410,17 +1468,17 @@ impl DensityEngine {
         c0: usize,
         c1: usize,
         coeffs: &mut RyCoeffs,
-    ) -> Result<CMatrix, QuorumError> {
-        let mut block = CMatrix::zeros(0, 0);
+    ) -> Result<RealPanel, QuorumError> {
+        let mut block = RealPanel::default();
         Self::evolve_block_into(
             skeleton, gate_noise, thetas, num_qubits, samples, c0, c1, coeffs, &mut block,
         )?;
         Ok(block)
     }
 
-    /// [`DensityEngine::evolve_block`] writing into a caller-owned matrix,
+    /// [`DensityEngine::evolve_block`] writing into a caller-owned panel,
     /// so the sequential full-width path reuses one resident buffer across
-    /// panels instead of allocating `4^n × S` complexes per call.
+    /// panels instead of allocating `4^n × S` reals per call.
     #[allow(clippy::too_many_arguments)] // private worker body of prepare_batch
     fn evolve_block_into(
         skeleton: &PrepSkeleton,
@@ -1431,15 +1489,14 @@ impl DensityEngine {
         c0: usize,
         c1: usize,
         coeffs: &mut RyCoeffs,
-        block: &mut CMatrix,
+        block: &mut RealPanel,
     ) -> Result<(), QuorumError> {
         let dim = 1usize << num_qubits;
         let width = c1 - c0;
         block.resize_zeroed(dim * dim, width);
-        for j in 0..width {
-            // vec(|0…0⟩⟨0…0|): row-major index (0, 0) = row 0.
-            block[(0, j)] = C64::ONE;
-        }
+        // vec(|0…0⟩⟨0…0|): row-major index (0, 0) = row 0.
+        block.data[..width].fill(1.0);
+        let data = block.data.as_mut_slice();
         coeffs.cc.resize(width, 0.0);
         coeffs.cs.resize(width, 0.0);
         coeffs.ss.resize(width, 0.0);
@@ -1461,28 +1518,16 @@ impl DensityEngine {
                         coeffs.ss[j] = s * s;
                     }
                     ry_conjugate_columns(
-                        block.as_mut_slice(),
-                        dim,
-                        width,
-                        target,
-                        &coeffs.cc,
-                        &coeffs.cs,
-                        &coeffs.ss,
+                        data, dim, width, target, &coeffs.cc, &coeffs.cs, &coeffs.ss,
                     );
                     gate_noise
-                        .apply_after_gate_columns(block.as_mut_slice(), dim, width, 1, &[target])
+                        .apply_after_gate_columns(data, dim, width, 1, &[target])
                         .map_err(QuorumError::Simulation)?;
                 }
                 PrepStep::Cx { control, target } => {
-                    permute_cx_columns(block.as_mut_slice(), dim, width, control, target);
+                    permute_cx_columns(data, dim, width, control, target);
                     gate_noise
-                        .apply_after_gate_columns(
-                            block.as_mut_slice(),
-                            dim,
-                            width,
-                            2,
-                            &[control, target],
-                        )
+                        .apply_after_gate_columns(data, dim, width, 2, &[control, target])
                         .map_err(QuorumError::Simulation)?;
                 }
             }
@@ -1494,7 +1539,7 @@ impl DensityEngine {
     /// [`DensityEngine::prepare_batch`]) at every requested compression
     /// level — the score half of the prep/score seam, reusable across
     /// calls for streaming workloads. Every column is `vec(ρ_in)` of a
-    /// real symmetric state, so only the real upper triangle `h` is read;
+    /// real symmetric state, so only its upper triangle `h` is read;
     /// per column, the products `h_k·h_l` are formed once and each level
     /// is one dot product against the group's cached [`ReadoutForm`].
     /// Each column is scored on its own, in a fixed order, so its bits do
@@ -1507,7 +1552,7 @@ impl DensityEngine {
     /// row count is not `4^n`; propagates simulation failures.
     pub fn score_prepared(
         group: &EnsembleGroup,
-        packed: &CMatrix,
+        packed: &RealPanel,
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
@@ -1523,7 +1568,7 @@ impl DensityEngine {
     /// panel-proportional.
     fn score_prepared_scratch(
         group: &EnsembleGroup,
-        packed: &CMatrix,
+        packed: &RealPanel,
         config: &QuorumConfig,
         levels: &[usize],
         scratch: &mut ScoreScratch,
@@ -1540,14 +1585,6 @@ impl DensityEngine {
                 actual: packed.rows(),
             }));
         }
-        // The realness invariant the forms rest on (pinned in
-        // `tests/engine_lockstep_properties.rs`): the lockstep
-        // preparation never produces an imaginary part.
-        debug_assert!(
-            packed.as_slice().iter().all(|v| v.im == 0.0),
-            "prepared vec(ρ) panels must be real"
-        );
-
         // h = triu(P), sample-major: column j's coordinates sit at
         // h[j·m..(j+1)·m], so a 1-column panel reads one m-run, exactly
         // like every column of a wide one.
@@ -1556,8 +1593,8 @@ impl DensityEngine {
         scratch.h.clear();
         scratch.h.resize(samples * m, 0.0);
         for (k, (a, b)) in upper_triangle(dim).enumerate() {
-            for (j, v) in packed.row(a * dim + b).iter().enumerate() {
-                scratch.h[j * m + k] = v.re;
+            for (j, &v) in packed.row(a * dim + b).iter().enumerate() {
+                scratch.h[j * m + k] = v;
             }
         }
         scratch.z.clear();
@@ -1676,7 +1713,8 @@ pub struct StructuredDensityEngine;
 impl StructuredDensityEngine {
     /// Scores an already-prepared `4^n × S` batch (the output of
     /// [`DensityEngine::prepare_batch`]) at every requested compression
-    /// level, column-block by column-block: per block, the MPO readout
+    /// level, column-block by column-block: per block, the real columns
+    /// are widened to complex in the gather, then the MPO readout
     /// image `Y = W·P` once (it is level-independent), then one channel
     /// program walk plus column dots per level. Blocks are fixed at
     /// [`GEMM_COL_BLOCK`] columns and fanned over workers with
@@ -1688,7 +1726,7 @@ impl StructuredDensityEngine {
     /// simulation failures.
     pub fn score_prepared(
         group: &EnsembleGroup,
-        packed: &CMatrix,
+        packed: &RealPanel,
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
@@ -1701,7 +1739,7 @@ impl StructuredDensityEngine {
         for &reset_count in levels {
             ensure_reset_range(reset_count, n)?;
         }
-        let gate_noise = GateNoise::from_model(noise);
+        let gate_noise = cached_gate_noise(noise);
         let readout = gate_noise.readout_error();
         // Three constant-size pull-backs — cheap enough to build per
         // scoring pass, unlike the dense functional.
@@ -1726,7 +1764,8 @@ impl StructuredDensityEngine {
             s.panel.clear();
             s.panel.reserve(dim2 * width);
             for i in 0..dim2 {
-                s.panel.extend_from_slice(&packed.row(i)[c0..c1]);
+                s.panel
+                    .extend(packed.row(i)[c0..c1].iter().map(|&v| C64::from_real(v)));
             }
             s.y.resize(dim2 * width, C64::ZERO);
             mpo.apply_panel(&s.panel, width, &mut s.y);

@@ -16,6 +16,7 @@
 use crate::complex::C64;
 use crate::error::QsimError;
 use crate::gate::Gate;
+use crate::kernel::LaneScalar;
 use crate::matrix::CMatrix;
 use crate::statevector::Statevector;
 
@@ -698,21 +699,22 @@ impl DensityMatrix {
 }
 
 /// Applies a per-column RY conjugation `ρ_j → RY(θ_j) ρ_j RY(θ_j)†` on
-/// one qubit of a **batched vec(ρ) panel**: `data` is the row-major
+/// one qubit of a **real batched vec(ρ) panel**: `data` is the row-major
 /// `dim² × samples` matrix whose column `j` is the row-major vectorisation
-/// of sample `j`'s `dim × dim` density matrix, and `cc`/`cs`/`ss` hold the
-/// per-sample coefficients `cos²(θ_j/2)`, `cos(θ_j/2)·sin(θ_j/2)`,
+/// of sample `j`'s real `dim × dim` density matrix, and `cc`/`cs`/`ss`
+/// hold the per-sample coefficients `cos²(θ_j/2)`, `cos(θ_j/2)·sin(θ_j/2)`,
 /// `sin²(θ_j/2)`.
 ///
 /// This is the only sample-dependent operation in the lockstep noisy
 /// state preparation: everything else in the Möttönen skeleton is shared
-/// across the batch and applied as whole-panel superoperator GEMMs. For
-/// each (row-pair, column-pair) sub-block of ρ the four affected vec rows
-/// are *contiguous sample-lane runs* of the panel, so the real 4×4
-/// rotation superoperator applies across all samples at once through
+/// across the batch and applied to the whole panel. For each (row-pair,
+/// column-pair) sub-block of ρ the four affected vec rows are
+/// *contiguous sample-lane runs* of the panel, so the real 4×4 rotation
+/// superoperator applies across all samples at once through
 /// [`crate::kernel::ry_conj_lanes`] (runtime-AVX-recompiled); per lane the
-/// arithmetic matches [`DensityMatrix::apply_gate`]'s fused superoperator
-/// term for term.
+/// arithmetic matches the real plane of [`DensityMatrix::apply_gate`]'s
+/// fused superoperator term for term. The preparation is this kernel's
+/// only caller, and its panels are real, so it takes `f64` lanes only.
 ///
 /// # Panics
 ///
@@ -720,7 +722,7 @@ impl DensityMatrix {
 /// two, `qubit` is out of range, or a coefficient slice is not
 /// `samples` long.
 pub fn ry_conjugate_columns(
-    data: &mut [crate::complex::C64],
+    data: &mut [f64],
     dim: usize,
     samples: usize,
     qubit: usize,
@@ -752,19 +754,14 @@ pub fn ry_conjugate_columns(
 /// mutable lane runs (the vec rows are strictly ascending, so the panel
 /// splits cleanly).
 #[allow(clippy::type_complexity)] // four borrows of one panel, nothing more
-fn sub_block_rows_mut(
-    data: &mut [crate::complex::C64],
+fn sub_block_rows_mut<T>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     mask: usize,
     r0: usize,
     c0: usize,
-) -> (
-    &mut [crate::complex::C64],
-    &mut [crate::complex::C64],
-    &mut [crate::complex::C64],
-    &mut [crate::complex::C64],
-) {
+) -> (&mut [T], &mut [T], &mut [T], &mut [T]) {
     let i00 = (r0 * dim + c0) * samples;
     let i01 = (r0 * dim + c0 + mask) * samples;
     let i10 = ((r0 + mask) * dim + c0) * samples;
@@ -786,17 +783,19 @@ fn sub_block_rows_mut(
 /// [`DensityMatrix::apply_superop_1q`], with identical per-element term
 /// order — the whole batch pays one pass of contiguous lane sweeps
 /// ([`crate::kernel::superop4_lanes`]) instead of `S` strided per-sample
-/// applications.
+/// applications. Generic over the lane scalar: the noisy preparation
+/// runs it on a real panel with a real channel, the structured engine's
+/// channel programs on a complex one.
 ///
 /// # Panics
 ///
 /// Same contract as [`ry_conjugate_columns`].
-pub fn apply_superop_1q_columns(
-    data: &mut [crate::complex::C64],
+pub fn apply_superop_1q_columns<T: LaneScalar>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     qubit: usize,
-    s: &[[crate::complex::C64; 4]; 4],
+    s: &[[T; 4]; 4],
 ) {
     assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
     assert!(1usize << qubit < dim, "qubit out of range");
@@ -818,13 +817,14 @@ pub fn apply_superop_1q_columns(
 /// indices this is a pure involution of panel rows — `(r, c) ↦
 /// (cx(r), cx(c))` with `cx` flipping the target bit where the control
 /// bit is set — executed as whole-lane row swaps with no arithmetic at
-/// all (exactly [`DensityMatrix::apply_gate`]'s CX fast path, batched).
+/// all (exactly [`DensityMatrix::apply_gate`]'s CX fast path, batched),
+/// for either lane scalar.
 ///
 /// # Panics
 ///
 /// Panics on a malformed panel shape or out-of-range/duplicate qubits.
-pub fn permute_cx_columns(
-    data: &mut [crate::complex::C64],
+pub fn permute_cx_columns<T>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     control: usize,
@@ -854,18 +854,26 @@ pub fn permute_cx_columns(
     }
 }
 
+/// Lanes per block-trace chunk in [`apply_depolarizing_2q_columns`]: the
+/// traces of one sub-block live in a stack array of this many lanes, so
+/// the kernel never allocates, and a
+/// [`crate::matrix::GEMM_COL_BLOCK`]-wide panel block fits one chunk.
+const DEPOL_TRACE_LANES: usize = crate::matrix::GEMM_COL_BLOCK;
+
 /// Applies the closed-form two-qubit depolarizing channel to `(qa, qb)`
 /// of **every column** of a `dim² × samples` vec(ρ) panel — the lockstep
 /// analogue of [`DensityMatrix::apply_depolarizing_2q`], per-element
-/// expressions replicated exactly. Dispatched through the runtime AVX
-/// recompilation ladder like the per-sample kernel.
+/// expressions replicated exactly, for either lane scalar. Each
+/// sub-block's lane-wise traces are accumulated in a fixed-size stack
+/// chunk, so the kernel allocates nothing. Dispatched through the
+/// runtime AVX recompilation ladder like the per-sample kernel.
 ///
 /// # Panics
 ///
 /// Panics on a malformed panel shape, bad operands, or `p` outside
 /// `[0, 15/16]`.
-pub fn apply_depolarizing_2q_columns(
-    data: &mut [crate::complex::C64],
+pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -911,8 +919,8 @@ pub fn apply_depolarizing_2q_columns(
 /// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn depol2q_columns_avx512(
-    data: &mut [crate::complex::C64],
+unsafe fn depol2q_columns_avx512<T: LaneScalar>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -930,8 +938,8 @@ unsafe fn depol2q_columns_avx512(
 /// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn depol2q_columns_avx(
-    data: &mut [crate::complex::C64],
+unsafe fn depol2q_columns_avx<T: LaneScalar>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -942,15 +950,14 @@ unsafe fn depol2q_columns_avx(
 }
 
 #[inline(always)]
-fn depol2q_columns_body(
-    data: &mut [crate::complex::C64],
+fn depol2q_columns_body<T: LaneScalar>(
+    data: &mut [T],
     dim: usize,
     samples: usize,
     qa: usize,
     qb: usize,
     lambda: f64,
 ) {
-    use crate::complex::C64;
     let ma = 1usize << qa;
     let mb = 1usize << qb;
     let both = ma | mb;
@@ -967,7 +974,7 @@ fn depol2q_columns_body(
         }
         idx
     };
-    let mut mixed = vec![C64::ZERO; samples];
+    let mut trace = [T::ZERO; DEPOL_TRACE_LANES];
     for r_base in 0..dim {
         if r_base & both != 0 {
             continue;
@@ -976,30 +983,36 @@ fn depol2q_columns_body(
             if c_base & both != 0 {
                 continue;
             }
-            // Block trace over the two-qubit subsystem, lane-wise, in the
-            // per-sample kernel's s = 0..4 accumulation order.
-            mixed.fill(C64::ZERO);
-            for s in 0..4 {
-                let row = (expand(r_base, s) * dim + expand(c_base, s)) * samples;
-                for (m, &v) in mixed.iter_mut().zip(&data[row..row + samples]) {
-                    *m += v;
+            // Lanes are independent, so chunking them leaves every lane's
+            // arithmetic as it was.
+            for l0 in (0..samples).step_by(DEPOL_TRACE_LANES) {
+                let width = (samples - l0).min(DEPOL_TRACE_LANES);
+                let mixed = &mut trace[..width];
+                // Block trace over the two-qubit subsystem, lane-wise, in
+                // the per-sample kernel's s = 0..4 accumulation order.
+                mixed.fill(T::ZERO);
+                for s in 0..4 {
+                    let row = (expand(r_base, s) * dim + expand(c_base, s)) * samples + l0;
+                    for (m, &v) in mixed.iter_mut().zip(&data[row..row + width]) {
+                        *m += v;
+                    }
                 }
-            }
-            for m in mixed.iter_mut() {
-                *m = m.scale(quarter);
-            }
-            for rs in 0..4 {
-                let row = expand(r_base, rs) * dim;
-                for cs in 0..4 {
-                    let idx = (row + expand(c_base, cs)) * samples;
-                    let lanes = &mut data[idx..idx + samples];
-                    if rs == cs {
-                        for (v, &m) in lanes.iter_mut().zip(&mixed) {
-                            *v = v.scale(keep) + m;
-                        }
-                    } else {
-                        for v in lanes.iter_mut() {
-                            *v = v.scale(keep);
+                for m in mixed.iter_mut() {
+                    *m = *m * quarter;
+                }
+                for rs in 0..4 {
+                    let row = expand(r_base, rs) * dim;
+                    for cs in 0..4 {
+                        let idx = (row + expand(c_base, cs)) * samples + l0;
+                        let lanes = &mut data[idx..idx + width];
+                        if rs == cs {
+                            for (v, &m) in lanes.iter_mut().zip(mixed.iter()) {
+                                *v = *v * keep + m;
+                            }
+                        } else {
+                            for v in lanes.iter_mut() {
+                                *v = *v * keep;
+                            }
                         }
                     }
                 }
@@ -1485,9 +1498,10 @@ mod tests {
 
     #[test]
     fn ry_conjugate_columns_matches_per_sample_gate_application() {
-        // A panel of random mixed states, one per column, conjugated in
-        // lockstep — against DensityMatrix::apply_gate per sample. The
-        // lane kernel reproduces the fused superoperator's arithmetic, so
+        // A real panel of random mixed states (RY, CX and depolarizing
+        // keep them real), one per column, conjugated in lockstep —
+        // against DensityMatrix::apply_gate per sample. The lane kernel
+        // reproduces the fused superoperator's real-plane arithmetic, so
         // the agreement is exact up to zero signs.
         let samples = 5;
         let n = 3;
@@ -1497,10 +1511,11 @@ mod tests {
             .collect();
         for qubit in 0..n {
             let thetas: Vec<f64> = (0..samples).map(|j| 0.7 * j as f64 - 1.3).collect();
-            let mut panel = vec![C64::ZERO; dim * dim * samples];
+            let mut panel = vec![0.0; dim * dim * samples];
             for (j, rho) in states.iter().enumerate() {
                 for (i, &v) in rho.as_slice().iter().enumerate() {
-                    panel[i * samples + j] = v;
+                    assert_eq!(v.im, 0.0, "sample {j} row {i} is not real");
+                    panel[i * samples + j] = v.re;
                 }
             }
             let (mut cc, mut cs, mut ss) =
@@ -1521,10 +1536,97 @@ mod tests {
                 for (i, &want) in expected.as_slice().iter().enumerate() {
                     let got = panel[i * samples + j];
                     assert!(
-                        got.approx_eq(want, 1e-14),
+                        (got - want.re).abs() <= 1e-14 && want.im == 0.0,
                         "qubit {qubit} sample {j} row {i}: {got} vs {want}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A deterministic real panel with no exact zeros, so bitwise
+    /// comparisons also pin the signs.
+    fn real_panel(len: usize, salt: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| 0.05 + ((i as f64 + salt as f64 * 0.61) * 0.7311).sin())
+            .collect()
+    }
+
+    #[test]
+    fn generic_column_kernels_agree_bitwise_across_lane_scalars() {
+        // Every generic column kernel, instantiated for f64 and for C64 on
+        // the same real panel with a real channel: the f64 output must be
+        // the C64 output's real part bit for bit. Lane widths straddle
+        // the vector widths so every remainder path runs.
+        let n = 3;
+        let dim = 1usize << n;
+        let gate_noise = crate::simulator::GateNoise::from_model(
+            &crate::noise::NoiseModel::brisbane().scaled(2.0),
+        );
+        let channel = *gate_noise.superop_1q().expect("brisbane has a 1q channel");
+        let relax = *gate_noise
+            .superop_2q_relax()
+            .expect("brisbane has a relaxation channel");
+        let random_real: [[C64; 4]; 4] = core::array::from_fn(|i| {
+            core::array::from_fn(|j| C64::from_real(((i * 4 + j) as f64 * 0.83).cos()))
+        });
+        for samples in [1usize, 2, 3, 8, 33] {
+            for (case, s) in [channel, relax, random_real].iter().enumerate() {
+                let s_real = s.map(|row| row.map(|z| z.re));
+                for qubit in 0..n {
+                    let mut real = real_panel(dim * dim * samples, (case * 7 + qubit) as u64);
+                    let mut complex: Vec<C64> = real.iter().map(|&v| C64::from_real(v)).collect();
+                    apply_superop_1q_columns(&mut real, dim, samples, qubit, &s_real);
+                    apply_superop_1q_columns(&mut complex, dim, samples, qubit, s);
+                    for (i, (x, z)) in real.iter().zip(&complex).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            z.re.to_bits(),
+                            "superop S={samples} case {case} qubit {qubit} entry {i}"
+                        );
+                    }
+                }
+            }
+            for (qa, qb) in [(0usize, 1usize), (2, 0), (1, 2)] {
+                let mut real = real_panel(dim * dim * samples, (qa * 3 + qb) as u64);
+                let mut complex: Vec<C64> = real.iter().map(|&v| C64::from_real(v)).collect();
+                permute_cx_columns(&mut real, dim, samples, qa, qb);
+                permute_cx_columns(&mut complex, dim, samples, qa, qb);
+                apply_depolarizing_2q_columns(&mut real, dim, samples, qa, qb, 0.07);
+                apply_depolarizing_2q_columns(&mut complex, dim, samples, qa, qb, 0.07);
+                for (i, (x, z)) in real.iter().zip(&complex).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        z.re.to_bits(),
+                        "cx + depolarizing S={samples} ({qa}, {qb}) entry {i}"
+                    );
+                    assert_eq!(z.im, 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depolarizing_columns_match_per_sample_past_one_trace_chunk() {
+        // Wider than one stack chunk of block traces: every column still
+        // equals the per-sample closed form.
+        let samples = DEPOL_TRACE_LANES + 5;
+        let dim = 8;
+        let states: Vec<DensityMatrix> = (0..samples)
+            .map(|j| random_mixed_state(900 + j as u64))
+            .collect();
+        let mut panel = vec![C64::ZERO; dim * dim * samples];
+        for (j, rho) in states.iter().enumerate() {
+            for (i, &v) in rho.as_slice().iter().enumerate() {
+                panel[i * samples + j] = v;
+            }
+        }
+        apply_depolarizing_2q_columns(&mut panel, dim, samples, 2, 0, 0.08);
+        for (j, rho) in states.iter().enumerate() {
+            let mut expected = rho.clone();
+            expected.apply_depolarizing_2q(2, 0, 0.08).unwrap();
+            for (i, &want) in expected.as_slice().iter().enumerate() {
+                assert_eq!(panel[i * samples + j], want, "sample {j} row {i}");
             }
         }
     }

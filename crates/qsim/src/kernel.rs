@@ -601,25 +601,51 @@ unsafe fn tile_rows_avx2(
     }
 }
 
+/// The scalar held in the lanes of a `4^n × S` vec(ρ) panel: `f64` for
+/// the lockstep noisy preparation, whose every entry is real, and [`C64`]
+/// for the structured engine's channel-program walk. The generic lane
+/// kernels evaluate the same expression in the same term order for both,
+/// so an `f64` panel equals the real parts of a real-valued `C64` panel
+/// bit for bit.
+pub trait LaneScalar:
+    Copy
+    + core::ops::Add<Output = Self>
+    + core::ops::AddAssign
+    + core::ops::Mul<Output = Self>
+    + core::ops::Mul<f64, Output = Self>
+{
+    /// The additive identity.
+    const ZERO: Self;
+}
+
+impl LaneScalar for f64 {
+    const ZERO: f64 = 0.0;
+}
+
+impl LaneScalar for C64 {
+    const ZERO: C64 = C64::ZERO;
+}
+
 /// The batched RY-conjugation lane kernel: applies the real 4×4
 /// superoperator of `ρ → RY(θ_j) ρ RY(θ_j)†` across the sample lanes of
-/// one row quadruple of a `4^n × S` vec(ρ) panel. `v0..v3` are the four
-/// vec rows `(ρ00, ρ01, ρ10, ρ11)` of the conjugated qubit's sub-block —
-/// each a contiguous `S`-lane slice — and `cc`/`cs`/`ss` hold the
-/// per-sample coefficients `cos²(θ/2)`, `cos(θ/2)·sin(θ/2)`, `sin²(θ/2)`.
+/// one row quadruple of a real `4^n × S` vec(ρ) panel. `v0..v3` are the
+/// four vec rows `(ρ00, ρ01, ρ10, ρ11)` of the conjugated qubit's
+/// sub-block — each a contiguous `S`-lane slice — and `cc`/`cs`/`ss` hold
+/// the per-sample coefficients `cos²(θ/2)`, `cos(θ/2)·sin(θ/2)`,
+/// `sin²(θ/2)`.
 ///
 /// Per lane, each output element evaluates the exact expression the
 /// per-sample gate kernel ([`crate::density::DensityMatrix::apply_gate`]'s
-/// fused 4×4 superoperator) produces, term for term in the same order, so
-/// the lockstep batch matches the per-sample walk bit-for-bit (up to the
-/// sign of exact zeros). Dispatched through the same runtime AVX
-/// recompilation ladder as the GEMM tiles.
+/// fused 4×4 superoperator) produces on the real plane, term for term in
+/// the same order, so the lockstep batch matches the per-sample walk's
+/// real parts bit-for-bit (up to the sign of exact zeros). Dispatched
+/// through the same runtime AVX recompilation ladder as the GEMM tiles.
 #[allow(clippy::too_many_arguments)] // flat lane-kernel signature
 pub fn ry_conj_lanes(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
+    v0: &mut [f64],
+    v1: &mut [f64],
+    v2: &mut [f64],
+    v3: &mut [f64],
     cc: &[f64],
     cs: &[f64],
     ss: &[f64],
@@ -654,10 +680,10 @@ pub fn ry_conj_lanes(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
 unsafe fn ry_conj_avx512(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
+    v0: &mut [f64],
+    v1: &mut [f64],
+    v2: &mut [f64],
+    v3: &mut [f64],
     cc: &[f64],
     cs: &[f64],
     ss: &[f64],
@@ -674,10 +700,10 @@ unsafe fn ry_conj_avx512(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn ry_conj_avx(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
+    v0: &mut [f64],
+    v1: &mut [f64],
+    v2: &mut [f64],
+    v3: &mut [f64],
     cc: &[f64],
     cs: &[f64],
     ss: &[f64],
@@ -687,17 +713,16 @@ unsafe fn ry_conj_avx(
 
 #[inline(always)]
 fn ry_conj_body(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
+    v0: &mut [f64],
+    v1: &mut [f64],
+    v2: &mut [f64],
+    v3: &mut [f64],
     cc: &[f64],
     cs: &[f64],
     ss: &[f64],
 ) {
     // U ⊗ U for the real rotation U = [[c, −s], [s, c]] (c = cos θ/2,
-    // s = sin θ/2), row-major over (ρ00, ρ01, ρ10, ρ11); the real and
-    // imaginary planes transform independently.
+    // s = sin θ/2), row-major over (ρ00, ρ01, ρ10, ρ11).
     for ((((((a, b), c_), d), &kcc), &kcs), &kss) in v0
         .iter_mut()
         .zip(v1.iter_mut())
@@ -708,22 +733,10 @@ fn ry_conj_body(
         .zip(ss)
     {
         let (w, x, y, z) = (*a, *b, *c_, *d);
-        *a = C64::new(
-            kcc * w.re - kcs * x.re - kcs * y.re + kss * z.re,
-            kcc * w.im - kcs * x.im - kcs * y.im + kss * z.im,
-        );
-        *b = C64::new(
-            kcs * w.re + kcc * x.re - kss * y.re - kcs * z.re,
-            kcs * w.im + kcc * x.im - kss * y.im - kcs * z.im,
-        );
-        *c_ = C64::new(
-            kcs * w.re - kss * x.re + kcc * y.re - kcs * z.re,
-            kcs * w.im - kss * x.im + kcc * y.im - kcs * z.im,
-        );
-        *d = C64::new(
-            kss * w.re + kcs * x.re + kcs * y.re + kcc * z.re,
-            kss * w.im + kcs * x.im + kcs * y.im + kcc * z.im,
-        );
+        *a = kcc * w - kcs * x - kcs * y + kss * z;
+        *b = kcs * w + kcc * x - kss * y - kcs * z;
+        *c_ = kcs * w - kss * x + kcc * y - kcs * z;
+        *d = kss * w + kcs * x + kcs * y + kcc * z;
     }
 }
 
@@ -735,14 +748,15 @@ fn ry_conj_body(
 /// per-element term order, so lockstep and per-sample walks agree to the
 /// bit. Each lane is a tiny `4×4 · 4×1` GEMM; the panel layout makes the
 /// four operand rows contiguous lane runs, which is what lets the
-/// compiler vectorise across samples. Dispatched through the runtime AVX
-/// recompilation ladder.
-pub fn superop4_lanes(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    s: &[[C64; 4]; 4],
+/// compiler vectorise across samples. One body serves both lane scalars
+/// ([`LaneScalar`]). Dispatched through the runtime AVX recompilation
+/// ladder.
+pub fn superop4_lanes<T: LaneScalar>(
+    v0: &mut [T],
+    v1: &mut [T],
+    v2: &mut [T],
+    v3: &mut [T],
+    s: &[[T; 4]; 4],
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx512_autovec_active() {
@@ -773,12 +787,12 @@ pub fn superop4_lanes(
 /// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn superop4_avx512(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    s: &[[C64; 4]; 4],
+unsafe fn superop4_avx512<T: LaneScalar>(
+    v0: &mut [T],
+    v1: &mut [T],
+    v2: &mut [T],
+    v3: &mut [T],
+    s: &[[T; 4]; 4],
 ) {
     superop4_body(v0, v1, v2, v3, s);
 }
@@ -791,23 +805,23 @@ unsafe fn superop4_avx512(
 /// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn superop4_avx(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    s: &[[C64; 4]; 4],
+unsafe fn superop4_avx<T: LaneScalar>(
+    v0: &mut [T],
+    v1: &mut [T],
+    v2: &mut [T],
+    v3: &mut [T],
+    s: &[[T; 4]; 4],
 ) {
     superop4_body(v0, v1, v2, v3, s);
 }
 
 #[inline(always)]
-fn superop4_body(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    s: &[[C64; 4]; 4],
+fn superop4_body<T: LaneScalar>(
+    v0: &mut [T],
+    v1: &mut [T],
+    v2: &mut [T],
+    v3: &mut [T],
+    s: &[[T; 4]; 4],
 ) {
     for (((a, b), c_), d) in v0
         .iter_mut()
@@ -816,7 +830,7 @@ fn superop4_body(
         .zip(v3.iter_mut())
     {
         let v = [*a, *b, *c_, *d];
-        let mut out = [C64::ZERO; 4];
+        let mut out = [T::ZERO; 4];
         for (i, o) in out.iter_mut().enumerate() {
             let row = &s[i];
             *o = row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
@@ -1306,9 +1320,11 @@ mod tests {
     #[test]
     fn ry_conj_lanes_matches_direct_superop_arithmetic() {
         // Reference: the same 4×4 real map evaluated lane by lane with
-        // plain C64 arithmetic in the per-sample kernel's term order.
+        // plain arithmetic in the per-sample kernel's term order.
         let lanes = 11;
-        let mut v: Vec<Vec<C64>> = (0..4).map(|r| dense(1, lanes, r as u64)).collect();
+        let mut v: Vec<Vec<f64>> = (0..4)
+            .map(|r| dense(1, lanes, r as u64).iter().map(|z| z.re).collect())
+            .collect();
         let thetas: Vec<f64> = (0..lanes).map(|j| 0.3 * j as f64 - 1.1).collect();
         let (mut cc, mut cs, mut ss) = (vec![0.0; lanes], vec![0.0; lanes], vec![0.0; lanes]);
         for j in 0..lanes {
@@ -1330,9 +1346,9 @@ mod tests {
             ];
             let vin = [v[0][j], v[1][j], v[2][j], v[3][j]];
             for (i, row) in m.iter().enumerate() {
-                let mut acc = C64::ZERO;
+                let mut acc = 0.0;
                 for (k, &coef) in row.iter().enumerate() {
-                    acc += vin[k].scale(coef);
+                    acc += vin[k] * coef;
                 }
                 expected[i][j] = acc;
             }
@@ -1347,7 +1363,7 @@ mod tests {
             let row = [&v0[0], &v1[0], &v2[0], &v3[0]][r];
             for j in 0..lanes {
                 assert!(
-                    row[j].approx_eq(expected[r][j], 1e-14),
+                    (row[j] - expected[r][j]).abs() <= 1e-14,
                     "row {r} lane {j}: {} vs {}",
                     row[j],
                     expected[r][j]

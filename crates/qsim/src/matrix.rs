@@ -181,9 +181,7 @@ impl CMatrix {
     }
 
     /// Mutable view of the row-major backing storage — the door for
-    /// in-place panel kernels (e.g. the lockstep prep's batched RY
-    /// conjugation, [`crate::density::ry_conjugate_columns`]) that update
-    /// a packed batch without reallocating it.
+    /// in-place kernels that update a matrix without reallocating it.
     pub fn as_mut_slice(&mut self) -> &mut [C64] {
         &mut self.data
     }

@@ -365,12 +365,37 @@ pub struct GateNoise {
     superop_2q_relax: Option<[[crate::complex::C64; 4]; 4]>,
     /// Adjoint of `superop_2q_relax`.
     superop_2q_relax_adj: Option<[[crate::complex::C64; 4]; 4]>,
+    /// Real view of `superop_1q`, for real vec(ρ) panels.
+    superop_1q_real: Option<[[f64; 4]; 4]>,
+    /// Real view of `superop_2q_relax`, for real vec(ρ) panels.
+    superop_2q_relax_real: Option<[[f64; 4]; 4]>,
     /// Symmetric readout bit-flip probability.
     readout_error: f64,
 }
 
+/// The real parts of a fused single-qubit superoperator.
+///
+/// # Panics
+///
+/// Panics unless every imaginary part is exactly zero. Every channel a
+/// [`NoiseModel`] builds (depolarizing, amplitude and phase damping) has
+/// a real superoperator, so this holds for any model.
+fn real_view_1q(s: &[[crate::complex::C64; 4]; 4]) -> [[f64; 4]; 4] {
+    assert!(
+        s.iter().flatten().all(|z| z.im == 0.0),
+        "fused noise channel is not real"
+    );
+    s.map(|row| row.map(|z| z.re))
+}
+
 impl GateNoise {
-    /// Fuses the model's per-gate channel stacks into superoperators.
+    /// Fuses the model's per-gate channel stacks into superoperators, and
+    /// keeps real views of the two forward channels for real panels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fused forward channel has a non-zero imaginary part,
+    /// which no [`NoiseModel`] produces.
     pub fn from_model(noise: &NoiseModel) -> Self {
         use crate::density::{
             compose_superops, superop_adjoint_1q, superop_from_kraus, superop_to_array_1q,
@@ -390,6 +415,8 @@ impl GateNoise {
             depol_2q: noise.error_2q,
             superop_2q_relax,
             superop_2q_relax_adj: superop_2q_relax.as_ref().map(superop_adjoint_1q),
+            superop_1q_real: superop_1q.as_ref().map(real_view_1q),
+            superop_2q_relax_real: superop_2q_relax.as_ref().map(real_view_1q),
             readout_error: noise.readout_error,
         }
     }
@@ -454,13 +481,15 @@ impl GateNoise {
         Ok(())
     }
 
-    /// Applies the post-gate channel stack to **every column** of a
+    /// Applies the post-gate channel stack to **every column** of a real
     /// `dim² × samples` vec(ρ) panel — the lockstep analogue of
-    /// [`GateNoise::apply_after_gate`], charging the *same* fused
-    /// channels with the same per-element arithmetic through the batched
-    /// panel kernels ([`crate::density::apply_superop_1q_columns`] /
+    /// [`GateNoise::apply_after_gate`], charging the real views of the
+    /// *same* fused channels with the same per-element arithmetic through
+    /// the batched panel kernels
+    /// ([`crate::density::apply_superop_1q_columns`] /
     /// [`crate::density::apply_depolarizing_2q_columns`]), so a batch
-    /// walked in lockstep matches per-sample evolution bit for bit.
+    /// walked in lockstep matches the real parts of per-sample evolution
+    /// bit for bit.
     ///
     /// # Errors
     ///
@@ -473,7 +502,7 @@ impl GateNoise {
     /// panel kernels' contract).
     pub fn apply_after_gate_columns(
         &self,
-        data: &mut [crate::complex::C64],
+        data: &mut [f64],
         dim: usize,
         samples: usize,
         gate_arity: usize,
@@ -482,7 +511,7 @@ impl GateNoise {
         use crate::density::{apply_depolarizing_2q_columns, apply_superop_1q_columns};
         match gate_arity {
             1 => {
-                if let Some(s) = &self.superop_1q {
+                if let Some(s) = &self.superop_1q_real {
                     apply_superop_1q_columns(data, dim, samples, qubits[0], s);
                 }
             }
@@ -497,7 +526,7 @@ impl GateNoise {
                         self.depol_2q,
                     );
                 }
-                if let Some(s) = &self.superop_2q_relax {
+                if let Some(s) = &self.superop_2q_relax_real {
                     apply_superop_1q_columns(data, dim, samples, qubits[0], s);
                     apply_superop_1q_columns(data, dim, samples, qubits[1], s);
                 }
@@ -826,6 +855,34 @@ mod tests {
             gate_noise.apply_adjoint_after_gate(&mut rho, 3, &[0, 1, 2]),
             Err(QsimError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn gate_noise_real_views_are_the_fused_channels_real_parts() {
+        // The real panels of the lockstep preparation are charged through
+        // these views, so they must be the complex arrays' real parts
+        // exactly — and present exactly when the complex channel is.
+        let brisbane = NoiseModel::brisbane();
+        for model in [NoiseModel::ideal(), brisbane.clone(), brisbane.scaled(2.0)] {
+            let g = GateNoise::from_model(&model);
+            for (complex, real) in [
+                (g.superop_1q, g.superop_1q_real),
+                (g.superop_2q_relax, g.superop_2q_relax_real),
+            ] {
+                assert_eq!(complex.is_some(), real.is_some(), "{model:?}");
+                if let (Some(c), Some(r)) = (complex, real) {
+                    for (crow, rrow) in c.iter().zip(&r) {
+                        for (z, &x) in crow.iter().zip(rrow) {
+                            assert_eq!(z.re.to_bits(), x.to_bits(), "{model:?}");
+                            assert_eq!(z.im, 0.0, "{model:?}");
+                        }
+                    }
+                }
+            }
+        }
+        let brisbane = GateNoise::from_model(&brisbane);
+        assert!(brisbane.superop_1q_real.is_some());
+        assert!(brisbane.superop_2q_relax_real.is_some());
     }
 
     #[test]

@@ -177,7 +177,10 @@ impl PrepSkeleton {
 
     /// Computes one sample's angle vector, in the skeleton's
     /// `angle_index` order, into a caller-owned buffer (cleared first) —
-    /// the allocation-light form batch packers use.
+    /// the form batch packers use. It allocates nothing once `out` has
+    /// room for [`PrepSkeleton::num_angles`] entries: each level's raw
+    /// pattern angles are written straight into `out` and resolved there
+    /// in place.
     ///
     /// # Errors
     ///
@@ -203,28 +206,28 @@ impl PrepSkeleton {
             return Err(QsimError::NotNormalized { norm_sqr });
         }
 
-        // probs[i] = normalised probability of basis state i.
-        let probs: Vec<f64> = amplitudes.iter().map(|a| a * a / norm_sqr).collect();
+        // The normalised probability of basis state i, evaluated where it
+        // is read instead of stored.
+        let prob = |i: usize| amplitudes[i] * amplitudes[i] / norm_sqr;
 
         out.clear();
         out.reserve(self.num_angles);
         for k in 0..self.num_qubits {
-            let num_patterns = 1usize << k;
-            let mut raw = vec![0.0f64; num_patterns];
-            for (s, angle) in raw.iter_mut().enumerate() {
+            let start = out.len();
+            let low_bits = self.num_qubits - 1 - k;
+            for s in 0..1usize << k {
                 // P(prefix s, next bit b) summed over the remaining low
                 // bits.
                 let mut p0 = 0.0;
                 let mut p1 = 0.0;
-                let low_bits = self.num_qubits - 1 - k;
                 for rest in 0..(1usize << low_bits) {
                     let base = (s << (low_bits + 1)) | rest;
-                    p0 += probs[base];
-                    p1 += probs[base | (1 << low_bits)];
+                    p0 += prob(base);
+                    p1 += prob(base | (1 << low_bits));
                 }
-                *angle = 2.0 * p1.sqrt().atan2(p0.sqrt());
+                out.push(2.0 * p1.sqrt().atan2(p0.sqrt()));
             }
-            Self::resolve_ucry_angles(&raw, out);
+            Self::resolve_ucry_angles(&mut out[start..]);
         }
         debug_assert_eq!(out.len(), self.num_angles);
         Ok(())
@@ -241,25 +244,24 @@ impl PrepSkeleton {
         Ok(out)
     }
 
-    /// Resolves one multiplexor's raw pattern angles into the rotation
-    /// angles actually emitted, in [`PrepSkeleton::emit_ucry_skeleton`]'s
-    /// beta-first depth-first order: a k-control multiplexor splits into
-    /// the half-sum (`beta`) and half-difference (`gamma`) multiplexors
-    /// that play between its CX gates.
-    fn resolve_ucry_angles(raw: &[f64], out: &mut Vec<f64>) {
-        if raw.len() == 1 {
-            out.push(raw[0]);
+    /// Resolves one multiplexor's raw pattern angles, in place, into the
+    /// rotation angles actually emitted, in
+    /// [`PrepSkeleton::emit_ucry_skeleton`]'s beta-first depth-first
+    /// order: a k-control multiplexor splits into the half-sum (`beta`)
+    /// and half-difference (`gamma`) multiplexors that play between its
+    /// CX gates, which take the first and second half of the slice.
+    fn resolve_ucry_angles(angles: &mut [f64]) {
+        if angles.len() == 1 {
             return;
         }
-        let half = raw.len() / 2;
-        let mut beta = Vec::with_capacity(half);
-        let mut gamma = Vec::with_capacity(half);
-        for j in 0..half {
-            beta.push((raw[j] + raw[j + half]) / 2.0);
-            gamma.push((raw[j] - raw[j + half]) / 2.0);
+        let (beta, gamma) = angles.split_at_mut(angles.len() / 2);
+        for (b, g) in beta.iter_mut().zip(gamma.iter_mut()) {
+            let (lo, hi) = (*b, *g);
+            *b = (lo + hi) / 2.0;
+            *g = (lo - hi) / 2.0;
         }
-        Self::resolve_ucry_angles(&beta, out);
-        Self::resolve_ucry_angles(&gamma, out);
+        Self::resolve_ucry_angles(beta);
+        Self::resolve_ucry_angles(gamma);
     }
 
     /// Instantiates the skeleton with one sample's angle vector. Every
@@ -468,6 +470,69 @@ mod tests {
             let norm: f64 = amps.iter().map(|a| a * a).sum::<f64>().sqrt();
             for (i, &a) in amps.iter().enumerate() {
                 assert!((sv.amplitude(i).re - a / norm).abs() < 1e-10);
+            }
+        }
+    }
+
+    /// The angle computation as it was written with a probability buffer,
+    /// a buffer per level and a beta/gamma pair per split — the
+    /// arithmetic the in-place form must reproduce bit for bit.
+    fn allocating_angles(num_qubits: usize, amplitudes: &[f64]) -> Vec<f64> {
+        fn resolve(raw: &[f64], out: &mut Vec<f64>) {
+            if raw.len() == 1 {
+                out.push(raw[0]);
+                return;
+            }
+            let half = raw.len() / 2;
+            let beta: Vec<f64> = (0..half).map(|j| (raw[j] + raw[j + half]) / 2.0).collect();
+            let gamma: Vec<f64> = (0..half).map(|j| (raw[j] - raw[j + half]) / 2.0).collect();
+            resolve(&beta, out);
+            resolve(&gamma, out);
+        }
+        let norm_sqr: f64 = amplitudes.iter().map(|a| a * a).sum();
+        let probs: Vec<f64> = amplitudes.iter().map(|a| a * a / norm_sqr).collect();
+        let mut out = Vec::new();
+        for k in 0..num_qubits {
+            let low_bits = num_qubits - 1 - k;
+            let raw: Vec<f64> = (0..1usize << k)
+                .map(|s| {
+                    let (mut p0, mut p1) = (0.0, 0.0);
+                    for rest in 0..(1usize << low_bits) {
+                        let base = (s << (low_bits + 1)) | rest;
+                        p0 += probs[base];
+                        p1 += probs[base | (1 << low_bits)];
+                    }
+                    2.0 * f64::sqrt(p1).atan2(f64::sqrt(p0))
+                })
+                .collect();
+            resolve(&raw, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_angles_are_bit_identical_to_the_allocating_form() {
+        let mut rng = StdRng::seed_from_u64(73);
+        let mut out = Vec::new();
+        for n in 1..=6usize {
+            let skeleton = PrepSkeleton::new(n);
+            for _ in 0..12 {
+                let amps: Vec<f64> = (0..(1 << n))
+                    .map(|_| {
+                        if rng.gen::<f64>() < 0.3 {
+                            0.0
+                        } else {
+                            rng.gen::<f64>()
+                        }
+                    })
+                    .collect();
+                if amps.iter().all(|&a| a == 0.0) {
+                    continue;
+                }
+                skeleton.angles_for_into(&amps, &mut out).unwrap();
+                let want = allocating_angles(n, &amps);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "n={n}");
             }
         }
     }
