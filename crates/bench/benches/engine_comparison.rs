@@ -650,73 +650,6 @@ fn report_serve_throughput(_c: &mut Criterion) {
     );
 }
 
-/// Sharded serving scaling on the flagship noisy config: the same frozen
-/// detector behind a `ShardedScorer` with K worker shards, swept in
-/// batch-32 coalesced panels. Reports `serve_sharded{K}_ns_per_sample`
-/// (plus sustained samples/sec for K ≥ 2). The scaling assertion only
-/// arms on multi-core hosts — on a single core the shard workers time-
-/// slice one CPU and K > 1 can only add handoff overhead.
-fn report_serve_sharded(_c: &mut Criterion) {
-    let config = noisy_flagship_config(EngineKind::Density).with_ensemble_groups(SERVE_GROUPS);
-    let ds = flagship_dataset();
-    let frozen = std::sync::Arc::new(quorum_serve::FrozenDetector::freeze(config, &ds).unwrap());
-    let rows = ds.strip_labels().rows().to_vec();
-    const SWEEP_BATCH: usize = 32;
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut per_shard_ns = Vec::new();
-    for &k in &[1usize, 2, 4] {
-        let sharded = quorum_serve::ShardedScorer::new(
-            std::sync::Arc::clone(&frozen),
-            &quorum_serve::ShardPolicy::Workers(k),
-        )
-        .unwrap();
-        let sweep = |rows: &[Vec<f64>]| {
-            let mut next_id = 0u64;
-            for chunk in rows.chunks(SWEEP_BATCH) {
-                black_box(sharded.score_samples(chunk, next_id).unwrap());
-                next_id += chunk.len() as u64;
-            }
-        };
-        sweep(&rows);
-        let elapsed = best_of(5, || sweep(&rows));
-        let ns = ns_per_sample(elapsed, rows.len());
-        let throughput = rows.len() as f64 / elapsed.as_secs_f64();
-        per_shard_ns.push(ns);
-        match k {
-            1 => record("serve_sharded1_ns_per_sample", ns),
-            2 => {
-                record("serve_sharded2_ns_per_sample", ns);
-                record("serve_sharded2_samples_per_sec", throughput);
-            }
-            _ => {
-                record("serve_sharded4_ns_per_sample", ns);
-                record("serve_sharded4_samples_per_sec", throughput);
-            }
-        }
-        println!(
-            "serve_sharded_k{k}                                          {ns:.0} ns/sample ({throughput:.0} samples/s)"
-        );
-    }
-    let scaling = per_shard_ns[0] / per_shard_ns[1];
-    record("serve_sharded_k2_vs_k1_speedup", scaling);
-    println!(
-        "serve_sharded_scaling                                    K2/K1 x{scaling:.2} on {cores} core(s)"
-    );
-    if cores >= 2 {
-        assert!(
-            scaling > 1.05,
-            "sharded serving must scale past one worker on a {cores}-core host, got x{scaling:.2}"
-        );
-    } else {
-        println!(
-            "serve_sharded_scaling_note                               single core: scaling assert skipped"
-        );
-    }
-}
-
 /// Writes every recorded metric to `BENCH_engines.json` (override the
 /// path with `QUORUM_BENCH_JSON`) so CI and future PRs can track the
 /// perf trajectory without scraping bench stdout.
@@ -747,7 +680,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_engines, report_speedup, report_noisy_speedup,
         report_density_batch_speedup, report_structured_noisy,
-        report_gemm_kernel, report_serve_throughput, report_serve_sharded,
-        emit_bench_json
+        report_gemm_kernel, report_serve_throughput, emit_bench_json
 }
 criterion_main!(benches);

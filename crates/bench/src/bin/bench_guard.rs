@@ -3,9 +3,9 @@
 //! when any tracked metric regresses by more than 25%. Guarding is
 //! direction-aware: `*_ns_per_sample` metrics regress when they RISE,
 //! `*_speedup` ratios regress when they DROP — a collapsing speedup
-//! (e.g. SIMD silently falling back to scalar, or sharding sliding
-//! below its single-worker baseline) now fails even when the absolute
-//! wall times stay inside their own 25% band.
+//! (e.g. SIMD silently falling back to scalar, or coalesced serving
+//! sliding back toward its batch-1 cost) now fails even when the
+//! absolute wall times stay inside their own 25% band.
 //!
 //! Usage: `bench_guard <baseline.json> <current.json>`
 //!

@@ -145,16 +145,6 @@ impl<K: Send, V: Send + Sync> ByteBounded<K, V> {
     }
 }
 
-#[cfg(any(test, feature = "failpoints"))]
-impl<K: PartialEq + Clone, V> ByteBounded<K, V> {
-    /// Drops every cached entry, leaving the build counter intact — the
-    /// cold-restart hook behind the chaos suite's re-warm assertions
-    /// (a supervisor restart must rebuild exactly what it pre-warms).
-    pub fn purge(&self) {
-        self.lock().clear();
-    }
-}
-
 impl<K: PartialEq + Clone, V> Default for ByteBounded<K, V> {
     fn default() -> Self {
         ByteBounded::new()
@@ -327,19 +317,6 @@ mod tests {
             .unwrap();
         assert_eq!(*fresh, vec![2; 10]);
         assert_eq!(cache.builds(), 2);
-    }
-
-    #[test]
-    fn purge_empties_but_keeps_counting() {
-        let cache: ByteBounded<u32, Vec<u8>> = ByteBounded::new();
-        cache
-            .get_or_try_build(&1, 100, bytes_of, || build(1))
-            .unwrap();
-        cache.purge();
-        cache
-            .get_or_try_build(&1, 100, bytes_of, || build(1))
-            .unwrap();
-        assert_eq!(cache.builds(), 2, "a purged entry is rebuilt on next use");
     }
 
     #[test]

@@ -353,18 +353,6 @@ impl EnsembleGroup {
         self.channel_program_cache.poison_for_test();
     }
 
-    /// Drops every cached readout form, fused superoperator and lowered
-    /// channel program, leaving the build counters intact — the
-    /// cold-restart chaos hook. A supervisor that restarts a worker
-    /// re-warms these through the same build path, so the counters
-    /// observe exactly what a restart pays.
-    #[cfg(any(test, feature = "failpoints"))]
-    pub fn purge_derived_caches(&self) {
-        self.readout_form_cache.purge();
-        self.noisy_superop_cache.purge();
-        self.channel_program_cache.purge();
-    }
-
     /// Evaluates the SWAP-test deviation of every sample at one
     /// compression level, through the engine the configuration selects.
     ///
@@ -630,25 +618,6 @@ mod tests {
         assert_eq!(group.readout_form_builds(), levels);
         assert_eq!(group.channel_program_fusions(), levels);
         assert_eq!(group.noisy_superop_fusions(), 0);
-    }
-
-    #[test]
-    fn purged_caches_rebuild_on_next_use() {
-        // The cold-restart hook empties every keyed cache; the next pass
-        // rebuilds exactly one entry per level and scores identically.
-        let ds = tiny_dataset();
-        let cfg = config().with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        });
-        let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
-        let group = EnsembleGroup::generate(1, &cfg, ds.num_features(), &plan);
-        let before = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
-        group.purge_derived_caches();
-        let after = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
-        assert_eq!(before, after);
-        let levels = cfg.effective_compression_levels().len();
-        assert_eq!(group.readout_form_builds(), 2 * levels);
     }
 
     #[test]

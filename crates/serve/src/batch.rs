@@ -26,7 +26,6 @@
 
 use crate::error::ServeError;
 use crate::frozen::FrozenDetector;
-use crate::supervisor::ShardHealth;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -34,11 +33,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Anything that can score a coalesced panel of rows under stable sample
-/// ids. The batcher and TCP server are generic over this seam so the
-/// same runtime serves a single-process [`FrozenDetector`], a
-/// [`crate::ShardedScorer`] fanning groups across worker shards, or a
-/// [`crate::SupervisedScorer`] that additionally survives worker
-/// crashes.
+/// ids. The batcher is generic over this seam: the server runs it over a
+/// [`FrozenDetector`], and tests run it over scorers they can stall.
 ///
 /// Implementations must be coalescing-invariant: a row's score depends
 /// only on the row and its id, never on panel company. The batcher's
@@ -53,12 +49,6 @@ pub trait PanelScorer: Send + Sync + std::fmt::Debug {
     ///
     /// Row validation and scoring failures, as [`ServeError`].
     fn score_panel(&self, rows: &[Vec<f64>], first_sample_id: u64) -> Result<Vec<f64>, ServeError>;
-
-    /// Per-shard liveness for the `Health` wire message. Backends
-    /// without worker shards report an empty list.
-    fn shard_health(&self) -> Vec<ShardHealth> {
-        Vec::new()
-    }
 }
 
 impl PanelScorer for FrozenDetector {
@@ -144,9 +134,8 @@ pub struct BatchScorer {
 
 impl BatchScorer {
     /// Starts the batching worker over any panel scorer — a frozen
-    /// detector (`Arc<FrozenDetector>`), a sharded or supervised scorer,
-    /// or an already-erased `Arc<dyn PanelScorer>` — with default
-    /// overload limits.
+    /// detector (`Arc<FrozenDetector>`) or an already-erased
+    /// `Arc<dyn PanelScorer>` — with default overload limits.
     ///
     /// # Errors
     ///

@@ -30,9 +30,11 @@ pub enum ServeError {
         /// The OS-level spawn failure.
         source: io::Error,
     },
-    /// Serving capacity was lost faster than the supervisor could
-    /// recover it: every shard worker is retired or the per-request
-    /// retry budget ran out mid-panel.
+    /// An ensemble group's scoring job panicked on every attempt the
+    /// scorer gives it (see [`crate::frozen::GROUP_RETRIES`]). The text
+    /// names the group index, the attempt count and the last panic's
+    /// message. The panel was not scored; the next request runs every
+    /// group afresh.
     Faulted(String),
 }
 
@@ -108,8 +110,20 @@ mod tests {
         );
         assert!(e.to_string().contains("quorum-batcher"));
         assert!(Error::source(&e).is_some());
-        let e = ServeError::Faulted("every shard is retired".into());
-        assert!(e.to_string().contains("capacity lost"));
+        let e = ServeError::Faulted(
+            "group 3 panicked on all 3 attempts; last panic: lost a qubit".into(),
+        );
+        let text = e.to_string();
+        assert!(text.contains("capacity lost"), "{text}");
+        assert!(
+            text.contains("group 3") && text.contains("3 attempts"),
+            "{text}"
+        );
+        assert!(
+            text.contains("lost a qubit"),
+            "the panic payload survives: {text}"
+        );
+        assert!(Error::source(&e).is_none());
     }
 
     #[test]

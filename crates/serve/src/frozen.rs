@@ -15,19 +15,27 @@ use quorum_core::engine::{self, sampled_deviation, shot_seed, ScoringEngine};
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::features::FeatureSelection;
 use quorum_core::{QuorumConfig, QuorumError, ScoreReport};
+use std::any::Any;
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sample ids contribute their low 32 bits to the per-measurement shot
 /// seed (see [`quorum_core::engine::shot_seed`]); a server that outlives
 /// 2^32 samples recycles measurement randomness, never data.
 const SAMPLE_ID_MASK: u64 = 0xFFFF_FFFF;
 
+/// How many times [`FrozenDetector::score_samples`] re-runs a group
+/// whose scoring job panicked before it fails the panel with
+/// [`ServeError::Faulted`]. A group gets `1 + GROUP_RETRIES` attempts.
+pub const GROUP_RETRIES: u32 = 2;
+
 /// One normalized streamed panel in pooled flat storage: row-major
 /// `samples × features`, reused across batches so the steady-state
 /// request path never allocates per-row vectors. Borrow it as a
 /// [`SamplePanel`] to hand to the engines.
 #[derive(Debug, Default)]
-pub(crate) struct NormalizedPanel {
+struct NormalizedPanel {
     data: Vec<f64>,
     features: usize,
 }
@@ -39,7 +47,7 @@ impl NormalizedPanel {
     ///
     /// Panics on an unfilled panel (zero feature width) — callers fill
     /// via [`FrozenDetector::normalize_rows_into`] first.
-    pub(crate) fn as_panel(&self) -> SamplePanel<'_> {
+    fn as_panel(&self) -> SamplePanel<'_> {
         SamplePanel::new(&self.data, self.features)
     }
 }
@@ -81,6 +89,8 @@ pub struct FrozenDetector {
     exact_config: QuorumConfig,
     stream_engine: &'static dyn ScoringEngine,
     stream_shots: Option<u64>,
+    /// Caught group-job panics, see [`FrozenDetector::group_panics`].
+    group_panics: AtomicU64,
 }
 
 impl std::fmt::Debug for FrozenDetector {
@@ -92,6 +102,7 @@ impl std::fmt::Debug for FrozenDetector {
             .field("engine", &self.engine.name())
             .field("stream_engine", &self.stream_engine.name())
             .field("stream_shots", &self.stream_shots)
+            .field("group_panics", &self.group_panics())
             .finish_non_exhaustive()
     }
 }
@@ -352,12 +363,22 @@ impl FrozenDetector {
     /// Every per-sample quantity depends only on the sample's row and its
     /// id — never on what else shares the panel — so any coalescing of
     /// concurrent requests returns bit-identical scores to scoring each
-    /// sample alone.
+    /// sample alone. The groups run as jobs on the resident worker pool
+    /// and their partial vectors are summed in ascending group order, so
+    /// the scores are also bit-identical for every thread count.
+    ///
+    /// Each group's job runs under `catch_unwind`. A group that panics is
+    /// counted in [`FrozenDetector::group_panics`] and re-run in place, up
+    /// to [`GROUP_RETRIES`] times; its partial depends only on the group,
+    /// the rows and the ids, so a retried group scores exactly as an
+    /// uninterrupted one.
     ///
     /// # Errors
     ///
     /// [`ServeError::Request`] for rows of the wrong width or with
-    /// non-finite values; simulation failures propagate.
+    /// non-finite values; [`ServeError::Faulted`] when a group panics on
+    /// every attempt; simulation failures propagate. When several groups
+    /// fail, the lowest-indexed group's error is reported.
     pub fn score_samples(
         &self,
         rows: &[Vec<f64>],
@@ -374,14 +395,13 @@ impl FrozenDetector {
             let panel = pooled.as_panel();
             let panel_ref = &panel;
             let levels_ref = &levels;
-            let partials: Vec<Result<Vec<f64>, QuorumError>> =
+            let partials: Vec<Result<Vec<f64>, ServeError>> =
                 map_indexed(self.groups.len(), threads, move |g| {
-                    self.stream_scores_for_group(g, panel_ref, levels_ref, first_sample_id)
+                    self.supervised_group_scores(g, panel_ref, levels_ref, first_sample_id)
                 });
             let mut totals = vec![0.0; rows.len()];
             for partial in partials {
-                let partial = partial?;
-                for (t, p) in totals.iter_mut().zip(partial) {
+                for (t, p) in totals.iter_mut().zip(partial?) {
                     *t += p;
                 }
             }
@@ -389,61 +409,22 @@ impl FrozenDetector {
         })
     }
 
-    /// One group's additive streamed-score contribution — the public
-    /// group-subset seam behind the sharded scorer. `engine` overrides
-    /// the engine that evaluates this group's deviations (`None` runs
-    /// the configuration's streaming engine); the override must honour
-    /// the frozen execution mode. Summing every group's vector in
-    /// ascending group-index order reproduces
-    /// [`FrozenDetector::score_samples`] bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] for out-of-range groups or unusable rows;
-    /// [`ServeError::Quorum`] for an engine override incompatible with
-    /// the frozen execution mode; simulation failures propagate.
-    pub fn stream_group_scores(
-        &self,
-        group: usize,
-        rows: &[Vec<f64>],
-        first_sample_id: u64,
-        engine: Option<EngineKind>,
-    ) -> Result<Vec<f64>, ServeError> {
-        if group >= self.groups.len() {
-            return Err(ServeError::Request(format!(
-                "group {group} is out of range (detector holds {})",
-                self.groups.len()
-            )));
-        }
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        STREAM_PANEL.with(|cell| {
-            let pooled = &mut *cell.borrow_mut();
-            self.normalize_rows_into(rows, pooled)?;
-            let levels = self.config.effective_compression_levels();
-            let (engine, exact_config) = self.resolve_stream_engine(engine)?;
-            self.stream_scores_for_group_with(
-                engine,
-                &exact_config,
-                group,
-                &pooled.as_panel(),
-                &levels,
-                first_sample_id,
-            )
-            .map_err(ServeError::Quorum)
-        })
+    /// Group-scoring attempts that panicked since this detector was
+    /// built. Each caught panic counts once, whether its retry succeeded
+    /// or the group ran out of attempts.
+    pub fn group_panics(&self) -> u64 {
+        self.group_panics.load(Ordering::Relaxed)
     }
 
     /// Validates streamed rows (width, finiteness) and applies the frozen
-    /// normaliser directly into pooled flat storage — the shared head of
-    /// every streaming entry point. The per-element arithmetic is the
-    /// normaliser's own `transform` (plus `absolute_features` for the
-    /// range-max scheme) fused into the pack loop, so the result is
-    /// bit-identical to materialising an intermediate [`Dataset`] while
-    /// allocating nothing per batch in steady state. Error precedence and
-    /// texts match the previous dataset-backed validation exactly.
-    pub(crate) fn normalize_rows_into(
+    /// normaliser directly into pooled flat storage. The per-element
+    /// arithmetic is the normaliser's own `transform` (plus
+    /// `absolute_features` for the range-max scheme) fused into the pack
+    /// loop, so the result is bit-identical to materialising an
+    /// intermediate [`Dataset`] while allocating nothing per batch in
+    /// steady state. Error precedence and texts match the dataset-backed
+    /// validation exactly.
+    fn normalize_rows_into(
         &self,
         rows: &[Vec<f64>],
         panel: &mut NormalizedPanel,
@@ -509,111 +490,76 @@ impl FrozenDetector {
         Ok(())
     }
 
-    /// Allocating convenience over [`FrozenDetector::normalize_rows_into`]
-    /// for callers that share one normalized panel across threads (the
-    /// sharded scorer wraps the result in an `Arc`).
-    pub(crate) fn normalize_stream_panel(
+    /// One group's pool job: [`FrozenDetector::group_scores`] under
+    /// `catch_unwind`, re-run in place after a panic up to
+    /// [`GROUP_RETRIES`] times. Every caught panic bumps
+    /// [`FrozenDetector::group_panics`]; a group that panics on every
+    /// attempt fails the panel with [`ServeError::Faulted`], naming the
+    /// group, the attempt count and the last panic's message.
+    fn supervised_group_scores(
         &self,
-        rows: &[Vec<f64>],
-    ) -> Result<NormalizedPanel, ServeError> {
-        let mut panel = NormalizedPanel::default();
-        self.normalize_rows_into(rows, &mut panel)?;
-        Ok(panel)
-    }
-
-    /// Resolves a per-shard engine override against the shot-stripped
-    /// streaming configuration. `None` returns the detector's own
-    /// streaming engine; `Some(kind)` must be compatible with the frozen
-    /// execution mode (e.g. a pure-state engine cannot serve a noisy
-    /// detector) and surfaces the same typed error the in-process
-    /// configuration validation would.
-    pub(crate) fn resolve_stream_engine(
-        &self,
-        kind: Option<EngineKind>,
-    ) -> Result<(&'static dyn ScoringEngine, QuorumConfig), ServeError> {
-        match kind {
-            None => Ok((self.stream_engine, self.exact_config.clone())),
-            Some(kind) => {
-                let config = self.exact_config.clone().with_engine(kind);
-                let engine = engine::resolve(&config).map_err(ServeError::Quorum)?;
-                Ok((engine, config))
+        g: usize,
+        panel: &SamplePanel<'_>,
+        levels: &[usize],
+        first_sample_id: u64,
+    ) -> Result<Vec<f64>, ServeError> {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.group_scores(g, panel, levels, first_sample_id)
+            }));
+            match outcome {
+                Ok(scores) => return scores.map_err(ServeError::Quorum),
+                Err(payload) => {
+                    self.group_panics.fetch_add(1, Ordering::Relaxed);
+                    if attempts > GROUP_RETRIES {
+                        return Err(ServeError::Faulted(format!(
+                            "group {g} panicked on all {attempts} attempts; last panic: {}",
+                            panic_message(payload.as_ref())
+                        )));
+                    }
+                }
             }
         }
     }
 
-    /// The compression levels the streaming path sweeps.
-    pub(crate) fn stream_levels(&self) -> Vec<usize> {
-        self.config.effective_compression_levels()
-    }
-
-    /// One group's additive streamed-score contribution under the
-    /// detector's own streaming engine.
-    fn stream_scores_for_group(
+    /// One group's additive streamed-score contribution. The engine only
+    /// evaluates the exact deviations; shot sampling and z-scoring run off
+    /// the frozen configuration and statistics.
+    ///
+    /// The `"frozen::group"` failpoint fires here, once per attempt: a
+    /// panic, a delay, or poisoned per-group derived caches (which the
+    /// byte-bounded caches must absorb).
+    fn group_scores(
         &self,
         g: usize,
         panel: &SamplePanel<'_>,
         levels: &[usize],
         first_sample_id: u64,
     ) -> Result<Vec<f64>, QuorumError> {
-        self.stream_scores_for_group_with(
-            self.stream_engine,
-            &self.exact_config,
-            g,
-            panel,
-            levels,
-            first_sample_id,
-        )
-    }
-
-    /// One group's additive streamed-score contribution through an
-    /// explicit engine — the shard workers' inner loop. The engine only
-    /// changes *how* the exact deviations are evaluated; shot sampling
-    /// and z-scoring still run off the frozen configuration, so every
-    /// engine that honours the execution mode produces the same additive
-    /// semantics.
-    pub(crate) fn stream_scores_for_group_with(
-        &self,
-        engine: &dyn ScoringEngine,
-        exact_config: &QuorumConfig,
-        g: usize,
-        panel: &SamplePanel<'_>,
-        levels: &[usize],
-        first_sample_id: u64,
-    ) -> Result<Vec<f64>, QuorumError> {
-        let mut scores = vec![0.0; panel.num_samples()];
-        self.stream_scores_for_group_with_into(
-            engine,
-            exact_config,
-            g,
-            panel,
-            levels,
-            first_sample_id,
-            &mut scores,
-        )?;
-        Ok(scores)
-    }
-
-    /// [`FrozenDetector::stream_scores_for_group_with`] writing into a
-    /// caller-owned slice — the sharded scorer points this at the group's
-    /// pre-sliced row of its resident partial-sum slab, so steady-state
-    /// shard scoring allocates no per-group vectors. `out` must hold
-    /// exactly one slot per panel sample; it is zeroed before
-    /// accumulation.
-    #[allow(clippy::too_many_arguments)] // mirror of the Vec-returning seam
-    pub(crate) fn stream_scores_for_group_with_into(
-        &self,
-        engine: &dyn ScoringEngine,
-        exact_config: &QuorumConfig,
-        g: usize,
-        panel: &SamplePanel<'_>,
-        levels: &[usize],
-        first_sample_id: u64,
-        out: &mut [f64],
-    ) -> Result<(), QuorumError> {
-        debug_assert_eq!(out.len(), panel.num_samples());
+        #[cfg(any(test, feature = "failpoints"))]
+        match crate::fault::check("frozen::group") {
+            Some(crate::fault::FaultAction::Panic) => {
+                panic!("failpoint \"frozen::group\" injected a panic")
+            }
+            Some(crate::fault::FaultAction::Delay(d)) => std::thread::sleep(d),
+            Some(crate::fault::FaultAction::PoisonCaches) => {
+                // The poison hooks live behind core's `failpoints`
+                // feature, which serve's forwards to.
+                #[cfg(feature = "failpoints")]
+                self.groups[g].poison_derived_caches();
+            }
+            _ => {}
+        }
         let group = &self.groups[g];
-        let per_level = engine.deviations_all_levels_panel(group, panel, exact_config, levels)?;
-        out.fill(0.0);
+        let per_level = self.stream_engine.deviations_all_levels_panel(
+            group,
+            panel,
+            &self.exact_config,
+            levels,
+        )?;
+        let mut out = vec![0.0; panel.num_samples()];
         for ((deviations, &level), level_stats) in per_level.iter().zip(levels).zip(&self.stats[g])
         {
             for (j, &exact) in deviations.iter().enumerate() {
@@ -628,7 +574,7 @@ impl FrozenDetector {
                 out[j] += stats::zscore(deviation, level_stats.mean, level_stats.std).abs();
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Shared tail of freeze and thaw: derives the shot-stripped
@@ -672,6 +618,7 @@ impl FrozenDetector {
             exact_config,
             stream_engine,
             stream_shots,
+            group_panics: AtomicU64::new(0),
         };
         detector.prewarm()?;
         Ok(detector)
@@ -680,33 +627,21 @@ impl FrozenDetector {
     /// Builds every per-(noise, level) derived object the configured
     /// engine will need, so a thawed server's first request hits only
     /// warm caches. No-op for pure-state configurations and for the
-    /// per-sample circuit oracle (which builds circuits per request).
-    fn prewarm(&self) -> Result<(), ServeError> {
-        let all: Vec<usize> = (0..self.groups.len()).collect();
-        self.prewarm_groups(self.config.effective_engine(), &all)
-    }
-
-    /// [`FrozenDetector::prewarm`] for one engine kind over a subset of
-    /// groups — the sharded scorer warms each shard's groups for the
-    /// engine that shard will actually run, so a per-shard engine
-    /// override never pays fusion or lowering at request time. The
+    /// per-sample circuit oracle (which builds circuits per request). The
     /// `(group, level)` builds fan out over the worker pool: each is
     /// deterministic and runs outside its cache's lock, so the warmed
     /// entries do not depend on the schedule.
-    pub(crate) fn prewarm_groups(
-        &self,
-        kind: EngineKind,
-        groups: &[usize],
-    ) -> Result<(), ServeError> {
+    fn prewarm(&self) -> Result<(), ServeError> {
         let ExecutionMode::Noisy { noise, .. } = &self.config.execution else {
             return Ok(());
         };
+        let kind = self.config.effective_engine();
         let levels = self.config.effective_compression_levels();
         let builds = map_indexed(
-            groups.len() * levels.len(),
+            self.groups.len() * levels.len(),
             self.config.effective_threads(),
             |i| {
-                let group = &self.groups[groups[i / levels.len()]];
+                let group = &self.groups[i / levels.len()];
                 let level = levels[i % levels.len()];
                 match kind {
                     EngineKind::Density => group.readout_form(noise, level).map(drop),
@@ -721,6 +656,16 @@ impl FrozenDetector {
             .collect::<Result<(), _>>()
             .map_err(ServeError::Quorum)
     }
+}
+
+/// The message a caught panic carried: its `&str` or `String` payload,
+/// or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Validates and reassembles one frozen group.
@@ -776,4 +721,19 @@ fn thaw_group(
     let group = EnsembleGroup::from_parts(frozen.index, ansatz, features, frozen.buckets);
     group.prime_fused_encoder(frozen.encoder);
     Ok(group)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_message_keeps_str_and_string_payloads() {
+        let payload = catch_unwind(|| panic!("static text")).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "static text");
+        let payload = catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "formatted 7");
+        let payload = catch_unwind(|| std::panic::panic_any(7u32)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+    }
 }

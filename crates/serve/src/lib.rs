@@ -20,39 +20,38 @@
 //!         ▼
 //! FrozenDetector ── score_dataset (reference replay, bit-identical)
 //!         │
-//!         └─ QuorumServer ── per-connection handlers ──► BatchScorer
-//!                              coalesced 2^n×S panel ──► PanelScorer
-//!                                      │
-//!                      ┌───────────────┴───────────────┐
-//!                      ▼ (bind)                        ▼ (bind_sharded)
-//!              FrozenDetector                   ShardedScorer
-//!              score_samples                    ShardPlan over groups
-//!                                               shard 0 ── groups {0,3,…}
-//!                                               shard 1 ── groups {1,2,…}
-//!                                               Σ partials (ascending g)
+//!         └─ QuorumServer::bind ── per-connection handlers ──► BatchScorer
+//!                                    coalesced 2^n×S panel ──► score_samples
+//!                                                                  │
+//!                                    one pool job per group (catch_unwind,
+//!                                    panicking group re-run ≤ GROUP_RETRIES)
+//!                                    group 0 │ group 1 │ … │ group G−1
+//!                                                                  ▼
+//!                                              Σ partials (ascending g)
 //! ```
 //!
 //! Coalescing is invisible in the results: every per-sample score
 //! depends only on the sample's row and its stable id, so batch
-//! composition can never change an individual answer. Sharding is
-//! invisible the same way: the ensemble score is an additive sum over
-//! independent groups, so partitioning groups across shard workers and
-//! summing their partial vectors in ascending group order reproduces the
-//! single-process scores bit for bit, for every shard count and engine
-//! assignment.
+//! composition can never change an individual answer. The thread count
+//! is invisible the same way: the ensemble score is an additive sum over
+//! independent groups, the groups run as jobs on the resident worker
+//! pool, and their partial vectors are summed in ascending group order,
+//! so the scores are bit-identical for every thread count.
 //!
-//! Fault tolerance builds on the same invariant. A
-//! [`SupervisedScorer`] runs each shard worker under `catch_unwind`,
-//! restarts crashed workers with bounded exponential backoff, and past
-//! a restart budget retires the shard and re-folds its groups into the
-//! survivors — all bit-identical, because re-planning never changes a
-//! group's engine assignment or the ascending merge order. The server
-//! side sheds load with typed [`ServeError::Overloaded`] frames when
-//! the batching queue fills, answers `Health` probes with per-shard
-//! liveness, and [`ScoreClient`] retries transient failures with
-//! seeded exponential backoff. A deterministic failpoint registry
-//! ([`mod@fault`], compiled only under the `failpoints` feature or
-//! `cfg(test)`) drives the chaos suite that pins these guarantees.
+//! Fault tolerance builds on the same invariant. Each group's pool job
+//! runs under `catch_unwind`; a group that panics is re-run in place up
+//! to [`frozen::GROUP_RETRIES`] times, and since its partial depends only
+//! on the group, the rows and the ids, the retried panel is
+//! bit-identical to an uninterrupted one. A group that panics on every
+//! attempt fails its panel with a typed [`ServeError::Faulted`] that
+//! carries the panic message; the batcher thread never sees the panic.
+//! The server sheds load with typed [`ServeError::Overloaded`] frames
+//! when the batching queue fills, answers `Health` probes with queue
+//! pressure and the caught-panic count, and [`ScoreClient`] retries
+//! transient failures with seeded exponential backoff. A deterministic
+//! failpoint registry ([`mod@fault`], compiled only under the
+//! `failpoints` feature or `cfg(test)`) drives the chaos suite that pins
+//! these guarantees.
 
 #![warn(missing_docs)]
 
@@ -63,8 +62,6 @@ mod error;
 pub mod fault;
 pub mod frozen;
 pub mod server;
-pub mod shard;
-pub mod supervisor;
 mod wire;
 
 pub use artifact::{FrozenArtifact, FrozenGroup, FrozenNormalizer, LevelStats};
@@ -72,5 +69,3 @@ pub use batch::{BatchHandle, BatchScorer, CoalescePolicy, OverloadPolicy, PanelS
 pub use error::ServeError;
 pub use frozen::FrozenDetector;
 pub use server::{HealthReport, QuorumServer, RetryPolicy, ScoreClient};
-pub use shard::{BaselineCosts, Shard, ShardPlan, ShardPolicy, ShardedScorer};
-pub use supervisor::{ShardHealth, ShardLiveness, SupervisedScorer, SupervisorPolicy};

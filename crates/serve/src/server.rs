@@ -1,7 +1,7 @@
 //! A long-lived TCP scoring server over a frozen detector, plus the
 //! matching blocking client.
 //!
-//! Wire protocol **version 2** (all little-endian):
+//! Wire protocol **version 3** (all little-endian):
 //!
 //! * score request — `u32` feature count `n`, then `n` `f64` values;
 //! * health probe — the sentinel feature count `u32::MAX`
@@ -16,13 +16,18 @@
 //!   * `3` followed by a `u32` payload length and an encoded
 //!     [`HealthReport`] (the answer to a health probe).
 //!
-//! Version 1 of the protocol had only statuses `0` and `1` and no
-//! health probe. Version 2 is a superset: v1 clients never see the new
-//! statuses unless the server sheds (in which case a v1 client reads
-//! status `2` as unknown and drops the connection — a safe failure),
-//! and a v2 client probing a v1 server gets an error frame followed by
-//! a close (v1 treats the sentinel as an implausible feature count),
-//! which the client surfaces as a typed error.
+//! The v3 health payload is six fixed fields: `u32` protocol version,
+//! then `u64` queue depth, shed total, batches dispatched, samples
+//! scored and caught group panics — 44 bytes. [`ScoreClient::health`]
+//! rejects a payload that reports any other version with a typed error.
+//!
+//! Version history: v1 had only statuses `0` and `1` and no health
+//! probe. v2 added the probe and statuses `2` and `3`; its health
+//! payload ended in a list of per-shard liveness rows. v3 keeps v2's
+//! frames and replaces those rows with the caught-panic count. Score
+//! requests and replies are unchanged since v1, so a v1 or v2 client
+//! scores against a v3 server as before; only its health decoding
+//! differs.
 //!
 //! Error semantics: a *well-framed* bad request (wrong feature width,
 //! unscorable values) is answered with an error frame and the connection
@@ -36,19 +41,12 @@
 //!
 //! Each connection gets its own handler thread; every handler submits
 //! through the shared [`BatchScorer`], so samples arriving concurrently
-//! on different connections coalesce into one panel. The backend behind
-//! the batcher is any [`PanelScorer`] — the single-process
-//! [`FrozenDetector`] via [`QuorumServer::bind`], a [`ShardedScorer`]
-//! fanning ensemble groups across worker shards via
-//! [`QuorumServer::bind_sharded`], or a fault-tolerant
-//! [`SupervisedScorer`] via [`QuorumServer::bind_supervised`]; the wire
-//! protocol is identical either way.
+//! on different connections coalesce into one panel, which
+//! [`FrozenDetector::score_samples`] scores as one pool job per group.
 
-use crate::batch::{BatchScorer, CoalescePolicy, OverloadPolicy, PanelScorer};
+use crate::batch::{BatchHandle, BatchScorer, CoalescePolicy, OverloadPolicy};
 use crate::error::ServeError;
 use crate::frozen::FrozenDetector;
-use crate::shard::{ShardPolicy, ShardedScorer};
-use crate::supervisor::{ShardHealth, ShardLiveness, SupervisedScorer, SupervisorPolicy};
 use crate::wire::{Reader, Writer};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -67,15 +65,15 @@ const MAX_REQUEST_FEATURES: u32 = 1 << 20;
 pub const HEALTH_PROBE: u32 = u32::MAX;
 
 /// The version this server speaks (reported in [`HealthReport`]).
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Live connections keyed by connection id, shared between the acceptor
 /// (insert), handlers (remove-on-exit) and shutdown (sever all).
 type ConnSlab = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A server liveness snapshot, answered to a [`HEALTH_PROBE`]: batcher
-/// queue pressure, load-shedding totals and — for supervised backends —
-/// per-shard worker liveness and restart counts.
+/// queue pressure, load-shedding totals and the scorer's caught group
+/// panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// The wire protocol version the server speaks.
@@ -88,8 +86,9 @@ pub struct HealthReport {
     pub batches_dispatched: u64,
     /// Samples scored by the shared batcher.
     pub samples_scored: u64,
-    /// Per-shard liveness (empty for unsharded backends).
-    pub shards: Vec<ShardHealth>,
+    /// Group-scoring attempts that panicked and were caught, over the
+    /// served detector's lifetime ([`FrozenDetector::group_panics`]).
+    pub group_panics: u64,
 }
 
 impl HealthReport {
@@ -100,57 +99,28 @@ impl HealthReport {
         w.u64(self.shed_total);
         w.u64(self.batches_dispatched);
         w.u64(self.samples_scored);
-        w.u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            w.u32(shard.shard as u32);
-            w.u8(match shard.liveness {
-                ShardLiveness::Live => 0,
-                ShardLiveness::BackingOff => 1,
-                ShardLiveness::Retired => 2,
-            });
-            w.u64(shard.restarts);
-            w.u32(shard.groups as u32);
-        }
+        w.u64(self.group_panics);
         w.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Result<Self, ServeError> {
         let mut r = Reader::new(payload);
         let protocol_version = r.u32()?;
-        let queue_depth = r.u64()?;
-        let shed_total = r.u64()?;
-        let batches_dispatched = r.u64()?;
-        let samples_scored = r.u64()?;
-        let n = r.u32()?;
-        let mut shards = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            let shard = r.u32()? as usize;
-            let liveness = match r.u8()? {
-                0 => ShardLiveness::Live,
-                1 => ShardLiveness::BackingOff,
-                2 => ShardLiveness::Retired,
-                other => {
-                    return Err(ServeError::Artifact(format!(
-                        "unknown shard liveness {other}"
-                    )))
-                }
-            };
-            let restarts = r.u64()?;
-            let groups = r.u32()? as usize;
-            shards.push(ShardHealth {
-                shard,
-                liveness,
-                restarts,
-                groups,
-            });
+        if protocol_version != PROTOCOL_VERSION {
+            return Err(ServeError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "health report speaks protocol v{protocol_version}, this client speaks v{PROTOCOL_VERSION}"
+                ),
+            )));
         }
         Ok(HealthReport {
             protocol_version,
-            queue_depth,
-            shed_total,
-            batches_dispatched,
-            samples_scored,
-            shards,
+            queue_depth: r.u64()?,
+            shed_total: r.u64()?,
+            batches_dispatched: r.u64()?,
+            samples_scored: r.u64()?,
+            group_panics: r.u64()?,
         })
     }
 }
@@ -164,7 +134,7 @@ pub struct QuorumServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     scorer: Arc<BatchScorer>,
-    panel: Arc<dyn PanelScorer>,
+    frozen: Arc<FrozenDetector>,
     conns: ConnSlab,
 }
 
@@ -182,7 +152,7 @@ impl QuorumServer {
         frozen: Arc<FrozenDetector>,
         policy: CoalescePolicy,
     ) -> Result<Self, ServeError> {
-        Self::serve(addr, frozen, policy, OverloadPolicy::default())
+        Self::bind_with(addr, frozen, policy, OverloadPolicy::default())
     }
 
     /// [`QuorumServer::bind`] with explicit overload limits (queue
@@ -197,73 +167,11 @@ impl QuorumServer {
         policy: CoalescePolicy,
         overload: OverloadPolicy,
     ) -> Result<Self, ServeError> {
-        Self::serve(addr, frozen, policy, overload)
-    }
-
-    /// Binds `addr` and serves `frozen` through a [`ShardedScorer`]
-    /// planned from `shards`. The wire protocol is unchanged — clients
-    /// cannot tell a sharded server from a single-process one, scores
-    /// included (they are bit-identical by the sharding invariance).
-    /// [`ShardPolicy::Single`] degrades to [`QuorumServer::bind`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if binding fails; plan and engine-override
-    /// validation failures from [`ShardedScorer::new`].
-    pub fn bind_sharded(
-        addr: impl ToSocketAddrs,
-        frozen: Arc<FrozenDetector>,
-        policy: CoalescePolicy,
-        shards: &ShardPolicy,
-    ) -> Result<Self, ServeError> {
-        match shards {
-            ShardPolicy::Single => Self::serve(addr, frozen, policy, OverloadPolicy::default()),
-            _ => {
-                let sharded = Arc::new(ShardedScorer::new(frozen, shards)?);
-                Self::serve(addr, sharded, policy, OverloadPolicy::default())
-            }
-        }
-    }
-
-    /// Binds `addr` and serves `frozen` through a fault-tolerant
-    /// [`SupervisedScorer`]: shard workers run under a supervisor that
-    /// restarts crashes with bounded backoff and re-folds chronically
-    /// failing shards into the survivors, bit-identically. The `Health`
-    /// message reports the per-shard liveness this backend maintains.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if binding fails; plan and engine-override
-    /// validation failures from [`SupervisedScorer::new`];
-    /// [`ServeError::Spawn`] for thread-spawn failures.
-    pub fn bind_supervised(
-        addr: impl ToSocketAddrs,
-        frozen: Arc<FrozenDetector>,
-        policy: CoalescePolicy,
-        overload: OverloadPolicy,
-        shards: &ShardPolicy,
-        supervisor: SupervisorPolicy,
-    ) -> Result<Self, ServeError> {
-        let shards = match shards {
-            // A supervised single backend is one worker shard.
-            ShardPolicy::Single => ShardPolicy::Workers(1),
-            other => other.clone(),
-        };
-        let supervised = Arc::new(SupervisedScorer::new(frozen, &shards, supervisor)?);
-        Self::serve(addr, supervised, policy, overload)
-    }
-
-    fn serve(
-        addr: impl ToSocketAddrs,
-        panel: Arc<dyn PanelScorer>,
-        policy: CoalescePolicy,
-        overload: OverloadPolicy,
-    ) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let scorer = Arc::new(BatchScorer::start_with(
-            Arc::clone(&panel),
+            Arc::clone(&frozen),
             policy,
             overload,
         )?);
@@ -271,12 +179,12 @@ impl QuorumServer {
         let acceptor = {
             let stop = Arc::clone(&stop);
             let scorer = Arc::clone(&scorer);
-            let panel = Arc::clone(&panel);
+            let frozen = Arc::clone(&frozen);
             let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("quorum-acceptor".into())
                 .spawn(move || {
-                    accept_loop(&listener, &scorer, &panel, &conns, &stop);
+                    accept_loop(&listener, &scorer, &frozen, &conns, &stop);
                 })
                 .map_err(|e| ServeError::spawn("quorum-acceptor", e))?
         };
@@ -285,7 +193,7 @@ impl QuorumServer {
             stop,
             acceptor: Some(acceptor),
             scorer,
-            panel,
+            frozen,
             conns,
         })
     }
@@ -312,7 +220,7 @@ impl QuorumServer {
 
     /// The liveness snapshot a [`HEALTH_PROBE`] would answer right now.
     pub fn health_report(&self) -> HealthReport {
-        health_report(&self.scorer, self.panel.as_ref())
+        health_report(&self.scorer, &self.frozen)
     }
 
     /// Connections currently tracked as live. Handlers remove their
@@ -353,21 +261,21 @@ impl Drop for QuorumServer {
     }
 }
 
-fn health_report(scorer: &BatchScorer, panel: &dyn PanelScorer) -> HealthReport {
+fn health_report(scorer: &BatchScorer, frozen: &FrozenDetector) -> HealthReport {
     HealthReport {
         protocol_version: PROTOCOL_VERSION,
         queue_depth: scorer.queue_depth() as u64,
         shed_total: scorer.shed_total(),
         batches_dispatched: scorer.batches_dispatched(),
         samples_scored: scorer.samples_scored(),
-        shards: panel.shard_health(),
+        group_panics: frozen.group_panics(),
     }
 }
 
 fn accept_loop(
     listener: &TcpListener,
     scorer: &Arc<BatchScorer>,
-    panel: &Arc<dyn PanelScorer>,
+    frozen: &Arc<FrozenDetector>,
     conns: &ConnSlab,
     stop: &Arc<AtomicBool>,
 ) {
@@ -407,13 +315,13 @@ fn accept_loop(
         }
         let handle = scorer.handle();
         let scorer_h = Arc::clone(scorer);
-        let panel_h = Arc::clone(panel);
+        let frozen_h = Arc::clone(frozen);
         let conns_h = Arc::clone(conns);
         let finished_h = Arc::clone(&finished);
         match std::thread::Builder::new()
             .name("quorum-conn".into())
             .spawn(move || {
-                handle_connection(stream, &handle, &scorer_h, panel_h.as_ref());
+                handle_connection(stream, &handle, &scorer_h, &frozen_h);
                 // Reap this connection's slab entry (dropping the cloned
                 // fd) and mark the JoinHandle collectable.
                 conns_h
@@ -454,9 +362,9 @@ fn accept_loop(
 /// attacker's say-so.
 fn handle_connection(
     mut stream: TcpStream,
-    handle: &crate::batch::BatchHandle,
+    handle: &BatchHandle,
     scorer: &BatchScorer,
-    panel: &dyn PanelScorer,
+    frozen: &FrozenDetector,
 ) {
     // Per-connection pooled buffers: the request payload lands in one
     // bulk read (one syscall for all `n` values instead of one per
@@ -472,7 +380,7 @@ fn handle_connection(
         }
         let n = u32::from_le_bytes(len_buf);
         if n == HEALTH_PROBE {
-            if write_health(&mut stream, &health_report(scorer, panel), &mut frame).is_err() {
+            if write_health(&mut stream, &health_report(scorer, frozen), &mut frame).is_err() {
                 return;
             }
             continue;
@@ -845,15 +753,15 @@ impl ScoreClient {
         }
     }
 
-    /// Probes the server's health (protocol v2): batcher queue pressure,
-    /// shed totals and per-shard worker liveness.
+    /// Probes the server's health (protocol v3): batcher queue pressure,
+    /// shed totals and the scorer's caught group panics.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on transport failures or when the server does
-    /// not speak protocol v2 (a v1 server answers the probe with an
-    /// error frame and closes the connection, surfaced as
-    /// [`ServeError::Request`]).
+    /// [`ServeError::Io`] on transport failures or when the server's
+    /// health report speaks another protocol version (a v1 server
+    /// answers the probe with an error frame and closes the connection,
+    /// surfaced as [`ServeError::Request`]).
     pub fn health(&mut self) -> Result<HealthReport, ServeError> {
         self.stream.write_all(&HEALTH_PROBE.to_le_bytes())?;
         let mut status = [0u8; 1];
@@ -940,29 +848,32 @@ mod tests {
             shed_total: 11,
             batches_dispatched: 7,
             samples_scored: 19,
-            shards: vec![
-                ShardHealth {
-                    shard: 0,
-                    liveness: ShardLiveness::Live,
-                    restarts: 2,
-                    groups: 5,
-                },
-                ShardHealth {
-                    shard: 1,
-                    liveness: ShardLiveness::Retired,
-                    restarts: 4,
-                    groups: 0,
-                },
-                ShardHealth {
-                    shard: 2,
-                    liveness: ShardLiveness::BackingOff,
-                    restarts: 1,
-                    groups: 3,
-                },
-            ],
+            group_panics: 2,
         };
-        let decoded = HealthReport::decode(&report.encode()).unwrap();
+        let bytes = report.encode();
+        assert_eq!(bytes.len(), 44, "v3 health payload is six fixed fields");
+        let decoded = HealthReport::decode(&bytes).unwrap();
         assert_eq!(decoded, report);
-        assert!(HealthReport::decode(&report.encode()[..7]).is_err());
+        assert!(HealthReport::decode(&bytes[..7]).is_err());
+    }
+
+    #[test]
+    fn health_report_of_another_version_is_a_typed_error() {
+        for version in [1, 2, PROTOCOL_VERSION + 1] {
+            let report = HealthReport {
+                protocol_version: version,
+                queue_depth: 0,
+                shed_total: 0,
+                batches_dispatched: 0,
+                samples_scored: 0,
+                group_panics: 0,
+            };
+            let err = HealthReport::decode(&report.encode()).unwrap_err();
+            assert!(matches!(err, ServeError::Io(_)), "got {err:?}");
+            assert!(
+                err.to_string().contains(&format!("protocol v{version}")),
+                "{err}"
+            );
+        }
     }
 }

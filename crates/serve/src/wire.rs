@@ -3,11 +3,11 @@
 //! FNV-1a checksum guarding frozen payloads.
 //!
 //! The TCP scoring protocol built on these primitives is versioned;
-//! [`crate::server::PROTOCOL_VERSION`] is currently 2. Version 2 is a
-//! strict superset of version 1: it adds the `u32::MAX` health-probe
-//! request sentinel and two response statuses (2 = overloaded,
-//! 3 = health report) on top of v1's 0 = score / 1 = error. A v1
-//! client talking to a v2 server only sees the new statuses if the
+//! [`crate::server::PROTOCOL_VERSION`] is currently 3. Version 2 added
+//! the `u32::MAX` health-probe request sentinel and two response
+//! statuses (2 = overloaded, 3 = health report) on top of v1's
+//! 0 = score / 1 = error; version 3 changes only the health payload. A
+//! v1 client talking to a v3 server only sees the new statuses if the
 //! server sheds load, and never sees status 3 unless it sends the
 //! probe. See the `server` module docs for the full frame layout.
 

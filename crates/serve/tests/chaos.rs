@@ -1,14 +1,16 @@
-//! Chaos suite: deterministic fault injection against the supervised
-//! serving runtime.
+//! Chaos suite: deterministic fault injection against the serving
+//! runtime's per-group supervision.
 //!
 //! Compiled only under the `failpoints` feature (`cargo test -p
 //! quorum-serve --features failpoints --test chaos`). Every test arms a
-//! deterministic schedule in `quorum_serve::fault`, drives the runtime
-//! through crash → restart → re-plan, and asserts the one property that
-//! matters: **scores stay bit-identical to an uninterrupted run**. The
-//! additive per-group merge in ascending group order makes any
-//! group→worker placement equivalent, so fault recovery is pure
-//! re-planning — these tests pin that no recovery path forgets it.
+//! deterministic schedule in `quorum_serve::fault`, drives
+//! `FrozenDetector::score_samples` (directly or through a live server)
+//! through group panics, stalls and poisoned caches, and asserts the one
+//! property that matters: **every answer is bit-identical to an
+//! uninterrupted run, or a typed error**. A group's partial depends only
+//! on the group, the rows and the sample ids, so re-running a panicked
+//! group in place cannot move a bit — these tests pin that no recovery
+//! path forgets it.
 //!
 //! The failpoint registry is process-global, so every test serialises
 //! on `fault::tests_serialized()` and resets the registry when done.
@@ -20,12 +22,18 @@ use qsim::NoiseModel;
 use quorum_core::config::{EngineKind, ExecutionMode};
 use quorum_core::QuorumConfig;
 use quorum_serve::fault::{self, FaultAction, FaultSpec};
+use quorum_serve::frozen::GROUP_RETRIES;
 use quorum_serve::{
     CoalescePolicy, FrozenDetector, OverloadPolicy, QuorumServer, RetryPolicy, ScoreClient,
-    ServeError, ShardLiveness, ShardPolicy, SupervisedScorer, SupervisorPolicy,
+    ServeError,
 };
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The failpoint site inside each group's scoring attempt.
+const GROUP_SITE: &str = "frozen::group";
+
+const GROUPS: usize = 5;
 
 /// A deterministic 12×7 reference set (same recipe as the serving suite).
 fn reference() -> Dataset {
@@ -55,137 +63,96 @@ fn stream_rows(count: usize) -> Vec<Vec<f64>> {
 fn base_config() -> QuorumConfig {
     QuorumConfig::default()
         .with_data_qubits(3)
-        .with_ensemble_groups(5)
+        .with_ensemble_groups(GROUPS)
         .with_ansatz_layers(2)
         .with_threads(2)
         .with_seed(0x5EEF_1E55)
 }
 
-/// A supervisor policy tuned for tests: fast backoff, generous budgets.
-fn fast_supervisor() -> SupervisorPolicy {
-    SupervisorPolicy {
-        max_restarts: 5,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(10),
-        request_retries: 3,
-    }
-}
-
-/// A worker killed mid-stream restarts and the stream's scores stay
-/// bit-identical to an uninterrupted run — the fast always-on version
-/// of the kill-worker soak.
+/// One panic in one group under plain `QuorumServer::bind`: the group is
+/// re-run in place, so that request and every later one score exactly,
+/// and the health probe reports the one caught panic. (Without per-group
+/// isolation the panic unwinds the batching thread, and this request and
+/// every later one fail with "the batching worker has shut down".)
 #[test]
-fn killed_worker_restarts_and_scores_stay_bit_identical() {
+fn group_panic_under_bind_is_retried_and_every_request_scores_exactly() {
     let _serial = fault::tests_serialized();
     fault::reset();
     let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
     let rows = stream_rows(4);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
+    let mut server = QuorumServer::bind(
+        "127.0.0.1:0",
         Arc::clone(&frozen),
-        &ShardPolicy::Workers(3),
-        fast_supervisor(),
+        CoalescePolicy::default(),
     )
     .unwrap();
-    // Panel 1 fans out one job per worker (hits 1..=3); exactly one of
-    // them — whichever worker draws hit 2 — panics mid-panel. Which
-    // worker dies is scheduling-dependent; the scores must not be.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::on_hit(FaultAction::Panic, 2),
+    let mut client = ScoreClient::connect_with_timeouts(
+        server.local_addr(),
+        Some(Duration::from_secs(30)),
+        Some(Duration::from_secs(30)),
+    )
+    .unwrap();
+    fault::arm(GROUP_SITE, FaultSpec::on_hit(FaultAction::Panic, 1));
+    assert_eq!(
+        client.score(&rows[0]).unwrap(),
+        direct[0],
+        "the request whose group panicked must still score exactly"
     );
+    for (row, want) in rows[1..].iter().zip(&direct[1..]) {
+        assert_eq!(client.score(row).unwrap(), *want);
+    }
+    let health = client.health().unwrap();
+    assert_eq!(health.group_panics, 1);
+    assert_eq!(health.samples_scored, rows.len() as u64);
+    // Four one-row panels of five groups each, plus the one retry.
+    assert_eq!(fault::hits(GROUP_SITE), (rows.len() * GROUPS + 1) as u64);
+    fault::reset();
+    server.shutdown();
+}
+
+/// A group killed mid-panel is re-run in place and the panel's scores
+/// stay bit-identical to an uninterrupted run.
+#[test]
+fn killed_group_is_retried_and_scores_stay_bit_identical() {
+    let _serial = fault::tests_serialized();
+    fault::reset();
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
+    let rows = stream_rows(4);
+    let direct = frozen.score_samples(&rows, 0).unwrap();
+    // Whichever group draws hit 2 panics once. Which group that is
+    // depends on scheduling; the scores must not.
+    fault::arm(GROUP_SITE, FaultSpec::on_hit(FaultAction::Panic, 2));
     for _ in 0..3 {
-        let survived = scorer.score_samples(&rows, 0).unwrap();
-        assert_eq!(survived, direct, "fault recovery must not move a bit");
-        // Let the crashed worker's 1ms backoff lapse so a later panel
-        // exercises the restart path, not just the transient fold.
-        std::thread::sleep(Duration::from_millis(5));
+        let survived = frozen.score_samples(&rows, 0).unwrap();
+        assert_eq!(survived, direct, "a retried group must not move a bit");
     }
-    assert_eq!(
-        scorer.restarts_total(),
-        1,
-        "exactly one worker death, exactly one restart"
-    );
-    assert_eq!(scorer.refolds_total(), 0);
-    let health = scorer.shard_health();
-    assert!(health.iter().all(|s| s.liveness == ShardLiveness::Live));
-    assert_eq!(health.iter().map(|s| s.restarts).sum::<u64>(), 1);
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len()
-    );
+    assert_eq!(frozen.group_panics(), 1, "exactly one caught panic");
     fault::reset();
 }
 
-/// Past its restart budget a shard is retired and its groups re-fold
-/// into the survivors — service continues, scores unchanged.
+/// Stalled groups reorder completion but never change a score.
 #[test]
-fn retired_shard_refolds_groups_into_survivors_bit_identically() {
+fn delayed_groups_do_not_change_scores() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
-    let rows = stream_rows(3);
-    let direct = frozen.score_samples(&rows, 0).unwrap();
-    let policy = SupervisorPolicy {
-        max_restarts: 0, // first death retires the shard
-        ..fast_supervisor()
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(2), policy).unwrap();
-    // One job of the first panel panics; with a zero restart budget the
-    // dead shard retires immediately and its groups move to the
-    // survivor for good.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::on_hit(FaultAction::Panic, 1),
-    );
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
-    assert_eq!(scorer.refolds_total(), 1, "retirement must re-fold once");
-    let health = scorer.shard_health();
-    let retired: Vec<_> = health
-        .iter()
-        .filter(|s| s.liveness == ShardLiveness::Retired)
-        .collect();
-    assert_eq!(retired.len(), 1);
-    assert_eq!(retired[0].groups, 0, "a retired shard owns nothing");
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len(),
-        "every group must land on a survivor"
-    );
-    // The shrunken fleet keeps serving bit-identically.
-    assert_eq!(scorer.score_samples(&rows, 7).unwrap(), direct);
-    fault::reset();
-}
-
-/// Delayed shard replies reorder completion but never change a score.
-#[test]
-fn delayed_shard_replies_do_not_change_scores() {
-    let _serial = fault::tests_serialized();
-    fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
     let rows = stream_rows(4);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
-        Arc::clone(&frozen),
-        &ShardPolicy::Workers(3),
-        fast_supervisor(),
-    )
-    .unwrap();
-    // Every third worker job answers slow — partial vectors arrive out
-    // of shard order, and the ascending-group merge must not care.
+    // Every third group attempt stalls, so partials finish out of group
+    // order; the ascending-group merge must not care.
     fault::arm(
-        "supervisor::worker",
+        GROUP_SITE,
         FaultSpec::every(FaultAction::Delay(Duration::from_millis(20)), 3, 0),
     );
     for first_id in [0u64, 4, 8] {
-        assert_eq!(scorer.score_samples(&rows, first_id).unwrap(), direct);
+        assert_eq!(frozen.score_samples(&rows, first_id).unwrap(), direct);
     }
-    assert_eq!(scorer.restarts_total(), 0, "delays are not deaths");
+    assert_eq!(frozen.group_panics(), 0, "delays are not panics");
     fault::reset();
 }
 
-/// A crashed lock holder poisons the per-group derived caches; the
+/// A crashed lock holder poisons a group's derived caches; the
 /// byte-bounded caches recover the poisoned mutexes and scoring —
 /// including the dense noisy readout-form path — stays bit-identical.
 #[test]
@@ -199,66 +166,60 @@ fn poisoned_caches_are_absorbed_bit_identically() {
             noise: NoiseModel::brisbane(),
             shots: None,
         });
-    let frozen = Arc::new(FrozenDetector::freeze(config, &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(config, &reference()).unwrap();
     let rows = stream_rows(2);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
-        Arc::clone(&frozen),
-        &ShardPolicy::Workers(2),
-        fast_supervisor(),
-    )
-    .unwrap();
     fault::arm(
-        "supervisor::worker",
+        GROUP_SITE,
         FaultSpec::on_hits(FaultAction::PoisonCaches, &[1, 2]),
     );
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     assert_eq!(
-        scorer.restarts_total(),
+        frozen.group_panics(),
         0,
         "poison must be absorbed, not fatal"
     );
     // And again with warm (recovered) caches.
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     fault::reset();
 }
 
-/// When every worker dies faster than the supervisor can bring one
-/// back, the request fails with a typed `Faulted` error — not a hang,
-/// not a panic, not a wrong partial sum.
+/// When every attempt of every group panics, the panel fails with a
+/// typed `Faulted` error that names the lowest failing group, the
+/// attempt count and the failpoint's panic message — not a hang, not an
+/// escaped panic, not a wrong partial sum. Disarmed, the next panel
+/// scores exactly.
 #[test]
-fn exhausted_retry_budget_is_a_typed_faulted_error() {
+fn exhausted_group_retries_are_a_typed_faulted_error() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
     let rows = stream_rows(2);
-    let policy = SupervisorPolicy {
-        max_restarts: 50, // never retire: every round meets freshly doomed workers
-        backoff_base: Duration::from_micros(100),
-        backoff_cap: Duration::from_micros(200),
-        request_retries: 2,
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(2), policy).unwrap();
-    // Every job panics: each dispatch round kills whatever workers it
-    // reaches until the per-request retry budget runs out.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::every(FaultAction::Panic, 1, 0),
-    );
-    let err = scorer.score_samples(&rows, 0).unwrap_err();
-    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
-    // Disarm, let a backoff lapse, and the fleet heals on its own.
-    fault::disarm("supervisor::worker");
-    std::thread::sleep(Duration::from_millis(2));
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
+    fault::arm(GROUP_SITE, FaultSpec::every(FaultAction::Panic, 1, 0));
+    let err = frozen.score_samples(&rows, 0).unwrap_err();
+    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
+    let text = err.to_string();
+    let attempts = GROUP_RETRIES + 1;
+    assert!(text.contains("group 0 "), "{text}");
+    assert!(text.contains(&format!("all {attempts} attempts")), "{text}");
+    assert!(
+        text.contains("failpoint \"frozen::group\" injected a panic"),
+        "the panic payload must reach the error: {text}"
+    );
+    assert_eq!(
+        frozen.group_panics(),
+        (GROUPS as u64) * u64::from(attempts),
+        "every attempt of every group panicked once"
+    );
+    fault::disarm(GROUP_SITE);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     fault::reset();
 }
 
-/// Load shedding under a wedged backend: shed requests get the typed
-/// status-2 frame while the requests that made it into the bounded
-/// queue still score correctly.
+/// Load shedding under a stalled backend, through `bind_with`: shed
+/// requests get the typed status-2 frame while the requests that made it
+/// into the bounded queue still score correctly.
 #[test]
 fn overloaded_server_sheds_typed_while_cobatched_requests_score() {
     let _serial = fault::tests_serialized();
@@ -266,14 +227,14 @@ fn overloaded_server_sheds_typed_while_cobatched_requests_score() {
     let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
     let rows = stream_rows(3);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    // Every panel crawls (every worker job sleeps), the queue holds one
-    // sample, and panels never coalesce — so three concurrent requests
-    // must produce at least one typed shed.
+    // Every panel crawls (every group attempt sleeps), the queue holds
+    // one sample, and panels never coalesce — so three concurrent
+    // requests must produce at least one typed shed.
     fault::arm(
-        "supervisor::worker",
+        GROUP_SITE,
         FaultSpec::every(FaultAction::Delay(Duration::from_millis(150)), 1, 0),
     );
-    let mut server = QuorumServer::bind_supervised(
+    let mut server = QuorumServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&frozen),
         CoalescePolicy {
@@ -284,8 +245,6 @@ fn overloaded_server_sheds_typed_while_cobatched_requests_score() {
             queue_capacity: 1,
             request_deadline: None,
         },
-        &ShardPolicy::Workers(1),
-        fast_supervisor(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -369,47 +328,44 @@ fn torn_response_frame_is_survived_by_client_retry() {
     server.shutdown();
 }
 
-/// The exhaustive kill-worker-mid-stream soak: a seeded pseudo-random
-/// quarter of all worker jobs panic across a 40-panel stream while the
-/// supervisor restarts and re-folds around them — every panel must stay
-/// bit-identical to the uninterrupted run. Run with `--ignored` (the
-/// ignored-suite CI job does).
+/// The exhaustive group-panic soak: a seeded pseudo-random quarter of
+/// all group attempts panic across a 40-panel stream. Every panel must
+/// come back bit-identical to the uninterrupted run or as a typed
+/// `Faulted` error (a group that drew a panic on all of its attempts) —
+/// never a wrong score. Run with `--ignored` (the ignored-suite CI job
+/// does).
 #[test]
 #[ignore = "exhaustive chaos soak; run with --ignored"]
-fn kill_worker_soak_is_bit_identical_over_a_long_stream() {
+fn seeded_group_panic_soak_is_exact_or_typed_faulted() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
     let rows = stream_rows(6);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let policy = SupervisorPolicy {
-        max_restarts: 10,
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(2),
-        request_retries: 8,
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(3), policy).unwrap();
-    // A quarter of all jobs die, chosen by a seeded hash — a different
-    // crash pattern than any fixed schedule, replayed exactly on every
-    // run of this test.
+    // A quarter of all attempts die, chosen by a seeded hash of the hit
+    // number — a different crash pattern than any fixed schedule.
     fault::arm(
-        "supervisor::worker",
+        GROUP_SITE,
         FaultSpec::seeded(FaultAction::Panic, 0xC4A05, 1, 4),
     );
+    let mut exact = 0usize;
     for panel in 0..40 {
-        let scores = scorer.score_samples(&rows, 0).unwrap();
-        assert_eq!(scores, direct, "panel {panel} diverged under chaos");
+        match frozen.score_samples(&rows, 0) {
+            Ok(scores) => {
+                assert_eq!(scores, direct, "panel {panel} diverged under chaos");
+                exact += 1;
+            }
+            Err(ServeError::Faulted(text)) => assert!(
+                text.contains("injected a panic"),
+                "panel {panel} faulted without the panic message: {text}"
+            ),
+            Err(other) => panic!("panel {panel}: unexpected error {other:?}"),
+        }
     }
     assert!(
-        scorer.restarts_total() > 0,
-        "a quarter of jobs panicking must have killed at least one worker"
+        frozen.group_panics() > 0,
+        "a quarter of attempts panicking must have been caught"
     );
-    let health = scorer.shard_health();
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len(),
-        "group ownership must stay a partition under churn"
-    );
+    assert!(exact > 0, "retries must rescue most panels");
     fault::reset();
 }
