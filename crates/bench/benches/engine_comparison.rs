@@ -36,7 +36,8 @@ use qsim::{NoiseModel, C64};
 use quorum_bench::table1_specs;
 use quorum_core::bucket::BucketPlan;
 use quorum_core::engine::{
-    DensityEngine, SampleDensityEngine, ScoringEngine, StructuredDensityEngine,
+    AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, DensityEngine, SampleDensityEngine,
+    ScoringEngine, StructuredDensityEngine,
 };
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::{EngineKind, ExecutionMode, QuorumConfig, QuorumDetector};
@@ -62,16 +63,24 @@ fn truncate(ds: &Dataset, n: usize) -> Dataset {
     Dataset::from_rows(ds.name(), rows, labels).unwrap()
 }
 
-fn flagship_config(engine: EngineKind) -> QuorumConfig {
+fn flagship_config() -> QuorumConfig {
     let spec = &table1_specs()[0];
     QuorumConfig::default()
         .with_ensemble_groups(FLAGSHIP_GROUPS)
         .with_bucket_probability(spec.bucket_probability)
         .with_anomaly_rate_estimate(spec.anomaly_rate())
-        .with_engine(engine)
         .with_threads(1)
         .with_seed(42)
 }
+
+/// The flagship engines, timed through the whole detector with
+/// [`QuorumDetector::score_with`]: the per-sample analytic engine is a
+/// test oracle no configuration selects.
+const FLAGSHIP_ENGINES: [(&str, &dyn ScoringEngine); 3] = [
+    ("batched", &BatchedAnalyticEngine),
+    ("analytic", &AnalyticEngine),
+    ("circuit", &CircuitEngine),
+];
 
 fn flagship_dataset() -> Dataset {
     truncate(&table1_specs()[0].load(42), FLAGSHIP_SAMPLES)
@@ -81,14 +90,10 @@ fn bench_engines(c: &mut Criterion) {
     let ds = flagship_dataset();
     let mut group = c.benchmark_group("engine_flagship_n3_30groups");
     group.sample_size(10);
-    for (label, kind) in [
-        ("batched", EngineKind::Batched),
-        ("analytic", EngineKind::Analytic),
-        ("circuit", EngineKind::Circuit),
-    ] {
-        let detector = QuorumDetector::new(flagship_config(kind)).unwrap();
+    let detector = QuorumDetector::new(flagship_config()).unwrap();
+    for (label, engine) in FLAGSHIP_ENGINES {
         group.bench_with_input(BenchmarkId::from_parameter(label), &ds, |b, ds| {
-            b.iter(|| black_box(detector.score(ds).unwrap()))
+            b.iter(|| black_box(detector.score_with(engine, ds).unwrap()))
         });
     }
     group.finish();
@@ -97,15 +102,15 @@ fn bench_engines(c: &mut Criterion) {
 /// Best-of-nine full-pipeline wall time through one engine (two warmups,
 /// minimum of nine timed runs — the sub-millisecond engines need the
 /// extra repetitions to shake off scheduling noise).
-fn time_engine(ds: &Dataset, kind: EngineKind) -> Duration {
-    let detector = QuorumDetector::new(flagship_config(kind)).unwrap();
+fn time_engine(ds: &Dataset, engine: &dyn ScoringEngine) -> Duration {
+    let detector = QuorumDetector::new(flagship_config()).unwrap();
     for _ in 0..2 {
-        black_box(detector.score(ds).unwrap());
+        black_box(detector.score_with(engine, ds).unwrap());
     }
     (0..9)
         .map(|_| {
             let start = Instant::now();
-            black_box(detector.score(ds).unwrap());
+            black_box(detector.score_with(engine, ds).unwrap());
             start.elapsed()
         })
         .min()
@@ -120,9 +125,7 @@ fn ns_per_sample(d: Duration, samples: usize) -> f64 {
 /// acceptance criteria ask for.
 fn report_speedup(_c: &mut Criterion) {
     let ds = flagship_dataset();
-    let batched = time_engine(&ds, EngineKind::Batched);
-    let analytic = time_engine(&ds, EngineKind::Analytic);
-    let circuit = time_engine(&ds, EngineKind::Circuit);
+    let [batched, analytic, circuit] = FLAGSHIP_ENGINES.map(|(_, engine)| time_engine(&ds, engine));
     record(
         "batched_ns_per_sample",
         ns_per_sample(batched, FLAGSHIP_SAMPLES),
@@ -159,10 +162,12 @@ fn report_speedup(_c: &mut Criterion) {
 }
 
 fn noisy_flagship_config(engine: EngineKind) -> QuorumConfig {
-    flagship_config(engine).with_execution(ExecutionMode::Noisy {
-        noise: NoiseModel::brisbane(),
-        shots: None,
-    })
+    flagship_config()
+        .with_engine(engine)
+        .with_execution(ExecutionMode::Noisy {
+            noise: NoiseModel::brisbane(),
+            shots: None,
+        })
 }
 
 /// Best-of-`runs` noisy full-pipeline wall time through one engine (one

@@ -2,7 +2,7 @@
 //! and scaling in the number of ensemble groups.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use qdata::synth;
+use qdata::{synth, SamplePanel};
 use quorum_core::bucket::BucketPlan;
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::{QuorumConfig, QuorumDetector};
@@ -23,9 +23,11 @@ fn bench_single_group(c: &mut Criterion) {
         .with_seed(3);
     let plan = BucketPlan::from_target(ds.num_samples(), 0.05, 0.75);
     let normalized = qdata::preprocess::RangeNormalizer::fit_transform(&ds);
+    let flat = normalized.rows().concat();
+    let panel = SamplePanel::new(&flat, normalized.num_features());
     c.bench_function("ensemble_group_64samples_2levels", |b| {
         let group = EnsembleGroup::generate(0, &config, ds.num_features(), &plan);
-        b.iter(|| black_box(group.run(&normalized, &config).unwrap()))
+        b.iter(|| black_box(group.run(&panel, &config).unwrap()))
     });
 }
 

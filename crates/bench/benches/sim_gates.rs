@@ -61,8 +61,8 @@ fn bench_transpile(c: &mut Criterion) {
         qc.ry(0.3 + q as f64, q);
     }
     qc.cswap(6, 0, 3).cswap(6, 1, 4).cswap(6, 2, 5);
-    c.bench_function("transpile_to_native_swap_test", |b| {
-        b.iter(|| black_box(transpile::to_native(&qc)))
+    c.bench_function("transpile_decompose_swap_test", |b| {
+        b.iter(|| black_box(transpile::decompose_multiqubit(&qc)))
     });
 }
 

@@ -9,9 +9,9 @@
 
 use crate::bucket::BucketPlan;
 use crate::config::QuorumConfig;
+use crate::detector::normalize_for_scoring;
 use crate::ensemble::EnsembleGroup;
 use crate::error::QuorumError;
-use qdata::preprocess::RangeNormalizer;
 use qdata::Dataset;
 use qmetrics::stats::spearman_correlation;
 use qsim::parallel::map_indexed;
@@ -103,35 +103,19 @@ pub fn convergence_trace(
     sorted.dedup();
     let total_groups = *sorted.last().expect("non-empty");
 
-    let unlabeled = data.strip_labels();
-    let normalized = match config.normalization {
-        crate::config::Normalization::RangeMax => {
-            let ranged = RangeNormalizer::fit_transform(&unlabeled);
-            Dataset::from_rows(
-                ranged.name(),
-                ranged
-                    .rows()
-                    .iter()
-                    .map(|r| r.iter().map(|v| v.abs()).collect())
-                    .collect(),
-                None,
-            )
-            .expect("shape preserved")
-        }
-        crate::config::Normalization::MinMax => qdata::MinMaxNormalizer::fit_transform(&unlabeled),
-    };
-
+    let normalized = normalize_for_scoring(config, data);
     let rate = config.anomaly_rate_estimate.unwrap_or(0.05);
     let plan = BucketPlan::from_target(normalized.num_samples(), rate, config.bucket_probability);
     let threads = config.effective_threads();
+    let engine = crate::engine::resolve(config)?;
 
-    let normalized_ref = &normalized;
-    let plan_ref = &plan;
-    let partials: Vec<Result<Vec<f64>, QuorumError>> =
-        map_indexed(total_groups, threads, move |g| {
-            let group = EnsembleGroup::generate(g, config, normalized_ref.num_features(), plan_ref);
-            group.run(normalized_ref, config)
-        });
+    // Flatten once; every group scores the same borrowed panel.
+    let partials = crate::engine::with_panel(&normalized, |panel| {
+        Ok(map_indexed(total_groups, threads, |g| {
+            let group = EnsembleGroup::generate(g, config, panel.num_features(), &plan);
+            group.run_with(engine, panel, config)
+        }))
+    })?;
 
     // Prefix-sum in group order, snapshotting at each checkpoint.
     let n = normalized.num_samples();

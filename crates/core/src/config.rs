@@ -51,8 +51,12 @@ pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
 /// and Sampled) and an analytic density engine for Noisy runs, which
 /// need mixed-state evolution — the dense one at the paper's widths,
 /// the structured one from [`STRUCTURED_AUTO_MIN_QUBITS`] data qubits
-/// up. The per-sample `Analytic` and paper-literal `Circuit` engines
-/// stay selectable as cross-check oracles.
+/// up. The paper-literal `Circuit` engine stays selectable as the
+/// cross-check oracle. The per-sample reference engines
+/// ([`crate::engine::AnalyticEngine`],
+/// [`crate::engine::SampleDensityEngine`]) are test oracles with no
+/// variant here; tests run them through
+/// [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EngineKind {
@@ -67,17 +71,13 @@ pub enum EngineKind {
     /// scoring with the per-group fused-unitary cache. Invalid with Noisy
     /// execution.
     Batched,
-    /// Force the per-sample analytic reduced-register engine
-    /// ([`crate::engine::AnalyticEngine`]) — the batched engine's
-    /// one-matvec-per-sample reference. Invalid with Noisy execution.
-    Analytic,
     /// Force the batched analytic density engine
     /// ([`crate::engine::DensityEngine`]): whole-group `vec(ρ)` scoring —
-    /// all samples packed into one `4^n × S` matrix and pushed through the
-    /// per-group fused noisy superoperators and the cached SWAP-test
-    /// readout functional as blocked GEMMs. Requires Noisy execution.
-    /// Rejects registers wider than 6 data qubits — the fused `16^n`
-    /// objects hit the mixed-state simulator's memory budget there.
+    /// all samples prepared in lockstep as one real `4^n × S` panel, each
+    /// level read as one quadratic form per sample against the group's
+    /// cached readout form. Requires Noisy execution. Rejects registers
+    /// wider than 6 data qubits — the fused `16^n` objects the forms are
+    /// built from hit the mixed-state simulator's memory budget there.
     Density,
     /// Force the structured density engine
     /// ([`crate::engine::StructuredDensityEngine`]): the same lockstep
@@ -88,15 +88,10 @@ pub enum EngineKind {
     /// tractable. Requires Noisy execution. Matches the dense engine to
     /// ≤ 1e-9 where both run.
     DensityStructured,
-    /// Force the per-sample density engine
-    /// ([`crate::engine::SampleDensityEngine`]) — the batched density
-    /// engine's one-matvec-per-sample reference, the mixed-state analogue
-    /// of [`EngineKind::Analytic`]. Requires Noisy execution.
-    DensitySample,
     /// Force the gate-level circuit engine
     /// ([`crate::engine::CircuitEngine`]) — the paper-literal Fig. 2
-    /// simulation, kept as a cross-check oracle (the only other engine
-    /// able to run noise models).
+    /// simulation, kept as the cross-check oracle for every execution
+    /// mode, noisy ones included.
     Circuit,
 }
 
@@ -355,7 +350,7 @@ impl QuorumConfig {
             _ => {}
         }
         // Engine resolution enforces engine/execution compatibility
-        // (e.g. a forced analytic engine under noisy execution).
+        // (e.g. a forced batched analytic engine under noisy execution).
         crate::engine::resolve(self)?;
         Ok(())
     }
@@ -457,25 +452,20 @@ mod tests {
                 noisy.validate().unwrap();
             }
         }
-        let forced = c.clone().with_engine(EngineKind::Circuit);
+        let forced = c.with_engine(EngineKind::Circuit);
         assert_eq!(forced.effective_engine(), EngineKind::Circuit);
-        let forced = c.with_engine(EngineKind::Analytic);
-        assert_eq!(forced.effective_engine(), EngineKind::Analytic);
     }
 
     #[test]
-    fn analytic_engines_reject_noisy_execution() {
+    fn batched_engine_rejects_noisy_execution() {
         use qsim::NoiseModel;
-        for kind in [EngineKind::Analytic, EngineKind::Batched] {
-            let bad =
-                QuorumConfig::default()
-                    .with_engine(kind)
-                    .with_execution(ExecutionMode::Noisy {
-                        noise: NoiseModel::brisbane(),
-                        shots: None,
-                    });
-            assert!(bad.validate().is_err(), "{kind:?} must reject Noisy");
-        }
+        let bad = QuorumConfig::default()
+            .with_engine(EngineKind::Batched)
+            .with_execution(ExecutionMode::Noisy {
+                noise: NoiseModel::brisbane(),
+                shots: None,
+            });
+        assert!(bad.validate().is_err(), "Batched must reject Noisy");
         // Auto silently resolves to the density engine instead.
         let ok = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
             noise: NoiseModel::brisbane(),

@@ -2,6 +2,7 @@
 
 use crate::bucket::BucketPlan;
 use crate::config::QuorumConfig;
+use crate::engine::ScoringEngine;
 use crate::ensemble::EnsembleGroup;
 use crate::error::QuorumError;
 use crate::score::ScoreReport;
@@ -69,8 +70,25 @@ impl QuorumDetector {
     /// Returns [`QuorumError::InvalidData`] for an unusable dataset and
     /// propagates simulation failures.
     pub fn score(&self, data: &Dataset) -> Result<ScoreReport, QuorumError> {
+        self.score_with(crate::engine::resolve(&self.config)?, data)
+    }
+
+    /// [`QuorumDetector::score`] through an explicitly given engine instead
+    /// of the configured one — how tests and benches run the per-sample
+    /// oracles ([`crate::engine::AnalyticEngine`],
+    /// [`crate::engine::SampleDensityEngine`]) through the whole pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`QuorumDetector::score`]; the engine rejects
+    /// execution modes it cannot honour.
+    pub fn score_with(
+        &self,
+        engine: &dyn ScoringEngine,
+        data: &Dataset,
+    ) -> Result<ScoreReport, QuorumError> {
         let all: Vec<usize> = (0..self.config.ensemble_groups).collect();
-        let totals = self.score_group_subset(data, &all)?;
+        let totals = self.subset_totals(engine, data, &all)?;
         Ok(ScoreReport::new(
             data.name(),
             totals,
@@ -80,12 +98,11 @@ impl QuorumDetector {
     }
 
     /// The additive partial score contributed by a **subset** of the
-    /// ensemble groups — the group-sharding seam. Quorum's total score is
-    /// a plain sum of independent per-group contributions, so disjoint
-    /// subsets can run on different workers (threads, processes or
-    /// machines) and be merged afterwards; summing the per-group partials
-    /// in ascending group-index order reproduces [`QuorumDetector::score`]
-    /// bit for bit.
+    /// ensemble groups. Quorum's total score is a plain sum of
+    /// independent per-group contributions, so disjoint subsets can run
+    /// separately and be merged afterwards; summing the per-group
+    /// partials in ascending group-index order reproduces
+    /// [`QuorumDetector::score`] bit for bit.
     ///
     /// `group_indices` may arrive in any order; evaluation and
     /// accumulation happen in ascending index order so a subset's partial
@@ -98,6 +115,17 @@ impl QuorumDetector {
     /// [`QuorumDetector::score`].
     pub fn score_group_subset(
         &self,
+        data: &Dataset,
+        group_indices: &[usize],
+    ) -> Result<Vec<f64>, QuorumError> {
+        self.subset_totals(crate::engine::resolve(&self.config)?, data, group_indices)
+    }
+
+    /// The body of [`QuorumDetector::score_group_subset`] through a given
+    /// engine.
+    fn subset_totals(
+        &self,
+        engine: &dyn ScoringEngine,
         data: &Dataset,
         group_indices: &[usize],
     ) -> Result<Vec<f64>, QuorumError> {
@@ -135,34 +163,28 @@ impl QuorumDetector {
         );
 
         let threads = self.config.effective_threads();
-
-        // Resolve the scoring engine once; every group shares it. Under
-        // `Auto` this is the batched analytic engine for noiseless runs:
-        // each group scores its whole batch per compression level through
-        // one GEMM against its cached fused encoder.
-        let engine = crate::engine::resolve(&self.config)?;
         let config = &self.config;
-        let normalized_ref = &normalized;
-        let subset_ref = &subset;
-        let partials: Vec<Result<Vec<f64>, QuorumError>> =
-            map_indexed(subset.len(), threads, move |i| {
-                let group = EnsembleGroup::generate(
-                    subset_ref[i],
-                    config,
-                    normalized_ref.num_features(),
-                    &plan,
-                );
-                group.run_with(engine, normalized_ref, config)
-            });
-
-        let mut totals = vec![0.0; normalized.num_samples()];
-        for partial in partials {
-            let partial = partial?;
-            for (t, p) in totals.iter_mut().zip(partial) {
-                *t += p;
+        let subset = &subset;
+        // Flatten the normalised dataset once; every group scores the same
+        // borrowed panel. Under `Auto` the engine is the batched analytic
+        // one for noiseless runs: each group scores its whole batch per
+        // compression level through one GEMM against its cached fused
+        // encoder.
+        crate::engine::with_panel(&normalized, |panel| {
+            let partials: Vec<Result<Vec<f64>, QuorumError>> =
+                map_indexed(subset.len(), threads, move |i| {
+                    let group =
+                        EnsembleGroup::generate(subset[i], config, panel.num_features(), &plan);
+                    group.run_with(engine, panel, config)
+                });
+            let mut totals = vec![0.0; panel.num_samples()];
+            for partial in partials {
+                for (t, p) in totals.iter_mut().zip(partial?) {
+                    *t += p;
+                }
             }
-        }
-        Ok(totals)
+            Ok(totals)
+        })
     }
 }
 

@@ -96,7 +96,8 @@
 //! the per-sample gate-walk preparation — as the batched engine's
 //! cross-check oracle, exactly as [`AnalyticEngine`] does for the
 //! pure-state batch. The two evaluate the same real form in different
-//! summation orders and agree to ~1e-15.
+//! summation orders and agree to ~1e-15. Both per-sample engines are
+//! test oracles that no [`EngineKind`] selects.
 //!
 //! Every noisy physical gate of the Fig. 2 circuit is accounted for with
 //! the same fused channels the density-matrix backend applies
@@ -137,40 +138,45 @@ use std::sync::Arc;
 /// statevector backend's prune threshold.
 const BRANCH_PRUNE: f64 = 1e-14;
 
-/// Evaluates SWAP-test deviations for every sample of a dataset at one
-/// compression level, under one ensemble group's random draw.
+/// Evaluates SWAP-test deviations for every sample of a panel at every
+/// requested compression level, under one ensemble group's random draw.
 ///
-/// Implementations must be `Send + Sync`: the detector fans groups out
-/// across threads and shares one engine reference.
+/// Implementations define one scoring method,
+/// [`ScoringEngine::deviations_all_levels_panel`]; the [`Dataset`] entry
+/// points are provided wrappers that flatten the dataset once and
+/// delegate. Implementations must be `Send + Sync`: the detector fans
+/// groups out across threads and shares one engine reference.
 pub trait ScoringEngine: Send + Sync {
     /// Short human-readable engine name.
     fn name(&self) -> &'static str;
 
-    /// The deviation `P(ancilla = 1)` of every sample in `normalized`.
+    /// The deviation `P(ancilla = 1)` of every sample in `panel` at every
+    /// compression level in `levels`, in order — the granularity at which
+    /// a full group pass runs, so batched engines share everything that
+    /// is level-independent (packing, the encoder product, the prepared
+    /// states) across the sweep. The panel is a borrowed flat view: the
+    /// serving runtime feeds it from pooled request buffers, and the
+    /// detector flattens its normalised dataset once per pass.
     ///
     /// # Errors
     ///
     /// Propagates embedding and simulation failures; engines reject
-    /// execution modes they cannot honour.
-    fn deviations(
+    /// execution modes they cannot honour and out-of-range reset counts.
+    fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError>;
+        levels: &[usize],
+    ) -> Result<Vec<Vec<f64>>, QuorumError>;
 
-    /// Deviations at every compression level in `levels`, in order —
-    /// the granularity at which a full group pass actually runs.
-    ///
-    /// The default implementation evaluates level by level through
-    /// [`ScoringEngine::deviations`]. The batched engine overrides it to
-    /// share everything that is level-independent (sample packing and the
-    /// encoder product) across the whole sweep.
+    /// [`ScoringEngine::deviations_all_levels_panel`] over a [`Dataset`],
+    /// flattened once through [`with_panel`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ScoringEngine::deviations`].
+    /// Same conditions as [`ScoringEngine::deviations_all_levels_panel`],
+    /// plus [`QuorumError::InvalidData`] for a dataset with no features.
     fn deviations_all_levels(
         &self,
         group: &EnsembleGroup,
@@ -178,61 +184,65 @@ pub trait ScoringEngine: Send + Sync {
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        levels
-            .iter()
-            .map(|&reset_count| self.deviations(group, normalized, config, reset_count))
-            .collect()
+        with_panel(normalized, |panel| {
+            self.deviations_all_levels_panel(group, panel, config, levels)
+        })
     }
 
-    /// [`ScoringEngine::deviations_all_levels`] over a borrowed flat
-    /// [`SamplePanel`] — the zero-copy entry the serving runtime feeds
-    /// from its pooled request buffers.
-    ///
-    /// The default implementation copies the panel into a [`Dataset`] and
-    /// delegates, so every engine serves panels correctly; the batched
-    /// engines override it to score the borrowed rows directly (same
-    /// per-element arithmetic and iteration order, hence bit-identical to
-    /// the [`Dataset`] path on the same values).
+    /// The deviations of every sample in `normalized` at one compression
+    /// level.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ScoringEngine::deviations_all_levels`], plus
-    /// [`QuorumError::InvalidData`] for panels a [`Dataset`] would reject
-    /// (empty, or non-finite values).
-    fn deviations_all_levels_panel(
+    /// Same conditions as [`ScoringEngine::deviations_all_levels`].
+    fn deviations(
         &self,
         group: &EnsembleGroup,
-        panel: &SamplePanel<'_>,
+        normalized: &Dataset,
         config: &QuorumConfig,
-        levels: &[usize],
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        let ds = panel
-            .to_dataset("panel")
-            .map_err(|e| QuorumError::InvalidData(e.to_string()))?;
-        self.deviations_all_levels(group, &ds, config, levels)
+        reset_count: usize,
+    ) -> Result<Vec<f64>, QuorumError> {
+        let mut all = self.deviations_all_levels(group, normalized, config, &[reset_count])?;
+        all.pop()
+            .ok_or_else(|| QuorumError::Internal("deviations_all_levels returned no levels".into()))
     }
+}
+
+/// Flattens `data` into one row-major buffer and lends it to `f` as a
+/// [`SamplePanel`] — the bridge from the [`Dataset`] entry points to the
+/// panel engines. A caller that scores many groups flattens once and
+/// shares the panel across them.
+///
+/// # Errors
+///
+/// [`QuorumError::InvalidData`] for a dataset with no features, which a
+/// panel cannot represent; otherwise whatever `f` returns.
+pub fn with_panel<T>(
+    data: &Dataset,
+    f: impl FnOnce(&SamplePanel<'_>) -> Result<T, QuorumError>,
+) -> Result<T, QuorumError> {
+    if data.num_features() == 0 {
+        return Err(QuorumError::InvalidData("dataset has no features".into()));
+    }
+    let flat = data.rows().concat();
+    f(&SamplePanel::new(&flat, data.num_features()))
 }
 
 /// Resolves the configured [`EngineKind`] to a concrete engine.
 ///
 /// # Errors
 ///
-/// Returns [`QuorumError::InvalidConfig`] for the analytic engine under
-/// noisy execution (the combination [`QuorumConfig::validate`] also
-/// rejects).
+/// Returns [`QuorumError::InvalidConfig`] for the batched analytic engine
+/// under noisy execution, a density engine without it, and the dense
+/// density engine past its register width (the combinations
+/// [`QuorumConfig::validate`] also rejects).
 pub fn resolve(config: &QuorumConfig) -> Result<&'static dyn ScoringEngine, QuorumError> {
     static CIRCUIT: CircuitEngine = CircuitEngine;
-    static ANALYTIC: AnalyticEngine = AnalyticEngine;
     static BATCHED: BatchedAnalyticEngine = BatchedAnalyticEngine;
     static DENSITY: DensityEngine = DensityEngine;
     static DENSITY_STRUCTURED: StructuredDensityEngine = StructuredDensityEngine;
-    static DENSITY_SAMPLE: SampleDensityEngine = SampleDensityEngine;
     match config.effective_engine() {
         EngineKind::Circuit => Ok(&CIRCUIT),
-        EngineKind::Analytic => {
-            ensure_pure_state(config)?;
-            Ok(&ANALYTIC)
-        }
         EngineKind::Batched => {
             ensure_pure_state(config)?;
             Ok(&BATCHED)
@@ -244,10 +254,6 @@ pub fn resolve(config: &QuorumConfig) -> Result<&'static dyn ScoringEngine, Quor
         EngineKind::DensityStructured => {
             ensure_noisy_mode(config)?;
             Ok(&DENSITY_STRUCTURED)
-        }
-        EngineKind::DensitySample => {
-            ensure_noisy(config)?;
-            Ok(&DENSITY_SAMPLE)
         }
         // `effective_engine` never returns Auto, but EngineKind is
         // non-exhaustive.
@@ -363,13 +369,13 @@ impl ScoringEngine for CircuitEngine {
         "circuit"
     }
 
-    fn deviations(
+    fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
+        levels: &[usize],
+    ) -> Result<Vec<Vec<f64>>, QuorumError> {
         let sv_backend = StatevectorBackend::new();
         let dm_backend = match &config.execution {
             ExecutionMode::Noisy { noise, .. } => {
@@ -377,32 +383,40 @@ impl ScoringEngine for CircuitEngine {
             }
             _ => None,
         };
-        let mut out = Vec::with_capacity(normalized.num_samples());
-        for (i, row) in normalized.rows().iter().enumerate() {
+        let mut out: Vec<Vec<f64>> = levels
+            .iter()
+            .map(|_| Vec::with_capacity(panel.num_samples()))
+            .collect();
+        for (i, row) in panel.rows().enumerate() {
             let values = group.features().project(row);
-            let circ = build_sample_circuit(&values, group.ansatz(), reset_count)?;
-            let seed = shot_seed(config, group.index(), reset_count, i);
-            let p = match &config.execution {
-                ExecutionMode::Exact => sv_backend.probabilities(&circ)?.marginal_one(0),
-                ExecutionMode::Sampled { shots } => {
-                    sv_backend.run(&circ, *shots, seed)?.marginal_one(0)
-                }
-                ExecutionMode::Noisy { shots, .. } => {
-                    let backend = dm_backend.as_ref().expect("constructed above");
-                    match shots {
-                        None => backend.probabilities(&circ)?.marginal_one(0),
-                        Some(s) => backend.run(&circ, *s, seed)?.marginal_one(0),
+            for (deviations, &reset_count) in out.iter_mut().zip(levels) {
+                let circ = build_sample_circuit(&values, group.ansatz(), reset_count)?;
+                let seed = shot_seed(config, group.index(), reset_count, i);
+                let p = match &config.execution {
+                    ExecutionMode::Exact => sv_backend.probabilities(&circ)?.marginal_one(0),
+                    ExecutionMode::Sampled { shots } => {
+                        sv_backend.run(&circ, *shots, seed)?.marginal_one(0)
                     }
-                }
-            };
-            out.push(p);
+                    ExecutionMode::Noisy { shots, .. } => {
+                        let backend = dm_backend.as_ref().expect("constructed above");
+                        match shots {
+                            None => backend.probabilities(&circ)?.marginal_one(0),
+                            Some(s) => backend.run(&circ, *s, seed)?.marginal_one(0),
+                        }
+                    }
+                };
+                deviations.push(p);
+            }
         }
         Ok(out)
     }
 }
 
 /// The analytic reduced-register engine: per-group fused unitaries and
-/// `n`-qubit pure-state algebra (see the module docs for the math).
+/// `n`-qubit pure-state algebra (see the module docs for the math). The
+/// one-matvec-per-sample reference [`BatchedAnalyticEngine`] is pinned
+/// against; no [`EngineKind`] selects it, so tests reach it directly or
+/// through [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticEngine;
 
@@ -452,43 +466,48 @@ impl ScoringEngine for AnalyticEngine {
         "analytic"
     }
 
-    fn deviations(
+    fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
+        levels: &[usize],
+    ) -> Result<Vec<Vec<f64>>, QuorumError> {
         ensure_pure_state(config)?;
         let n = group.ansatz().num_qubits();
-        ensure_reset_range(reset_count, n)?;
-        // Fuse the group's encoder once per call; every sample reuses the
-        // matrix. (The batched engine goes further and reuses one fusion
-        // across all compression levels via the group's cache.) The
-        // decoder is the encoder's exact adjoint and cancels out of the
-        // overlap (see `deviation_of`), so it is never materialised.
+        for &reset_count in levels {
+            ensure_reset_range(reset_count, n)?;
+        }
+        // Fuse the group's encoder once per call; every sample and level
+        // reuses the matrix. (The batched engine goes further and reuses
+        // one fusion across calls via the group's cache.) The decoder is
+        // the encoder's exact adjoint and cancels out of the overlap (see
+        // `deviation_of`), so it is never materialised.
         let encoder = group.ansatz().encoder().to_unitary()?;
 
-        let mut out = Vec::with_capacity(normalized.num_samples());
-        for (i, row) in normalized.rows().iter().enumerate() {
+        let mut out: Vec<Vec<f64>> = levels
+            .iter()
+            .map(|_| Vec::with_capacity(panel.num_samples()))
+            .collect();
+        for (i, row) in panel.rows().enumerate() {
             let values = group.features().project(row);
             let amps = crate::embed::amplitudes_with_overflow(&values, n)?;
             // Inject amplitudes directly (the circuit path's state prep
             // normalises, so mirror it here).
             let norm: f64 = amps.iter().map(|a| a * a).sum::<f64>().sqrt();
             let psi: Vec<C64> = amps.iter().map(|&a| C64::from_real(a / norm)).collect();
-
-            let exact = Self::deviation_of(&psi, &encoder, n, reset_count);
-            let p = match &config.execution {
-                ExecutionMode::Sampled { shots } => {
-                    // Binomial draw from the exact deviation, through the
-                    // same distribution sampler the backends use.
-                    let seed = shot_seed(config, group.index(), reset_count, i);
-                    sampled_deviation(exact, *shots, seed)
-                }
-                _ => exact,
-            };
-            out.push(p);
+            for (deviations, &reset_count) in out.iter_mut().zip(levels) {
+                let exact = Self::deviation_of(&psi, &encoder, n, reset_count);
+                deviations.push(match &config.execution {
+                    ExecutionMode::Sampled { shots } => {
+                        // Binomial draw from the exact deviation, through
+                        // the same distribution sampler the backends use.
+                        let seed = shot_seed(config, group.index(), reset_count, i);
+                        sampled_deviation(exact, *shots, seed)
+                    }
+                    _ => exact,
+                });
+            }
         }
         Ok(out)
     }
@@ -537,17 +556,16 @@ impl BatchedAnalyticEngine {
     /// `2^n × S` matrix, unit-normalising each column the way the circuit
     /// path's state preparation does. Projection and embedding run
     /// through reusable scratch buffers — no per-sample allocations.
-    fn pack_samples<'a>(
+    fn pack_samples(
         group: &EnsembleGroup,
-        rows: impl Iterator<Item = &'a [f64]>,
-        samples: usize,
+        panel: &SamplePanel<'_>,
         num_qubits: usize,
     ) -> Result<CMatrix, QuorumError> {
         let dim = 1usize << num_qubits;
-        let mut psi = CMatrix::zeros(dim, samples);
+        let mut psi = CMatrix::zeros(dim, panel.num_samples());
         let mut values = Vec::with_capacity(group.features().len());
         let mut amps = vec![0.0_f64; dim];
-        for (col, row) in rows.enumerate() {
+        for (col, row) in panel.rows().enumerate() {
             group.features().project_into(row, &mut values);
             crate::embed::amplitudes_with_overflow_into(&values, num_qubits, &mut amps)?;
             let norm: f64 = amps.iter().map(|a| a * a).sum::<f64>().sqrt();
@@ -561,15 +579,14 @@ impl BatchedAnalyticEngine {
     /// The level-independent half of a group pass: pack the batch and
     /// push it through the cached fused encoder in one GEMM, yielding
     /// `Φ = E·Ψ` with one encoded sample per column.
-    fn encode_batch<'a>(
+    fn encode_batch(
         group: &EnsembleGroup,
-        rows: impl Iterator<Item = &'a [f64]>,
-        samples: usize,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
     ) -> Result<CMatrix, QuorumError> {
         let n = group.ansatz().num_qubits();
         let encoder = group.fused_encoder()?;
-        let psi = Self::pack_samples(group, rows, samples, n)?;
+        let psi = Self::pack_samples(group, panel, n)?;
         let threads = gemm_threads(config, 1 << n, psi.cols());
         Ok(encoder.matmul_threaded(&psi, threads)?)
     }
@@ -655,53 +672,10 @@ impl ScoringEngine for BatchedAnalyticEngine {
         "batched"
     }
 
-    fn deviations(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        let mut all = self.deviations_all_levels(group, normalized, config, &[reset_count])?;
-        all.pop()
-            .ok_or_else(|| QuorumError::Internal("deviations_all_levels returned no levels".into()))
-    }
-
-    fn deviations_all_levels(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        levels: &[usize],
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        self.deviations_all_levels_rows(
-            group,
-            normalized.rows().iter().map(Vec::as_slice),
-            normalized.num_samples(),
-            config,
-            levels,
-        )
-    }
-
     fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
         panel: &SamplePanel<'_>,
-        config: &QuorumConfig,
-        levels: &[usize],
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        self.deviations_all_levels_rows(group, panel.rows(), panel.num_samples(), config, levels)
-    }
-}
-
-impl BatchedAnalyticEngine {
-    /// The shared body of both `deviations_all_levels` entry points,
-    /// generic over the row source.
-    fn deviations_all_levels_rows<'a>(
-        &self,
-        group: &EnsembleGroup,
-        rows: impl Iterator<Item = &'a [f64]>,
-        samples: usize,
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
@@ -714,7 +688,7 @@ impl BatchedAnalyticEngine {
         // Everything level-independent happens once per group: packing,
         // fusion (cached across calls too), the encoder GEMM, and the
         // split-complex repack the branch sweeps run on.
-        let phi = Self::encode_batch(group, rows, samples, config)?;
+        let phi = Self::encode_batch(group, panel, config)?;
         let samples = phi.cols();
         let (phi_re, phi_im) = Self::split_phi(&phi);
 
@@ -1609,66 +1583,11 @@ impl DensityEngine {
         }
         Ok(out)
     }
-
-    /// Full prepare-then-score pass over rows from any contiguous source,
-    /// holding the thread-local scratch exactly once: the panel lands in
-    /// `scratch.packed`, preparation runs through `scratch.prep`, scoring
-    /// through `scratch.score` — disjoint field borrows, no re-entry.
-    fn deviations_rows<'a>(
-        group: &EnsembleGroup,
-        config: &QuorumConfig,
-        levels: &[usize],
-        rows: impl Iterator<Item = &'a [f64]>,
-        samples: usize,
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        DENSITY_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let DensityScratch {
-                prep,
-                packed,
-                score,
-            } = scratch;
-            Self::prepare_panel_into(group, rows, samples, config, prep, packed)?;
-            Self::score_prepared_scratch(group, packed, config, levels, score)
-        })
-    }
 }
 
 impl ScoringEngine for DensityEngine {
     fn name(&self) -> &'static str {
         "density"
-    }
-
-    fn deviations(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        let mut all = self.deviations_all_levels(group, normalized, config, &[reset_count])?;
-        all.pop()
-            .ok_or_else(|| QuorumError::Internal("deviations_all_levels returned no levels".into()))
-    }
-
-    fn deviations_all_levels(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        levels: &[usize],
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        // The batch: every sample's vec(ρ_in) as one matrix column,
-        // prepared in lockstep. Each column's products h_k·h_l are
-        // level-independent; each level then costs one dot product per
-        // column against its cached readout form.
-        Self::deviations_rows(
-            group,
-            config,
-            levels,
-            normalized.rows().iter().map(Vec::as_slice),
-            normalized.num_samples(),
-        )
     }
 
     fn deviations_all_levels_panel(
@@ -1678,7 +1597,28 @@ impl ScoringEngine for DensityEngine {
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        Self::deviations_rows(group, config, levels, panel.rows(), panel.num_samples())
+        // The batch: every sample's vec(ρ_in) as one panel column,
+        // prepared in lockstep. Each column's products h_k·h_l are
+        // level-independent; each level then costs one dot product per
+        // column against its cached readout form. The thread-local
+        // scratch is held once: preparation runs through `prep` into
+        // `packed`, scoring through `score` — disjoint field borrows.
+        DENSITY_SCRATCH.with(|cell| {
+            let DensityScratch {
+                prep,
+                packed,
+                score,
+            } = &mut *cell.borrow_mut();
+            Self::prepare_panel_into(
+                group,
+                panel.rows(),
+                panel.num_samples(),
+                config,
+                prep,
+                packed,
+            )?;
+            Self::score_prepared_scratch(group, packed, config, levels, score)
+        })
     }
 }
 
@@ -1814,29 +1754,6 @@ impl ScoringEngine for StructuredDensityEngine {
         "density-structured"
     }
 
-    fn deviations(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        let mut all = self.deviations_all_levels(group, normalized, config, &[reset_count])?;
-        all.pop()
-            .ok_or_else(|| QuorumError::Internal("deviations_all_levels returned no levels".into()))
-    }
-
-    fn deviations_all_levels(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        levels: &[usize],
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        let packed = DensityEngine::prepare_batch(group, normalized, config)?;
-        Self::score_prepared(group, &packed, config, levels)
-    }
-
     fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
@@ -1865,10 +1782,12 @@ impl ScoringEngine for StructuredDensityEngine {
 /// The per-sample density oracle: the unreduced one-`4^n`-matvec-per-
 /// (sample, level) path — `S_r·vec(ρ_in)` contracted against the
 /// readout image `W·vec(ρ_in)`, with no realness assumption — and the
-/// per-sample gate-walk state preparation, kept selectable (and
-/// benchmarked) as the reference the batched [`DensityEngine`]'s
-/// readout forms are pinned against, the mixed-state analogue of
-/// [`AnalyticEngine`] vs [`BatchedAnalyticEngine`].
+/// per-sample gate-walk state preparation, kept (and benchmarked) as the
+/// reference the batched [`DensityEngine`]'s readout forms are pinned
+/// against, the mixed-state analogue of [`AnalyticEngine`] vs
+/// [`BatchedAnalyticEngine`]. No [`EngineKind`] selects it: tests reach
+/// it directly or at detector level through
+/// [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleDensityEngine;
 
@@ -1919,22 +1838,10 @@ impl ScoringEngine for SampleDensityEngine {
         "density-sample"
     }
 
-    fn deviations(
+    fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        let mut all = self.deviations_all_levels(group, normalized, config, &[reset_count])?;
-        all.pop()
-            .ok_or_else(|| QuorumError::Internal("deviations_all_levels returned no levels".into()))
-    }
-
-    fn deviations_all_levels(
-        &self,
-        group: &EnsembleGroup,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
@@ -1949,11 +1856,11 @@ impl ScoringEngine for SampleDensityEngine {
 
         let mut out: Vec<Vec<f64>> = levels
             .iter()
-            .map(|_| Vec::with_capacity(normalized.num_samples()))
+            .map(|_| Vec::with_capacity(panel.num_samples()))
             .collect();
         let mut values = Vec::with_capacity(group.features().len());
         let mut amps = vec![0.0_f64; 1usize << n];
-        for (i, row) in normalized.rows().iter().enumerate() {
+        for (i, row) in panel.rows().enumerate() {
             group.features().project_into(row, &mut values);
             crate::embed::amplitudes_with_overflow_into(&values, n, &mut amps)?;
             let rho_in = noisy_prepared_state(&amps, n, &gate_noise)?;
@@ -1994,6 +1901,16 @@ mod tests {
     fn group_for(config: &QuorumConfig, ds: &Dataset, index: usize) -> EnsembleGroup {
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, config.bucket_probability);
         EnsembleGroup::generate(index, config, ds.num_features(), &plan)
+    }
+
+    /// A full group pass over `ds` through `engine`.
+    fn run_with(
+        group: &EnsembleGroup,
+        engine: &dyn ScoringEngine,
+        ds: &Dataset,
+        config: &QuorumConfig,
+    ) -> Vec<f64> {
+        with_panel(ds, |panel| group.run_with(engine, panel, config)).unwrap()
     }
 
     #[test]
@@ -2070,11 +1987,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_datasets_are_invalid_data() {
+        // A panel cannot represent zero-width rows: the Dataset entry
+        // points answer with a typed error instead of reaching its assert.
+        let ds = tiny_dataset();
+        let config = QuorumConfig::default();
+        let group = group_for(&config, &ds, 0);
+        let no_features = Dataset::from_rows("no-features", vec![Vec::new(); 5], None).unwrap();
+        assert!(matches!(
+            BatchedAnalyticEngine.deviations(&group, &no_features, &config, 1),
+            Err(QuorumError::InvalidData(_))
+        ));
+        assert!(matches!(
+            crate::analysis::convergence_trace(&config, &no_features, &[1]),
+            Err(QuorumError::InvalidData(_))
+        ));
+    }
+
+    #[test]
     fn resolve_follows_configuration() {
         let auto = QuorumConfig::default();
         assert_eq!(resolve(&auto).unwrap().name(), "batched");
-        let forced = QuorumConfig::default().with_engine(EngineKind::Analytic);
-        assert_eq!(resolve(&forced).unwrap().name(), "analytic");
         let forced = QuorumConfig::default().with_engine(EngineKind::Circuit);
         assert_eq!(resolve(&forced).unwrap().name(), "circuit");
         let noisy = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
@@ -2084,28 +2017,20 @@ mod tests {
         assert_eq!(resolve(&noisy).unwrap().name(), "density");
         let forced = noisy.clone().with_engine(EngineKind::Circuit);
         assert_eq!(resolve(&forced).unwrap().name(), "circuit");
-        for kind in [EngineKind::Analytic, EngineKind::Batched] {
-            let bad =
-                QuorumConfig::default()
-                    .with_engine(kind)
-                    .with_execution(ExecutionMode::Noisy {
-                        noise: qsim::NoiseModel::brisbane(),
-                        shots: None,
-                    });
-            assert!(resolve(&bad).is_err());
-        }
-        // The density engines are noise-only: Exact and Sampled reject
-        // them, and the per-sample oracle resolves by name under Noisy.
-        for kind in [EngineKind::Density, EngineKind::DensitySample] {
-            let bad = QuorumConfig::default().with_engine(kind);
-            assert!(resolve(&bad).is_err());
-            let bad = QuorumConfig::default()
-                .with_engine(kind)
-                .with_execution(ExecutionMode::Sampled { shots: 64 });
-            assert!(resolve(&bad).is_err());
-        }
-        let forced = noisy.clone().with_engine(EngineKind::DensitySample);
-        assert_eq!(resolve(&forced).unwrap().name(), "density-sample");
+        let bad = QuorumConfig::default()
+            .with_engine(EngineKind::Batched)
+            .with_execution(ExecutionMode::Noisy {
+                noise: qsim::NoiseModel::brisbane(),
+                shots: None,
+            });
+        assert!(resolve(&bad).is_err());
+        // The density engine is noise-only: Exact and Sampled reject it.
+        let bad = QuorumConfig::default().with_engine(EngineKind::Density);
+        assert!(resolve(&bad).is_err());
+        let bad = QuorumConfig::default()
+            .with_engine(EngineKind::Density)
+            .with_execution(ExecutionMode::Sampled { shots: 64 });
+        assert!(resolve(&bad).is_err());
         // The structured engine: noise-only like its dense sibling, the
         // Auto pick for wide noisy registers, width-capped never.
         let forced = noisy.clone().with_engine(EngineKind::DensityStructured);
@@ -2267,26 +2192,26 @@ mod tests {
         let levels = config.effective_compression_levels();
         let group = group_for(&config, &ds, 1);
         assert_eq!(group.readout_form_builds(), 0);
-        group.run_with(&DensityEngine, &ds, &config).unwrap();
+        run_with(&group, &DensityEngine, &ds, &config);
         assert_eq!(
             group.readout_form_builds(),
             levels.len(),
             "each compression level builds exactly once"
         );
-        group.run_with(&DensityEngine, &ds, &config).unwrap();
+        run_with(&group, &DensityEngine, &ds, &config);
         assert_eq!(group.readout_form_builds(), levels.len());
         assert_eq!(group.noisy_superop_fusions(), 0);
         // A different noise model is a different channel: it builds anew.
         let scaled = noisy_config(qsim::NoiseModel::brisbane().scaled(0.5), None).with_seed(29);
-        group.run_with(&DensityEngine, &ds, &scaled).unwrap();
+        run_with(&group, &DensityEngine, &ds, &scaled);
         assert_eq!(group.readout_form_builds(), 2 * levels.len());
         // Clones start cold, like the encoder cache.
         let fresh = group.clone();
         assert_eq!(fresh.readout_form_builds(), 0);
-        fresh.run_with(&DensityEngine, &ds, &config).unwrap();
+        run_with(&fresh, &DensityEngine, &ds, &config);
         assert_eq!(fresh.readout_form_builds(), levels.len());
         // The per-sample oracle fuses through its own cache.
-        fresh.run_with(&SampleDensityEngine, &ds, &config).unwrap();
+        run_with(&fresh, &SampleDensityEngine, &ds, &config);
         assert_eq!(fresh.noisy_superop_fusions(), levels.len());
         assert_eq!(fresh.readout_form_builds(), levels.len());
     }
@@ -2322,14 +2247,11 @@ mod tests {
         let ds = tiny_dataset();
         let config = noisy_config(qsim::NoiseModel::brisbane(), None).with_seed(31);
         let group = group_for(&config, &ds, 0);
-        let before = group.run_with(&DensityEngine, &ds, &config).unwrap();
+        let before = run_with(&group, &DensityEngine, &ds, &config);
         SWAP_FUNCTIONAL_CACHE.poison_for_test();
         // A cold clone rebuilds its readout forms, reading the functional
         // back through the poisoned cache.
-        let after = group
-            .clone()
-            .run_with(&DensityEngine, &ds, &config)
-            .unwrap();
+        let after = run_with(&group.clone(), &DensityEngine, &ds, &config);
         assert_eq!(before, after, "recovered cache must score identically");
     }
 
@@ -2375,18 +2297,12 @@ mod tests {
         let levels = config.effective_compression_levels();
         let group = group_for(&config, &ds, 1);
         assert_eq!(group.channel_program_fusions(), 0);
-        group
-            .run_with(&StructuredDensityEngine, &ds, &config)
-            .unwrap();
+        run_with(&group, &StructuredDensityEngine, &ds, &config);
         assert_eq!(group.channel_program_fusions(), levels.len());
-        group
-            .run_with(&StructuredDensityEngine, &ds, &config)
-            .unwrap();
+        run_with(&group, &StructuredDensityEngine, &ds, &config);
         assert_eq!(group.channel_program_fusions(), levels.len());
         let scaled = noisy_config(qsim::NoiseModel::brisbane().scaled(0.5), None).with_seed(29);
-        group
-            .run_with(&StructuredDensityEngine, &ds, &scaled)
-            .unwrap();
+        run_with(&group, &StructuredDensityEngine, &ds, &scaled);
         assert_eq!(group.channel_program_fusions(), 2 * levels.len());
         let fresh = group.clone();
         assert_eq!(fresh.channel_program_fusions(), 0);
@@ -2487,25 +2403,19 @@ mod tests {
         let config = QuorumConfig::default().with_seed(29);
         let group = group_for(&config, &ds, 1);
         assert_eq!(group.encoder_fusions(), 0);
-        group
-            .run_with(&BatchedAnalyticEngine, &ds, &config)
-            .unwrap();
+        run_with(&group, &BatchedAnalyticEngine, &ds, &config);
         assert_eq!(
             group.encoder_fusions(),
             1,
             "all compression levels must share one fused encoder"
         );
         // Further passes over the same group stay cached too.
-        group
-            .run_with(&BatchedAnalyticEngine, &ds, &config)
-            .unwrap();
+        run_with(&group, &BatchedAnalyticEngine, &ds, &config);
         assert_eq!(group.encoder_fusions(), 1);
         // A clone starts cold and fuses for itself exactly once.
         let fresh = group.clone();
         assert_eq!(fresh.encoder_fusions(), 0);
-        fresh
-            .run_with(&BatchedAnalyticEngine, &ds, &config)
-            .unwrap();
+        run_with(&fresh, &BatchedAnalyticEngine, &ds, &config);
         assert_eq!(fresh.encoder_fusions(), 1);
     }
 

@@ -13,7 +13,7 @@ use crate::config::QuorumConfig;
 use crate::engine::{self, ReadoutForm, ScoringEngine};
 use crate::error::QuorumError;
 use crate::features::FeatureSelection;
-use qdata::Dataset;
+use qdata::{Dataset, SamplePanel};
 use qmetrics::stats;
 use qsim::channel::ChannelProgram;
 use qsim::matrix::CMatrix;
@@ -365,42 +365,29 @@ impl EnsembleGroup {
         config: &QuorumConfig,
         reset_count: usize,
     ) -> Result<Vec<f64>, QuorumError> {
-        self.deviations_with(engine::resolve(config)?, normalized, config, reset_count)
+        engine::resolve(config)?.deviations(self, normalized, config, reset_count)
     }
 
-    /// Evaluates deviations with an explicitly chosen engine (equivalence
-    /// tests and the engine-comparison bench).
-    ///
-    /// # Errors
-    ///
-    /// Propagates embedding and simulation failures.
-    pub fn deviations_with(
-        &self,
-        engine: &dyn ScoringEngine,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        engine.deviations(self, normalized, config, reset_count)
-    }
-
-    /// Runs the full group: all compression levels, bucket statistics, and
-    /// absolute z-score accumulation. Returns this group's additive
-    /// contribution to every sample's anomaly score (Fig. 7).
+    /// Runs the full group over `panel` through the engine the
+    /// configuration selects (see [`EnsembleGroup::run_with`]).
     ///
     /// # Errors
     ///
     /// Propagates embedding and simulation failures.
     pub fn run(
         &self,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
     ) -> Result<Vec<f64>, QuorumError> {
-        self.run_with(engine::resolve(config)?, normalized, config)
+        self.run_with(engine::resolve(config)?, panel, config)
     }
 
-    /// Runs the full group with an explicitly chosen engine. The detector
-    /// resolves the engine once and passes it to every group.
+    /// Runs the full group with an explicitly chosen engine: all
+    /// compression levels, bucket statistics, and absolute z-score
+    /// accumulation. Returns this group's additive contribution to every
+    /// sample's anomaly score (Fig. 7). Callers resolve the engine and
+    /// flatten the normalised dataset once per pass, then share both
+    /// across every group.
     ///
     /// # Errors
     ///
@@ -408,15 +395,14 @@ impl EnsembleGroup {
     pub fn run_with(
         &self,
         engine: &dyn ScoringEngine,
-        normalized: &Dataset,
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
     ) -> Result<Vec<f64>, QuorumError> {
-        let n = normalized.num_samples();
-        let mut scores = vec![0.0; n];
+        let mut scores = vec![0.0; panel.num_samples()];
         // One engine call for the whole level sweep lets batched engines
         // amortise packing and the encoder product across levels.
         let levels = config.effective_compression_levels();
-        let per_level = engine.deviations_all_levels(self, normalized, config, &levels)?;
+        let per_level = engine.deviations_all_levels_panel(self, panel, config, &levels)?;
         let mut values = Vec::new();
         for deviations in &per_level {
             for bucket in &self.buckets {
@@ -465,6 +451,21 @@ mod tests {
             .with_seed(11)
     }
 
+    /// A full group pass over `ds` through `engine`.
+    fn run_with(
+        group: &EnsembleGroup,
+        engine: &dyn ScoringEngine,
+        ds: &Dataset,
+        cfg: &QuorumConfig,
+    ) -> Vec<f64> {
+        engine::with_panel(ds, |panel| group.run_with(engine, panel, cfg)).unwrap()
+    }
+
+    /// A full group pass over `ds` through the configured engine.
+    fn run(group: &EnsembleGroup, ds: &Dataset, cfg: &QuorumConfig) -> Vec<f64> {
+        engine::with_panel(ds, |panel| group.run(panel, cfg)).unwrap()
+    }
+
     #[test]
     fn generation_is_deterministic_per_index() {
         let ds = tiny_dataset();
@@ -498,7 +499,7 @@ mod tests {
         let cfg = config();
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
         let group = EnsembleGroup::generate(1, &cfg, ds.num_features(), &plan);
-        let scores = group.run(&ds, &cfg).unwrap();
+        let scores = run(&group, &ds, &cfg);
         assert_eq!(scores.len(), ds.num_samples());
         for &s in &scores {
             assert!(s.is_finite() && s >= 0.0);
@@ -562,8 +563,8 @@ mod tests {
         );
         assert_eq!(rebuilt.index(), generated.index());
         assert_eq!(rebuilt.encoder_fusions(), 0);
-        let a = generated.run(&ds, &cfg).unwrap();
-        let b = rebuilt.run(&ds, &cfg).unwrap();
+        let a = run(&generated, &ds, &cfg);
+        let b = run(&rebuilt, &ds, &cfg);
         assert_eq!(a, b, "a reassembled group must score bit-identically");
     }
 
@@ -601,15 +602,11 @@ mod tests {
         });
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
         let group = EnsembleGroup::generate(1, &cfg, ds.num_features(), &plan);
-        let before_dense = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
-        let before_structured = group
-            .run_with(&engine::StructuredDensityEngine, &ds, &cfg)
-            .unwrap();
+        let before_dense = run_with(&group, &engine::DensityEngine, &ds, &cfg);
+        let before_structured = run_with(&group, &engine::StructuredDensityEngine, &ds, &cfg);
         group.poison_derived_caches();
-        let after_dense = group.run_with(&engine::DensityEngine, &ds, &cfg).unwrap();
-        let after_structured = group
-            .run_with(&engine::StructuredDensityEngine, &ds, &cfg)
-            .unwrap();
+        let after_dense = run_with(&group, &engine::DensityEngine, &ds, &cfg);
+        let after_structured = run_with(&group, &engine::StructuredDensityEngine, &ds, &cfg);
         assert_eq!(before_dense, after_dense);
         assert_eq!(before_structured, after_structured);
         // The pre-poison entries survived: no rebuild was needed, and

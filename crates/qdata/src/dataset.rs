@@ -154,17 +154,6 @@ impl<'a> SamplePanel<'a> {
     pub fn as_slice(&self) -> &'a [f64] {
         self.data
     }
-
-    /// Copies the view into an owned [`Dataset`] — the compatibility
-    /// bridge for engines without a native panel path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError`] for empty panels or non-finite values, same
-    /// as [`Dataset::from_rows`].
-    pub fn to_dataset(&self, name: &str) -> Result<Dataset, DataError> {
-        Dataset::from_rows(name, self.rows().map(<[f64]>::to_vec).collect(), None)
-    }
 }
 
 impl Dataset {

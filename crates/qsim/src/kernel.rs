@@ -236,7 +236,9 @@ pub fn mul_panel_into(
         let out = &mut panel[i * width..(i + TILE_ROWS) * width];
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd_active() {
-            // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
+            // SAFETY: `simd_active` verified AVX2 + FMA at runtime; both
+            // slices are cut to the tile shape above and `repack_panel`
+            // sized `scratch` to `a_cols × width` for this panel.
             unsafe {
                 tile_rows_avx2(a_rows_slice, a_cols, width, scratch, out);
             }
@@ -533,6 +535,14 @@ fn single_row_body(
 /// [`tile_rows_soa`] with 256-bit fused multiply–adds. Rounding differs
 /// from the oracle only by FMA's skipped intermediate round; property
 /// tests pin the gap to ≤ 1e-12.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 and FMA support at runtime. The
+/// body indexes unchecked, so the operands must have the tile shape:
+/// `a_rows.len() >= TILE_ROWS * a_cols`, `out.len() >= TILE_ROWS * width`,
+/// and `scratch` must hold this panel's repacked `a_cols × width` planes
+/// (`b_re` and `b_im` at least `a_cols * width` long).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn tile_rows_avx2(

@@ -17,8 +17,10 @@
 //! * [`noise`] — depolarizing/relaxation/readout noise; the Brisbane-like
 //!   preset from the paper's experimental setup.
 //! * [`stateprep`] — Möttönen amplitude encoding (the paper's §IV-B).
-//! * [`transpile`] — lowering to hardware basis gates so noise is charged
-//!   per physical gate.
+//! * [`transpile`] — [`transpile::decompose_multiqubit`], which lowers
+//!   CSWAP/CCX and the other multi-qubit gates to `{CX, 1-qubit}` so the
+//!   noise path charges noise per lowered gate (there is no native-basis
+//!   lowering).
 //! * [`simulator`] — [`simulator::Backend`] implementations: exact
 //!   branching statevector and density matrix.
 //! * [`parallel`] — batch execution across threads ("embarrassingly
@@ -50,15 +52,12 @@ pub mod channel;
 pub mod circuit;
 pub mod complex;
 pub mod density;
-pub mod draw;
 pub mod error;
 pub mod gate;
 pub mod kernel;
 pub mod matrix;
 pub mod noise;
 pub mod parallel;
-pub mod pauli;
-pub mod qasm;
 pub mod sampling;
 pub mod simulator;
 pub mod stateprep;

@@ -22,6 +22,7 @@ use crate::error::QsimError;
 use crate::simulator::{Backend, OutcomeDistribution};
 use std::any::Any;
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -356,7 +357,7 @@ where
     }
     let mut results: Vec<Option<T>> = (0..num_items).map(|_| None).collect();
     let next = AtomicUsize::new(0);
-    let cell = MapCell(&mut results);
+    let cell = MapCell::new(&mut results);
 
     // One participant's share of the job: fresh scratch, then drain the
     // claim counter. Identical for pool workers, scoped threads, and the
@@ -394,17 +395,51 @@ where
         .collect()
 }
 
-struct MapCell<'a, T>(&'a mut [Option<T>]);
+/// The result slots of one [`map_indexed_with`] call, shared by every
+/// participant. Each participant writes only the indices it claims off
+/// the call's `fetch_add` counter. The cell holds the slice's mutable
+/// borrow for its whole life, so nothing reads the slots until every
+/// participant is done with it.
+struct MapCell<'a, T> {
+    slots: *mut Option<T>,
+    len: usize,
+    _borrow: PhantomData<&'a mut [Option<T>]>,
+}
 
+// SAFETY: `slots` and `len` are never changed after construction, and
+// the only access through `slots` is `set`'s write. Sharing the cell is
+// sound because of the claim-once invariant: every index comes off one
+// atomic `fetch_add` counter, so each slot is written by exactly one
+// participant and no two threads ever touch the same slot. `T: Send`
+// because each value is produced on a participant thread and read, or
+// dropped, on the caller's.
 unsafe impl<T: Send> Sync for MapCell<'_, T> {}
 
-impl<T> MapCell<'_, T> {
-    fn set(&self, idx: usize, value: T) {
-        // SAFETY: disjoint indices via fetch_add; buffer outlives the scope.
-        unsafe {
-            let slot = self.0.as_ptr().add(idx) as *mut Option<T>;
-            *slot = Some(value);
+impl<'a, T> MapCell<'a, T> {
+    fn new(slots: &'a mut [Option<T>]) -> Self {
+        MapCell {
+            slots: slots.as_mut_ptr(),
+            len: slots.len(),
+            _borrow: PhantomData,
         }
+    }
+
+    /// Stores `value` in slot `idx`, which the caller claimed off the
+    /// shared counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    fn set(&self, idx: usize, value: T) {
+        assert!(
+            idx < self.len,
+            "slot {idx} out of range for {} items",
+            self.len
+        );
+        // SAFETY: `idx` is in bounds (checked above) and was claimed once,
+        // so this thread is the slot's only writer; the pointer comes from
+        // the `&mut` slice the cell borrows for its whole life.
+        unsafe { *self.slots.add(idx) = Some(value) };
     }
 }
 
@@ -543,6 +578,35 @@ mod tests {
         // And the global pool still serves the next call.
         let out = map_indexed(16, 4, |i| i * 2);
         assert_eq!(out[8], 16);
+    }
+
+    #[test]
+    fn map_indexed_with_claims_every_index_exactly_once() {
+        // The claim-once invariant `MapCell::set` rests on: with more
+        // items than workers, every index runs exactly once and its
+        // result lands in its own slot, in index order.
+        const ITEMS: usize = 101;
+        for threads in [2usize, 3, 8] {
+            let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+            let out = map_indexed_with(
+                ITEMS,
+                threads,
+                || (),
+                |(), idx| {
+                    runs[idx].fetch_add(1, Ordering::Relaxed);
+                    vec![idx; 3]
+                },
+            );
+            assert_eq!(out.len(), ITEMS);
+            for (idx, (value, count)) in out.iter().zip(&runs).enumerate() {
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    1,
+                    "threads {threads} index {idx}"
+                );
+                assert_eq!(value, &vec![idx; 3], "threads {threads}");
+            }
+        }
     }
 
     #[test]

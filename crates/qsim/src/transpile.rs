@@ -1,22 +1,17 @@
-//! Circuit lowering passes.
+//! Circuit lowering for the noise path.
 //!
-//! Real hardware executes a small native gate set; error accumulates per
-//! *physical* gate. To make the noisy simulation faithful, circuits are
-//! lowered before noise is applied:
+//! Error accumulates per *physical* gate, so the noisy engines and the
+//! density-matrix backend charge noise on a lowered circuit:
+//! [`decompose_multiqubit`] rewrites CSWAP/CCX/SWAP/CZ/CRZ/CPhase into
+//! `{CX, 1-qubit}` gates and leaves every other instruction as it is.
+//! Each 1-qubit gate is then charged as one physical gate; there is no
+//! further lowering to a hardware-native basis.
 //!
-//! 1. [`decompose_multiqubit`] — CSWAP/CCX/SWAP/CZ/CRZ/CPhase into
-//!    `{CX, 1-qubit}` gates,
-//! 2. [`lower_1q_to_basis`] — every single-qubit gate into the IBM native
-//!    set `{RZ, SX, X}` via ZYZ Euler angles and the ZSXZSXZ identity,
-//! 3. [`cancel_adjacent_inverses`] — a peephole cleanup pass.
-//!
-//! All passes preserve the circuit's unitary action up to global phase
+//! The pass preserves the circuit's unitary action up to global phase
 //! (verified by property tests).
 
 use crate::circuit::{Circuit, Instruction, Operation};
-use crate::complex::C64;
 use crate::gate::Gate;
-use std::f64::consts::PI;
 
 /// Decomposes every gate acting on 3 qubits, plus SWAP/CZ/CRZ/CPhase, into
 /// CX and single-qubit gates. The output contains only 1-qubit gates, CX,
@@ -88,221 +83,10 @@ fn emit_toffoli(out: &mut Circuit, a: usize, b: usize, c: usize) {
         .cx(a, b);
 }
 
-/// Extracts ZYZ Euler angles `(θ, φ, λ)` such that the gate equals
-/// `U(θ, φ, λ)` up to global phase.
-fn zyz_angles(m: &[[C64; 2]; 2]) -> (f64, f64, f64) {
-    let a00 = m[0][0].abs();
-    let a10 = m[1][0].abs();
-    let theta = 2.0 * a10.atan2(a00);
-    const EPS: f64 = 1e-12;
-    if a10 <= EPS {
-        // Diagonal: U = diag(u00, u11) ≅ RZ(arg(u11) − arg(u00)).
-        let lam = m[1][1].arg() - m[0][0].arg();
-        (0.0, 0.0, lam)
-    } else if a00 <= EPS {
-        // Anti-diagonal: U ≅ [[0, −e^{iλ}], [e^{iφ}, 0]] with λ = 0.
-        let phi = m[1][0].arg() - (-m[0][1]).arg();
-        (PI, phi, 0.0)
-    } else {
-        let phi = m[1][0].arg() - m[0][0].arg();
-        let lam = (-m[0][1]).arg() - m[0][0].arg();
-        (theta, phi, lam)
-    }
-}
-
-/// Lowers every single-qubit gate to the IBM native basis `{RZ, SX, X}`
-/// using `U(θ,φ,λ) ≅ RZ(φ+π)·SX·RZ(θ+π)·SX·RZ(λ)`. Multi-qubit gates other
-/// than CX are passed through unchanged — run [`decompose_multiqubit`]
-/// first.
-pub fn lower_1q_to_basis(circ: &Circuit) -> Circuit {
-    let mut out = Circuit::with_clbits(circ.num_qubits(), circ.num_clbits());
-    for instr in circ.instructions() {
-        match &instr.op {
-            Operation::Gate(g) if g.num_qubits() == 1 => {
-                let q = instr.qubits[0];
-                match g {
-                    Gate::I => {}
-                    Gate::X => {
-                        out.x(q);
-                    }
-                    Gate::SX => {
-                        out.sx(q);
-                    }
-                    Gate::RZ(t) => {
-                        out.rz(*t, q);
-                    }
-                    // Phase-like gates are RZ up to global phase.
-                    Gate::Z => {
-                        out.rz(PI, q);
-                    }
-                    Gate::S => {
-                        out.rz(PI / 2.0, q);
-                    }
-                    Gate::Sdg => {
-                        out.rz(-PI / 2.0, q);
-                    }
-                    Gate::T => {
-                        out.rz(PI / 4.0, q);
-                    }
-                    Gate::Tdg => {
-                        out.rz(-PI / 4.0, q);
-                    }
-                    Gate::Phase(t) => {
-                        out.rz(*t, q);
-                    }
-                    g => {
-                        let (theta, phi, lam) = zyz_angles(&g.matrix_1q());
-                        emit_zsx(&mut out, q, theta, phi, lam);
-                    }
-                }
-            }
-            _ => {
-                out.push(instr.clone()).expect("same width");
-            }
-        }
-    }
-    out
-}
-
-/// Emits `U(θ,φ,λ)` in the ZSXZSXZ form, skipping degenerate stages.
-fn emit_zsx(out: &mut Circuit, q: usize, theta: f64, phi: f64, lam: f64) {
-    if norm_angle(theta) == 0.0 {
-        let total = norm_angle(phi + lam);
-        if total != 0.0 {
-            out.rz(total, q);
-        }
-        return;
-    }
-    maybe_rz(out, q, lam);
-    out.sx(q);
-    maybe_rz(out, q, theta + PI);
-    out.sx(q);
-    maybe_rz(out, q, phi + PI);
-}
-
-fn maybe_rz(out: &mut Circuit, q: usize, angle: f64) {
-    let a = norm_angle(angle);
-    if a != 0.0 {
-        out.rz(a, q);
-    }
-}
-
-/// Normalises an angle into `(−π, π]`, mapping values within 1e-12 of 0
-/// (mod 2π) to exactly 0.
-fn norm_angle(a: f64) -> f64 {
-    let two_pi = 2.0 * PI;
-    let mut x = a % two_pi;
-    if x > PI {
-        x -= two_pi;
-    } else if x <= -PI {
-        x += two_pi;
-    }
-    if x.abs() < 1e-12 {
-        0.0
-    } else {
-        x
-    }
-}
-
-/// Full lowering pipeline: multi-qubit decomposition, native 1-qubit basis,
-/// then peephole cleanup.
-pub fn to_native(circ: &Circuit) -> Circuit {
-    cancel_adjacent_inverses(&lower_1q_to_basis(&decompose_multiqubit(circ)))
-}
-
-/// Peephole pass: merges adjacent RZ rotations on the same qubit, removes
-/// zero-angle rotations, and cancels adjacent self-inverse gate pairs
-/// (X·X, H·H, CX·CX, SX·SX† pairs are not merged — only exact repeats of
-/// self-inverse gates). Resets, measures and barriers block cancellation
-/// across them.
-pub fn cancel_adjacent_inverses(circ: &Circuit) -> Circuit {
-    let mut pending: Vec<Instruction> = Vec::new();
-    for instr in circ.instructions() {
-        match &instr.op {
-            Operation::Gate(g) => {
-                // Try to merge/cancel against the most recent instruction
-                // touching exactly the same qubits with nothing in between
-                // on those qubits.
-                if let Some(prev_idx) = last_touching(&pending, &instr.qubits) {
-                    let prev = pending[prev_idx].clone();
-                    if prev.qubits == instr.qubits {
-                        if let Operation::Gate(pg) = prev.op {
-                            // Exact self-inverse pair cancels.
-                            if pg == *g && is_self_inverse(pg) {
-                                pending.remove(prev_idx);
-                                continue;
-                            }
-                            // Explicit inverse pair cancels.
-                            if pg.inverse() == *g && pg.angle().is_some() {
-                                pending.remove(prev_idx);
-                                continue;
-                            }
-                            // Adjacent RZ merge.
-                            if let (Gate::RZ(a), Gate::RZ(b)) = (pg, *g) {
-                                let merged = norm_angle(a + b);
-                                pending.remove(prev_idx);
-                                if merged != 0.0 {
-                                    pending.push(Instruction::gate(
-                                        Gate::RZ(merged),
-                                        instr.qubits.clone(),
-                                    ));
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                // Drop zero-angle rotations outright.
-                if let Some(a) = g.angle() {
-                    if norm_angle(a) == 0.0 && !matches!(g, Gate::CPhase(_) | Gate::CRZ(_)) {
-                        continue;
-                    }
-                }
-                pending.push(instr.clone());
-            }
-            _ => pending.push(instr.clone()),
-        }
-    }
-    let mut out = Circuit::with_clbits(circ.num_qubits(), circ.num_clbits());
-    for instr in pending {
-        out.push(instr).expect("same width");
-    }
-    out
-}
-
-/// Finds the index of the latest pending instruction whose qubit set
-/// intersects `qubits`, returning `None` when that instruction is a
-/// non-gate (which must not be cancelled across).
-fn last_touching(pending: &[Instruction], qubits: &[usize]) -> Option<usize> {
-    for (idx, instr) in pending.iter().enumerate().rev() {
-        if instr.qubits.iter().any(|q| qubits.contains(q)) {
-            return match instr.op {
-                Operation::Gate(_) => Some(idx),
-                _ => None,
-            };
-        }
-    }
-    None
-}
-
-fn is_self_inverse(g: Gate) -> bool {
-    matches!(
-        g,
-        Gate::H
-            | Gate::X
-            | Gate::Y
-            | Gate::Z
-            | Gate::CX
-            | Gate::CZ
-            | Gate::Swap
-            | Gate::CCX
-            | Gate::CSwap
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::C64;
     use crate::statevector::Statevector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -435,128 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn native_lowering_covers_every_1q_gate() {
-        let gates = vec![
-            Gate::H,
-            Gate::X,
-            Gate::Y,
-            Gate::Z,
-            Gate::S,
-            Gate::Sdg,
-            Gate::T,
-            Gate::Tdg,
-            Gate::SX,
-            Gate::SXdg,
-            Gate::RX(0.73),
-            Gate::RY(-2.11),
-            Gate::RZ(1.57),
-            Gate::Phase(0.4),
-            Gate::U(0.3, -0.9, 2.2),
-        ];
-        for g in gates {
-            let mut ideal = Circuit::new(1);
-            ideal.push(Instruction::gate(g, vec![0])).unwrap();
-            let lowered = lower_1q_to_basis(&ideal);
-            for instr in lowered.instructions() {
-                if let Operation::Gate(lg) = &instr.op {
-                    assert!(
-                        matches!(lg, Gate::RZ(_) | Gate::SX | Gate::X),
-                        "gate {lg} is not native (lowering {g})"
-                    );
-                }
-            }
-            assert_equivalent_up_to_phase(&ideal, &lowered, 1);
-        }
-    }
-
-    #[test]
-    fn full_native_pipeline_preserves_a_deep_circuit() {
-        let mut ideal = Circuit::new(3);
-        ideal
-            .h(0)
-            .rx(0.4, 1)
-            .cswap(0, 1, 2)
-            .crz(1.3, 2, 0)
-            .ccx(1, 2, 0)
-            .ry(0.2, 2)
-            .swap(0, 2)
-            .cp(0.6, 1, 2);
-        let native = to_native(&ideal);
-        for instr in native.instructions() {
-            if let Operation::Gate(g) = &instr.op {
-                assert!(matches!(g, Gate::RZ(_) | Gate::SX | Gate::X | Gate::CX));
-            }
-        }
-        assert_equivalent_up_to_phase(&ideal, &native, 3);
-    }
-
-    #[test]
-    fn peephole_cancels_self_inverse_pairs() {
-        let mut circ = Circuit::new(2);
-        circ.h(0).h(0).cx(0, 1).cx(0, 1).x(1).x(1);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert!(cleaned.is_empty(), "got {cleaned}");
-    }
-
-    #[test]
-    fn peephole_merges_rz_chains() {
-        let mut circ = Circuit::new(1);
-        circ.rz(0.3, 0).rz(0.4, 0).rz(-0.7, 0);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert!(cleaned.is_empty(), "got {cleaned}");
-        let mut circ2 = Circuit::new(1);
-        circ2.rz(0.3, 0).rz(0.4, 0);
-        let cleaned2 = cancel_adjacent_inverses(&circ2);
-        assert_eq!(cleaned2.len(), 1);
-    }
-
-    #[test]
-    fn peephole_cancels_inverse_rotations() {
-        let mut circ = Circuit::new(1);
-        circ.rx(0.5, 0).rx(-0.5, 0).ry(1.0, 0);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert_eq!(cleaned.len(), 1);
-    }
-
-    #[test]
-    fn peephole_respects_interleaved_qubits() {
-        // h(0), cx(0,1), h(0): the two H's must NOT cancel (CX between).
-        let mut circ = Circuit::new(2);
-        circ.h(0).cx(0, 1).h(0);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert_eq!(cleaned.len(), 3);
-    }
-
-    #[test]
-    fn peephole_does_not_cancel_across_reset() {
-        let mut circ = Circuit::new(1);
-        circ.h(0).reset(0).h(0);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert_eq!(cleaned.len(), 3);
-    }
-
-    #[test]
-    fn zero_angle_rotations_are_dropped() {
-        let mut circ = Circuit::new(1);
-        circ.rx(0.0, 0).rz(2.0 * PI, 0).ry(0.0, 0);
-        let cleaned = cancel_adjacent_inverses(&circ);
-        assert!(cleaned.is_empty());
-    }
-
-    #[test]
     fn measures_and_resets_survive_lowering() {
-        let mut circ = Circuit::with_clbits(2, 1);
-        circ.h(0).reset(1).measure(0, 0);
-        let native = to_native(&circ);
-        assert!(native.has_nonunitary_ops());
-        assert_eq!(native.measured_clbits(), vec![0]);
-    }
-
-    #[test]
-    fn norm_angle_wraps() {
-        assert_eq!(norm_angle(2.0 * PI), 0.0);
-        assert!((norm_angle(3.0 * PI) - PI).abs() < 1e-12);
-        assert!((norm_angle(-3.0 * PI) - PI).abs() < 1e-12);
-        assert!((norm_angle(0.5) - 0.5).abs() < 1e-15);
+        let mut circ = Circuit::with_clbits(3, 1);
+        circ.h(0).reset(1).cswap(0, 1, 2).measure(0, 0);
+        let lowered = decompose_multiqubit(&circ);
+        assert!(lowered.has_nonunitary_ops());
+        assert_eq!(lowered.measured_clbits(), vec![0]);
     }
 }

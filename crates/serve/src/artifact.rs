@@ -313,13 +313,13 @@ fn encode_config(config: &QuorumConfig, w: &mut Writer) -> Result<(), ServeError
             )))
         }
     }
+    // Tags 2 and 5 named the per-sample oracle engines, which are no
+    // longer selectable; they stay retired rather than reused.
     let engine_tag = match config.engine {
         EngineKind::Auto => 0u8,
         EngineKind::Batched => 1,
-        EngineKind::Analytic => 2,
         EngineKind::Density => 3,
         EngineKind::DensityStructured => 4,
-        EngineKind::DensitySample => 5,
         EngineKind::Circuit => 6,
         other => {
             return Err(ServeError::Artifact(format!(
@@ -371,10 +371,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<QuorumConfig, ServeError> {
     let engine = match r.u8()? {
         0 => EngineKind::Auto,
         1 => EngineKind::Batched,
-        2 => EngineKind::Analytic,
         3 => EngineKind::Density,
         4 => EngineKind::DensityStructured,
-        5 => EngineKind::DensitySample,
         6 => EngineKind::Circuit,
         tag => return Err(ServeError::Artifact(format!("unknown engine tag {tag}"))),
     };
@@ -572,6 +570,47 @@ mod tests {
         // Truncation is a length mismatch, not a panic.
         assert!(FrozenArtifact::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(FrozenArtifact::from_bytes(&[]).is_err());
+    }
+
+    /// The encoded config of `sample_artifact` under `engine`.
+    fn encoded_config(engine: EngineKind) -> Vec<u8> {
+        let config = sample_artifact().config.with_engine(engine);
+        let mut w = Writer::new();
+        encode_config(&config, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn engine_tags_are_pinned() {
+        let kept = [
+            (EngineKind::Auto, 0u8),
+            (EngineKind::Batched, 1),
+            (EngineKind::Density, 3),
+            (EngineKind::DensityStructured, 4),
+            (EngineKind::Circuit, 6),
+        ];
+        // The engine tag is the one byte where two encodings differ.
+        let auto = encoded_config(EngineKind::Auto);
+        let circuit = encoded_config(EngineKind::Circuit);
+        let at = (0..auto.len()).find(|&i| auto[i] != circuit[i]).unwrap();
+        for (kind, tag) in kept {
+            let bytes = encoded_config(kind);
+            assert_eq!(bytes[at], tag, "{kind:?}");
+            let decoded = decode_config(&mut Reader::new(&bytes)).unwrap();
+            assert_eq!(decoded, sample_artifact().config.with_engine(kind));
+        }
+        // The retired per-sample oracle tags and the first unused tag
+        // are typed errors that name the tag.
+        for tag in [2u8, 5, 7] {
+            let mut bytes = auto.clone();
+            bytes[at] = tag;
+            match decode_config(&mut Reader::new(&bytes)) {
+                Err(ServeError::Artifact(msg)) => {
+                    assert!(msg.contains(&format!("engine tag {tag}")), "{msg}")
+                }
+                other => panic!("tag {tag} decoded to {other:?}"),
+            }
+        }
     }
 
     #[test]

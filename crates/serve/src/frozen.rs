@@ -80,14 +80,14 @@ pub struct FrozenDetector {
     reference_samples: usize,
     groups: Vec<EnsembleGroup>,
     stats: Vec<Vec<LevelStats>>,
-    /// The engine for full-config scoring (freeze statistics and
-    /// [`FrozenDetector::score_dataset`]).
+    /// The configured engine. Stripping shots never changes what
+    /// [`engine::resolve`] returns, so the streaming path scores through
+    /// it too.
     engine: &'static dyn ScoringEngine,
     /// The same configuration with shot sampling stripped — the
     /// streaming path scores exactly, then re-applies the binomial draw
     /// per sample under its request-assigned id.
     exact_config: QuorumConfig,
-    stream_engine: &'static dyn ScoringEngine,
     stream_shots: Option<u64>,
     /// Caught group-job panics, see [`FrozenDetector::group_panics`].
     group_panics: AtomicU64,
@@ -100,7 +100,6 @@ impl std::fmt::Debug for FrozenDetector {
             .field("reference_samples", &self.reference_samples)
             .field("groups", &self.groups.len())
             .field("engine", &self.engine.name())
-            .field("stream_engine", &self.stream_engine.name())
             .field("stream_shots", &self.stream_shots)
             .field("group_panics", &self.group_panics())
             .finish_non_exhaustive()
@@ -139,14 +138,13 @@ impl FrozenDetector {
         let levels = config.effective_compression_levels();
         let threads = config.effective_threads();
         let config_ref = &config;
-        let normalized_ref = &normalized;
         let levels_ref = &levels;
-        let results: Vec<Result<(EnsembleGroup, Vec<LevelStats>), QuorumError>> =
-            map_indexed(config.ensemble_groups, threads, move |g| {
-                let group =
-                    EnsembleGroup::generate(g, config_ref, normalized_ref.num_features(), &plan);
+        // Flatten once; every group scores the same borrowed panel.
+        let results = engine::with_panel(&normalized, |panel| {
+            Ok(map_indexed(config.ensemble_groups, threads, move |g| {
+                let group = EnsembleGroup::generate(g, config_ref, panel.num_features(), &plan);
                 let per_level =
-                    engine.deviations_all_levels(&group, normalized_ref, config_ref, levels_ref)?;
+                    engine.deviations_all_levels_panel(&group, panel, config_ref, levels_ref)?;
                 let group_stats = per_level
                     .iter()
                     .map(|devs| LevelStats {
@@ -157,8 +155,9 @@ impl FrozenDetector {
                 // Fuse now so the frozen artifact carries the encoder and
                 // a thawed server never pays the fusion at request time.
                 group.fused_encoder()?;
-                Ok((group, group_stats))
-            });
+                Ok::<_, QuorumError>((group, group_stats))
+            }))
+        })?;
         let mut groups = Vec::with_capacity(results.len());
         let mut frozen_stats = Vec::with_capacity(results.len());
         for result in results {
@@ -333,18 +332,19 @@ impl FrozenDetector {
         }
         let normalized = self.normalizer.apply(&data.strip_labels());
         let threads = self.config.effective_threads();
-        let normalized_ref = &normalized;
-        let partials: Vec<Result<Vec<f64>, QuorumError>> =
-            map_indexed(self.groups.len(), threads, move |g| {
-                self.groups[g].run_with(self.engine, normalized_ref, &self.config)
+        // Flatten once; every group scores the same borrowed panel.
+        let totals = engine::with_panel(&normalized, |panel| {
+            let partials = map_indexed(self.groups.len(), threads, |g| {
+                self.groups[g].run_with(self.engine, panel, &self.config)
             });
-        let mut totals = vec![0.0; normalized.num_samples()];
-        for partial in partials {
-            let partial = partial?;
-            for (t, p) in totals.iter_mut().zip(partial) {
-                *t += p;
+            let mut totals = vec![0.0; panel.num_samples()];
+            for partial in partials {
+                for (t, p) in totals.iter_mut().zip(partial?) {
+                    *t += p;
+                }
             }
-        }
+            Ok(totals)
+        })?;
         Ok(ScoreReport::new(
             data.name(),
             totals,
@@ -553,12 +553,9 @@ impl FrozenDetector {
             _ => {}
         }
         let group = &self.groups[g];
-        let per_level = self.stream_engine.deviations_all_levels_panel(
-            group,
-            panel,
-            &self.exact_config,
-            levels,
-        )?;
+        let per_level =
+            self.engine
+                .deviations_all_levels_panel(group, panel, &self.exact_config, levels)?;
         let mut out = vec![0.0; panel.num_samples()];
         for ((deviations, &level), level_stats) in per_level.iter().zip(levels).zip(&self.stats[g])
         {
@@ -577,9 +574,9 @@ impl FrozenDetector {
         Ok(out)
     }
 
-    /// Shared tail of freeze and thaw: derives the shot-stripped
-    /// streaming configuration, resolves both engines and pre-warms the
-    /// noisy caches.
+    /// Shared tail of freeze and thaw: resolves the engine, derives the
+    /// shot-stripped streaming configuration and pre-warms the noisy
+    /// caches.
     fn assemble(
         config: QuorumConfig,
         normalizer: FrozenNormalizer,
@@ -606,7 +603,6 @@ impl FrozenDetector {
             }
         };
         let exact_config = config.clone().with_execution(stripped_execution);
-        let stream_engine = engine::resolve(&exact_config)?;
         let detector = FrozenDetector {
             config,
             normalizer,
@@ -616,7 +612,6 @@ impl FrozenDetector {
             stats,
             engine,
             exact_config,
-            stream_engine,
             stream_shots,
             group_panics: AtomicU64::new(0),
         };
@@ -645,7 +640,6 @@ impl FrozenDetector {
                 let level = levels[i % levels.len()];
                 match kind {
                     EngineKind::Density => group.readout_form(noise, level).map(drop),
-                    EngineKind::DensitySample => group.fused_noisy_superop(noise, level).map(drop),
                     EngineKind::DensityStructured => group.channel_program(noise, level).map(drop),
                     _ => Ok(()),
                 }

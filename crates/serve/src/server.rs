@@ -31,13 +31,16 @@
 //!
 //! Error semantics: a *well-framed* bad request (wrong feature width,
 //! unscorable values) is answered with an error frame and the connection
-//! stays usable for the next request. A frame that cannot be trusted —
-//! a declared feature count over [`MAX_REQUEST_FEATURES`] — is answered
-//! with an error frame and then the connection is **closed**: the
-//! declared length is the only framing information the protocol carries,
-//! so once it is implausible the stream can never be resynchronised and
-//! draining it would mean reading up to 32 GiB of attacker-controlled
-//! payload.
+//! stays usable for the next request. The width is checked against the
+//! header before any payload is buffered: a wrong-width payload is
+//! drained through a fixed-size buffer, so only a request of the
+//! detector's own width is ever buffered. A frame that cannot be
+//! trusted — a declared feature count over [`MAX_REQUEST_FEATURES`] —
+//! is answered with an error frame and then the connection is
+//! **closed**: the declared length is the only framing information the
+//! protocol carries, so once it is implausible the stream can never be
+//! resynchronised and draining it would mean reading up to 32 GiB of
+//! attacker-controlled payload.
 //!
 //! Each connection gets its own handler thread; every handler submits
 //! through the shared [`BatchScorer`], so samples arriving concurrently
@@ -352,7 +355,9 @@ fn accept_loop(
 /// One connection's request loop: read frames until EOF or a transport
 /// error, answering each with a score or a typed error message.
 /// Well-framed protocol errors (wrong width, unscorable rows) are
-/// answered and keep the connection usable; transport errors end the
+/// answered and keep the connection usable; a wrong-width payload is
+/// drained through a fixed-size buffer before the answer, never read
+/// into a buffer sized by the declared count. Transport errors end the
 /// loop. A [`HEALTH_PROBE`] sentinel is answered with a status-3 health
 /// frame. An implausible declared feature count (over
 /// [`MAX_REQUEST_FEATURES`]) is answered with an error frame and then
@@ -392,6 +397,19 @@ fn handle_connection(
                 &mut frame,
             );
             return;
+        }
+        let width = handle.num_features();
+        if n as usize != width {
+            let declared = u64::from(n) * 8;
+            match std::io::copy(&mut (&mut stream).take(declared), &mut std::io::sink()) {
+                Ok(drained) if drained == declared => {}
+                _ => return,
+            }
+            let err = ServeError::Request(format!("expected {width} features, got {n}"));
+            if write_error(&mut stream, &err.to_string(), &mut frame).is_err() {
+                return;
+            }
+            continue;
         }
         payload.clear();
         payload.resize(n as usize * 8, 0);

@@ -77,11 +77,7 @@ fn round_trip_is_bit_identical_exact_default_engine() {
 
 #[test]
 fn round_trip_is_bit_identical_exact_across_engines() {
-    for engine in [
-        EngineKind::Analytic,
-        EngineKind::Batched,
-        EngineKind::Circuit,
-    ] {
+    for engine in [EngineKind::Batched, EngineKind::Circuit] {
         assert_round_trip_bit_identical(base_config().with_engine(engine));
     }
 }
@@ -96,11 +92,7 @@ fn round_trip_is_bit_identical_sampled() {
 #[test]
 fn round_trip_is_bit_identical_noisy_across_engines() {
     let noise = NoiseModel::brisbane();
-    for engine in [
-        EngineKind::Density,
-        EngineKind::DensityStructured,
-        EngineKind::DensitySample,
-    ] {
+    for engine in [EngineKind::Density, EngineKind::DensityStructured] {
         assert_round_trip_bit_identical(base_config().with_engine(engine).with_execution(
             ExecutionMode::Noisy {
                 noise: noise.clone(),
@@ -218,13 +210,13 @@ fn coalescing_is_invariant_noisy_with_shots() {
 
 /// Exhaustive variant for CI's `--ignored` pass: more threads than
 /// groups (some participants idle, scores unchanged), plus the
-/// per-sample analytic engine and the structured noisy engine.
+/// paper-literal circuit engine and the structured noisy engine.
 #[test]
 #[ignore = "exhaustive; run explicitly or in CI's --ignored pass"]
 fn coalescing_is_invariant_exhaustive() {
     let all = [1, 2, 3, GROUPS, GROUPS + 3];
     assert_coalescing_invariant(base_config(), &all);
-    assert_coalescing_invariant(base_config().with_engine(EngineKind::Analytic), &all);
+    assert_coalescing_invariant(base_config().with_engine(EngineKind::Circuit), &all);
     assert_coalescing_invariant(
         base_config().with_execution(ExecutionMode::Sampled { shots: 64 }),
         &all,

@@ -1,5 +1,6 @@
-//! Choosing a scoring engine: `Auto` (default), forced `Batched`,
-//! `Analytic`, `Density`, or `Circuit` — and what each buys you.
+//! Choosing a scoring engine: `Auto` (default), or one of the four forced
+//! kinds `Batched`, `Density`, `DensityStructured` and `Circuit` — and
+//! what each buys you.
 //!
 //! ```text
 //! cargo run --release --example engine_selection
@@ -37,11 +38,7 @@ fn main() {
 
     // The same pipeline through each engine: identical scores, very
     // different wall time.
-    for kind in [
-        EngineKind::Batched,
-        EngineKind::Analytic,
-        EngineKind::Circuit,
-    ] {
+    for kind in [EngineKind::Batched, EngineKind::Circuit] {
         let detector = QuorumDetector::new(base.clone().with_engine(kind)).unwrap();
         let start = Instant::now();
         let report = detector.score(&data).unwrap();
@@ -75,15 +72,16 @@ fn main() {
         start.elapsed()
     );
 
-    // Forcing the analytic engine under noise is rejected up front.
+    // Forcing the pure-state batched engine under noise is rejected up
+    // front.
     let invalid = base
-        .with_engine(EngineKind::Analytic)
+        .with_engine(EngineKind::Batched)
         .with_execution(ExecutionMode::Noisy {
             noise: NoiseModel::brisbane(),
             shots: None,
         });
     match QuorumDetector::new(invalid) {
-        Err(e) => println!("Analytic + Noisy is rejected: {e}"),
+        Err(e) => println!("Batched + Noisy is rejected: {e}"),
         Ok(_) => unreachable!("validation must reject this combination"),
     }
 }

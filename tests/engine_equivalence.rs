@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use quorum::core::bucket::BucketPlan;
 use quorum::core::engine::{
-    resolve, AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, ScoringEngine,
+    resolve, AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, SampleDensityEngine,
+    ScoringEngine,
 };
 use quorum::core::ensemble::EnsembleGroup;
 use quorum::core::{EngineKind, ExecutionMode, QuorumConfig, QuorumDetector};
@@ -113,9 +114,9 @@ fn full_detector_scores_agree_between_engines() {
         .with_ensemble_groups(6)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(23);
-    let analytic = QuorumDetector::new(base.clone().with_engine(EngineKind::Analytic))
+    let analytic = QuorumDetector::new(base.clone())
         .unwrap()
-        .score(&ds)
+        .score_with(&AnalyticEngine, &ds)
         .unwrap();
     let circuit = QuorumDetector::new(base.with_engine(EngineKind::Circuit))
         .unwrap()
@@ -136,17 +137,16 @@ fn analytic_path_is_thread_count_invariant() {
     let ds = Dataset::from_rows("threads-eq", rows, None).unwrap();
 
     let config = QuorumConfig::default()
-        .with_engine(EngineKind::Analytic)
         .with_ensemble_groups(8)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(11);
     let single = QuorumDetector::new(config.clone().with_threads(1))
         .unwrap()
-        .score(&ds)
+        .score_with(&AnalyticEngine, &ds)
         .unwrap();
     let multi = QuorumDetector::new(config.with_threads(4))
         .unwrap()
-        .score(&ds)
+        .score_with(&AnalyticEngine, &ds)
         .unwrap();
     assert_eq!(single.scores(), multi.scores());
 }
@@ -175,9 +175,9 @@ fn auto_engine_selection_matches_forced_batched() {
     assert_eq!(auto.scores(), forced.scores());
     // The per-sample analytic oracle lands on the same scores too (the
     // batched path preserves its per-sample summation order).
-    let per_sample = QuorumDetector::new(base.with_engine(EngineKind::Analytic))
+    let per_sample = QuorumDetector::new(base)
         .unwrap()
-        .score(&ds)
+        .score_with(&AnalyticEngine, &ds)
         .unwrap();
     for (a, b) in per_sample.scores().iter().zip(auto.scores()) {
         assert!((a - b).abs() < 1e-9, "per-sample {a} vs batched {b}");
@@ -217,9 +217,9 @@ fn batched_sampled_scores_bit_identical_across_runs_and_threads() {
         }
     }
     // And the per-sample analytic engine draws the very same samples.
-    let per_sample = QuorumDetector::new(base.with_engine(EngineKind::Analytic).with_threads(2))
+    let per_sample = QuorumDetector::new(base.with_threads(2))
         .unwrap()
-        .score(&ds)
+        .score_with(&AnalyticEngine, &ds)
         .unwrap();
     assert_eq!(reference.scores(), per_sample.scores());
 }
@@ -275,11 +275,10 @@ fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
     .score(&ds)
     .unwrap();
     assert_eq!(reference.scores(), forced.scores());
-    let per_sample =
-        QuorumDetector::new(base.with_engine(EngineKind::DensitySample).with_threads(2))
-            .unwrap()
-            .score(&ds)
-            .unwrap();
+    let per_sample = QuorumDetector::new(base.with_threads(2))
+        .unwrap()
+        .score_with(&SampleDensityEngine, &ds)
+        .unwrap();
     assert_eq!(reference.scores(), per_sample.scores());
 }
 
