@@ -19,7 +19,9 @@
 //! must be ≥ 10× cheaper, since the dense one fuses a `16^n`
 //! superoperator per level — and tracks the structured engine alone at
 //! n = 6 (`structured_noisy_ns_per_sample`), a width the dense `16^n`
-//! path cannot practically reach. A serving column streams the flagship
+//! path cannot practically reach. A crossover column times both noisy
+//! engines at n = 3 and 4, where Noisy runs use the dense one, and
+//! records informational ratios. A serving column streams the flagship
 //! noisy workload through a frozen detector at coalescing batch sizes
 //! 1/8/32 and requires the per-sample cost to fall as panels grow — the
 //! win the cross-request batcher delivers to a long-lived server.
@@ -40,7 +42,7 @@ use quorum_core::engine::{
     ScoringEngine, StructuredDensityEngine,
 };
 use quorum_core::ensemble::EnsembleGroup;
-use quorum_core::{EngineKind, ExecutionMode, QuorumConfig, QuorumDetector};
+use quorum_core::{ExecutionMode, QuorumConfig, QuorumDetector};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -161,29 +163,26 @@ fn report_speedup(_c: &mut Criterion) {
     );
 }
 
-fn noisy_flagship_config(engine: EngineKind) -> QuorumConfig {
-    flagship_config()
-        .with_engine(engine)
-        .with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        })
+fn noisy_flagship_config() -> QuorumConfig {
+    flagship_config().with_execution(ExecutionMode::Noisy {
+        noise: NoiseModel::brisbane(),
+        shots: None,
+    })
 }
 
-/// Best-of-`runs` noisy full-pipeline wall time through one engine (one
-/// warmup — the noisy circuit oracle is far too slow for the nine-run
-/// protocol the sub-millisecond engines use).
-fn time_noisy_engine(ds: &Dataset, kind: EngineKind, runs: usize) -> Duration {
-    let detector = QuorumDetector::new(noisy_flagship_config(kind)).unwrap();
-    black_box(detector.score(ds).unwrap());
-    (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(detector.score(ds).unwrap());
-            start.elapsed()
-        })
-        .min()
-        .unwrap()
+/// Best-of-`runs` noisy full-pipeline wall time through one engine with
+/// [`QuorumDetector::score_with`] (one warmup — the noisy circuit oracle
+/// is far too slow for the nine-run protocol the sub-millisecond engines
+/// use).
+fn time_noisy_engine(
+    config: QuorumConfig,
+    ds: &Dataset,
+    engine: &dyn ScoringEngine,
+    runs: usize,
+) -> Duration {
+    let detector = QuorumDetector::new(config).unwrap();
+    black_box(detector.score_with(engine, ds).unwrap());
+    best_of(runs, || detector.score_with(engine, ds).unwrap())
 }
 
 /// The noisy column: the batched analytic density engine vs the
@@ -191,8 +190,8 @@ fn time_noisy_engine(ds: &Dataset, kind: EngineKind, runs: usize) -> Duration {
 /// configuration.
 fn report_noisy_speedup(_c: &mut Criterion) {
     let ds = truncate(&table1_specs()[0].load(42), NOISY_SAMPLES);
-    let density = time_noisy_engine(&ds, EngineKind::Density, 5);
-    let circuit = time_noisy_engine(&ds, EngineKind::Circuit, 2);
+    let density = time_noisy_engine(noisy_flagship_config(), &ds, &DensityEngine, 5);
+    let circuit = time_noisy_engine(noisy_flagship_config(), &ds, &CircuitEngine, 2);
     record(
         "density_ns_per_sample",
         ns_per_sample(density, NOISY_SAMPLES),
@@ -246,7 +245,7 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
 /// order-of-magnitude algorithmic gap. The asserts below pin those levels
 /// with headroom for runner noise.
 fn report_density_batch_speedup(_c: &mut Criterion) {
-    let config = noisy_flagship_config(EngineKind::Density).with_ensemble_groups(1);
+    let config = noisy_flagship_config().with_ensemble_groups(1);
     // Feed the engines exactly what the production pipeline feeds them.
     let ds = quorum_core::detector::normalize_for_scoring(&config, &flagship_dataset());
     let levels = config.effective_compression_levels();
@@ -330,7 +329,7 @@ fn report_density_batch_speedup(_c: &mut Criterion) {
 }
 
 /// Data qubits for the wide-register head-to-head: the width where
-/// `Auto` switches to the structured engine, because the dense engine's
+/// Noisy runs switch to the structured engine, because the dense engine's
 /// cold superoperator fusion outweighs its faster warm scoring there.
 const WIDE_DENSE_QUBITS: usize = 5;
 /// Data qubits for the structured-only column — past the dense engine's
@@ -359,11 +358,10 @@ fn wide_dataset(features: usize, samples: usize) -> Dataset {
     Dataset::from_rows("wide-noisy", rows, None).unwrap()
 }
 
-fn wide_noisy_config(data_qubits: usize, engine: EngineKind) -> QuorumConfig {
+fn wide_noisy_config(data_qubits: usize) -> QuorumConfig {
     QuorumConfig::default()
         .with_data_qubits(data_qubits)
         .with_ensemble_groups(1)
-        .with_engine(engine)
         .with_threads(1)
         .with_seed(42)
         .with_execution(ExecutionMode::Noisy {
@@ -378,15 +376,14 @@ fn wide_noisy_config(data_qubits: usize, engine: EngineKind) -> QuorumConfig {
 /// width the dense path cannot practically reach. Warm, the dense engine
 /// wins: its per-(sample, level) cost is one dot product against a
 /// cached form. Cold, it pays one `16^n` superoperator fusion per level
-/// that the structured lowering never builds — which is why `Auto`
-/// switches to the structured engine at `STRUCTURED_AUTO_MIN_QUBITS = 5`.
+/// that the structured lowering never builds — which is why Noisy runs
+/// switch to the structured engine at `STRUCTURED_AUTO_MIN_QUBITS = 5`.
 /// Both engines share the identical lockstep batch preparation.
 fn report_structured_noisy(_c: &mut Criterion) {
     let levels = vec![1usize, 2];
 
     // n = 5 head-to-head.
-    let config = wide_noisy_config(WIDE_DENSE_QUBITS, EngineKind::Density);
-    let structured_config = wide_noisy_config(WIDE_DENSE_QUBITS, EngineKind::DensityStructured);
+    let config = wide_noisy_config(WIDE_DENSE_QUBITS);
     let raw = wide_dataset(config.features_per_circuit(), WIDE_SAMPLES);
     let ds = quorum_core::detector::normalize_for_scoring(&config, &raw);
     let plan = BucketPlan::from_target(ds.num_samples(), 0.1, config.bucket_probability);
@@ -399,7 +396,7 @@ fn report_structured_noisy(_c: &mut Criterion) {
         .deviations_all_levels(&warmup, &ds, &config, &levels)
         .unwrap();
     StructuredDensityEngine
-        .deviations_all_levels(&warmup, &ds, &structured_config, &levels)
+        .deviations_all_levels(&warmup, &ds, &config, &levels)
         .unwrap();
     let group = EnsembleGroup::generate(0, &config, ds.num_features(), &plan);
     let start = Instant::now();
@@ -409,7 +406,7 @@ fn report_structured_noisy(_c: &mut Criterion) {
     let dense_cold = start.elapsed();
     let start = Instant::now();
     let structured_devs = StructuredDensityEngine
-        .deviations_all_levels(&group, &ds, &structured_config, &levels)
+        .deviations_all_levels(&group, &ds, &config, &levels)
         .unwrap();
     let structured_cold = start.elapsed();
     for (d, s) in dense_devs
@@ -429,7 +426,7 @@ fn report_structured_noisy(_c: &mut Criterion) {
     });
     let structured = best_of(3, || {
         StructuredDensityEngine
-            .deviations_all_levels(&group, &ds, &structured_config, &levels)
+            .deviations_all_levels(&group, &ds, &config, &levels)
             .unwrap()
     });
     record("dense_n5_ns_per_sample", ns_per_sample(dense, WIDE_SAMPLES));
@@ -465,7 +462,7 @@ fn report_structured_noisy(_c: &mut Criterion) {
     );
 
     // n = 6, structured only — the width the 16^n wall used to fence off.
-    let config6 = wide_noisy_config(WIDE_STRUCTURED_QUBITS, EngineKind::DensityStructured);
+    let config6 = wide_noisy_config(WIDE_STRUCTURED_QUBITS);
     let raw6 = wide_dataset(config6.features_per_circuit(), WIDE_SAMPLES);
     let ds6 = quorum_core::detector::normalize_for_scoring(&config6, &raw6);
     let plan6 = BucketPlan::from_target(ds6.num_samples(), 0.1, config6.bucket_probability);
@@ -490,6 +487,64 @@ fn report_structured_noisy(_c: &mut Criterion) {
         "structured_noisy_n6                                      structured {structured6:.2?} ({WIDE_SAMPLES} samples, {} levels)",
         levels.len()
     );
+}
+
+/// The widths below `STRUCTURED_AUTO_MIN_QUBITS`, where Noisy runs score
+/// on the dense engine, with the informational keys their crossover
+/// column records.
+const CROSSOVER: [(usize, &str, &str); 2] = [
+    (
+        3,
+        "structured_over_dense_n3_ratio",
+        "structured_over_dense_n3_detector_ratio",
+    ),
+    (
+        4,
+        "structured_over_dense_n4_ratio",
+        "structured_over_dense_n4_detector_ratio",
+    ),
+];
+
+/// The dense/structured crossover below `STRUCTURED_AUTO_MIN_QUBITS`, the
+/// only thing that chooses between the two noisy engines. Both ratios are
+/// dense time over structured time, like the n = 5 column's, and neither
+/// is guarded. `…_ratio` times one resident flagship group with warm
+/// caches, which is what a frozen server pays per panel.
+/// `…_detector_ratio` times whole passes through
+/// [`QuorumDetector::score_with`], which draws fresh groups every pass,
+/// so the dense engine rebuilds its readout forms each time — what a
+/// one-shot detector pays.
+fn report_noisy_crossover(_c: &mut Criterion) {
+    let ds = truncate(&table1_specs()[0].load(42), NOISY_SAMPLES);
+    let engines: [&dyn ScoringEngine; 2] = [&DensityEngine, &StructuredDensityEngine];
+    for (n, warm_key, detector_key) in CROSSOVER {
+        let config = noisy_flagship_config()
+            .with_data_qubits(n)
+            .with_ensemble_groups(1);
+        let normalized = quorum_core::detector::normalize_for_scoring(&config, &ds);
+        let levels = config.effective_compression_levels();
+        let plan =
+            BucketPlan::from_target(normalized.num_samples(), 0.1, config.bucket_probability);
+        let group = EnsembleGroup::generate(0, &config, normalized.num_features(), &plan);
+        let [dense, structured] = engines.map(|engine| {
+            let pass = || {
+                engine
+                    .deviations_all_levels(&group, &normalized, &config, &levels)
+                    .unwrap()
+            };
+            pass();
+            best_of(5, pass)
+        });
+        let [dense_pass, structured_pass] =
+            engines.map(|engine| time_noisy_engine(config.clone(), &ds, engine, 3));
+        let warm = dense.as_secs_f64() / structured.as_secs_f64();
+        let detector = dense_pass.as_secs_f64() / structured_pass.as_secs_f64();
+        record(warm_key, warm);
+        record(detector_key, detector);
+        println!(
+            "noisy_crossover_n{n}                                       warm: structured {structured:.2?} vs dense {dense:.2?} (x{warm:.2}); detector: structured {structured_pass:.2?} vs dense {dense_pass:.2?} (x{detector:.2})"
+        );
+    }
 }
 
 /// Deterministic dense test matrix for the raw kernel column.
@@ -584,7 +639,7 @@ const SERVE_GROUPS: usize = 8;
 /// instead of per-sample. Scores are batch-invariant (pinned by the
 /// serve crate's tests), so the sizes here only move throughput.
 fn report_serve_throughput(_c: &mut Criterion) {
-    let config = noisy_flagship_config(EngineKind::Density).with_ensemble_groups(SERVE_GROUPS);
+    let config = noisy_flagship_config().with_ensemble_groups(SERVE_GROUPS);
     let ds = flagship_dataset();
     let frozen = quorum_serve::FrozenDetector::freeze(config, &ds).unwrap();
     let rows = ds.strip_labels().rows().to_vec();
@@ -684,7 +739,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_engines, report_speedup, report_noisy_speedup,
-        report_density_batch_speedup, report_structured_noisy,
+        report_density_batch_speedup, report_structured_noisy, report_noisy_crossover,
         report_gemm_kernel, report_serve_throughput, emit_bench_json
 }
 criterion_main!(benches);

@@ -27,7 +27,8 @@ fn bench_single_group(c: &mut Criterion) {
     let panel = SamplePanel::new(&flat, normalized.num_features());
     c.bench_function("ensemble_group_64samples_2levels", |b| {
         let group = EnsembleGroup::generate(0, &config, ds.num_features(), &plan);
-        b.iter(|| black_box(group.run(&panel, &config).unwrap()))
+        let engine = quorum_core::engine::resolve(&config);
+        b.iter(|| black_box(group.run_with(engine, &panel, &config).unwrap()))
     });
 }
 

@@ -81,8 +81,9 @@ pub fn table1_specs() -> Vec<DatasetSpec> {
 
 /// Builds the paper-faithful Quorum configuration for a dataset spec.
 ///
-/// Engine selection is `Auto`: noiseless runs use the analytic
-/// reduced-register engine, noisy runs fall back to the circuit engine.
+/// The execution mode picks the engine (`quorum_core::engine::resolve`):
+/// noiseless runs use the batched analytic reduced-register engine, noisy
+/// runs a density engine on the same reduced register.
 pub fn quorum_config(spec: &DatasetSpec, groups: usize, seed: u64) -> QuorumConfig {
     QuorumConfig::default()
         .with_ensemble_groups(groups)

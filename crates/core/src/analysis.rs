@@ -107,7 +107,7 @@ pub fn convergence_trace(
     let rate = config.anomaly_rate_estimate.unwrap_or(0.05);
     let plan = BucketPlan::from_target(normalized.num_samples(), rate, config.bucket_probability);
     let threads = config.effective_threads();
-    let engine = crate::engine::resolve(config)?;
+    let engine = crate::engine::resolve(config);
 
     // Flatten once; every group scores the same borrowed panel.
     let partials = crate::engine::with_panel(&normalized, |panel| {

@@ -1,4 +1,6 @@
-//! Quorum configuration.
+//! Quorum configuration. There is no engine setting: the execution mode
+//! and the register width pick the scoring engine
+//! ([`crate::engine::resolve`]).
 
 use crate::error::QuorumError;
 use qsim::NoiseModel;
@@ -26,16 +28,18 @@ pub enum ExecutionMode {
     },
 }
 
-/// Below this register width, `Auto` under Noisy execution picks the
-/// dense [`EngineKind::Density`] engine; at or above it, the structured
-/// [`EngineKind::DensityStructured`] engine.
+/// Below this register width, Noisy execution scores on the dense
+/// [`crate::engine::DensityEngine`]; at or above it, on the structured
+/// [`crate::engine::StructuredDensityEngine`] (see
+/// [`crate::engine::resolve`], the one place that applies it).
 ///
 /// The crossover follows the **cold** cost. Warm, the dense engine
 /// scores each (sample, level) as one dot product over the
 /// `m(m+1)/2`-entry packed readout form (`m = 2^n(2^n+1)/2`), and it
 /// still beats the structured channel walk at `n = 5`: 0.52 against
 /// 0.68 ms per sample on 1 group × 24 samples × 2 levels (medians of
-/// three runs on a 2-vCPU AVX-512 host, `benches/engine_comparison.rs`).
+/// three runs on a 2-vCPU AVX-512 host, `benches/engine_comparison.rs`,
+/// which also tracks the warm ratio at `n = 3` and `4`).
 /// But each form starts from a fused `16^n` superoperator, so the first
 /// pass over a fresh group at `n = 5` costs 1.5–1.6 s against 13–20 ms
 /// for the structured lowering — 80–110×, with the caches every group
@@ -43,57 +47,6 @@ pub enum ExecutionMode {
 /// that scores a batch once pays that build on every group, so wide
 /// registers go structured.
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
-
-/// Which scoring engine evaluates the per-sample deviations.
-///
-/// See [`crate::engine`] for the implementations. `Auto` picks the
-/// batched analytic engine whenever the execution mode allows it (Exact
-/// and Sampled) and an analytic density engine for Noisy runs, which
-/// need mixed-state evolution — the dense one at the paper's widths,
-/// the structured one from [`STRUCTURED_AUTO_MIN_QUBITS`] data qubits
-/// up. The paper-literal `Circuit` engine stays selectable as the
-/// cross-check oracle. The per-sample reference engines
-/// ([`crate::engine::AnalyticEngine`],
-/// [`crate::engine::SampleDensityEngine`]) are test oracles with no
-/// variant here; tests run them through
-/// [`crate::detector::QuorumDetector::score_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum EngineKind {
-    /// Batched analytic for Exact/Sampled execution; for Noisy, the
-    /// dense density engine below [`STRUCTURED_AUTO_MIN_QUBITS`] data
-    /// qubits and the structured density engine at or above it.
-    /// Default.
-    #[default]
-    Auto,
-    /// Force the batched analytic engine
-    /// ([`crate::engine::BatchedAnalyticEngine`]): whole-group GEMM
-    /// scoring with the per-group fused-unitary cache. Invalid with Noisy
-    /// execution.
-    Batched,
-    /// Force the batched analytic density engine
-    /// ([`crate::engine::DensityEngine`]): whole-group `vec(ρ)` scoring —
-    /// all samples prepared in lockstep as one real `4^n × S` panel, each
-    /// level read as one quadratic form per sample against the group's
-    /// cached readout form. Requires Noisy execution. Rejects registers
-    /// wider than 6 data qubits — the fused `16^n` objects the forms are
-    /// built from hit the mixed-state simulator's memory budget there.
-    Density,
-    /// Force the structured density engine
-    /// ([`crate::engine::StructuredDensityEngine`]): the same lockstep
-    /// `4^n × S` panel preparation, but each level applied as a cached
-    /// per-gate *channel program* and the readout folded into a bond-4
-    /// matrix-product sweep — no `16^n` object is ever materialised, so
-    /// wide registers (`n ≥ 5`, up to the configuration cap) stay
-    /// tractable. Requires Noisy execution. Matches the dense engine to
-    /// ≤ 1e-9 where both run.
-    DensityStructured,
-    /// Force the gate-level circuit engine
-    /// ([`crate::engine::CircuitEngine`]) — the paper-literal Fig. 2
-    /// simulation, kept as the cross-check oracle for every execution
-    /// mode, noisy ones included.
-    Circuit,
-}
 
 /// Which feature normalisation feeds the amplitude embedding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,10 +97,10 @@ pub struct QuorumConfig {
     /// unsupervised: this is a prior, not a label. When `None`, the
     /// detector falls back to 5%.
     pub anomaly_rate_estimate: Option<f64>,
-    /// Execution mode (exact, shot-sampled, or noisy).
+    /// Execution mode (exact, shot-sampled, or noisy). Together with
+    /// `data_qubits` it also picks the scoring engine
+    /// ([`crate::engine::resolve`]).
     pub execution: ExecutionMode,
-    /// Scoring engine selection (see [`EngineKind`]).
-    pub engine: EngineKind,
     /// Feature normalisation strategy (paper-faithful by default).
     pub normalization: Normalization,
     /// Master RNG seed; every ensemble group derives its own stream.
@@ -167,7 +120,6 @@ impl Default for QuorumConfig {
             bucket_probability: 0.75,
             anomaly_rate_estimate: None,
             execution: ExecutionMode::Exact,
-            engine: EngineKind::Auto,
             normalization: Normalization::RangeMax,
             seed: 0xC0FFEE,
             threads: 0,
@@ -216,30 +168,6 @@ impl QuorumConfig {
     pub fn with_execution(mut self, mode: ExecutionMode) -> Self {
         self.execution = mode;
         self
-    }
-
-    /// Sets the scoring-engine selection.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine that will actually run, with `Auto` resolved against the
-    /// execution mode.
-    pub fn effective_engine(&self) -> EngineKind {
-        match self.engine {
-            EngineKind::Auto => match self.execution {
-                ExecutionMode::Noisy { .. } => {
-                    if self.data_qubits >= STRUCTURED_AUTO_MIN_QUBITS {
-                        EngineKind::DensityStructured
-                    } else {
-                        EngineKind::Density
-                    }
-                }
-                _ => EngineKind::Batched,
-            },
-            kind => kind,
-        }
     }
 
     /// Sets the normalisation strategy.
@@ -347,11 +275,11 @@ impl QuorumConfig {
             ExecutionMode::Noisy { shots: Some(0), .. } => {
                 return Err(QuorumError::InvalidConfig("shots must be positive".into()))
             }
+            ExecutionMode::Noisy { noise, .. } => noise
+                .validate()
+                .map_err(|e| QuorumError::InvalidConfig(e.to_string()))?,
             _ => {}
         }
-        // Engine resolution enforces engine/execution compatibility
-        // (e.g. a forced batched analytic engine under noisy execution).
-        crate::engine::resolve(self)?;
         Ok(())
     }
 }
@@ -432,134 +360,61 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_resolves_by_execution_mode() {
+    fn noisy_mode_validates_shots_and_every_width() {
         use qsim::NoiseModel;
-        let c = QuorumConfig::default();
-        assert_eq!(c.engine, EngineKind::Auto);
-        assert_eq!(c.effective_engine(), EngineKind::Batched);
-        let sampled = c
-            .clone()
-            .with_execution(ExecutionMode::Sampled { shots: 128 });
-        assert_eq!(sampled.effective_engine(), EngineKind::Batched);
-        // Noisy runs resolve to the analytic density engine, for every
-        // shots setting and noise model.
         for shots in [None, Some(4096)] {
             for noise in [NoiseModel::brisbane(), NoiseModel::ideal()] {
-                let noisy = c
-                    .clone()
-                    .with_execution(ExecutionMode::Noisy { noise, shots });
-                assert_eq!(noisy.effective_engine(), EngineKind::Density);
-                noisy.validate().unwrap();
+                QuorumConfig::default()
+                    .with_execution(ExecutionMode::Noisy { noise, shots })
+                    .validate()
+                    .unwrap();
             }
         }
-        let forced = c.with_engine(EngineKind::Circuit);
-        assert_eq!(forced.effective_engine(), EngineKind::Circuit);
-    }
-
-    #[test]
-    fn batched_engine_rejects_noisy_execution() {
-        use qsim::NoiseModel;
-        let bad = QuorumConfig::default()
-            .with_engine(EngineKind::Batched)
-            .with_execution(ExecutionMode::Noisy {
-                noise: NoiseModel::brisbane(),
-                shots: None,
-            });
-        assert!(bad.validate().is_err(), "Batched must reject Noisy");
-        // Auto silently resolves to the density engine instead.
-        let ok = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        });
-        ok.validate().unwrap();
-    }
-
-    #[test]
-    fn density_engine_requires_noisy_execution() {
-        use qsim::NoiseModel;
-        let forced = QuorumConfig::default().with_engine(EngineKind::Density);
-        assert!(forced.validate().is_err(), "Density must reject Exact");
-        let sampled = QuorumConfig::default()
-            .with_engine(EngineKind::Density)
-            .with_execution(ExecutionMode::Sampled { shots: 512 });
-        assert!(sampled.validate().is_err(), "Density must reject Sampled");
-        let ok = QuorumConfig::default()
-            .with_engine(EngineKind::Density)
-            .with_execution(ExecutionMode::Noisy {
-                noise: NoiseModel::brisbane(),
-                shots: Some(1024),
-            });
-        ok.validate().unwrap();
-        // The circuit oracle still accepts Noisy execution when forced.
-        let oracle = QuorumConfig::default()
-            .with_engine(EngineKind::Circuit)
-            .with_execution(ExecutionMode::Noisy {
-                noise: NoiseModel::brisbane(),
-                shots: None,
-            });
-        oracle.validate().unwrap();
-    }
-
-    #[test]
-    fn noisy_engine_selection_respects_register_width() {
-        use qsim::NoiseModel;
-        // 7 data qubits would need a 15-qubit mixed-state observable on
-        // the dense path: a forced dense engine must fail at validation
-        // rather than on a huge allocation…
-        let forced = QuorumConfig::default()
-            .with_data_qubits(7)
-            .with_engine(EngineKind::Density)
-            .with_execution(ExecutionMode::Noisy {
-                noise: NoiseModel::brisbane(),
-                shots: None,
-            });
-        assert!(forced.validate().is_err());
-        // …but Auto resolves wide noisy registers to the structured
-        // engine, which never materialises a 16^n object, so the same
-        // width validates (up to the global configuration cap).
-        for n in [5, 7, 10] {
-            let auto =
-                QuorumConfig::default()
-                    .with_data_qubits(n)
-                    .with_execution(ExecutionMode::Noisy {
-                        noise: NoiseModel::brisbane(),
-                        shots: None,
-                    });
-            auto.validate().unwrap();
-            assert_eq!(auto.effective_engine(), EngineKind::DensityStructured);
-        }
-        // Below the crossover Auto keeps the dense engine, and the
-        // widest dense-supported register still validates when forced.
-        let narrow = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        });
-        assert_eq!(narrow.effective_engine(), EngineKind::Density);
-        let ok = QuorumConfig::default()
-            .with_data_qubits(6)
-            .with_engine(EngineKind::Density)
-            .with_execution(ExecutionMode::Noisy {
-                noise: NoiseModel::brisbane(),
-                shots: None,
-            });
-        ok.validate().unwrap();
-        // The structured engine still requires Noisy execution.
-        let pure = QuorumConfig::default().with_engine(EngineKind::DensityStructured);
-        assert!(pure.validate().is_err());
-    }
-
-    #[test]
-    fn noisy_mode_validates_shots() {
-        use qsim::NoiseModel;
-        let ok = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: Some(4096),
-        });
-        ok.validate().unwrap();
         let bad = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
             noise: NoiseModel::brisbane(),
             shots: Some(0),
         });
         assert!(bad.validate().is_err());
+        // Wide noisy registers score on the structured engine, which has
+        // no width cap below the configuration's own.
+        for n in 2..=10 {
+            QuorumConfig::default()
+                .with_data_qubits(n)
+                .with_execution(ExecutionMode::Noisy {
+                    noise: NoiseModel::brisbane(),
+                    shots: None,
+                })
+                .validate()
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn noisy_mode_validates_the_noise_model() {
+        use qsim::NoiseModel;
+        type Spoil = fn(&mut NoiseModel);
+        let spoiled = |spoil: Spoil| {
+            let mut noise = NoiseModel::brisbane();
+            spoil(&mut noise);
+            QuorumConfig::default().with_execution(ExecutionMode::Noisy { noise, shots: None })
+        };
+        let cases: [(&str, Spoil); 7] = [
+            ("t1", |n| n.t1 = 0.0),
+            ("t2", |n| n.t2 = -1e-6),
+            ("gate_time_1q", |n| n.gate_time_1q = f64::INFINITY),
+            ("gate_time_2q", |n| n.gate_time_2q = -1e-9),
+            ("error_1q", |n| n.error_1q = 1.5),
+            ("error_2q", |n| n.error_2q = -0.1),
+            ("readout_error", |n| n.readout_error = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            match spoiled(spoil).validate() {
+                Err(QuorumError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("bad {field} validated: {other:?}"),
+            }
+        }
+        // NaN fails the time checks too.
+        assert!(spoiled(|n| n.t1 = f64::NAN).validate().is_err());
+        assert!(spoiled(|n| n.gate_time_1q = f64::NAN).validate().is_err());
     }
 }

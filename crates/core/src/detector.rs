@@ -70,7 +70,7 @@ impl QuorumDetector {
     /// Returns [`QuorumError::InvalidData`] for an unusable dataset and
     /// propagates simulation failures.
     pub fn score(&self, data: &Dataset) -> Result<ScoreReport, QuorumError> {
-        self.score_with(crate::engine::resolve(&self.config)?, data)
+        self.score_with(crate::engine::resolve(&self.config), data)
     }
 
     /// [`QuorumDetector::score`] through an explicitly given engine instead
@@ -118,7 +118,7 @@ impl QuorumDetector {
         data: &Dataset,
         group_indices: &[usize],
     ) -> Result<Vec<f64>, QuorumError> {
-        self.subset_totals(crate::engine::resolve(&self.config)?, data, group_indices)
+        self.subset_totals(crate::engine::resolve(&self.config), data, group_indices)
     }
 
     /// The body of [`QuorumDetector::score_group_subset`] through a given
@@ -166,8 +166,8 @@ impl QuorumDetector {
         let config = &self.config;
         let subset = &subset;
         // Flatten the normalised dataset once; every group scores the same
-        // borrowed panel. Under `Auto` the engine is the batched analytic
-        // one for noiseless runs: each group scores its whole batch per
+        // borrowed panel. For noiseless runs the engine is the batched
+        // analytic one: each group scores its whole batch per
         // compression level through one GEMM against its cached fused
         // encoder.
         crate::engine::with_panel(&normalized, |panel| {

@@ -73,13 +73,13 @@
 //!    the level's **fused noisy superoperator** `S_r` — encoder gates
 //!    with their per-gate channels, the reset Kraus channels and the
 //!    decoder, fused by evolving the matrix-unit basis through the
-//!    lowered gate list ([`build_noisy_superop`]) — and the **SWAP-test
+//!    lowered gate list (`build_noisy_superop`) — and the **SWAP-test
 //!    readout functional** `W` — the POVM element `|1⟩⟨1|_anc` pulled
 //!    backwards (Heisenberg picture, adjoint channels) through the
 //!    *noisy lowered* CSWAP network, restricted to `ancilla = |0⟩`, and
 //!    cached globally per `(n, noise model)` — into `Re(S_rᵀ·W)` over
 //!    symmetric inputs. It is built once per (group, noise model, level)
-//!    through the GEMM seam ([`build_readout_form`]), `S_r` is dropped,
+//!    through the GEMM seam (`build_readout_form`), `S_r` is dropped,
 //!    and the form is cached on
 //!    [`crate::ensemble::EnsembleGroup::readout_form`]: `m(m+1)/2` reals,
 //!    5 KiB at n = 3 against a 64 KiB complex `S_r`. Per sample, the
@@ -97,7 +97,7 @@
 //! cross-check oracle, exactly as [`AnalyticEngine`] does for the
 //! pure-state batch. The two evaluate the same real form in different
 //! summation orders and agree to ~1e-15. Both per-sample engines are
-//! test oracles that no [`EngineKind`] selects.
+//! test oracles that [`resolve`] never picks.
 //!
 //! Every noisy physical gate of the Fig. 2 circuit is accounted for with
 //! the same fused channels the density-matrix backend applies
@@ -108,14 +108,17 @@
 //! Exact mode reproduces the branching backend's semantics to ≲1e-12;
 //! Sampled mode draws the same binomial statistics from the exact
 //! deviation through [`qsim::sampling`], with per-measurement seeds shared
-//! across all engines. `Auto` engine selection resolves the
-//! execution-mode split: batched analytic for Exact/Sampled, density for
-//! Noisy.
+//! across all engines. The configuration alone picks the engine
+//! ([`resolve`]): batched analytic for Exact/Sampled; for Noisy, dense
+//! density below [`STRUCTURED_AUTO_MIN_QUBITS`] data qubits and
+//! [`StructuredDensityEngine`] from there up. [`CircuitEngine`] and the
+//! per-sample engines are oracles, run directly or through
+//! [`crate::detector::QuorumDetector::score_with`].
 
 use crate::ansatz::AnsatzParams;
 use crate::cache::ByteBounded;
 use crate::circuit::build_sample_circuit;
-use crate::config::{EngineKind, ExecutionMode, QuorumConfig};
+use crate::config::{ExecutionMode, QuorumConfig, STRUCTURED_AUTO_MIN_QUBITS};
 use crate::ensemble::{derive_seed, EnsembleGroup};
 use crate::error::QuorumError;
 use qdata::{Dataset, SamplePanel};
@@ -228,36 +231,63 @@ pub fn with_panel<T>(
     f(&SamplePanel::new(&flat, data.num_features()))
 }
 
-/// Resolves the configured [`EngineKind`] to a concrete engine.
+/// The engine the selection rule picks, with the noise model the noisy
+/// engines read. [`select`] is the rule; [`resolve`] and [`prewarm`]
+/// only map its answer.
+enum Selected<'a> {
+    Batched,
+    Dense(&'a NoiseModel),
+    Structured(&'a NoiseModel),
+}
+
+/// The selection rule, written once: the batched analytic engine for
+/// Exact and Sampled execution; for Noisy execution the dense engine
+/// below [`STRUCTURED_AUTO_MIN_QUBITS`] data qubits and the structured
+/// engine from there up.
+fn select(config: &QuorumConfig) -> Selected<'_> {
+    match &config.execution {
+        ExecutionMode::Noisy { noise, .. } if config.data_qubits < STRUCTURED_AUTO_MIN_QUBITS => {
+            Selected::Dense(noise)
+        }
+        ExecutionMode::Noisy { noise, .. } => Selected::Structured(noise),
+        _ => Selected::Batched,
+    }
+}
+
+/// The engine that scores `config`: [`BatchedAnalyticEngine`] for Exact
+/// and Sampled execution; for Noisy execution the dense
+/// [`DensityEngine`] below [`STRUCTURED_AUTO_MIN_QUBITS`] data qubits and
+/// the [`StructuredDensityEngine`] from there up. Every engine stays
+/// reachable directly and through
+/// [`crate::detector::QuorumDetector::score_with`].
+pub fn resolve(config: &QuorumConfig) -> &'static dyn ScoringEngine {
+    match select(config) {
+        Selected::Batched => &BatchedAnalyticEngine,
+        Selected::Dense(_) => &DensityEngine,
+        Selected::Structured(_) => &StructuredDensityEngine,
+    }
+}
+
+/// Builds and caches what the engine [`resolve`] picks for `config`
+/// needs at one (group, compression level): the dense engine's
+/// [`ReadoutForm`] ([`EnsembleGroup::readout_form`]), the structured
+/// engine's channel program ([`EnsembleGroup::channel_program`]), and
+/// nothing for pure-state execution. A server calls it for every
+/// (group, level) before its first request, so no request pays a build.
 ///
 /// # Errors
 ///
-/// Returns [`QuorumError::InvalidConfig`] for the batched analytic engine
-/// under noisy execution, a density engine without it, and the dense
-/// density engine past its register width (the combinations
-/// [`QuorumConfig::validate`] also rejects).
-pub fn resolve(config: &QuorumConfig) -> Result<&'static dyn ScoringEngine, QuorumError> {
-    static CIRCUIT: CircuitEngine = CircuitEngine;
-    static BATCHED: BatchedAnalyticEngine = BatchedAnalyticEngine;
-    static DENSITY: DensityEngine = DensityEngine;
-    static DENSITY_STRUCTURED: StructuredDensityEngine = StructuredDensityEngine;
-    match config.effective_engine() {
-        EngineKind::Circuit => Ok(&CIRCUIT),
-        EngineKind::Batched => {
-            ensure_pure_state(config)?;
-            Ok(&BATCHED)
-        }
-        EngineKind::Density => {
-            ensure_noisy(config)?;
-            Ok(&DENSITY)
-        }
-        EngineKind::DensityStructured => {
-            ensure_noisy_mode(config)?;
-            Ok(&DENSITY_STRUCTURED)
-        }
-        // `effective_engine` never returns Auto, but EngineKind is
-        // non-exhaustive.
-        _ => unreachable!("Auto resolves to a concrete engine"),
+/// Propagates readout-form and lowering failures (effectively
+/// infallible for valid ansätze and noise models).
+pub fn prewarm(
+    group: &EnsembleGroup,
+    config: &QuorumConfig,
+    reset_count: usize,
+) -> Result<(), QuorumError> {
+    match select(config) {
+        Selected::Batched => Ok(()),
+        Selected::Dense(noise) => group.readout_form(noise, reset_count).map(drop),
+        Selected::Structured(noise) => group.channel_program(noise, reset_count).map(drop),
     }
 }
 
@@ -360,7 +390,8 @@ pub fn sampled_deviation(exact: f64, shots: u64, seed: u64) -> f64 {
 /// The paper-literal engine: builds and simulates the full `2n + 1`-qubit
 /// Fig. 2 circuit per sample on the branching statevector backend (or the
 /// density-matrix backend for noisy runs). Kept as the cross-check oracle
-/// and as the only engine able to run noise models.
+/// every other engine is pinned against, in every execution mode;
+/// [`resolve`] never picks it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CircuitEngine;
 
@@ -415,7 +446,7 @@ impl ScoringEngine for CircuitEngine {
 /// The analytic reduced-register engine: per-group fused unitaries and
 /// `n`-qubit pure-state algebra (see the module docs for the math). The
 /// one-matvec-per-sample reference [`BatchedAnalyticEngine`] is pinned
-/// against; no [`EngineKind`] selects it, so tests reach it directly or
+/// against; [`resolve`] never picks it, so tests reach it directly or
 /// through [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticEngine;
@@ -774,8 +805,8 @@ fn upper_triangle(dim: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Stored as its packed upper triangle, row-major over coordinate pairs
 /// `k ≤ l`, with every off-diagonal entry doubled — so the form is one
 /// dot product ([`qsim::kernel::dot_lanes`]) against the packed products
-/// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]). Built by
-/// [`build_readout_form`] and cached per group
+/// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]). Built once per
+/// (group, noise model, level) and cached per group
 /// ([`EnsembleGroup::readout_form`]).
 #[derive(Debug)]
 pub struct ReadoutForm {
@@ -1643,7 +1674,7 @@ struct StructuredScratch {
 /// the apply costs `O(ops · 4^n · S)` — the warm dense readout forms
 /// still score faster at `n = 5`, but the dense build dominates any
 /// pass that is not amortised over many panels from there on
-/// ([`crate::config::STRUCTURED_AUTO_MIN_QUBITS`]), and the structured
+/// ([`STRUCTURED_AUTO_MIN_QUBITS`]), and the structured
 /// engine is the only density path past the dense width cap. The dense
 /// engine stays the small-n oracle the structured path is pinned
 /// against (≤ 1e-9, `tests/` `engine_structured_properties`).
@@ -1785,7 +1816,7 @@ impl ScoringEngine for StructuredDensityEngine {
 /// per-sample gate-walk state preparation, kept (and benchmarked) as the
 /// reference the batched [`DensityEngine`]'s readout forms are pinned
 /// against, the mixed-state analogue of [`AnalyticEngine`] vs
-/// [`BatchedAnalyticEngine`]. No [`EngineKind`] selects it: tests reach
+/// [`BatchedAnalyticEngine`]. [`resolve`] never picks it: tests reach
 /// it directly or at detector level through
 /// [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -2006,41 +2037,41 @@ mod tests {
 
     #[test]
     fn resolve_follows_configuration() {
-        let auto = QuorumConfig::default();
-        assert_eq!(resolve(&auto).unwrap().name(), "batched");
-        let forced = QuorumConfig::default().with_engine(EngineKind::Circuit);
-        assert_eq!(resolve(&forced).unwrap().name(), "circuit");
-        let noisy = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
-            noise: qsim::NoiseModel::brisbane(),
-            shots: None,
-        });
-        assert_eq!(resolve(&noisy).unwrap().name(), "density");
-        let forced = noisy.clone().with_engine(EngineKind::Circuit);
-        assert_eq!(resolve(&forced).unwrap().name(), "circuit");
-        let bad = QuorumConfig::default()
-            .with_engine(EngineKind::Batched)
-            .with_execution(ExecutionMode::Noisy {
-                noise: qsim::NoiseModel::brisbane(),
-                shots: None,
-            });
-        assert!(resolve(&bad).is_err());
-        // The density engine is noise-only: Exact and Sampled reject it.
-        let bad = QuorumConfig::default().with_engine(EngineKind::Density);
-        assert!(resolve(&bad).is_err());
-        let bad = QuorumConfig::default()
-            .with_engine(EngineKind::Density)
+        let exact = QuorumConfig::default();
+        assert_eq!(resolve(&exact).name(), "batched");
+        let sampled = exact
+            .clone()
             .with_execution(ExecutionMode::Sampled { shots: 64 });
-        assert!(resolve(&bad).is_err());
-        // The structured engine: noise-only like its dense sibling, the
-        // Auto pick for wide noisy registers, width-capped never.
-        let forced = noisy.clone().with_engine(EngineKind::DensityStructured);
-        assert_eq!(resolve(&forced).unwrap().name(), "density-structured");
-        let bad = QuorumConfig::default().with_engine(EngineKind::DensityStructured);
-        assert!(resolve(&bad).is_err());
-        let wide_auto = noisy.with_data_qubits(7);
-        assert_eq!(resolve(&wide_auto).unwrap().name(), "density-structured");
-        let wide_dense = wide_auto.with_engine(EngineKind::Density);
-        assert!(resolve(&wide_dense).is_err());
+        assert_eq!(resolve(&sampled).name(), "batched");
+        let noisy = |n| {
+            QuorumConfig::default()
+                .with_data_qubits(n)
+                .with_execution(ExecutionMode::Noisy {
+                    noise: qsim::NoiseModel::brisbane(),
+                    shots: None,
+                })
+        };
+        for (n, name) in [
+            (3, "density"),
+            (4, "density"),
+            (5, "density-structured"),
+            (10, "density-structured"),
+        ] {
+            assert_eq!(resolve(&noisy(n)).name(), name, "n = {n}");
+        }
+        // `prewarm` builds exactly what the resolved engine reads.
+        let ds = tiny_dataset();
+        for (config, forms, programs) in [(exact, 0, 0), (noisy(3), 1, 0), (noisy(5), 0, 1)] {
+            let group = group_for(&config, &ds, 0);
+            prewarm(&group, &config, 1).unwrap();
+            assert_eq!(
+                group.readout_form_builds(),
+                forms,
+                "{}",
+                resolve(&config).name()
+            );
+            assert_eq!(group.channel_program_fusions(), programs);
+        }
     }
 
     fn noisy_config(noise: qsim::NoiseModel, shots: Option<u64>) -> QuorumConfig {

@@ -13,7 +13,7 @@ use crate::config::QuorumConfig;
 use crate::engine::{self, ReadoutForm, ScoringEngine};
 use crate::error::QuorumError;
 use crate::features::FeatureSelection;
-use qdata::{Dataset, SamplePanel};
+use qdata::SamplePanel;
 use qmetrics::stats;
 use qsim::channel::ChannelProgram;
 use qsim::matrix::CMatrix;
@@ -74,8 +74,8 @@ const CHANNEL_PROGRAM_CACHE_BYTES: usize = 1 << 20;
 /// oracle's) and the lowered channel programs — live on the group
 /// itself, so a **resident** group (the serving runtime keeps thawed
 /// groups alive for the process lifetime) amortises every fusion across
-/// all requests that score through it. The three keyed caches share the
-/// poison-recovering, oldest-first-evicting [`ByteBounded`] store.
+/// all requests that score through it. The three keyed caches share one
+/// poison-recovering, oldest-first-evicting byte-bounded store.
 #[derive(Debug, Clone)]
 pub struct EnsembleGroup {
     index: usize,
@@ -353,35 +353,6 @@ impl EnsembleGroup {
         self.channel_program_cache.poison_for_test();
     }
 
-    /// Evaluates the SWAP-test deviation of every sample at one
-    /// compression level, through the engine the configuration selects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates embedding and simulation failures.
-    pub fn deviations(
-        &self,
-        normalized: &Dataset,
-        config: &QuorumConfig,
-        reset_count: usize,
-    ) -> Result<Vec<f64>, QuorumError> {
-        engine::resolve(config)?.deviations(self, normalized, config, reset_count)
-    }
-
-    /// Runs the full group over `panel` through the engine the
-    /// configuration selects (see [`EnsembleGroup::run_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates embedding and simulation failures.
-    pub fn run(
-        &self,
-        panel: &SamplePanel<'_>,
-        config: &QuorumConfig,
-    ) -> Result<Vec<f64>, QuorumError> {
-        self.run_with(engine::resolve(config)?, panel, config)
-    }
-
     /// Runs the full group with an explicitly chosen engine: all
     /// compression levels, bucket statistics, and absolute z-score
     /// accumulation. Returns this group's additive contribution to every
@@ -423,6 +394,7 @@ impl EnsembleGroup {
 mod tests {
     use super::*;
     use crate::config::ExecutionMode;
+    use qdata::Dataset;
 
     fn tiny_dataset() -> Dataset {
         // 12 samples, 7 features, already in the normalised range
@@ -463,7 +435,7 @@ mod tests {
 
     /// A full group pass over `ds` through the configured engine.
     fn run(group: &EnsembleGroup, ds: &Dataset, cfg: &QuorumConfig) -> Vec<f64> {
-        engine::with_panel(ds, |panel| group.run(panel, cfg)).unwrap()
+        run_with(group, engine::resolve(cfg), ds, cfg)
     }
 
     #[test]
@@ -486,7 +458,9 @@ mod tests {
         let cfg = config();
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
         let group = EnsembleGroup::generate(0, &cfg, ds.num_features(), &plan);
-        let dev = group.deviations(&ds, &cfg, 1).unwrap();
+        let dev = engine::resolve(&cfg)
+            .deviations(&group, &ds, &cfg, 1)
+            .unwrap();
         assert_eq!(dev.len(), ds.num_samples());
         for &p in &dev {
             assert!((0.0..=0.5 + 1e-9).contains(&p), "deviation {p}");
@@ -515,8 +489,12 @@ mod tests {
         let cfg_shots = config().with_execution(ExecutionMode::Sampled { shots: 60_000 });
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, 0.75);
         let group = EnsembleGroup::generate(0, &cfg_exact, ds.num_features(), &plan);
-        let exact = group.deviations(&ds, &cfg_exact, 1).unwrap();
-        let sampled = group.deviations(&ds, &cfg_shots, 1).unwrap();
+        let exact = engine::resolve(&cfg_exact)
+            .deviations(&group, &ds, &cfg_exact, 1)
+            .unwrap();
+        let sampled = engine::resolve(&cfg_shots)
+            .deviations(&group, &ds, &cfg_shots, 1)
+            .unwrap();
         for (e, s) in exact.iter().zip(&sampled) {
             assert!((e - s).abs() < 0.02, "exact {e} vs sampled {s}");
         }
@@ -528,8 +506,12 @@ mod tests {
         let cfg = config().with_execution(ExecutionMode::Sampled { shots: 256 });
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, 0.75);
         let group = EnsembleGroup::generate(2, &cfg, ds.num_features(), &plan);
-        let a = group.deviations(&ds, &cfg, 1).unwrap();
-        let b = group.deviations(&ds, &cfg, 1).unwrap();
+        let a = engine::resolve(&cfg)
+            .deviations(&group, &ds, &cfg, 1)
+            .unwrap();
+        let b = engine::resolve(&cfg)
+            .deviations(&group, &ds, &cfg, 1)
+            .unwrap();
         assert_eq!(a, b);
     }
 

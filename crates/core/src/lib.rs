@@ -19,10 +19,14 @@
 //!    encoder with angles from `U(0, 2π)`, a partial-reset bottleneck, the
 //!    exact inverse decoder, then a SWAP test against the reference.
 //! 6. **Scoring engine** ([`engine`]): the SWAP-test deviation is
-//!    evaluated either analytically on register A alone — by default in
-//!    batched form, one cached fused unitary per group applied to all
-//!    samples in a single matrix–matrix product — or by simulating the
-//!    full Fig. 2 circuit (the noisy path and cross-check oracle).
+//!    evaluated analytically on register A alone. The configuration
+//!    alone picks the engine ([`engine::resolve`]): Exact and Sampled
+//!    runs use the batched analytic engine — one cached fused unitary per
+//!    group applied to all samples in a single matrix–matrix product —
+//!    and Noisy runs a density engine, dense below
+//!    [`config::STRUCTURED_AUTO_MIN_QUBITS`] data qubits and structured
+//!    from there up. Simulating the full Fig. 2 circuit
+//!    ([`engine::CircuitEngine`]) stays as the cross-check oracle.
 //! 7. **Ensemble statistics** ([`ensemble`], [`score`]): per-bucket
 //!    absolute z-scores of the SWAP deviations, summed over groups and
 //!    compression levels.
@@ -64,7 +68,7 @@ pub mod error;
 pub mod features;
 pub mod score;
 
-pub use config::{EngineKind, ExecutionMode, Normalization, QuorumConfig};
+pub use config::{ExecutionMode, Normalization, QuorumConfig};
 pub use detector::QuorumDetector;
 pub use engine::{
     AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, DensityEngine, SampleDensityEngine,

@@ -58,6 +58,15 @@ pub enum QsimError {
         /// The widest register the budget admits.
         max_qubits: usize,
     },
+    /// A [`crate::noise::NoiseModel`] parameter was outside its range.
+    InvalidNoiseParameter {
+        /// The offending field's name.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+        /// The range the field must lie in.
+        expected: &'static str,
+    },
     /// The operation is not supported by the chosen backend.
     Unsupported(String),
 }
@@ -102,6 +111,11 @@ impl fmt::Display for QsimError {
                      budget (at most {max_qubits} qubits)"
                 )
             }
+            QsimError::InvalidNoiseParameter {
+                field,
+                value,
+                expected,
+            } => write!(f, "noise parameter {field} = {value} must be {expected}"),
             QsimError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
         }
     }

@@ -10,6 +10,7 @@
 //! * a symmetric **readout** bit-flip applied to measurement outcomes.
 
 use crate::complex::C64;
+use crate::error::QsimError;
 use crate::gate::Gate;
 use crate::matrix::CMatrix;
 
@@ -188,6 +189,48 @@ impl NoiseModel {
         nm
     }
 
+    /// Checks every parameter against the range the channel builders
+    /// assume: `t1` and `t2` positive (infinite means no relaxation, as in
+    /// [`NoiseModel::ideal`]), gate times finite and non-negative, and the
+    /// three error rates probabilities. NaN fails every check. A model
+    /// that passes builds its channels without panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`QsimError::InvalidNoiseParameter`] naming the first offending
+    /// field.
+    pub fn validate(&self) -> Result<(), QsimError> {
+        let check = |field, value: f64, ok: bool, expected| {
+            if ok {
+                Ok(())
+            } else {
+                Err(QsimError::InvalidNoiseParameter {
+                    field,
+                    value,
+                    expected,
+                })
+            }
+        };
+        let positive = "positive (infinity allowed)";
+        check("t1", self.t1, self.t1 > 0.0, positive)?;
+        check("t2", self.t2, self.t2 > 0.0, positive)?;
+        let time = "finite and non-negative";
+        for (field, value) in [
+            ("gate_time_1q", self.gate_time_1q),
+            ("gate_time_2q", self.gate_time_2q),
+        ] {
+            check(field, value, value.is_finite() && value >= 0.0, time)?;
+        }
+        for (field, value) in [
+            ("error_1q", self.error_1q),
+            ("error_2q", self.error_2q),
+            ("readout_error", self.readout_error),
+        ] {
+            check(field, value, (0.0..=1.0).contains(&value), "in [0, 1]")?;
+        }
+        Ok(())
+    }
+
     /// Amplitude-damping probability accrued over `duration`.
     fn gamma(&self, duration: f64) -> f64 {
         if self.t1.is_infinite() || duration == 0.0 {
@@ -204,7 +247,11 @@ impl NoiseModel {
             return 0.0;
         }
         let inv_tphi = 1.0 / self.t2 - 1.0 / (2.0 * self.t1);
-        if inv_tphi <= 0.0 {
+        // NaN only when both times are so small that their inverses
+        // overflow: charge no extra dephasing rather than build a NaN
+        // channel (amplitude damping over any normal gate time is then
+        // total anyway).
+        if inv_tphi.is_nan() || inv_tphi <= 0.0 {
             0.0
         } else {
             1.0 - (-duration * inv_tphi).exp()
@@ -416,6 +463,36 @@ mod tests {
         let nm = NoiseModel::brisbane().scaled(2.0);
         assert!((nm.error_1q - 2.0 * 2.274e-4).abs() < 1e-12);
         assert!(nm.t1 < NoiseModel::brisbane().t1);
+    }
+
+    #[test]
+    fn presets_validate_and_out_of_range_models_do_not() {
+        let mut models = vec![NoiseModel::ideal(), NoiseModel::brisbane()];
+        for factor in [0.0, 0.5, 1.0, 4.0, 16.0] {
+            models.push(NoiseModel::brisbane().scaled(factor));
+        }
+        for nm in &models {
+            nm.validate().unwrap();
+        }
+        let bad = NoiseModel {
+            error_2q: f64::NAN,
+            ..NoiseModel::brisbane()
+        };
+        match bad.validate() {
+            Err(QsimError::InvalidNoiseParameter { field, .. }) => assert_eq!(field, "error_2q"),
+            other => panic!("NaN error_2q validated: {other:?}"),
+        }
+        // Times whose inverses both overflow still build every channel.
+        let tiny = NoiseModel {
+            t1: f64::from_bits(1),
+            t2: f64::from_bits(1),
+            ..NoiseModel::brisbane()
+        };
+        tiny.validate().unwrap();
+        assert_eq!(tiny.lambda(tiny.gate_time_1q), 0.0);
+        for ch in tiny.channels_for_1q_gate() {
+            assert!(is_trace_preserving(&ch, TOL));
+        }
     }
 
     #[test]

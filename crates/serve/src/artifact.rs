@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   8 B   b"QUORUMFZ"
-//! version 4 B   u32, currently 1
+//! version 4 B   u32, currently 2 (1 carried an engine tag in the config)
 //! length  8 B   u64 payload byte count
 //! check   8 B   u64 FNV-1a of the payload
 //! payload …     see the field-by-field encoders below
@@ -24,14 +24,14 @@ use qdata::Dataset;
 use qsim::complex::C64;
 use qsim::matrix::CMatrix;
 use qsim::NoiseModel;
-use quorum_core::config::{EngineKind, ExecutionMode, Normalization};
+use quorum_core::config::{ExecutionMode, Normalization};
 use quorum_core::QuorumConfig;
 
 /// The artifact's leading magic bytes.
 pub const MAGIC: [u8; 8] = *b"QUORUMFZ";
 
 /// The artifact format version this build writes and reads.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// The fitted feature normaliser frozen alongside the detector, so
 /// streamed samples are mapped into amplitude space by the **reference**
@@ -192,17 +192,7 @@ impl FrozenArtifact {
                 p.f64(s.std);
             }
         }
-        let payload = p.into_bytes();
-        let mut w = Writer::new();
-        for b in MAGIC {
-            w.u8(b);
-        }
-        w.u32(VERSION);
-        w.u64(payload.len() as u64);
-        w.u64(fnv1a64(&payload));
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&payload);
-        Ok(bytes)
+        Ok(seal(&p.into_bytes()))
     }
 
     /// Decodes and integrity-checks an artifact.
@@ -228,14 +218,13 @@ impl FrozenArtifact {
         }
         let length = r.usize()?;
         let checksum = r.u64()?;
-        let header = 8 + 4 + 8 + 8;
         let payload = bytes
-            .get(header..)
+            .get(HEADER_BYTES..)
             .filter(|p| p.len() == length)
             .ok_or_else(|| {
                 ServeError::Artifact(format!(
                     "payload length mismatch: header says {length}, got {}",
-                    bytes.len().saturating_sub(header)
+                    bytes.len().saturating_sub(HEADER_BYTES)
                 ))
             })?;
         if fnv1a64(payload) != checksum {
@@ -277,6 +266,24 @@ impl FrozenArtifact {
     }
 }
 
+/// Magic, version, payload length and checksum.
+const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
+
+/// Prefixes `payload` with the header: magic, version, its length and
+/// its FNV-1a checksum.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for b in MAGIC {
+        w.u8(b);
+    }
+    w.u32(VERSION);
+    w.u64(payload.len() as u64);
+    w.u64(fnv1a64(payload));
+    let mut bytes = w.into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 fn encode_config(config: &QuorumConfig, w: &mut Writer) -> Result<(), ServeError> {
     w.usize(config.data_qubits);
     w.usize(config.ensemble_groups);
@@ -313,21 +320,6 @@ fn encode_config(config: &QuorumConfig, w: &mut Writer) -> Result<(), ServeError
             )))
         }
     }
-    // Tags 2 and 5 named the per-sample oracle engines, which are no
-    // longer selectable; they stay retired rather than reused.
-    let engine_tag = match config.engine {
-        EngineKind::Auto => 0u8,
-        EngineKind::Batched => 1,
-        EngineKind::Density => 3,
-        EngineKind::DensityStructured => 4,
-        EngineKind::Circuit => 6,
-        other => {
-            return Err(ServeError::Artifact(format!(
-                "engine kind {other:?} is not freezable by this version"
-            )))
-        }
-    };
-    w.u8(engine_tag);
     let norm_tag = match config.normalization {
         Normalization::RangeMax => 0u8,
         Normalization::MinMax => 1,
@@ -368,14 +360,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<QuorumConfig, ServeError> {
         }
         tag => return Err(ServeError::Artifact(format!("unknown execution tag {tag}"))),
     };
-    let engine = match r.u8()? {
-        0 => EngineKind::Auto,
-        1 => EngineKind::Batched,
-        3 => EngineKind::Density,
-        4 => EngineKind::DensityStructured,
-        6 => EngineKind::Circuit,
-        tag => return Err(ServeError::Artifact(format!("unknown engine tag {tag}"))),
-    };
     let normalization = match r.u8()? {
         0 => Normalization::RangeMax,
         1 => Normalization::MinMax,
@@ -395,7 +379,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<QuorumConfig, ServeError> {
         bucket_probability,
         anomaly_rate_estimate,
         execution,
-        engine,
         normalization,
         seed,
         threads,
@@ -470,8 +453,12 @@ fn decode_group(r: &mut Reader<'_>) -> Result<FrozenGroup, ServeError> {
             "encoder dimension {dim} does not match {num_qubits} qubits"
         )));
     }
-    let mut flat = Vec::with_capacity(dim * dim);
-    for _ in 0..dim * dim {
+    let entries = dim
+        .checked_mul(dim)
+        .ok_or_else(|| ServeError::Artifact(format!("encoder dimension {dim} overflows")))?;
+    r.ensure_holds(entries, 16)?;
+    let mut flat = Vec::with_capacity(entries);
+    for _ in 0..entries {
         let re = r.f64()?;
         let im = r.f64()?;
         flat.push(C64 { re, im });
@@ -553,12 +540,15 @@ mod tests {
             FrozenArtifact::from_bytes(&bad),
             Err(ServeError::Artifact(msg)) if msg.contains("magic")
         ));
-        let mut bad = bytes.clone();
-        bad[8] = 0xFE; // version field
-        assert!(matches!(
-            FrozenArtifact::from_bytes(&bad),
-            Err(ServeError::Artifact(msg)) if msg.contains("version")
-        ));
+        // Version 1 carried an engine tag this build no longer reads.
+        for version in [1u8, 0xFE] {
+            let mut bad = bytes.clone();
+            bad[8] = version;
+            assert!(matches!(
+                FrozenArtifact::from_bytes(&bad),
+                Err(ServeError::Artifact(msg)) if msg.contains("version")
+            ));
+        }
         // Flip one payload byte: the checksum must catch it.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
@@ -572,45 +562,197 @@ mod tests {
         assert!(FrozenArtifact::from_bytes(&[]).is_err());
     }
 
-    /// The encoded config of `sample_artifact` under `engine`.
-    fn encoded_config(engine: EngineKind) -> Vec<u8> {
-        let config = sample_artifact().config.with_engine(engine);
-        let mut w = Writer::new();
-        encode_config(&config, &mut w).unwrap();
-        w.into_bytes()
+    /// A sealed artifact whose one group declares a `2^num_qubits`-wide
+    /// encoder and then ends, carrying no entries.
+    fn entryless_encoder_artifact(num_qubits: usize) -> Vec<u8> {
+        let artifact = sample_artifact();
+        let mut p = Writer::new();
+        encode_config(&artifact.config, &mut p).unwrap();
+        artifact.normalizer.encode(&mut p);
+        p.usize(artifact.num_features);
+        p.usize(artifact.reference_samples);
+        p.usize(1); // groups
+        p.usize(0); // index
+        p.usize(num_qubits);
+        p.usize(0); // layers
+        p.usizes(&[]); // feature columns
+        p.usize(0); // buckets
+        p.usize(1 << num_qubits);
+        seal(&p.into_bytes())
     }
 
     #[test]
-    fn engine_tags_are_pinned() {
-        let kept = [
-            (EngineKind::Auto, 0u8),
-            (EngineKind::Batched, 1),
-            (EngineKind::Density, 3),
-            (EngineKind::DensityStructured, 4),
-            (EngineKind::Circuit, 6),
-        ];
-        // The engine tag is the one byte where two encodings differ.
-        let auto = encoded_config(EngineKind::Auto);
-        let circuit = encoded_config(EngineKind::Circuit);
-        let at = (0..auto.len()).find(|&i| auto[i] != circuit[i]).unwrap();
-        for (kind, tag) in kept {
-            let bytes = encoded_config(kind);
-            assert_eq!(bytes[at], tag, "{kind:?}");
-            let decoded = decode_config(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(decoded, sample_artifact().config.with_engine(kind));
-        }
-        // The retired per-sample oracle tags and the first unused tag
-        // are typed errors that name the tag.
-        for tag in [2u8, 5, 7] {
-            let mut bytes = auto.clone();
-            bytes[at] = tag;
-            match decode_config(&mut Reader::new(&bytes)) {
-                Err(ServeError::Artifact(msg)) => {
-                    assert!(msg.contains(&format!("engine tag {tag}")), "{msg}")
-                }
-                other => panic!("tag {tag} decoded to {other:?}"),
+    fn encoder_size_is_bounded_by_the_payload_before_allocating() {
+        for num_qubits in [13, 29, 30, 32, 63] {
+            match FrozenArtifact::from_bytes(&entryless_encoder_artifact(num_qubits)) {
+                Err(ServeError::Artifact(msg)) => assert!(
+                    msg.contains("implausible") || msg.contains("overflows"),
+                    "{num_qubits} qubits: {msg}"
+                ),
+                other => panic!("{num_qubits} qubits decoded to {other:?}"),
             }
         }
+    }
+
+    /// The next value of a SplitMix64 stream: the mutation schedule's
+    /// deterministic randomness.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// What 8-byte overwrites plant: all ones (NaN as an `f64`), counts
+    /// far past any payload, widths around the decoders' limits, and
+    /// out-of-range values for the probability and time fields.
+    const PLANTED: [u64; 10] = [
+        u64::MAX,
+        1 << 40,
+        1 << 20,
+        64,
+        63,
+        31,
+        29,
+        0,
+        1.5f64.to_bits(),
+        (-1.0f64).to_bits(),
+    ];
+
+    /// One mutant of `payload` — a bit flip, a truncation or an 8-byte
+    /// overwrite — resealed so it passes the length and checksum checks
+    /// and reaches the field decoders.
+    fn mutant(payload: &[u8], rng: &mut u64) -> Vec<u8> {
+        let mut p = payload.to_vec();
+        let mut draw = |bound: usize| (splitmix(rng) % bound as u64) as usize;
+        match draw(3) {
+            0 => {
+                let bit = draw(p.len() * 8);
+                p[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 => p.truncate(draw(p.len())),
+            _ => {
+                let value = PLANTED[draw(PLANTED.len())];
+                // Half the overwrites land among the config, normaliser
+                // and group headers ahead of the bulky encoder entries.
+                let span = if draw(2) == 0 {
+                    p.len().min(256)
+                } else {
+                    p.len()
+                };
+                let at = draw(span - 7);
+                p[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+        }
+        seal(&p)
+    }
+
+    /// A small 7-feature reference set and the Exact and Noisy (with
+    /// shots) configurations the trust-boundary tests freeze on it.
+    fn trust_boundary_setup() -> (Dataset, [QuorumConfig; 2]) {
+        let rows: Vec<Vec<f64>> = (0..8)
+            .map(|i| {
+                (0..7)
+                    .map(|j| ((i * 7 + j) as f64 * 0.37).sin() + 1.5)
+                    .collect()
+            })
+            .collect();
+        let reference = Dataset::from_rows("mutation-ref", rows, None).unwrap();
+        let exact = QuorumConfig::default()
+            .with_ensemble_groups(2)
+            .with_compression_levels(vec![1])
+            .with_threads(1);
+        let noisy = exact.clone().with_execution(ExecutionMode::Noisy {
+            noise: NoiseModel::brisbane(),
+            shots: Some(64),
+        });
+        (reference, [exact, noisy])
+    }
+
+    #[test]
+    fn zero_width_artifacts_do_not_thaw() {
+        let (reference, [exact, _]) = trust_boundary_setup();
+        let mut artifact = crate::FrozenDetector::freeze(exact, &reference)
+            .unwrap()
+            .to_artifact()
+            .unwrap();
+        artifact.num_features = 0;
+        artifact.normalizer = FrozenNormalizer::RangeMax(RangeNormalizer::from_maxima(Vec::new()));
+        for group in &mut artifact.groups {
+            group.feature_columns.clear();
+        }
+        match crate::FrozenDetector::from_bytes(&artifact.to_bytes().unwrap()) {
+            Err(ServeError::Artifact(msg)) => assert!(msg.contains("no features"), "{msg}"),
+            other => panic!("a zero-width artifact thawed to {other:?}"),
+        }
+    }
+
+    /// Mutants declaring more shots than this thaw but are not scored:
+    /// shot sampling draws once per shot, so a planted count such as
+    /// 2^40 makes one row take hours (ROADMAP item 5), not panic.
+    const MAX_SCORED_SHOTS: u64 = 1 << 16;
+
+    /// Whether thawing `bytes` panics, or — when it thaws — scoring one
+    /// row on the result does, counting group panics the scorer's own
+    /// supervision absorbs into a typed error.
+    fn panics_on_thaw_or_score(bytes: &[u8]) -> bool {
+        std::panic::catch_unwind(|| {
+            let Ok(detector) = crate::FrozenDetector::from_bytes(bytes) else {
+                return false;
+            };
+            let shots = match &detector.config().execution {
+                ExecutionMode::Sampled { shots }
+                | ExecutionMode::Noisy {
+                    shots: Some(shots), ..
+                } => *shots,
+                _ => 0,
+            };
+            if shots > MAX_SCORED_SHOTS {
+                return false;
+            }
+            let row = vec![0.5; detector.num_features()];
+            let _ = detector.score_samples(&[row], 0);
+            detector.group_panics() > 0
+        })
+        .unwrap_or(true)
+    }
+
+    /// Freezes one Exact and one Noisy detector and thaws `cases`
+    /// mutants of each payload per seed: each must thaw or fail with a
+    /// typed error, and a thawed one must score a row, never panicking
+    /// (an abort fails the whole run).
+    fn assert_mutants_never_panic(seeds: &[u64], cases: usize) {
+        let (reference, configs) = trust_boundary_setup();
+        for config in configs {
+            let bytes = crate::FrozenDetector::freeze(config.clone(), &reference)
+                .unwrap()
+                .to_bytes()
+                .unwrap();
+            let payload = &bytes[HEADER_BYTES..];
+            for &seed in seeds {
+                let mut rng = seed;
+                let panicked: Vec<usize> = (0..cases)
+                    .filter(|_| panics_on_thaw_or_score(&mutant(payload, &mut rng)))
+                    .collect();
+                assert!(
+                    panicked.is_empty(),
+                    "{:?} mutants {panicked:?} of seed {seed} panicked",
+                    config.execution
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_artifacts_thaw_or_fail_typed() {
+        assert_mutants_never_panic(&[0x5EED], 100);
+    }
+
+    #[test]
+    #[ignore = "exhaustive; run explicitly or in CI's --ignored pass"]
+    fn mutated_artifacts_thaw_or_fail_typed_exhaustive() {
+        assert_mutants_never_panic(&[1, 2, 3], 1_000);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use qmetrics::stats;
 use qsim::parallel::map_indexed;
 use quorum_core::ansatz::AnsatzParams;
 use quorum_core::bucket::BucketPlan;
-use quorum_core::config::{EngineKind, ExecutionMode};
+use quorum_core::config::ExecutionMode;
 use quorum_core::engine::{self, sampled_deviation, shot_seed, ScoringEngine};
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::features::FeatureSelection;
@@ -80,9 +80,9 @@ pub struct FrozenDetector {
     reference_samples: usize,
     groups: Vec<EnsembleGroup>,
     stats: Vec<Vec<LevelStats>>,
-    /// The configured engine. Stripping shots never changes what
-    /// [`engine::resolve`] returns, so the streaming path scores through
-    /// it too.
+    /// The engine the configuration picks. Stripping shots never changes
+    /// what [`engine::resolve`] returns, so the streaming path scores
+    /// through it too.
     engine: &'static dyn ScoringEngine,
     /// The same configuration with shot sampling stripped — the
     /// streaming path scores exactly, then re-applies the binomial draw
@@ -134,7 +134,7 @@ impl FrozenDetector {
         let rate = config.anomaly_rate_estimate.unwrap_or(0.05);
         let plan =
             BucketPlan::from_target(normalized.num_samples(), rate, config.bucket_probability);
-        let engine = engine::resolve(&config)?;
+        let engine = engine::resolve(&config);
         let levels = config.effective_compression_levels();
         let threads = config.effective_threads();
         let config_ref = &config;
@@ -205,6 +205,10 @@ impl FrozenDetector {
             return Err(ServeError::Artifact(
                 "per-group statistics count does not match the group count".into(),
             ));
+        }
+        // `freeze` rejects zero-width data; a served panel needs a column.
+        if num_features == 0 {
+            return Err(ServeError::Artifact("artifact declares no features".into()));
         }
         if normalizer.num_features() != num_features {
             return Err(ServeError::Artifact(
@@ -585,7 +589,7 @@ impl FrozenDetector {
         groups: Vec<EnsembleGroup>,
         stats: Vec<Vec<LevelStats>>,
     ) -> Result<Self, ServeError> {
-        let engine = engine::resolve(&config)?;
+        let engine = engine::resolve(&config);
         let (stripped_execution, stream_shots) = match &config.execution {
             ExecutionMode::Exact => (ExecutionMode::Exact, None),
             ExecutionMode::Sampled { shots } => (ExecutionMode::Exact, Some(*shots)),
@@ -619,30 +623,19 @@ impl FrozenDetector {
         Ok(detector)
     }
 
-    /// Builds every per-(noise, level) derived object the configured
-    /// engine will need, so a thawed server's first request hits only
-    /// warm caches. No-op for pure-state configurations and for the
-    /// per-sample circuit oracle (which builds circuits per request). The
-    /// `(group, level)` builds fan out over the worker pool: each is
+    /// Builds every per-(group, level) object the engine will need
+    /// ([`engine::prewarm`]), so a thawed server's first request hits
+    /// only warm caches. The builds fan out over the worker pool: each is
     /// deterministic and runs outside its cache's lock, so the warmed
     /// entries do not depend on the schedule.
     fn prewarm(&self) -> Result<(), ServeError> {
-        let ExecutionMode::Noisy { noise, .. } = &self.config.execution else {
-            return Ok(());
-        };
-        let kind = self.config.effective_engine();
         let levels = self.config.effective_compression_levels();
         let builds = map_indexed(
             self.groups.len() * levels.len(),
             self.config.effective_threads(),
             |i| {
                 let group = &self.groups[i / levels.len()];
-                let level = levels[i % levels.len()];
-                match kind {
-                    EngineKind::Density => group.readout_form(noise, level).map(drop),
-                    EngineKind::DensityStructured => group.channel_program(noise, level).map(drop),
-                    _ => Ok(()),
-                }
+                engine::prewarm(group, &self.config, levels[i % levels.len()])
             },
         );
         builds
@@ -683,12 +676,13 @@ fn thaw_group(
             config.ansatz_layers
         )));
     }
-    if frozen.feature_columns.len() != config.features_per_circuit() {
+    // Groups select every column of a dataset narrower than a circuit.
+    let expected_columns = config.features_per_circuit().min(num_features);
+    if frozen.feature_columns.len() != expected_columns {
         return Err(ServeError::Artifact(format!(
-            "group {} selects {} feature columns, expected {}",
+            "group {} selects {} feature columns, expected {expected_columns}",
             frozen.index,
             frozen.feature_columns.len(),
-            config.features_per_circuit()
         )));
     }
     for (i, &c) in frozen.feature_columns.iter().enumerate() {

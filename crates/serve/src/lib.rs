@@ -49,7 +49,7 @@
 //! when the batching queue fills, answers `Health` probes with queue
 //! pressure and the caught-panic count, and [`ScoreClient`] retries
 //! transient failures with seeded exponential backoff. A deterministic
-//! failpoint registry ([`mod@fault`], compiled only under the
+//! failpoint registry (the `fault` module, compiled only under the
 //! `failpoints` feature or `cfg(test)`) drives the chaos suite that pins
 //! these guarantees.
 

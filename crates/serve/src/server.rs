@@ -35,7 +35,7 @@
 //! header before any payload is buffered: a wrong-width payload is
 //! drained through a fixed-size buffer, so only a request of the
 //! detector's own width is ever buffered. A frame that cannot be
-//! trusted — a declared feature count over [`MAX_REQUEST_FEATURES`] —
+//! trusted — a declared feature count over `MAX_REQUEST_FEATURES` (2^20) —
 //! is answered with an error frame and then the connection is
 //! **closed**: the declared length is the only framing information the
 //! protocol carries, so once it is implausible the stream can never be

@@ -155,6 +155,14 @@ impl<'a> Reader<'a> {
     /// allocations.
     pub fn len_prefix(&mut self, item_bytes: usize) -> Result<usize, ServeError> {
         let n = self.usize()?;
+        self.ensure_holds(n, item_bytes)?;
+        Ok(n)
+    }
+
+    /// Fails unless the remaining payload can hold `n` items of at least
+    /// `item_bytes` bytes each — the check to make before allocating for
+    /// any count derived from the payload.
+    pub fn ensure_holds(&self, n: usize, item_bytes: usize) -> Result<(), ServeError> {
         let remaining = self.buf.len() - self.pos;
         if n.checked_mul(item_bytes.max(1))
             .is_none_or(|b| b > remaining)
@@ -163,7 +171,7 @@ impl<'a> Reader<'a> {
                 "implausible length {n} (only {remaining} bytes remain)"
             )));
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Reads an `f64` by bit pattern.

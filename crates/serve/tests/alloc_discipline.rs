@@ -13,7 +13,7 @@
 
 use qdata::Dataset;
 use qsim::NoiseModel;
-use quorum_core::config::{EngineKind, ExecutionMode};
+use quorum_core::config::ExecutionMode;
 use quorum_core::QuorumConfig;
 use quorum_serve::FrozenDetector;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,7 +96,6 @@ fn serving_config() -> QuorumConfig {
         .with_ansatz_layers(2)
         .with_threads(1)
         .with_seed(0x5EEF_1E55)
-        .with_engine(EngineKind::Density)
         .with_execution(ExecutionMode::Noisy {
             noise: NoiseModel::brisbane(),
             shots: None,

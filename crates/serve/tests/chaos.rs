@@ -19,7 +19,7 @@
 
 use qdata::Dataset;
 use qsim::NoiseModel;
-use quorum_core::config::{EngineKind, ExecutionMode};
+use quorum_core::config::ExecutionMode;
 use quorum_core::QuorumConfig;
 use quorum_serve::fault::{self, FaultAction, FaultSpec};
 use quorum_serve::frozen::GROUP_RETRIES;
@@ -161,7 +161,6 @@ fn poisoned_caches_are_absorbed_bit_identically() {
     fault::reset();
     let config = base_config()
         .with_ensemble_groups(3)
-        .with_engine(EngineKind::Density)
         .with_execution(ExecutionMode::Noisy {
             noise: NoiseModel::brisbane(),
             shots: None,

@@ -1,12 +1,13 @@
 //! End-to-end serving-runtime tests: freeze/thaw bit-identity across
-//! execution modes and engines, coalescing and thread-count invariance,
+//! execution modes and the engines they pick, coalescing and
+//! thread-count invariance,
 //! sampled-draw reproducibility, and the TCP server under concurrent
 //! clients.
 
 use qdata::Dataset;
 use qsim::NoiseModel;
-use quorum_core::config::{EngineKind, ExecutionMode, Normalization};
-use quorum_core::{QuorumConfig, QuorumDetector};
+use quorum_core::config::{ExecutionMode, Normalization, STRUCTURED_AUTO_MIN_QUBITS};
+use quorum_core::{QuorumConfig, QuorumDetector, QuorumError};
 use quorum_serve::{
     BatchScorer, CoalescePolicy, FrozenArtifact, FrozenDetector, OverloadPolicy, QuorumServer,
     ScoreClient, ServeError,
@@ -76,30 +77,18 @@ fn round_trip_is_bit_identical_exact_default_engine() {
 }
 
 #[test]
-fn round_trip_is_bit_identical_exact_across_engines() {
-    for engine in [EngineKind::Batched, EngineKind::Circuit] {
-        assert_round_trip_bit_identical(base_config().with_engine(engine));
-    }
-}
-
-#[test]
 fn round_trip_is_bit_identical_sampled() {
     assert_round_trip_bit_identical(
         base_config().with_execution(ExecutionMode::Sampled { shots: 256 }),
     );
 }
 
+/// Both noisy engines: dense at n = 3, structured from
+/// [`STRUCTURED_AUTO_MIN_QUBITS`] up.
 #[test]
 fn round_trip_is_bit_identical_noisy_across_engines() {
-    let noise = NoiseModel::brisbane();
-    for engine in [EngineKind::Density, EngineKind::DensityStructured] {
-        assert_round_trip_bit_identical(base_config().with_engine(engine).with_execution(
-            ExecutionMode::Noisy {
-                noise: noise.clone(),
-                shots: Some(128),
-            },
-        ));
-    }
+    assert_round_trip_bit_identical(noisy_config(Some(128)));
+    assert_round_trip_bit_identical(wide_noisy_config(Some(128)));
 }
 
 #[test]
@@ -181,13 +170,21 @@ fn assert_coalescing_invariant(config: QuorumConfig, thread_counts: &[usize]) {
     }
 }
 
-fn noisy_config(engine: EngineKind, shots: Option<u64>) -> QuorumConfig {
-    base_config()
-        .with_engine(engine)
-        .with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots,
-        })
+/// Noisy Brisbane at n = 3, which scores on the dense density engine.
+fn noisy_config(shots: Option<u64>) -> QuorumConfig {
+    base_config().with_execution(ExecutionMode::Noisy {
+        noise: NoiseModel::brisbane(),
+        shots,
+    })
+}
+
+/// Noisy Brisbane at the narrowest width the structured density engine
+/// scores, kept to two groups and two levels so debug builds stay fast.
+fn wide_noisy_config(shots: Option<u64>) -> QuorumConfig {
+    noisy_config(shots)
+        .with_data_qubits(STRUCTURED_AUTO_MIN_QUBITS)
+        .with_ensemble_groups(2)
+        .with_compression_levels(vec![1, STRUCTURED_AUTO_MIN_QUBITS - 1])
 }
 
 #[test]
@@ -205,24 +202,23 @@ fn coalescing_is_invariant_with_shots() {
 
 #[test]
 fn coalescing_is_invariant_noisy_with_shots() {
-    assert_coalescing_invariant(noisy_config(EngineKind::Density, Some(256)), &THREAD_COUNTS);
+    assert_coalescing_invariant(noisy_config(Some(256)), &THREAD_COUNTS);
 }
 
 /// Exhaustive variant for CI's `--ignored` pass: more threads than
 /// groups (some participants idle, scores unchanged), plus the
-/// paper-literal circuit engine and the structured noisy engine.
+/// structured noisy engine.
 #[test]
 #[ignore = "exhaustive; run explicitly or in CI's --ignored pass"]
 fn coalescing_is_invariant_exhaustive() {
     let all = [1, 2, 3, GROUPS, GROUPS + 3];
     assert_coalescing_invariant(base_config(), &all);
-    assert_coalescing_invariant(base_config().with_engine(EngineKind::Circuit), &all);
     assert_coalescing_invariant(
         base_config().with_execution(ExecutionMode::Sampled { shots: 64 }),
         &all,
     );
-    assert_coalescing_invariant(noisy_config(EngineKind::Density, Some(128)), &all);
-    assert_coalescing_invariant(noisy_config(EngineKind::DensityStructured, Some(128)), &all);
+    assert_coalescing_invariant(noisy_config(Some(128)), &all);
+    assert_coalescing_invariant(wide_noisy_config(Some(128)), &all);
 }
 
 /// Sampled draws are a pure function of (config, group, level, id): the
@@ -290,6 +286,28 @@ fn tampered_artifacts_thaw_to_typed_errors() {
         FrozenDetector::thaw(rebuilt),
         Err(ServeError::Artifact(_))
     ));
+}
+
+/// A noise model outside its ranges is a typed configuration error at
+/// thaw, not a panic while pre-warming the noisy caches.
+#[test]
+fn thaw_rejects_an_out_of_range_noise_model() {
+    let frozen = FrozenDetector::freeze(noisy_config(None), &reference()).unwrap();
+    let mut bad = frozen.to_artifact().unwrap();
+    bad.config.execution = ExecutionMode::Noisy {
+        noise: NoiseModel {
+            error_1q: 1.5,
+            ..NoiseModel::brisbane()
+        },
+        shots: None,
+    };
+    let bytes = bad.to_bytes().unwrap();
+    match FrozenDetector::from_bytes(&bytes) {
+        Err(ServeError::Quorum(QuorumError::InvalidConfig(msg))) => {
+            assert!(msg.contains("error_1q"), "{msg}")
+        }
+        other => panic!("thawed an out-of-range noise model: {other:?}"),
+    }
 }
 
 /// Round-trips an artifact through bytes to get an owned copy to mutate.

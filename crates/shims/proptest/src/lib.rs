@@ -102,7 +102,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     pub struct SizeRange {
         min: usize,
         /// Inclusive upper bound.

@@ -1,12 +1,16 @@
-//! Choosing a scoring engine: `Auto` (default), or one of the four forced
-//! kinds `Batched`, `Density`, `DensityStructured` and `Circuit` — and
-//! what each buys you.
+//! Which scoring engine runs: the configuration alone picks it
+//! (`engine::resolve`), from the execution mode and the register width.
+//! Every engine also stays callable through
+//! `QuorumDetector::score_with` — here, the batched engine against the
+//! paper-literal circuit oracle.
 //!
 //! ```text
 //! cargo run --release --example engine_selection
 //! ```
 
-use quorum::core::{EngineKind, ExecutionMode, QuorumConfig, QuorumDetector};
+use quorum::core::config::STRUCTURED_AUTO_MIN_QUBITS;
+use quorum::core::engine::{resolve, BatchedAnalyticEngine, CircuitEngine, ScoringEngine};
+use quorum::core::{ExecutionMode, QuorumConfig, QuorumDetector};
 use quorum::data::Dataset;
 use quorum::sim::NoiseModel;
 use std::time::Instant;
@@ -36,52 +40,65 @@ fn main() {
         .with_anomaly_rate_estimate(0.05)
         .with_seed(7);
 
-    // The same pipeline through each engine: identical scores, very
-    // different wall time.
-    for kind in [EngineKind::Batched, EngineKind::Circuit] {
-        let detector = QuorumDetector::new(base.clone().with_engine(kind)).unwrap();
+    // The engine each execution mode and width resolves to.
+    let modes = [
+        ("Exact", ExecutionMode::Exact),
+        ("Sampled", ExecutionMode::Sampled { shots: 4096 }),
+        (
+            "Noisy",
+            ExecutionMode::Noisy {
+                noise: NoiseModel::brisbane(),
+                shots: None,
+            },
+        ),
+    ];
+    for (label, mode) in modes {
+        for n in [3, STRUCTURED_AUTO_MIN_QUBITS] {
+            let config = base
+                .clone()
+                .with_data_qubits(n)
+                .with_execution(mode.clone());
+            println!("{label:>7} at n = {n}: {}", resolve(&config).name());
+        }
+    }
+
+    // The same pipeline through the batched engine and the circuit
+    // oracle: the same scores, very different wall time.
+    let detector = QuorumDetector::new(base.clone()).unwrap();
+    let engines: [&dyn ScoringEngine; 2] = [&BatchedAnalyticEngine, &CircuitEngine];
+    println!();
+    let reports = engines.map(|engine| {
         let start = Instant::now();
-        let report = detector.score(&data).unwrap();
+        let report = detector.score_with(engine, &data).unwrap();
         println!(
-            "{kind:>10?}: top-2 = {:?}  in {:.2?}",
+            "{:>8}: top-2 = {:?}  in {:.2?}",
+            engine.name(),
             &report.ranking()[..2],
             start.elapsed()
         );
-    }
+        report
+    });
+    let gap = reports[0]
+        .scores()
+        .iter()
+        .zip(reports[1].scores())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    println!("largest score gap, batched vs circuit: {gap:.1e}");
+    assert!(gap < 1e-9, "batched and circuit scores diverged");
 
-    // `Auto` resolves per execution mode: batched analytic when noiseless …
-    println!(
-        "\nAuto + Exact  resolves to: {:?}",
-        base.clone().effective_engine()
-    );
-    // … and the analytic density engine when a noise model is attached
-    // (the paper-literal circuit engine stays available as the oracle).
-    let noisy = base.clone().with_execution(ExecutionMode::Noisy {
+    // The noisy pipeline end to end, through the engine it resolves to.
+    let noisy = base.with_execution(ExecutionMode::Noisy {
         noise: NoiseModel::brisbane(),
         shots: None,
     });
-    println!("Auto + Noisy  resolves to: {:?}", noisy.effective_engine());
-
-    // The noisy pipeline end to end, through the density engine.
-    let detector = QuorumDetector::new(noisy).unwrap();
+    let detector = QuorumDetector::new(noisy.clone()).unwrap();
     let start = Instant::now();
     let report = detector.score(&data).unwrap();
     println!(
-        "Noisy scoring (density engine): top-2 = {:?}  in {:.2?}",
+        "Noisy scoring ({} engine): top-2 = {:?}  in {:.2?}",
+        resolve(&noisy).name(),
         &report.ranking()[..2],
         start.elapsed()
     );
-
-    // Forcing the pure-state batched engine under noise is rejected up
-    // front.
-    let invalid = base
-        .with_engine(EngineKind::Batched)
-        .with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        });
-    match QuorumDetector::new(invalid) {
-        Err(e) => println!("Batched + Noisy is rejected: {e}"),
-        Ok(_) => unreachable!("validation must reject this combination"),
-    }
 }

@@ -6,11 +6,11 @@
 use proptest::prelude::*;
 use quorum::core::bucket::BucketPlan;
 use quorum::core::engine::{
-    resolve, AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, SampleDensityEngine,
-    ScoringEngine,
+    resolve, AnalyticEngine, BatchedAnalyticEngine, CircuitEngine, DensityEngine,
+    SampleDensityEngine, ScoringEngine,
 };
 use quorum::core::ensemble::EnsembleGroup;
-use quorum::core::{EngineKind, ExecutionMode, QuorumConfig, QuorumDetector};
+use quorum::core::{ExecutionMode, QuorumConfig, QuorumDetector};
 use quorum::data::Dataset;
 
 /// A small spread-out dataset with `features` columns.
@@ -114,14 +114,9 @@ fn full_detector_scores_agree_between_engines() {
         .with_ensemble_groups(6)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(23);
-    let analytic = QuorumDetector::new(base.clone())
-        .unwrap()
-        .score_with(&AnalyticEngine, &ds)
-        .unwrap();
-    let circuit = QuorumDetector::new(base.with_engine(EngineKind::Circuit))
-        .unwrap()
-        .score(&ds)
-        .unwrap();
+    let detector = QuorumDetector::new(base).unwrap();
+    let analytic = detector.score_with(&AnalyticEngine, &ds).unwrap();
+    let circuit = detector.score_with(&CircuitEngine, &ds).unwrap();
     for (a, c) in analytic.scores().iter().zip(circuit.scores()) {
         assert!((a - c).abs() < 1e-7, "analytic {a} vs circuit {c}");
     }
@@ -163,22 +158,14 @@ fn auto_engine_selection_matches_forced_batched() {
         .with_ensemble_groups(4)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(3);
-    assert_eq!(resolve(&base).unwrap().name(), "batched");
-    let auto = QuorumDetector::new(base.clone())
-        .unwrap()
-        .score(&ds)
-        .unwrap();
-    let forced = QuorumDetector::new(base.clone().with_engine(EngineKind::Batched))
-        .unwrap()
-        .score(&ds)
-        .unwrap();
+    assert_eq!(resolve(&base).name(), "batched");
+    let detector = QuorumDetector::new(base).unwrap();
+    let auto = detector.score(&ds).unwrap();
+    let forced = detector.score_with(&BatchedAnalyticEngine, &ds).unwrap();
     assert_eq!(auto.scores(), forced.scores());
     // The per-sample analytic oracle lands on the same scores too (the
     // batched path preserves its per-sample summation order).
-    let per_sample = QuorumDetector::new(base)
-        .unwrap()
-        .score_with(&AnalyticEngine, &ds)
-        .unwrap();
+    let per_sample = detector.score_with(&AnalyticEngine, &ds).unwrap();
     for (a, b) in per_sample.scores().iter().zip(auto.scores()) {
         assert!((a - b).abs() < 1e-9, "per-sample {a} vs batched {b}");
     }
@@ -196,19 +183,18 @@ fn batched_sampled_scores_bit_identical_across_runs_and_threads() {
     let ds = Dataset::from_rows("batched-det", rows, None).unwrap();
 
     let base = QuorumConfig::default()
-        .with_engine(EngineKind::Batched)
         .with_execution(ExecutionMode::Sampled { shots: 1024 })
         .with_ensemble_groups(8)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(19);
     let reference = QuorumDetector::new(base.clone().with_threads(1))
         .unwrap()
-        .score(&ds)
+        .score_with(&BatchedAnalyticEngine, &ds)
         .unwrap();
     for threads in [1usize, 4] {
         let detector = QuorumDetector::new(base.clone().with_threads(threads)).unwrap();
         for run in 0..2 {
-            let scores = detector.score(&ds).unwrap();
+            let scores = detector.score_with(&BatchedAnalyticEngine, &ds).unwrap();
             assert_eq!(
                 reference.scores(),
                 scores.scores(),
@@ -227,7 +213,7 @@ fn batched_sampled_scores_bit_identical_across_runs_and_threads() {
 #[test]
 fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
     // Satellite pin: Noisy + shots scoring through the density path (the
-    // Auto resolution for noisy runs) is bit-identical across repeated
+    // engine noisy runs resolve to at n = 3) is bit-identical across repeated
     // runs and across worker-thread counts — per-measurement seeds do not
     // depend on scheduling, and the fused-superoperator caches only ever
     // hold one deterministic matrix per level.
@@ -246,7 +232,7 @@ fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
         .with_ensemble_groups(6)
         .with_anomaly_rate_estimate(0.1)
         .with_seed(31);
-    assert_eq!(resolve(&base).unwrap().name(), "density");
+    assert_eq!(resolve(&base).name(), "density");
     let reference = QuorumDetector::new(base.clone().with_threads(1))
         .unwrap()
         .score(&ds)
@@ -262,23 +248,14 @@ fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
             );
         }
     }
-    // Forcing the (batched) density engine explicitly lands on the same
+    // Naming the (batched) density engine explicitly lands on the same
     // draws, and so does the per-sample density oracle: its unreduced
     // contraction agrees with the readout forms to ~1e-15, far inside
     // any binomial draw's threshold, so the seeded draws coincide.
-    let forced = QuorumDetector::new(
-        base.clone()
-            .with_engine(EngineKind::Density)
-            .with_threads(2),
-    )
-    .unwrap()
-    .score(&ds)
-    .unwrap();
+    let detector = QuorumDetector::new(base.with_threads(2)).unwrap();
+    let forced = detector.score_with(&DensityEngine, &ds).unwrap();
     assert_eq!(reference.scores(), forced.scores());
-    let per_sample = QuorumDetector::new(base.with_threads(2))
-        .unwrap()
-        .score_with(&SampleDensityEngine, &ds)
-        .unwrap();
+    let per_sample = detector.score_with(&SampleDensityEngine, &ds).unwrap();
     assert_eq!(reference.scores(), per_sample.scores());
 }
 
