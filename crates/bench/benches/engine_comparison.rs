@@ -16,9 +16,9 @@
 //! seam. A wide-register noisy column pits the structured per-gate
 //! channel engine against the dense readout-form engine at n = 5 — warm,
 //! the dense engine must win; cold, the structured engine's first pass
-//! must be ≥ 10× cheaper, since the dense one fuses a `16^n`
-//! superoperator per level — and tracks the structured engine alone at
-//! n = 6 (`structured_noisy_ns_per_sample`), a width the dense `16^n`
+//! must be ≥ 10× cheaper, since the dense one builds an `m × m` readout
+//! form per level (`m = 2^n(2^n+1)/2`) — and tracks the structured engine
+//! alone at n = 6 (`structured_noisy_ns_per_sample`), a width the dense
 //! path cannot practically reach. A crossover column times both noisy
 //! engines at n = 3 and 4, where Noisy runs use the dense one, and
 //! records informational ratios. A serving column streams the flagship
@@ -29,7 +29,11 @@
 //! Every reported number also lands in `BENCH_engines.json` (per-engine
 //! ns/sample, kernel GFLOP/s, speedup ratios) so the perf trajectory is
 //! machine-readable across PRs; override the path with the
-//! `QUORUM_BENCH_JSON` env var.
+//! `QUORUM_BENCH_JSON` env var. A missed speed bar does not stop the run:
+//! it is recorded ([`expect_speed`]), the JSON is written with every
+//! column, and only then does the bench fail, listing every miss. The
+//! two correctness checks (dense/structured agreement at n = 5, n = 6
+//! probabilities) still fail at once.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdata::Dataset;
@@ -55,8 +59,22 @@ const NOISY_SAMPLES: usize = 24;
 /// Collected metrics for `BENCH_engines.json`, in insertion order.
 static METRICS: Mutex<Vec<(&'static str, f64)>> = Mutex::new(Vec::new());
 
+/// Speed bars missed so far, reported once the JSON is written.
+static MISSES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
 fn record(key: &'static str, value: f64) {
     METRICS.lock().expect("metrics registry").push((key, value));
+}
+
+/// Checks one speed bar. A miss is printed and recorded instead of
+/// panicking, so the remaining columns still run and land in
+/// `BENCH_engines.json`; [`emit_bench_json`] then fails the bench with
+/// every recorded miss.
+fn expect_speed(met: bool, miss: String) {
+    if !met {
+        println!("speed_bar_missed                                         {miss}");
+        MISSES.lock().expect("misses registry").push(miss);
+    }
 }
 
 fn truncate(ds: &Dataset, n: usize) -> Dataset {
@@ -153,13 +171,13 @@ fn report_speedup(_c: &mut Criterion) {
     println!(
         "engine_flagship_speedup_ratios                           batched/analytic x{batched_vs_analytic:.1}  analytic/circuit x{analytic_vs_circuit:.1}  batched/circuit x{batched_vs_circuit:.1}"
     );
-    assert!(
+    expect_speed(
         batched_vs_analytic >= 2.0,
-        "batched engine must be ≥2× the per-sample analytic engine on the flagship config, got ×{batched_vs_analytic:.2}"
+        format!("batched engine must be ≥2× the per-sample analytic engine on the flagship config, got ×{batched_vs_analytic:.2}"),
     );
-    assert!(
+    expect_speed(
         analytic_vs_circuit >= 5.0,
-        "analytic engine must be ≥5× faster than the circuit engine on the flagship config, got ×{analytic_vs_circuit:.1}"
+        format!("analytic engine must be ≥5× faster than the circuit engine on the flagship config, got ×{analytic_vs_circuit:.1}"),
     );
 }
 
@@ -208,9 +226,9 @@ fn report_noisy_speedup(_c: &mut Criterion) {
     println!(
         "engine_flagship_noisy_speedup_ratio                      density/circuit x{density_vs_circuit:.1}"
     );
-    assert!(
+    expect_speed(
         density_vs_circuit >= 5.0,
-        "density engine must be ≥5× the noisy circuit engine on the flagship config, got ×{density_vs_circuit:.1}"
+        format!("density engine must be ≥5× the noisy circuit engine on the flagship config, got ×{density_vs_circuit:.1}"),
     );
 }
 
@@ -226,11 +244,12 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
         .unwrap()
 }
 
-/// The fully-batched noisy path (lockstep prep + vec(ρ) GEMM scoring)
+/// The fully-batched noisy path (lockstep prep + readout-form scoring)
 /// against the per-sample path, on isolated scoring: one flagship group,
-/// caches (fused superoperators and the readout functional) pre-warmed, a
-/// full 96-sample two-level deviation sweep per run — so the ratios
-/// measure exactly what the batching changed, not the shared fusion cost.
+/// caches (readout forms, the oracle's superoperators and functional)
+/// pre-warmed, a full 96-sample two-level deviation sweep per run — so
+/// the ratios measure exactly what the batching changed, not the shared
+/// fusion cost.
 /// The prep and score stages are also timed through the public
 /// [`DensityEngine::prepare_batch`] / [`DensityEngine::score_prepared`]
 /// seam, so `BENCH_engines.json` carries explicit
@@ -242,8 +261,8 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
 /// removing per-sample circuit construction/lowering and from
 /// lane-contiguous kernels — measured ×~1.7 on prep and ×~2 end-to-end on
 /// this shape (`4³` superoperators, 96-sample batches), not an
-/// order-of-magnitude algorithmic gap. The asserts below pin those levels
-/// with headroom for runner noise.
+/// order-of-magnitude algorithmic gap. The speed bars below pin those
+/// levels with headroom for runner noise.
 fn report_density_batch_speedup(_c: &mut Criterion) {
     let config = noisy_flagship_config().with_ensemble_groups(1);
     // Feed the engines exactly what the production pipeline feeds them.
@@ -316,27 +335,31 @@ fn report_density_batch_speedup(_c: &mut Criterion) {
     println!(
         "density_batch_speedup_ratio                              batched/per-sample x{speedup:.2}"
     );
-    assert!(
+    expect_speed(
         speedup >= 1.7,
-        "end-to-end noisy scoring (lockstep prep + batched score) must be ≥1.7× the \
-         per-sample path on the flagship config, got ×{speedup:.2}"
+        format!(
+            "end-to-end noisy scoring (lockstep prep + batched score) must be ≥1.7× the \
+             per-sample path on the flagship config, got ×{speedup:.2}"
+        ),
     );
-    assert!(
+    expect_speed(
         prep_speedup >= 1.3,
-        "lockstep prep must be ≥1.3× the per-sample gate-walk prep on the flagship \
-         config, got ×{prep_speedup:.2}"
+        format!(
+            "lockstep prep must be ≥1.3× the per-sample gate-walk prep on the flagship \
+             config, got ×{prep_speedup:.2}"
+        ),
     );
 }
 
 /// Data qubits for the wide-register head-to-head: the width where
 /// Noisy runs switch to the structured engine, because the dense engine's
-/// cold superoperator fusion outweighs its faster warm scoring there.
+/// cold readout-form build outweighs its faster warm scoring there.
 const WIDE_DENSE_QUBITS: usize = 5;
 /// Data qubits for the structured-only column — past the dense engine's
-/// width cap on practicality (its n = 6 superoperator is ~268 MiB per
-/// level and the 13-qubit observable walk takes minutes), so the
-/// structured engine runs alone and its absolute time is the tracked
-/// metric.
+/// width cap on practicality (its n = 6 readout form is ~17 MB per level,
+/// contracted from 2,080 fold columns of 8,192 reals each, over ten
+/// seconds per level), so the structured engine runs alone and its
+/// absolute time is the tracked metric.
 const WIDE_STRUCTURED_QUBITS: usize = 6;
 /// Wide-register columns run on a short batch, like the noisy oracle.
 const WIDE_SAMPLES: usize = 24;
@@ -375,9 +398,11 @@ fn wide_noisy_config(data_qubits: usize) -> QuorumConfig {
 /// first pass) and warm, plus the structured engine alone at n = 6, a
 /// width the dense path cannot practically reach. Warm, the dense engine
 /// wins: its per-(sample, level) cost is one dot product against a
-/// cached form. Cold, it pays one `16^n` superoperator fusion per level
-/// that the structured lowering never builds — which is why Noisy runs
-/// switch to the structured engine at `STRUCTURED_AUTO_MIN_QUBITS = 5`.
+/// cached form. Cold, it builds one form per level — a channel-program
+/// walk over the fold's `m = 528` columns and an `m × m` contraction —
+/// where the structured engine only lowers the program, which is why
+/// Noisy runs switch to the structured engine at
+/// `STRUCTURED_AUTO_MIN_QUBITS = 5`.
 /// Both engines share the identical lockstep batch preparation.
 fn report_structured_noisy(_c: &mut Criterion) {
     let levels = vec![1usize, 2];
@@ -388,9 +413,9 @@ fn report_structured_noisy(_c: &mut Criterion) {
     let ds = quorum_core::detector::normalize_for_scoring(&config, &raw);
     let plan = BucketPlan::from_target(ds.num_samples(), 0.1, config.bucket_probability);
     // One pass of each engine over another group first builds what every
-    // group in the process shares (the dense SWAP-test functional, the
-    // prep skeleton, the fused gate channels), so the cold timings below
-    // charge each engine only its own per-group builds.
+    // group in the process shares (the SWAP-test image `W·F` the dense
+    // forms read, the prep skeleton, the fused gate channels), so the
+    // cold timings below charge each engine only its own per-group builds.
     let warmup = EnsembleGroup::generate(1, &config, ds.num_features(), &plan);
     DensityEngine
         .deviations_all_levels(&warmup, &ds, &config, &levels)
@@ -450,15 +475,20 @@ fn report_structured_noisy(_c: &mut Criterion) {
     println!(
         "structured_noisy_n5_cold                                 cold: structured {structured_cold:.2?} vs dense {dense_cold:.2?} (x{cold_speedup:.1})"
     );
-    assert!(
+    expect_speed(
         ratio < 1.0,
-        "with warm readout forms the dense engine should beat the structured engine at \
-         n={WIDE_DENSE_QUBITS}, got structured/dense ×{ratio:.2}"
+        format!(
+            "with warm readout forms the dense engine should beat the structured engine at \
+             n={WIDE_DENSE_QUBITS}, got structured/dense ×{ratio:.2}"
+        ),
     );
-    assert!(
+    expect_speed(
         cold_speedup >= 10.0,
-        "a cold dense pass at n={WIDE_DENSE_QUBITS} fuses a 16^n superoperator per level, so \
-         the structured engine's first pass should be ≥10× cheaper, got ×{cold_speedup:.1}"
+        format!(
+            "a cold dense pass at n={WIDE_DENSE_QUBITS} walks a channel program over 528 fold \
+             columns and contracts a 528 × 528 readout form per level, so the structured \
+             engine's first pass should be ≥10× cheaper, got ×{cold_speedup:.1}"
+        ),
     );
 
     // n = 6, structured only — the width the 16^n wall used to fence off.
@@ -613,9 +643,9 @@ fn report_gemm_kernel(_c: &mut Criterion) {
     );
 
     if simd {
-        assert!(
+        expect_speed(
             speedup >= 2.0,
-            "the SIMD GEMM kernel must be ≥2× the scalar oracle on the flagship 64×64·64×96 product, got ×{speedup:.2}"
+            format!("the SIMD GEMM kernel must be ≥2× the scalar oracle on the flagship 64×64·64×96 product, got ×{speedup:.2}"),
         );
     } else {
         println!(
@@ -680,9 +710,11 @@ fn report_serve_throughput(_c: &mut Criterion) {
     println!(
         "serve_throughput_coalescing_gain                         batch32/batch1 x{coalescing_gain:.2}"
     );
-    assert!(
+    expect_speed(
         per_sample_ns[2] < per_sample_ns[1] && per_sample_ns[1] < per_sample_ns[0],
-        "per-sample cost must fall as the coalescing batch grows, got {per_sample_ns:?} ns"
+        format!(
+            "per-sample cost must fall as the coalescing batch grows, got {per_sample_ns:?} ns"
+        ),
     );
 
     // Pooled steady state: one warm batch-32 panel scored repeatedly.
@@ -712,7 +744,8 @@ fn report_serve_throughput(_c: &mut Criterion) {
 
 /// Writes every recorded metric to `BENCH_engines.json` (override the
 /// path with `QUORUM_BENCH_JSON`) so CI and future PRs can track the
-/// perf trajectory without scraping bench stdout.
+/// perf trajectory without scraping bench stdout, then fails the bench
+/// if any speed bar was missed.
 fn emit_bench_json(_c: &mut Criterion) {
     let path =
         std::env::var("QUORUM_BENCH_JSON").unwrap_or_else(|_| "BENCH_engines.json".to_string());
@@ -733,6 +766,13 @@ fn emit_bench_json(_c: &mut Criterion) {
     json.push_str("  }\n}\n");
     std::fs::write(&path, &json).expect("write bench JSON");
     println!("bench_json                                               wrote {path}");
+    let misses = MISSES.lock().expect("misses registry");
+    assert!(
+        misses.is_empty(),
+        "{} speed bar(s) missed:\n{}",
+        misses.len(),
+        misses.join("\n")
+    );
 }
 
 criterion_group! {

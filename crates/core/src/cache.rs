@@ -1,11 +1,12 @@
 //! Byte-bounded concurrent caches for write-once-valid derived values.
 //!
-//! The pipeline keeps four long-lived caches of expensive derived
-//! objects: the global SWAP-test readout functional
+//! The pipeline keeps five long-lived caches of expensive derived
+//! objects: the global SWAP-test image `W·F` (the dense noisy engine's)
+//! and readout functional `W` (the per-sample oracle's)
 //! ([`crate::engine`]), and each ensemble group's readout forms (the
 //! dense noisy engine's), fused noisy superoperators (the per-sample
 //! oracle's) and lowered channel programs (the structured engine's)
-//! ([`crate::ensemble::EnsembleGroup`]). All four share the same
+//! ([`crate::ensemble::EnsembleGroup`]). All five share the same
 //! correctness story — every cached value is a pure deterministic
 //! function of its key, so any build of the same key is
 //! interchangeable — and, in a long-lived serving process, the same
@@ -23,8 +24,8 @@
 //!    the budget. Lookups move their entry to the back, so "oldest"
 //!    is least-recently-used.
 //! 3. **Build-under-lock**: deriving a value can take multiple
-//!    milliseconds (a `16^n` superoperator fusion, which every readout
-//!    form starts from), so it happens
+//!    milliseconds (a readout form's program walk and contraction, or
+//!    the oracle's `16^n` superoperator fusion), so it happens
 //!    **outside** the critical section. Racing builders may duplicate
 //!    the work — the build counter reports every build honestly — but
 //!    the first insert wins and every caller shares one `Arc`.

@@ -40,13 +40,27 @@ pub enum ExecutionMode {
 /// 0.68 ms per sample on 1 group × 24 samples × 2 levels (medians of
 /// three runs on a 2-vCPU AVX-512 host, `benches/engine_comparison.rs`,
 /// which also tracks the warm ratio at `n = 3` and `4`).
-/// But each form starts from a fused `16^n` superoperator, so the first
-/// pass over a fresh group at `n = 5` costs 1.5–1.6 s against 13–20 ms
-/// for the structured lowering — 80–110×, with the caches every group
-/// shares already built, and `16×` worse per extra qubit. A detector
-/// that scores a batch once pays that build on every group, so wide
-/// registers go structured.
+/// But each form costs a channel-program walk over `m` columns plus an
+/// `m × m` contraction, so the first pass over a fresh group at `n = 5`
+/// costs ~50× the structured engine's (0.34 s against 7 ms on the same
+/// host), with the caches every group shares already built, and about
+/// `16×` worse per extra qubit. A detector that scores a batch once pays
+/// that build on every group, so wide registers go structured. Below
+/// `n = 5` a one-shot pass costs about the same on both engines at
+/// `n = 3` and ~7× more on the dense engine at `n = 4`, while a warm
+/// (frozen, serving) dense engine is 4–6× faster at both; the rule stays
+/// at 5, since moving it would change which engine scores those widths
+/// and move noisy scores at the 1e-9 level.
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
+
+/// The most shots a configuration may declare, for Sampled execution and
+/// for Noisy execution with shot sampling. Shot sampling draws once per
+/// shot (about 2.4 ns each), so a served row costs about
+/// `shots × groups × levels × 2.4 ns`: ~10 ms at this bound for a
+/// 30-group, two-level detector, and hours at a hostile artifact's 2^40.
+/// 2^16 is 16× the paper's 4,096 and above every count the experiments
+/// use (16,384 in the shot ablation).
+pub const MAX_SHOTS: u64 = 1 << 16;
 
 /// Which feature normalisation feeds the amplitude embedding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -268,19 +282,23 @@ impl QuorumConfig {
                 )));
             }
         }
-        match &self.execution {
-            ExecutionMode::Sampled { shots } if *shots == 0 => {
-                return Err(QuorumError::InvalidConfig("shots must be positive".into()))
+        let shots = match &self.execution {
+            ExecutionMode::Sampled { shots } => Some(*shots),
+            ExecutionMode::Noisy { noise, shots } => {
+                noise
+                    .validate()
+                    .map_err(|e| QuorumError::InvalidConfig(e.to_string()))?;
+                *shots
             }
-            ExecutionMode::Noisy { shots: Some(0), .. } => {
-                return Err(QuorumError::InvalidConfig("shots must be positive".into()))
-            }
-            ExecutionMode::Noisy { noise, .. } => noise
-                .validate()
-                .map_err(|e| QuorumError::InvalidConfig(e.to_string()))?,
-            _ => {}
+            ExecutionMode::Exact => None,
+        };
+        match shots {
+            Some(0) => Err(QuorumError::InvalidConfig("shots must be positive".into())),
+            Some(k) if k > MAX_SHOTS => Err(QuorumError::InvalidConfig(format!(
+                "{k} shots exceed the limit of {MAX_SHOTS} (MAX_SHOTS)"
+            ))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -357,6 +375,38 @@ mod tests {
             .with_execution(ExecutionMode::Sampled { shots: 0 })
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn shot_counts_are_bounded() {
+        use qsim::NoiseModel;
+        let noisy = |shots| ExecutionMode::Noisy {
+            noise: NoiseModel::brisbane(),
+            shots: Some(shots),
+        };
+        for mode in [
+            ExecutionMode::Sampled { shots: MAX_SHOTS },
+            noisy(MAX_SHOTS),
+        ] {
+            QuorumConfig::default()
+                .with_execution(mode)
+                .validate()
+                .unwrap();
+        }
+        for mode in [
+            ExecutionMode::Sampled {
+                shots: MAX_SHOTS + 1,
+            },
+            noisy(MAX_SHOTS + 1),
+            noisy(1 << 40),
+        ] {
+            match QuorumConfig::default().with_execution(mode).validate() {
+                Err(QuorumError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&MAX_SHOTS.to_string()), "{msg}")
+                }
+                other => panic!("an oversized shot count validated: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -69,20 +69,21 @@
 //!    its `4^n` vec entries carry only `m = 2^n(2^n+1)/2` distinct
 //!    numbers — the upper triangle `h = triu(ρ_in)`;
 //! 3. scores every level as one **real quadratic form**
-//!    `P(1) = hᵀ·G_r·h`. The readout form `G_r` ([`ReadoutForm`]) folds
-//!    the level's **fused noisy superoperator** `S_r` — encoder gates
-//!    with their per-gate channels, the reset Kraus channels and the
-//!    decoder, fused by evolving the matrix-unit basis through the
-//!    lowered gate list (`build_noisy_superop`) — and the **SWAP-test
-//!    readout functional** `W` — the POVM element `|1⟩⟨1|_anc` pulled
-//!    backwards (Heisenberg picture, adjoint channels) through the
-//!    *noisy lowered* CSWAP network, restricted to `ancilla = |0⟩`, and
-//!    cached globally per `(n, noise model)` — into `Re(S_rᵀ·W)` over
-//!    symmetric inputs. It is built once per (group, noise model, level)
-//!    through the GEMM seam (`build_readout_form`), `S_r` is dropped,
-//!    and the form is cached on
+//!    `P(1) = hᵀ·G_r·h`. The readout form `G_r` ([`ReadoutForm`]) is
+//!    `Re((S_r·F)ᵀ·(W·F))`: the level's noisy segment `S_r` — encoder
+//!    gates with their per-gate channels, the reset Kraus channels and the
+//!    decoder — and the **SWAP-test readout functional** `W` — the POVM
+//!    element `|1⟩⟨1|_anc` pulled backwards (Heisenberg picture, adjoint
+//!    channels) through the *noisy lowered* CSWAP network, restricted to
+//!    `ancilla = |0⟩` — each applied to the `m` columns of the fold `F`
+//!    with `vec(ρ) = F·h`. Neither `4^n × 4^n` factor is built:
+//!    `S_r·F` walks the level's lowered [`ChannelProgram`] over `F`, and
+//!    `W·F` is one [`SwapTestMpo`] sweep over `F`, shared by every group
+//!    and cached globally per `(n, noise model)`; only the real part of
+//!    the product is contracted (`build_readout_form`). The form is built
+//!    once per (group, noise model, level) and cached on
 //!    [`crate::ensemble::EnsembleGroup::readout_form`]: `m(m+1)/2` reals,
-//!    5 KiB at n = 3 against a 64 KiB complex `S_r`. Per sample, the
+//!    5 KiB at n = 3. Per sample, the
 //!    level-independent products `h_k·h_l` are formed once
 //!    ([`qsim::kernel::outer_triangle_lanes`]) and each level costs one
 //!    real dot product against its packed form
@@ -95,9 +96,13 @@
 //! level) path — `S_r·vec(ρ_in)` contracted against `W·vec(ρ_in)`, with
 //! the per-sample gate-walk preparation — as the batched engine's
 //! cross-check oracle, exactly as [`AnalyticEngine`] does for the
-//! pure-state batch. The two evaluate the same real form in different
-//! summation orders and agree to ~1e-15. Both per-sample engines are
-//! test oracles that [`resolve`] never picks.
+//! pure-state batch. It is the only engine that fuses the dense `S_r`
+//! (evolving all `4^n` matrix units through the density backend) and
+//! derives `W` from a `2n + 1`-qubit Heisenberg walk, so its readout does
+//! not depend on the channel program's fusions or on the MPO. The two
+//! evaluate the same real form in different summation orders and agree
+//! to ~1e-15. Both per-sample engines are test oracles that [`resolve`]
+//! never picks.
 //!
 //! Every noisy physical gate of the Fig. 2 circuit is accounted for with
 //! the same fused channels the density-matrix backend applies
@@ -303,9 +308,12 @@ fn ensure_pure_state(config: &QuorumConfig) -> Result<(), QuorumError> {
     Ok(())
 }
 
-/// The widest data register the density engine supports: the SWAP-test
-/// functional is derived on the full `2n + 1`-qubit observable, which must
-/// stay within the mixed-state simulator's 13-qubit limit.
+/// The widest data register the dense density engines support. The
+/// per-sample oracle derives its SWAP-test functional on the full
+/// `2n + 1`-qubit observable, which must stay within the mixed-state
+/// simulator's 13-qubit limit; the dense engine's readout forms need no
+/// such observable, but one form at n = 6 is already ~17 MB per (group,
+/// level), so wider registers run on the structured engine.
 const MAX_DENSITY_DATA_QUBITS: usize = 6;
 
 /// The mode half of the density engines' guard: without a noise model
@@ -322,19 +330,18 @@ fn ensure_noisy_mode(config: &QuorumConfig) -> Result<(), QuorumError> {
 }
 
 /// The full guard for the **dense** density engines: Noisy mode plus the
-/// register-width limit — the dense path materialises `16^n` fused
-/// objects (the superoperators and the `2n + 1`-qubit SWAP-test
-/// observable), so oversized registers are rejected up front rather than
-/// on a huge allocation. The structured engine has no such objects and
-/// checks only the mode ([`ensure_noisy_mode`]).
+/// register-width limit — the dense paths materialise `16^n`-sized
+/// objects (the readout forms; the oracle's superoperators and
+/// `2n + 1`-qubit SWAP-test observable), so oversized registers are
+/// rejected up front rather than on a huge allocation. The structured
+/// engine has no such objects and checks only the mode
+/// ([`ensure_noisy_mode`]).
 fn ensure_noisy(config: &QuorumConfig) -> Result<(), QuorumError> {
     ensure_noisy_mode(config)?;
     if config.data_qubits > MAX_DENSITY_DATA_QUBITS {
         return Err(QuorumError::InvalidConfig(format!(
-            "dense noisy scoring supports at most {MAX_DENSITY_DATA_QUBITS} data qubits (the \
-             {}-qubit SWAP-test observable would exceed the mixed-state simulator's memory \
-             budget); wider registers run on the structured density engine",
-            2 * config.data_qubits + 1
+            "dense noisy scoring supports at most {MAX_DENSITY_DATA_QUBITS} data qubits (its \
+             dense objects grow as 16^n); wider registers run on the structured density engine"
         )));
     }
     Ok(())
@@ -544,12 +551,11 @@ impl ScoringEngine for AnalyticEngine {
     }
 }
 
-/// One GEMM per (group, level) is far too small at flagship scale
-/// (`8×8 · 8×96` encoder, `64×64 · 64×96` superoperator products) to
-/// amortise thread spawn, so the batched engines only thread the product
-/// when a single one is genuinely large (roughly `n ≥ 7` for the
-/// pure-state path, `n ≥ 4` for the density path, at realistic batch
-/// sizes).
+/// One batched pass per group is far too small at flagship scale (an
+/// `8×8 · 8×96` encoder GEMM, a `64 × 96` lockstep preparation panel) to
+/// amortise thread spawn, so the batched engines only thread a pass when
+/// it is genuinely large (roughly `n ≥ 7` for the pure-state path,
+/// `n ≥ 4` for the density paths, at realistic batch sizes).
 const GEMM_PARALLEL_WORK: usize = 1 << 21;
 
 /// Worker threads for one batched pass (the encoder GEMM, or a density
@@ -743,6 +749,27 @@ impl ScoringEngine for BatchedAnalyticEngine {
     }
 }
 
+/// The bottlenecked autoencoder segment of one group — encoder,
+/// `reset_count` resets of the top qubits, decoder — lowered to 1q and CX
+/// gates, the form every noisy segment builder starts from.
+///
+/// # Errors
+///
+/// Propagates circuit composition failures (effectively infallible for
+/// valid ansätze).
+fn lowered_segment(ansatz: &AnsatzParams, reset_count: usize) -> Result<Circuit, QuorumError> {
+    let n = ansatz.num_qubits();
+    let mut circ = Circuit::new(n);
+    circ.compose(&ansatz.encoder(), 0)
+        .map_err(QuorumError::Simulation)?;
+    for q in (n - reset_count)..n {
+        circ.reset(q);
+    }
+    circ.compose(&ansatz.decoder(), 0)
+        .map_err(QuorumError::Simulation)?;
+    Ok(transpile::decompose_multiqubit(&circ))
+}
+
 /// Builds the fused noisy superoperator of one group's bottlenecked
 /// autoencoder segment — encoder gates with their per-gate noise channels,
 /// the `reset_count` reset Kraus channels, and the decoder — as a
@@ -752,8 +779,10 @@ impl ScoringEngine for BatchedAnalyticEngine {
 /// the *lowered* gate list with exactly the kernels the density-matrix
 /// backend uses ([`GateNoise::apply_after_gate`]), so applying the result
 /// to `vec(ρ)` reproduces the backend's per-gate evolution to machine
-/// precision. Called through the per-group cache
-/// ([`EnsembleGroup::fused_noisy_superop`]); one build covers every sample.
+/// precision. Only the per-sample oracle ([`SampleDensityEngine`]) scores
+/// with it, through the per-group cache
+/// ([`EnsembleGroup::fused_noisy_superop`]); the dense engine's readout
+/// forms walk the channel program instead ([`build_readout_form`]).
 ///
 /// # Errors
 ///
@@ -765,15 +794,7 @@ pub(crate) fn build_noisy_superop(
     reset_count: usize,
 ) -> Result<CMatrix, QuorumError> {
     let n = ansatz.num_qubits();
-    let mut circ = Circuit::new(n);
-    circ.compose(&ansatz.encoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    for q in (n - reset_count)..n {
-        circ.reset(q);
-    }
-    circ.compose(&ansatz.decoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    let lowered = transpile::decompose_multiqubit(&circ);
+    let lowered = lowered_segment(ansatz, reset_count)?;
     let gate_noise = GateNoise::from_model(noise);
 
     let dim = 1usize << n;
@@ -806,8 +827,9 @@ fn upper_triangle(dim: usize) -> impl Iterator<Item = (usize, usize)> {
 /// `k ≤ l`, with every off-diagonal entry doubled — so the form is one
 /// dot product ([`qsim::kernel::dot_lanes`]) against the packed products
 /// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]). Built once per
-/// (group, noise model, level) and cached per group
-/// ([`EnsembleGroup::readout_form`]).
+/// (group, noise model, level) from the level's [`ChannelProgram`] and
+/// the cached SWAP-test image of a [`SwapTestMpo`] (see the module docs)
+/// and cached per group ([`EnsembleGroup::readout_form`]).
 #[derive(Debug)]
 pub struct ReadoutForm {
     packed: Vec<f64>,
@@ -821,72 +843,115 @@ impl ReadoutForm {
     }
 }
 
+/// The image of the upper-triangle fold `F` under a linear map on
+/// `vec(ρ)` panels. `F` has one column per coordinate `(a, b)`, `a ≤ b`,
+/// of [`upper_triangle`]: a 1 at vec indices `(a, b)` and `(b, a)`, a
+/// single 1 on the diagonal, so `vec(ρ) = F·h` for a real symmetric `ρ`.
+/// `apply` maps `F`'s columns in place, [`GEMM_COL_BLOCK`] at a time, as a
+/// complex `4^n × width` panel — the block bounds the transient panels at
+/// every width. Image column `k` comes back as one contiguous run of
+/// `2·4^n` reals at `k·2·4^n`: its real parts, then its imaginary parts.
+fn fold_image(dim: usize, mut apply: impl FnMut(&mut [C64], usize)) -> Vec<f64> {
+    let dim2 = dim * dim;
+    let coords: Vec<(usize, usize)> = upper_triangle(dim).collect();
+    let mut image = vec![0.0; coords.len() * 2 * dim2];
+    let mut panel = Vec::new();
+    for (index, block) in coords.chunks(GEMM_COL_BLOCK).enumerate() {
+        let width = block.len();
+        panel.clear();
+        panel.resize(dim2 * width, C64::ZERO);
+        for (j, &(a, b)) in block.iter().enumerate() {
+            panel[(a * dim + b) * width + j] = C64::ONE;
+            panel[(b * dim + a) * width + j] = C64::ONE;
+        }
+        apply(&mut panel, width);
+        let runs = image
+            .chunks_exact_mut(2 * dim2)
+            .skip(index * GEMM_COL_BLOCK);
+        for (j, run) in runs.take(width).enumerate() {
+            let (re, im) = run.split_at_mut(dim2);
+            for (i, (r, m)) in re.iter_mut().zip(im).enumerate() {
+                let z = panel[i * width + j];
+                *r = z.re;
+                *m = z.im;
+            }
+        }
+    }
+    image
+}
+
 /// Builds the [`ReadoutForm`] of one group's bottlenecked segment at
 /// `reset_count` under `noise`.
 ///
-/// The unreduced path scores `raw = vec(ρ)ᵀ·S_rᵀ·W·vec(ρ)` from the fused
-/// superoperator `S_r` ([`build_noisy_superop`]) and the cached SWAP-test
-/// functional `W`. For a real symmetric `ρ` with upper triangle `h`,
-/// `vec(ρ) = F·h`, where `F` sends coordinate `(a, b)` to both vec
-/// indices `(a, b)` and `(b, a)`, so `Re(raw) = hᵀ·Re((S_r·F)ᵀ·(W·F))·h`.
-/// Both folds are column sums; their product `Re(S_rᵀ·W)` restricted to
-/// symmetric inputs runs through the GEMM seam
-/// ([`qsim::matrix::CMatrix::matmul`]) as an `m × 4^n · 4^n × m` product,
-/// and the result is symmetrised into the packed triangle. `S_r` is
-/// dropped. Called through the per-group cache
+/// The unreduced path scores `raw = vec(ρ)ᵀ·S_rᵀ·W·vec(ρ)` from the
+/// level's noisy superoperator `S_r` and the SWAP-test functional `W`.
+/// For a real symmetric `ρ` with upper triangle `h`, `vec(ρ) = F·h` (see
+/// [`fold_image`]), so `Re(raw) = hᵀ·G_r·h` with
+/// `G_r = Re((S_r·F)ᵀ·(W·F))`. Neither dense factor is built:
+///
+/// - `S_r·F` walks the level's [`ChannelProgram`] over `F`'s
+///   `m = 2^n(2^n+1)/2` columns — `O(ops · 4^n · m)`, where fusing `S_r`
+///   evolves all `4^n` matrix units through the generic density backend;
+///   the program is lowered here, not cached;
+/// - `W·F` does not depend on the group: one [`SwapTestMpo`] sweep over
+///   `F`, cached process-wide per `(n, noise model)`
+///   ([`swap_test_image`]).
+///
+/// Only the real part is contracted, `G_kl = Σ_i Re A_ik·Re B_il −
+/// Im A_ik·Im B_il` for `A = S_r·F` and `B = W·F`: two real dots per
+/// entry over [`fold_image`]'s split columns. The build is sequential
+/// with a fixed order, so its bits depend neither on the thread count nor
+/// on which caller built the image. The result is symmetrised into the
+/// packed triangle. Called through the per-group cache
 /// ([`EnsembleGroup::readout_form`]).
 ///
 /// # Errors
 ///
-/// Propagates superoperator and functional construction failures
-/// (effectively infallible for valid ansätze).
+/// Propagates lowering and MPO construction failures (effectively
+/// infallible for valid ansätze).
 pub(crate) fn build_readout_form(
     ansatz: &AnsatzParams,
     noise: &NoiseModel,
     reset_count: usize,
 ) -> Result<ReadoutForm, QuorumError> {
     let n = ansatz.num_qubits();
-    let dim = 1usize << n;
-    let superop = build_noisy_superop(ansatz, noise, reset_count)?;
-    let w = swap_test_functional(n, noise)?;
-    // Coordinate (a, b) collects vec columns (a, b) and (b, a) — once on
-    // the diagonal.
-    let fold = |mat: &CMatrix, i: usize, a: usize, b: usize| {
-        let v = mat[(i, a * dim + b)];
-        if a == b {
-            v
-        } else {
-            v + mat[(i, b * dim + a)]
-        }
-    };
-    let pairs: Vec<(usize, usize)> = upper_triangle(dim).collect();
-    let m = pairs.len();
-    let mut sf_t = CMatrix::zeros(m, dim * dim);
-    let mut wf = CMatrix::zeros(dim * dim, m);
-    for (k, &(a, b)) in pairs.iter().enumerate() {
-        for i in 0..dim * dim {
-            sf_t[(k, i)] = fold(&superop, i, a, b);
-            wf[(i, k)] = fold(&w, i, a, b);
+    let dim2 = 1usize << (2 * n);
+    let wf = swap_test_image(n, noise)?;
+    let program = build_channel_program(ansatz, noise, reset_count)?;
+    let sf = fold_image(1 << n, |panel, width| program.apply_panel(panel, width));
+    let a: Vec<_> = sf
+        .chunks_exact(2 * dim2)
+        .map(|run| run.split_at(dim2))
+        .collect();
+    let b: Vec<_> = wf
+        .chunks_exact(2 * dim2)
+        .map(|run| run.split_at(dim2))
+        .collect();
+    let m = a.len();
+    let mut g = vec![0.0; m * m];
+    for (k, &(a_re, a_im)) in a.iter().enumerate() {
+        for (l, &(b_re, b_im)) in b.iter().enumerate() {
+            g[k * m + l] =
+                qsim::kernel::dot_lanes(a_re, b_re) - qsim::kernel::dot_lanes(a_im, b_im);
         }
     }
-    drop(superop);
-    let g = sf_t.matmul(&wf)?;
     // hᵀ·G·h = Σ_k G_kk·h_k² + Σ_{k<l} (G_kl + G_lk)·h_k·h_l.
     let mut packed = Vec::with_capacity(m * (m + 1) / 2);
     for k in 0..m {
-        packed.push(g[(k, k)].re);
-        packed.extend((k + 1..m).map(|l| g[(k, l)].re + g[(l, k)].re));
+        packed.push(g[k * m + k]);
+        packed.extend((k + 1..m).map(|l| g[k * m + l] + g[l * m + k]));
     }
     Ok(ReadoutForm { packed })
 }
 
 /// Lowers the same bottlenecked autoencoder segment as
 /// [`build_noisy_superop`] — encoder, `reset_count` resets, decoder —
-/// into a structured per-gate [`ChannelProgram`]
-/// ([`EnsembleGroup::channel_program`]), instead of fusing it dense: the
-/// program is `O(gates)` to build and `O(ops · 4^n)` per sample to
-/// apply, never materialising the `16^n` superoperator, which is what
-/// unlocks registers past the dense engine's width cap.
+/// into a structured per-gate [`ChannelProgram`] instead of fusing it
+/// dense: the program is `O(gates)` to build and `O(ops · 4^n)` per
+/// column to apply, never materialising the `16^n` superoperator. The
+/// structured engine caches one per (group, level)
+/// ([`EnsembleGroup::channel_program`]); a readout-form build walks one
+/// over the fold's columns and drops it.
 ///
 /// # Errors
 ///
@@ -897,17 +962,8 @@ pub(crate) fn build_channel_program(
     noise: &NoiseModel,
     reset_count: usize,
 ) -> Result<ChannelProgram, QuorumError> {
-    let n = ansatz.num_qubits();
-    let mut circ = Circuit::new(n);
-    circ.compose(&ansatz.encoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    for q in (n - reset_count)..n {
-        circ.reset(q);
-    }
-    circ.compose(&ansatz.decoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    let lowered = transpile::decompose_multiqubit(&circ);
-    ChannelProgram::from_lowered(&lowered, &GateNoise::from_model(noise))
+    let lowered = lowered_segment(ansatz, reset_count)?;
+    ChannelProgram::from_lowered(&lowered, &cached_gate_noise(noise))
         .map_err(QuorumError::Simulation)
 }
 
@@ -972,6 +1028,11 @@ fn noisy_prepared_state(
 /// is restricted to the ancilla's initial `|0⟩` block and reindexed into
 /// the bilinear form over `(vec(ρ_A), vec(ρ_B))`. The ancilla's terminal
 /// dephasing is a no-op on the diagonal `Π₁` and drops out.
+///
+/// This `2n + 1`-qubit walk is the per-sample oracle's construction
+/// ([`SampleDensityEngine`], through [`swap_test_functional`]) and is
+/// independent of the [`SwapTestMpo`] the dense and structured engines
+/// read, which makes it the check on the MPO.
 fn build_swap_test_functional(n: usize, noise: &NoiseModel) -> Result<CMatrix, QuorumError> {
     let gate_noise = GateNoise::from_model(noise);
     let ancilla = 2 * n;
@@ -1027,13 +1088,12 @@ fn build_swap_test_functional(n: usize, noise: &NoiseModel) -> Result<CMatrix, Q
 
 /// Bytes the global SWAP-test functional cache may retain — a backstop
 /// for pathological many-model or wide-register workloads, far above
-/// anything the pipeline or test suites create (a flagship n = 3
-/// functional is ~65 KiB).
+/// anything the test suites create (an n = 3 functional is ~65 KiB).
 const SWAP_FUNCTIONAL_CACHE_BYTES: usize = 64 << 20;
 
-/// The process-wide SWAP-test functional store: `W` depends only on the
-/// register width and the noise model, so every group, sample and
-/// serving request of the process shares one instance per key. The
+/// The process-wide SWAP-test functional store of the per-sample oracle:
+/// `W` depends only on the register width and the noise model, so every
+/// group and sample of the process shares one instance per key. The
 /// [`ByteBounded`] store recovers from mutex poisoning (a panicked
 /// scorer must not wedge a resident server) and evicts oldest-first on
 /// overflow instead of flushing the hot entries.
@@ -1050,6 +1110,41 @@ fn swap_test_functional(n: usize, noise: &NoiseModel) -> Result<Arc<CMatrix>, Qu
         SWAP_FUNCTIONAL_CACHE_BYTES,
         functional_bytes,
         || build_swap_test_functional(n, noise),
+    )
+}
+
+/// Bytes the global SWAP-test image cache may retain: an image is
+/// `2·4^n·m` reals — 36 KiB at n = 3, 8.3 MiB at n = 5 — so every width
+/// up to 5 fits under many noise models, while an n = 6 image (~136 MiB)
+/// is rebuilt per form instead of pinned.
+const SWAP_TEST_IMAGE_CACHE_BYTES: usize = 64 << 20;
+
+/// The process-wide store of `W·F`, the SWAP-test functional applied to
+/// the upper-triangle fold — the group-independent factor of every dense
+/// readout form, in [`fold_image`]'s layout. Keyed like
+/// [`SWAP_FUNCTIONAL_CACHE`] and recovering from poisoning the same way.
+static SWAP_TEST_IMAGE_CACHE: ByteBounded<(usize, NoiseModel), Vec<f64>> = ByteBounded::new();
+
+/// The globally cached `W·F` for `n`-qubit registers under `noise` (see
+/// [`SWAP_TEST_IMAGE_CACHE`]): one [`SwapTestMpo`] sweep over the fold's
+/// columns. The sweep is per-column and runs in fixed blocks, so racing
+/// builders produce the same bits. The build runs outside the cache lock.
+fn swap_test_image(n: usize, noise: &NoiseModel) -> Result<Arc<Vec<f64>>, QuorumError> {
+    SWAP_TEST_IMAGE_CACHE.get_or_try_build(
+        &(n, noise.clone()),
+        SWAP_TEST_IMAGE_CACHE_BYTES,
+        |image| std::mem::size_of_val(image.as_slice()),
+        || {
+            let mpo = SwapTestMpo::build(n, &cached_gate_noise(noise))
+                .map_err(QuorumError::Simulation)?;
+            let mut out = Vec::new();
+            Ok::<_, QuorumError>(fold_image(1 << n, |panel, width| {
+                out.clear();
+                out.resize(panel.len(), C64::ZERO);
+                mpo.apply_panel(panel, width, &mut out);
+                panel.copy_from_slice(&out);
+            }))
+        },
     )
 }
 
@@ -1669,15 +1764,18 @@ struct StructuredScratch {
 /// per-gate [`ChannelProgram`] over the panel
 /// ([`EnsembleGroup::channel_program`]), and the SWAP-test readout is
 /// folded into a bond-4 matrix-product sweep ([`SwapTestMpo`]). No
-/// `16^n` object is ever built or applied, so the per-(group, level)
-/// build drops from an `O(16^n)` superoperator fusion to `O(ops)` and
-/// the apply costs `O(ops · 4^n · S)` — the warm dense readout forms
-/// still score faster at `n = 5`, but the dense build dominates any
-/// pass that is not amortised over many panels from there on
-/// ([`STRUCTURED_AUTO_MIN_QUBITS`]), and the structured
-/// engine is the only density path past the dense width cap. The dense
-/// engine stays the small-n oracle the structured path is pinned
-/// against (≤ 1e-9, `tests/` `engine_structured_properties`).
+/// `16^n` object is ever built or applied: the per-(group, level) build
+/// is an `O(ops)` lowering, where the dense engine walks the program over
+/// `m = 2^n(2^n+1)/2` columns and contracts an `m × m` readout form, and
+/// the apply costs `O(ops · 4^n · S)`. The warm dense readout forms still
+/// score faster at `n = 5`, but the dense build dominates any pass that
+/// is not amortised over many panels from there on
+/// ([`STRUCTURED_AUTO_MIN_QUBITS`]), and the structured engine is the
+/// only density path past the dense width cap. The dense engine stays
+/// the small-n reference the structured path is compared against
+/// (≤ 1e-9, `tests/` `engine_structured_properties`); both read the same
+/// MPO, so the checks of the MPO itself are the per-sample and circuit
+/// oracles ([`SampleDensityEngine`], [`CircuitEngine`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructuredDensityEngine;
 
@@ -1816,8 +1914,12 @@ impl ScoringEngine for StructuredDensityEngine {
 /// per-sample gate-walk state preparation, kept (and benchmarked) as the
 /// reference the batched [`DensityEngine`]'s readout forms are pinned
 /// against, the mixed-state analogue of [`AnalyticEngine`] vs
-/// [`BatchedAnalyticEngine`]. [`resolve`] never picks it: tests reach
-/// it directly or at detector level through
+/// [`BatchedAnalyticEngine`]. Its factors are the dense ones: the
+/// group's fused superoperators ([`EnsembleGroup::fused_noisy_superop`])
+/// and the functional from the `2n + 1`-qubit Heisenberg walk, so it is
+/// the only density engine whose readout does not depend on the
+/// [`SwapTestMpo`]. [`resolve`] never picks it: tests reach it directly
+/// or at detector level through
 /// [`crate::detector::QuorumDetector::score_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleDensityEngine;
@@ -2232,6 +2334,8 @@ mod tests {
         run_with(&group, &DensityEngine, &ds, &config);
         assert_eq!(group.readout_form_builds(), levels.len());
         assert_eq!(group.noisy_superop_fusions(), 0);
+        // The builds walk programs they lower and drop, not cached ones.
+        assert_eq!(group.channel_program_fusions(), 0);
         // A different noise model is a different channel: it builds anew.
         let scaled = noisy_config(qsim::NoiseModel::brisbane().scaled(0.5), None).with_seed(29);
         run_with(&group, &DensityEngine, &ds, &scaled);
@@ -2270,20 +2374,97 @@ mod tests {
     }
 
     #[test]
-    fn noisy_scoring_survives_poisoned_global_functional_cache() {
+    fn noisy_scoring_survives_poisoned_swap_test_image_cache() {
         // Resident-server regression: one scorer thread panicking while it
-        // holds the global swap-functional cache must not wedge every later
+        // holds the global SWAP-test image cache must not wedge every later
         // request. The cache recovers the guard and keeps serving the same
         // write-once-valid entries.
         let ds = tiny_dataset();
         let config = noisy_config(qsim::NoiseModel::brisbane(), None).with_seed(31);
         let group = group_for(&config, &ds, 0);
         let before = run_with(&group, &DensityEngine, &ds, &config);
-        SWAP_FUNCTIONAL_CACHE.poison_for_test();
-        // A cold clone rebuilds its readout forms, reading the functional
-        // back through the poisoned cache.
+        SWAP_TEST_IMAGE_CACHE.poison_for_test();
+        // A cold clone rebuilds its readout forms, reading W·F back
+        // through the poisoned cache.
         let after = run_with(&group.clone(), &DensityEngine, &ds, &config);
         assert_eq!(before, after, "recovered cache must score identically");
+    }
+
+    /// The readout form the dense factors give: `S_r` from the group's
+    /// fused superoperator and `W` from the `2n + 1`-qubit Heisenberg
+    /// walk, both folded over the upper triangle and contracted in full
+    /// complex arithmetic, packed like [`ReadoutForm`].
+    fn dense_reference_form(superop: &CMatrix, w: &CMatrix, dim: usize) -> Vec<f64> {
+        let fold = |mat: &CMatrix, (a, b): (usize, usize)| -> Vec<C64> {
+            (0..dim * dim)
+                .map(|i| {
+                    let v = mat[(i, a * dim + b)];
+                    if a == b {
+                        v
+                    } else {
+                        v + mat[(i, b * dim + a)]
+                    }
+                })
+                .collect()
+        };
+        let coords: Vec<(usize, usize)> = upper_triangle(dim).collect();
+        let sf: Vec<Vec<C64>> = coords.iter().map(|&c| fold(superop, c)).collect();
+        let wf: Vec<Vec<C64>> = coords.iter().map(|&c| fold(w, c)).collect();
+        let g = |k: usize, l: usize| -> f64 {
+            let z: C64 = sf[k].iter().zip(&wf[l]).map(|(x, y)| *x * *y).sum();
+            z.re
+        };
+        let m = coords.len();
+        let mut packed = Vec::with_capacity(m * (m + 1) / 2);
+        for k in 0..m {
+            packed.push(g(k, k));
+            packed.extend((k + 1..m).map(|l| g(k, l) + g(l, k)));
+        }
+        packed
+    }
+
+    #[test]
+    fn readout_forms_match_the_dense_superoperator_and_functional() {
+        // The forms come from the channel program and the MPO image; the
+        // dense superoperator and the 2n + 1-qubit functional are built
+        // independently of both, so this pins the MPO as well. Three
+        // groups per model below n = 4; at n = 4, where the dense
+        // factors take seconds in a debug build, one group per model,
+        // three across the models.
+        for n in 2..=4 {
+            let dim = 1usize << n;
+            let models = [
+                qsim::NoiseModel::ideal(),
+                qsim::NoiseModel::brisbane(),
+                qsim::NoiseModel::brisbane().scaled(2.0),
+            ];
+            for (model, noise) in models.into_iter().enumerate() {
+                let config = noisy_config(noise.clone(), None).with_data_qubits(n);
+                let w = build_swap_test_functional(n, &noise).unwrap();
+                let plan = BucketPlan::from_target(20, 0.1, config.bucket_probability);
+                let groups = if n < 4 { 0..3 } else { model..model + 1 };
+                for index in groups {
+                    let group = EnsembleGroup::generate(
+                        index,
+                        &config,
+                        config.features_per_circuit(),
+                        &plan,
+                    );
+                    for level in 1..n {
+                        let form = group.readout_form(&noise, level).unwrap();
+                        let superop = group.fused_noisy_superop(&noise, level).unwrap();
+                        let reference = dense_reference_form(&superop, &w, dim);
+                        assert_eq!(form.packed.len(), reference.len());
+                        for (i, (f, r)) in form.packed.iter().zip(&reference).enumerate() {
+                            assert!(
+                                (f - r).abs() <= 1e-12,
+                                "n {n} {noise:?} group {index} level {level} entry {i}: {f} vs {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

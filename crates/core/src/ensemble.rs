@@ -195,9 +195,11 @@ impl EnsembleGroup {
     /// SWAP-test readout folded into one real quadratic form over the
     /// upper triangle of a prepared state, built at most once per pair
     /// and cached for the group's lifetime — a noisy scoring pass then
-    /// costs one dot product per (sample, level). The build fuses the
-    /// level's superoperator and drops it; it does not go through (or
-    /// count in) the superoperator cache.
+    /// costs one dot product per (sample, level). The build lowers the
+    /// level's channel program, walks it over the fold's columns and
+    /// drops it, and reads the process-wide SWAP-test image; it goes
+    /// through (and counts in) neither the program cache nor the
+    /// superoperator cache.
     ///
     /// # Errors
     ///
@@ -240,8 +242,10 @@ impl EnsembleGroup {
     /// The group's bottlenecked autoencoder segment (encoder, `reset_count`
     /// resets, decoder) fused into a `4^n × 4^n` noisy superoperator over
     /// `vec(ρ)`, built at most once per `(noise model, compression level)`
-    /// and cached for the group's lifetime — the per-sample oracle engine
-    /// applies it to every sample's `vec(ρ)` as a matvec.
+    /// and cached for the group's lifetime. It is the per-sample oracle's
+    /// object ([`crate::engine::SampleDensityEngine`] applies it to every
+    /// sample's `vec(ρ)` as a matvec) and the operand of the repository
+    /// benchmark's 64×64 GEMM probe; no production scoring path builds it.
     ///
     /// # Errors
     ///
@@ -327,10 +331,10 @@ impl EnsembleGroup {
 
     /// How many noisy superoperators this group fused into its
     /// superoperator cache — the observable behind the per-sample density
-    /// oracle's cache regression tests (readout-form builds fuse their
-    /// superoperator privately and are counted by
-    /// [`EnsembleGroup::readout_form_builds`] instead). Stays at the number
-    /// of distinct `(noise model, compression level)` pairs scored —
+    /// oracle's cache regression tests (readout-form builds fuse none and
+    /// are counted by [`EnsembleGroup::readout_form_builds`]). Stays at
+    /// the number of distinct `(noise model, compression level)` pairs
+    /// scored —
     /// however many samples and passes ran — as long as the entries fit
     /// the cache's byte bound (always true at the paper's widths; only the
     /// n = 6 extreme re-fuses per pass). Like

@@ -19,9 +19,13 @@
 //! space), so `Y = W · P` is computed as an `O(n · 4^n · S)` sweep —
 //! the `16^n × 16^n`-entry `W` of the dense path is never built.
 //!
-//! The dense path remains the bit-exact small-n oracle; the
-//! `engine_structured_properties` suite pins this module against it at
-//! n ∈ {2, 3} to ≤ 1e-9.
+//! Both feed both noisy engines of `quorum-core`: the structured engine
+//! walks them over every prepared panel, and the dense engine builds
+//! each readout form from one program walk and one MPO sweep over the
+//! upper-triangle basis columns. The tests below pin programs against
+//! the per-gate dense walk and the MPO against a forward `2n + 1`-qubit
+//! simulation; the per-sample and circuit oracles of `quorum-core`,
+//! which use neither, pin the engines built on them.
 
 use crate::circuit::{Circuit, Operation};
 use crate::complex::C64;

@@ -478,6 +478,8 @@ fn decode_group(r: &mut Reader<'_>) -> Result<FrozenGroup, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_core::config::MAX_SHOTS;
+    use quorum_core::QuorumError;
 
     fn sample_artifact() -> FrozenArtifact {
         let config = QuorumConfig::default()
@@ -688,29 +690,37 @@ mod tests {
         }
     }
 
-    /// Mutants declaring more shots than this thaw but are not scored:
-    /// shot sampling draws once per shot, so a planted count such as
-    /// 2^40 makes one row take hours (ROADMAP item 5), not panic.
-    const MAX_SCORED_SHOTS: u64 = 1 << 16;
+    #[test]
+    fn oversized_shot_counts_do_not_thaw() {
+        // Shot sampling draws once per shot: an artifact declaring 2^40
+        // shots would make every row it serves run for hours.
+        let (reference, [_, noisy]) = trust_boundary_setup();
+        let mut artifact = crate::FrozenDetector::freeze(noisy, &reference)
+            .unwrap()
+            .to_artifact()
+            .unwrap();
+        artifact.config.execution = ExecutionMode::Noisy {
+            noise: NoiseModel::brisbane(),
+            shots: Some(1 << 40),
+        };
+        match crate::FrozenDetector::from_bytes(&artifact.to_bytes().unwrap()) {
+            Err(ServeError::Quorum(QuorumError::InvalidConfig(msg))) => {
+                assert!(msg.contains(&MAX_SHOTS.to_string()), "{msg}")
+            }
+            other => panic!("a 2^40-shot artifact thawed to {other:?}"),
+        }
+    }
 
     /// Whether thawing `bytes` panics, or — when it thaws — scoring one
     /// row on the result does, counting group panics the scorer's own
-    /// supervision absorbs into a typed error.
+    /// supervision absorbs into a typed error. Validation bounds the
+    /// shot count ([`MAX_SHOTS`]), so every mutant that thaws scores in
+    /// milliseconds.
     fn panics_on_thaw_or_score(bytes: &[u8]) -> bool {
         std::panic::catch_unwind(|| {
             let Ok(detector) = crate::FrozenDetector::from_bytes(bytes) else {
                 return false;
             };
-            let shots = match &detector.config().execution {
-                ExecutionMode::Sampled { shots }
-                | ExecutionMode::Noisy {
-                    shots: Some(shots), ..
-                } => *shots,
-                _ => 0,
-            };
-            if shots > MAX_SCORED_SHOTS {
-                return false;
-            }
             let row = vec![0.5; detector.num_features()];
             let _ = detector.score_samples(&[row], 0);
             detector.group_panics() > 0
