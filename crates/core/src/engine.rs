@@ -61,13 +61,18 @@
 //!    ([`GateNoise::apply_after_gate_columns`] with the real views of
 //!    the fused channels, [`qsim::density::permute_cx_columns`]), with
 //!    fixed-width column blocks distributed across workers
-//!    ([`qsim::parallel::map_indexed_with`]);
-//! 2. keeps the resulting real `vec(ρ_in)` columns as the `4^n × S`
-//!    panel `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
-//!    both registers identically) and reads each column through one more
-//!    register-level reduction: every `ρ_in` is real **symmetric**, so
-//!    its `4^n` vec entries carry only `m = 2^n(2^n+1)/2` distinct
-//!    numbers — the upper triangle `h = triu(ρ_in)`;
+//!    ([`qsim::parallel::try_for_each_chunk_mut`]). The skeleton depends
+//!    only on `n` and the channels only on the noise model, so one panel
+//!    may hold the columns of many groups: a server prepares every
+//!    (group, row) column of a request at once
+//!    ([`DensityEngine::prepare_triangles`]);
+//! 2. reads each prepared `vec(ρ_in)` column (`ρ_B` doubles as register
+//!    A's input, since Fig. 2 preps both registers identically) through
+//!    one more register-level reduction: every `ρ_in` is real
+//!    **symmetric**, so its `4^n` vec entries carry only
+//!    `m = 2^n(2^n+1)/2` distinct numbers — the upper triangle
+//!    `h = triu(ρ_in)`, which is all the preparation keeps of a column
+//!    ([`TrianglePanel`]);
 //! 3. scores every level as one **real quadratic form**
 //!    `P(1) = hᵀ·G_r·h`. The readout form `G_r` ([`ReadoutForm`]) is
 //!    `Re((S_r·F)ᵀ·(W·F))`: the level's noisy segment `S_r` — encoder
@@ -127,12 +132,12 @@ use crate::config::{ExecutionMode, QuorumConfig, STRUCTURED_AUTO_MIN_QUBITS};
 use crate::ensemble::{derive_seed, EnsembleGroup};
 use crate::error::QuorumError;
 use qdata::{Dataset, SamplePanel};
-use qsim::channel::{ChannelProgram, SwapTestMpo};
+use qsim::channel::{ChannelProgram, MpoBonds, SwapTestMpo};
 use qsim::circuit::{Circuit, Operation};
 use qsim::complex::C64;
 use qsim::density::{permute_cx_columns, ry_conjugate_columns, DensityMatrix};
 use qsim::matrix::{CMatrix, GEMM_COL_BLOCK};
-use qsim::parallel::map_indexed_with;
+use qsim::parallel::{map_indexed_with, try_for_each_chunk_mut};
 use qsim::simulator::{
     Backend, DensityMatrixBackend, GateNoise, OutcomeDistribution, StatevectorBackend,
 };
@@ -140,6 +145,7 @@ use qsim::stateprep::{prepare_real_amplitudes, PrepSkeleton, PrepStep};
 use qsim::{transpile, NoiseModel, QsimError};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Branches lighter than this are dropped, mirroring the branching
@@ -294,6 +300,16 @@ pub fn prewarm(
         Selected::Dense(noise) => group.readout_form(noise, reset_count).map(drop),
         Selected::Structured(noise) => group.channel_program(noise, reset_count).map(drop),
     }
+}
+
+/// Whether the engine [`resolve`] picks for `config` scores from prepared
+/// upper triangles — the dense [`DensityEngine`], whose preparation a
+/// multi-group caller may run once for all its groups
+/// ([`DensityEngine::prepare_triangles`]) and score per group
+/// ([`DensityEngine::score_triangles`]). Every other engine prepares
+/// inside its own [`ScoringEngine::deviations_all_levels_panel`].
+pub fn scores_from_triangles(config: &QuorumConfig) -> bool {
+    matches!(select(config), Selected::Dense(_))
 }
 
 /// The single guard (and error message) for the analytic engine's
@@ -1138,10 +1154,11 @@ fn swap_test_image(n: usize, noise: &NoiseModel) -> Result<Arc<Vec<f64>>, Quorum
             let mpo = SwapTestMpo::build(n, &cached_gate_noise(noise))
                 .map_err(QuorumError::Simulation)?;
             let mut out = Vec::new();
+            let mut bonds = MpoBonds::default();
             Ok::<_, QuorumError>(fold_image(1 << n, |panel, width| {
                 out.clear();
                 out.resize(panel.len(), C64::ZERO);
-                mpo.apply_panel(panel, width, &mut out);
+                mpo.apply_panel(panel, width, &mut bonds, &mut out);
                 panel.copy_from_slice(&out);
             }))
         },
@@ -1338,6 +1355,84 @@ impl RealPanel {
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
+
+    /// Refills the panel from [`PREP_BLOCK`]-column blocks laid end to
+    /// end, each a row-major `rows × width` panel, stitching their row
+    /// segments into one row-major panel.
+    fn fill_from_blocks(&mut self, rows: usize, blocks: &[f64]) {
+        let cols = blocks.len() / rows;
+        self.resize_zeroed(rows, cols);
+        for (b, block) in blocks.chunks(PREP_BLOCK * rows).enumerate() {
+            let width = block.len() / rows;
+            for (i, segment) in block.chunks_exact(width).enumerate() {
+                let start = i * cols + b * PREP_BLOCK;
+                self.data[start..start + width].copy_from_slice(segment);
+            }
+        }
+    }
+}
+
+/// The upper triangles of lockstep-prepared columns, stored column by
+/// column: column `c`'s `m = 2^n(2^n+1)/2` coordinates `h = triu(ρ_in)`
+/// sit at `c·m..(c+1)·m`, in row-major `(a, b)`, `a ≤ b` order. That is
+/// all the dense readout forms read of a prepared state, a little over
+/// half of its `4^n` entries. Filled by
+/// [`DensityEngine::prepare_triangles`] and read by
+/// [`DensityEngine::score_triangles`]; a panel refilled call after call
+/// keeps its allocation.
+#[derive(Debug, Default)]
+pub struct TrianglePanel {
+    coordinates: usize,
+    data: Vec<f64>,
+}
+
+impl TrianglePanel {
+    /// Number of prepared columns.
+    pub fn cols(&self) -> usize {
+        self.data.len().checked_div(self.coordinates).unwrap_or(0)
+    }
+}
+
+/// Columns one lockstep preparation block evolves together; blocks are
+/// the unit the preparation fans out over workers. Every lockstep kernel
+/// is a per-column lane operation, so a column's bits depend neither on
+/// its block nor on the other columns in it. Wider blocks were no
+/// cheaper per column on the n = 3 serving panels, and at 32 two
+/// participants share a 60-column panel of 30 groups × 2 rows.
+const PREP_BLOCK: usize = 32;
+
+/// What a lockstep preparation keeps of each block of prepared
+/// `vec(ρ_in)` columns.
+#[derive(Debug, Clone, Copy)]
+enum Keep {
+    /// Each column's `m` upper-triangle entries `(a, b)`, `a ≤ b`, as one
+    /// contiguous run per column: all the dense readout forms read.
+    Triangle,
+    /// The whole block, row-major `4^n × width`: what the structured
+    /// engine reads, stitched into a [`RealPanel`].
+    Full,
+}
+
+impl Keep {
+    /// Entries kept per column.
+    fn run(self, dim: usize) -> usize {
+        match self {
+            Keep::Triangle => dim * (dim + 1) / 2,
+            Keep::Full => dim * dim,
+        }
+    }
+}
+
+/// Copies the upper-triangle rows of a row-major `dim² × width` panel
+/// (`row(i)` is entry `i` of every column) into column runs: coordinate
+/// `k` of column `j` lands at `out[j·m + k]`.
+fn gather_triangles<'a>(dim: usize, row: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
+    let m = Keep::Triangle.run(dim);
+    for (k, (a, b)) in upper_triangle(dim).enumerate() {
+        for (j, &v) in row(a * dim + b).iter().enumerate() {
+            out[j * m + k] = v;
+        }
+    }
 }
 
 /// Reusable per-worker scratch for one lockstep column block: the RY
@@ -1349,42 +1444,39 @@ struct RyCoeffs {
     ss: Vec<f64>,
 }
 
-/// Reusable buffers for the lockstep batch preparation: the angle matrix
-/// and the per-sample embedding scratch.
+/// Everything one lockstep column block needs: the block's angle lanes,
+/// one column's embedding buffers, the RY coefficient lanes and the
+/// evolving row-major `4^n × width` block of a triangle preparation.
+/// Held per thread, so resident pool workers
+/// ([`qsim::parallel::WorkerPool`]) keep it warm across panels and a
+/// steady-state preparation allocates nothing.
 #[derive(Default)]
-struct PrepScratch {
-    /// Per-sample angle vectors, angle-major (`num_angles × S`).
+struct BlockScratch {
+    /// Per-column angle vectors, angle-major (`num_angles × width`).
     thetas: Vec<f64>,
     values: Vec<f64>,
     amps: Vec<f64>,
     angles: Vec<f64>,
     coeffs: RyCoeffs,
+    block: Vec<f64>,
 }
 
-/// Reusable buffers for the dense scoring half: the panel's upper
-/// triangles `h` (sample-major, one `m`-run per column) and one column's
-/// packed products `h_k·h_l`.
+/// The per-thread buffers of one-group density passes: the prepared
+/// columns (upper triangles for the dense engine, full blocks and their
+/// stitched panel for the structured one) and one column's packed
+/// products `h_k·h_l`. After the first panel on a thread every buffer is
+/// reused at capacity, so a steady-state scoring loop stops
+/// heap-allocating per batch.
 #[derive(Default)]
-struct ScoreScratch {
-    h: Vec<f64>,
+struct DensityScratch {
+    triangles: TrianglePanel,
+    blocks: Vec<f64>,
+    packed: RealPanel,
     z: Vec<f64>,
 }
 
-/// The whole per-thread scratch of one dense noisy group pass. Held in a
-/// thread-local so a steady-state scoring loop (the serving hot path)
-/// stops heap-allocating per batch: after the first panel on a thread,
-/// every buffer — the packed `4^n × S` batch included — is reused at
-/// capacity. Resident pool workers ([`qsim::parallel::WorkerPool`]) keep
-/// their scratch warm across panels, which is half the point of keeping
-/// them alive.
-#[derive(Default)]
-struct DensityScratch {
-    prep: PrepScratch,
-    packed: RealPanel,
-    score: ScoreScratch,
-}
-
 thread_local! {
+    static BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::default();
     static DENSITY_SCRATCH: RefCell<DensityScratch> = RefCell::default();
 }
 
@@ -1393,29 +1485,28 @@ impl DensityEngine {
     /// real `4^n × S` panel — column `j` is `vec(ρ_in)` of sample `j` after
     /// the per-gate-noisy Möttönen preparation (one preparation serves as
     /// `ρ_B` and as register A's input alike, since Fig. 2 preps both
-    /// identically) — by evolving the whole batch **in lockstep** through
-    /// the shared [`PrepSkeleton`]:
+    /// identically) — by evolving the batch **in lockstep** through the
+    /// shared [`PrepSkeleton`]:
     ///
     /// 1. each sample contributes only its angle vector
     ///    ([`PrepSkeleton::angles_for_into`]); every gate *position* is
-    ///    shared, so one skeleton walk serves all `S` columns;
-    /// 2. the batch starts as a real `4^n × S` panel ([`RealPanel`]) of
+    ///    shared, so one skeleton walk serves a whole column block;
+    /// 2. a block starts as a real `4^n × width` panel ([`RealPanel`]) of
     ///    `vec(|0…0⟩⟨0…0|)` columns;
     ///    each skeleton rotation applies the per-column RY conjugation
     ///    ([`qsim::density::ry_conjugate_columns`] — the only
     ///    sample-dependent operation) and every shared operation — the
     ///    fused 1q noise channel after each rotation, the CX basis
     ///    permutation, the CX depolarizing + relaxation channels — hits
-    ///    the **whole panel at once** through the batched channel kernels
+    ///    the **whole block at once** through the batched channel kernels
     ///    ([`GateNoise::apply_after_gate_columns`],
     ///    [`qsim::density::permute_cx_columns`]), whose sub-block lane
-    ///    runs are contiguous across samples (block-diagonal GEMMs on the
-    ///    lane seam, AVX-recompiled like the PR 4 ladder);
-    /// 3. fixed-width column blocks ([`GEMM_COL_BLOCK`]) evolve
-    ///    independently and are distributed across workers via
-    ///    [`qsim::parallel::map_indexed_with`] — block boundaries never
-    ///    move with the worker count, so results are bit-identical for
-    ///    every thread count.
+    ///    runs are contiguous across samples;
+    /// 3. fixed-width column blocks evolve independently and are
+    ///    distributed across workers — block boundaries never move with
+    ///    the worker count, and every kernel is a per-column lane
+    ///    operation, so results are bit-identical for every thread count
+    ///    and every batch a sample shares.
     ///
     /// The per-element arithmetic of every lockstep kernel replicates the
     /// real plane of the per-sample walk term for term, so the packed
@@ -1425,10 +1516,10 @@ impl DensityEngine {
     /// the per-sample circuit construction, lowering, or strided
     /// small-kernel dispatch, and with half the bytes per lane.
     ///
-    /// Public as the batch half of the prep/score seam — streaming callers
-    /// can prepare once and score against many frozen ensembles via
-    /// [`DensityEngine::score_prepared`], and the bench times the two
-    /// stages separately.
+    /// Public as the batch half of the prep/score seam: the bench times
+    /// the two stages separately through it. It runs the same
+    /// preparation as [`DensityEngine::prepare_triangles`], keeping every
+    /// entry of each column instead of its upper triangle.
     ///
     /// # Errors
     ///
@@ -1440,163 +1531,211 @@ impl DensityEngine {
         config: &QuorumConfig,
     ) -> Result<RealPanel, QuorumError> {
         let mut packed = RealPanel::default();
-        DENSITY_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            Self::prepare_panel_into(
-                group,
-                normalized.rows().iter().map(Vec::as_slice),
-                normalized.num_samples(),
-                config,
-                &mut scratch.prep,
-                &mut packed,
-            )
+        with_panel(normalized, |panel| {
+            DENSITY_SCRATCH.with(|cell| {
+                let blocks = &mut cell.borrow_mut().blocks;
+                Self::prepare_full_into(group, panel, config, blocks, &mut packed)
+            })
         })?;
         Ok(packed)
     }
 
-    /// The generic body of [`DensityEngine::prepare_batch`]: consumes the
-    /// rows from any contiguous source (a [`Dataset`]'s row vectors or a
-    /// flat [`SamplePanel`]) and writes the packed `4^n × S` batch into a
-    /// caller-owned panel through reusable scratch — the zero-allocation
-    /// seam the steady-state serving loop runs on. Identical arithmetic
-    /// and iteration order to the allocating path.
-    fn prepare_panel_into<'a>(
-        group: &EnsembleGroup,
-        rows: impl Iterator<Item = &'a [f64]>,
-        samples: usize,
+    /// Prepares every (group, row) column of `panel` as one lockstep panel
+    /// and keeps each column's upper triangle: column `g·S + j` of `out`
+    /// is row `j` of the `S`-row `panel` projected through `groups[g]`'s
+    /// feature selection, so each group's columns form one contiguous
+    /// slice for [`DensityEngine::score_triangles`]. The Möttönen skeleton
+    /// depends only on the register width and the fused channels only on
+    /// the noise model, so only the RY angles differ between columns: the
+    /// whole panel walks one skeleton in fixed 32-column blocks, fanned
+    /// out over `config`'s threads. Every column's bits
+    /// equal those of its row prepared alone under its group
+    /// ([`DensityEngine::prepare_batch`]), whatever panel, block or
+    /// worker it shares. This is how a server prepares a whole request
+    /// once instead of one tiny panel per group; `out` keeps its
+    /// allocation from call to call.
+    ///
+    /// # Errors
+    ///
+    /// Rejects non-noisy execution modes and groups of different register
+    /// widths; propagates embedding and simulation failures (the
+    /// lowest-indexed failing block's error).
+    pub fn prepare_triangles(
+        groups: &[EnsembleGroup],
+        panel: &SamplePanel<'_>,
         config: &QuorumConfig,
-        scratch: &mut PrepScratch,
+        out: &mut TrianglePanel,
+    ) -> Result<(), QuorumError> {
+        Self::prepare_triangles_with(groups, panel, config, config.effective_threads(), out)
+    }
+
+    /// [`DensityEngine::prepare_triangles`] on `threads` participants.
+    fn prepare_triangles_with(
+        groups: &[EnsembleGroup],
+        panel: &SamplePanel<'_>,
+        config: &QuorumConfig,
+        threads: usize,
+        out: &mut TrianglePanel,
+    ) -> Result<(), QuorumError> {
+        out.coordinates = Self::prepare_columns(
+            groups,
+            panel,
+            config,
+            threads,
+            Keep::Triangle,
+            &mut out.data,
+        )?;
+        Ok(())
+    }
+
+    /// One group's full columns as a row-major panel, stitched from the
+    /// prepared blocks in `blocks`: the preparation behind
+    /// [`DensityEngine::prepare_batch`] and the structured engine.
+    fn prepare_full_into(
+        group: &EnsembleGroup,
+        panel: &SamplePanel<'_>,
+        config: &QuorumConfig,
+        blocks: &mut Vec<f64>,
         packed: &mut RealPanel,
     ) -> Result<(), QuorumError> {
+        let dim2 = 1usize << (2 * group.ansatz().num_qubits());
+        let threads = gemm_threads(config, dim2, panel.num_samples());
+        Self::prepare_columns(
+            std::slice::from_ref(group),
+            panel,
+            config,
+            threads,
+            Keep::Full,
+            blocks,
+        )?;
+        packed.fill_from_blocks(dim2, blocks);
+        Ok(())
+    }
+
+    /// The lockstep preparation, written once. Column `c = g·S + j` is row
+    /// `j` of `panel` under `groups[g]`. Fixed [`PREP_BLOCK`]-column
+    /// blocks evolve independently over `threads` participants, each
+    /// writing its own range of `out` ([`try_for_each_chunk_mut`]); `keep`
+    /// decides what of each block lands there. Every entry of `out` is
+    /// overwritten, so it is resized but never cleared. Returns the
+    /// entries kept per column.
+    fn prepare_columns(
+        groups: &[EnsembleGroup],
+        panel: &SamplePanel<'_>,
+        config: &QuorumConfig,
+        threads: usize,
+        keep: Keep,
+        out: &mut Vec<f64>,
+    ) -> Result<usize, QuorumError> {
         ensure_noisy_mode(config)?;
         let noise = match &config.execution {
             ExecutionMode::Noisy { noise, .. } => noise,
             _ => unreachable!("ensure_noisy_mode admits only Noisy execution"),
         };
-        let num_qubits = group.ansatz().num_qubits();
-        let gate_noise = cached_gate_noise(noise);
-        let dim = 1usize << num_qubits;
-        if samples == 0 {
-            packed.resize_zeroed(dim * dim, 0);
-            return Ok(());
+        let num_qubits = groups
+            .first()
+            .map_or(config.data_qubits, |g| g.ansatz().num_qubits());
+        if groups.iter().any(|g| g.ansatz().num_qubits() != num_qubits) {
+            return Err(QuorumError::InvalidConfig(
+                "groups prepared in one panel must share a register width".into(),
+            ));
         }
-
-        // Per-sample angle vectors, angle-major: slot `a` of every sample
-        // sits contiguously at `thetas[a·S..(a+1)·S]`, so each skeleton
-        // rotation reads one lane run per column block.
+        let run = keep.run(1 << num_qubits);
+        out.resize(groups.len() * panel.num_samples() * run, 0.0);
+        if out.is_empty() {
+            return Ok(run);
+        }
         let skeleton = cached_prep_skeleton(num_qubits);
-        scratch.thetas.clear();
-        scratch.thetas.resize(skeleton.num_angles() * samples, 0.0);
-        scratch.amps.clear();
-        scratch.amps.resize(dim, 0.0);
-        for (col, row) in rows.enumerate() {
-            group.features().project_into(row, &mut scratch.values);
-            crate::embed::amplitudes_with_overflow_into(
-                &scratch.values,
-                num_qubits,
-                &mut scratch.amps,
-            )?;
-            skeleton
-                .angles_for_into(&scratch.amps, &mut scratch.angles)
-                .map_err(QuorumError::Simulation)?;
-            for (a, &theta) in scratch.angles.iter().enumerate() {
-                scratch.thetas[a * samples + col] = theta;
-            }
-        }
-
-        // Evolve column blocks independently across workers. Every panel
-        // kernel is a pure per-column (lane) operation, so any block
-        // partition produces value-identical columns; the sequential path
-        // therefore evolves one full-width block (no stitch, fewer
-        // per-pass fixed costs), while the threaded path fans fixed
-        // [`GEMM_COL_BLOCK`]-wide blocks out over workers.
-        let threads = gemm_threads(config, dim * dim, samples);
-        if threads <= 1 {
-            return Self::evolve_block_into(
-                &skeleton,
-                &gate_noise,
-                &scratch.thetas,
-                num_qubits,
-                samples,
-                0,
-                samples,
-                &mut scratch.coeffs,
-                packed,
-            );
-        }
-        let thetas = &scratch.thetas;
-        let blocks = samples.div_ceil(GEMM_COL_BLOCK);
-        let panels = map_indexed_with(blocks, threads, RyCoeffs::default, |coeffs, b| {
-            let c0 = b * GEMM_COL_BLOCK;
-            let c1 = (c0 + GEMM_COL_BLOCK).min(samples);
-            Self::evolve_block(
-                &skeleton,
-                &gate_noise,
-                thetas,
-                num_qubits,
-                samples,
-                c0,
-                c1,
-                coeffs,
-            )
-        });
-
-        packed.resize_zeroed(dim * dim, samples);
-        for (b, panel) in panels.into_iter().enumerate() {
-            let panel = panel?;
-            let c0 = b * GEMM_COL_BLOCK;
-            let width = panel.cols();
-            for i in 0..dim * dim {
-                packed.data[i * samples + c0..i * samples + c0 + width]
-                    .copy_from_slice(panel.row(i));
-            }
-        }
-        Ok(())
+        let gate_noise = cached_gate_noise(noise);
+        try_for_each_chunk_mut(out, PREP_BLOCK * run, threads, |b, chunk| {
+            BLOCK_SCRATCH.with(|cell| {
+                Self::prepare_block(
+                    groups,
+                    panel,
+                    &skeleton,
+                    &gate_noise,
+                    keep,
+                    b * PREP_BLOCK,
+                    chunk,
+                    &mut cell.borrow_mut(),
+                )
+            })
+        })?;
+        Ok(run)
     }
 
-    /// Evolves one column block (samples `c0..c1`) through the whole
-    /// skeleton: per-column RY conjugations interleaved with the shared
-    /// panel channel kernels. Blocks never exceed [`GEMM_COL_BLOCK`]
-    /// columns — worker parallelism lives one level up, over the blocks.
-    #[allow(clippy::too_many_arguments)] // private worker body of prepare_batch
+    /// Prepares the block of columns starting at `c0` (as many as
+    /// `chunk` has room for) and writes what `keep` keeps of it into
+    /// `chunk`: a full block is evolved in place there.
+    #[allow(clippy::too_many_arguments)] // private worker body of prepare_columns
+    fn prepare_block(
+        groups: &[EnsembleGroup],
+        panel: &SamplePanel<'_>,
+        skeleton: &PrepSkeleton,
+        gate_noise: &GateNoise,
+        keep: Keep,
+        c0: usize,
+        chunk: &mut [f64],
+        scratch: &mut BlockScratch,
+    ) -> Result<(), QuorumError> {
+        let num_qubits = skeleton.num_qubits();
+        let dim = 1usize << num_qubits;
+        let run = keep.run(dim);
+        let width = chunk.len() / run;
+        let samples = panel.num_samples();
+        let BlockScratch {
+            thetas,
+            values,
+            amps,
+            angles,
+            coeffs,
+            block,
+        } = scratch;
+        // Angle-major: slot `a` of every column sits contiguously at
+        // `thetas[a·width..(a+1)·width]`, one lane run per rotation.
+        thetas.clear();
+        thetas.resize(skeleton.num_angles() * width, 0.0);
+        amps.resize(dim, 0.0);
+        for j in 0..width {
+            let c = c0 + j;
+            groups[c / samples]
+                .features()
+                .project_into(panel.row(c % samples), values);
+            crate::embed::amplitudes_with_overflow_into(values, num_qubits, amps)?;
+            skeleton
+                .angles_for_into(amps, angles)
+                .map_err(QuorumError::Simulation)?;
+            for (a, &theta) in angles.iter().enumerate() {
+                thetas[a * width + j] = theta;
+            }
+        }
+        match keep {
+            Keep::Full => Self::evolve_block(skeleton, gate_noise, thetas, width, coeffs, chunk),
+            Keep::Triangle => {
+                block.resize(dim * dim * width, 0.0);
+                Self::evolve_block(skeleton, gate_noise, thetas, width, coeffs, block)?;
+                gather_triangles(dim, |i| &block[i * width..(i + 1) * width], chunk);
+                Ok(())
+            }
+        }
+    }
+
+    /// Evolves one block of `width` columns, whose angle lanes `thetas`
+    /// holds angle-major, through the whole skeleton into the row-major
+    /// `4^n × width` panel `data`: per-column RY conjugations interleaved
+    /// with the shared panel channel kernels.
     fn evolve_block(
         skeleton: &PrepSkeleton,
         gate_noise: &GateNoise,
         thetas: &[f64],
-        num_qubits: usize,
-        samples: usize,
-        c0: usize,
-        c1: usize,
+        width: usize,
         coeffs: &mut RyCoeffs,
-    ) -> Result<RealPanel, QuorumError> {
-        let mut block = RealPanel::default();
-        Self::evolve_block_into(
-            skeleton, gate_noise, thetas, num_qubits, samples, c0, c1, coeffs, &mut block,
-        )?;
-        Ok(block)
-    }
-
-    /// [`DensityEngine::evolve_block`] writing into a caller-owned panel,
-    /// so the sequential full-width path reuses one resident buffer across
-    /// panels instead of allocating `4^n × S` reals per call.
-    #[allow(clippy::too_many_arguments)] // private worker body of prepare_batch
-    fn evolve_block_into(
-        skeleton: &PrepSkeleton,
-        gate_noise: &GateNoise,
-        thetas: &[f64],
-        num_qubits: usize,
-        samples: usize,
-        c0: usize,
-        c1: usize,
-        coeffs: &mut RyCoeffs,
-        block: &mut RealPanel,
+        data: &mut [f64],
     ) -> Result<(), QuorumError> {
-        let dim = 1usize << num_qubits;
-        let width = c1 - c0;
-        block.resize_zeroed(dim * dim, width);
+        let dim = 1usize << skeleton.num_qubits();
         // vec(|0…0⟩⟨0…0|): row-major index (0, 0) = row 0.
-        block.data[..width].fill(1.0);
-        let data = block.data.as_mut_slice();
+        data.fill(0.0);
+        data[..width].fill(1.0);
         coeffs.cc.resize(width, 0.0);
         coeffs.cs.resize(width, 0.0);
         coeffs.ss.resize(width, 0.0);
@@ -1606,7 +1745,7 @@ impl DensityEngine {
                     target,
                     angle_index,
                 } => {
-                    let lane = &thetas[angle_index * samples + c0..angle_index * samples + c1];
+                    let lane = &thetas[angle_index * width..(angle_index + 1) * width];
                     for (j, &theta) in lane.iter().enumerate() {
                         // Same half-angle evaluation as Gate::RY's matrix,
                         // so the conjugation matches the per-sample gate
@@ -1637,47 +1776,21 @@ impl DensityEngine {
 
     /// Scores an already-prepared `4^n × S` batch (the output of
     /// [`DensityEngine::prepare_batch`]) at every requested compression
-    /// level — the score half of the prep/score seam, reusable across
-    /// calls for streaming workloads. Every column is `vec(ρ_in)` of a
-    /// real symmetric state, so only its upper triangle `h` is read;
-    /// per column, the products `h_k·h_l` are formed once and each level
-    /// is one dot product against the group's cached [`ReadoutForm`].
-    /// Each column is scored on its own, in a fixed order, so its bits do
-    /// not depend on the panel width, its position in the panel or the
-    /// thread count.
+    /// level — the score half of the prep/score seam. Every column is
+    /// `vec(ρ_in)` of a real symmetric state, so only its upper triangle
+    /// is read: the triangles are gathered once and scored as
+    /// [`DensityEngine::score_triangles`] scores them.
     ///
     /// # Errors
     ///
-    /// Rejects non-noisy execution, bad reset counts and panels whose
-    /// row count is not `4^n`; propagates simulation failures.
+    /// Rejects panels whose row count is not `4^n`, non-noisy execution
+    /// and bad reset counts; propagates simulation failures.
     pub fn score_prepared(
         group: &EnsembleGroup,
         packed: &RealPanel,
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        DENSITY_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            Self::score_prepared_scratch(group, packed, config, levels, &mut scratch.score)
-        })
-    }
-
-    /// The body of [`DensityEngine::score_prepared`] running on reusable
-    /// scratch: the upper triangles and the per-column products live in
-    /// resident buffers, so steady-state scoring allocates nothing
-    /// panel-proportional.
-    fn score_prepared_scratch(
-        group: &EnsembleGroup,
-        packed: &RealPanel,
-        config: &QuorumConfig,
-        levels: &[usize],
-        scratch: &mut ScoreScratch,
-    ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        let pass = NoisyPass::prepare(group, config, levels)?;
-        let forms = levels
-            .iter()
-            .map(|&reset_count| group.readout_form(pass.noise, reset_count))
-            .collect::<Result<Vec<_>, _>>()?;
         let dim = 1usize << group.ansatz().num_qubits();
         if packed.rows() != dim * dim {
             return Err(QuorumError::Simulation(QsimError::DimensionMismatch {
@@ -1685,25 +1798,84 @@ impl DensityEngine {
                 actual: packed.rows(),
             }));
         }
-        // h = triu(P), sample-major: column j's coordinates sit at
-        // h[j·m..(j+1)·m], so a 1-column panel reads one m-run, exactly
-        // like every column of a wide one.
-        let samples = packed.cols();
-        let m = dim * (dim + 1) / 2;
-        scratch.h.clear();
-        scratch.h.resize(samples * m, 0.0);
-        for (k, (a, b)) in upper_triangle(dim).enumerate() {
-            for (j, &v) in packed.row(a * dim + b).iter().enumerate() {
-                scratch.h[j * m + k] = v;
-            }
+        DENSITY_SCRATCH.with(|cell| {
+            let DensityScratch { triangles, z, .. } = &mut *cell.borrow_mut();
+            triangles.coordinates = Keep::Triangle.run(dim);
+            triangles
+                .data
+                .resize(packed.cols() * triangles.coordinates, 0.0);
+            gather_triangles(dim, |i| packed.row(i), &mut triangles.data);
+            Self::score_triangles_with(group, triangles, 0..packed.cols(), config, levels, z)
+        })
+    }
+
+    /// Scores the prepared columns `columns` of `triangles` (from
+    /// [`DensityEngine::prepare_triangles`]) under `group` at every
+    /// requested compression level. Per column, the products `h_k·h_l`
+    /// are formed once and each level is one dot product against the
+    /// group's cached [`ReadoutForm`]. Each column is scored on its own,
+    /// in a fixed order, so its bits depend neither on the other columns
+    /// nor on the thread count; sample `j` of the result is column
+    /// `columns.start + j`, and `j` is the sample index shot sampling
+    /// seeds its draw with.
+    ///
+    /// # Errors
+    ///
+    /// Rejects non-noisy execution, bad reset counts, triangles of
+    /// another register width and column ranges outside `triangles`;
+    /// propagates simulation failures.
+    pub fn score_triangles(
+        group: &EnsembleGroup,
+        triangles: &TrianglePanel,
+        columns: Range<usize>,
+        config: &QuorumConfig,
+        levels: &[usize],
+    ) -> Result<Vec<Vec<f64>>, QuorumError> {
+        DENSITY_SCRATCH.with(|cell| {
+            let z = &mut cell.borrow_mut().z;
+            Self::score_triangles_with(group, triangles, columns, config, levels, z)
+        })
+    }
+
+    /// The body of [`DensityEngine::score_triangles`] with the products
+    /// in the caller's reusable buffer `z`.
+    fn score_triangles_with(
+        group: &EnsembleGroup,
+        triangles: &TrianglePanel,
+        columns: Range<usize>,
+        config: &QuorumConfig,
+        levels: &[usize],
+        z: &mut Vec<f64>,
+    ) -> Result<Vec<Vec<f64>>, QuorumError> {
+        let pass = NoisyPass::prepare(group, config, levels)?;
+        let forms = levels
+            .iter()
+            .map(|&reset_count| group.readout_form(pass.noise, reset_count))
+            .collect::<Result<Vec<_>, _>>()?;
+        let m = Keep::Triangle.run(1 << group.ansatz().num_qubits());
+        if triangles.coordinates != m {
+            return Err(QuorumError::Simulation(QsimError::DimensionMismatch {
+                expected: m,
+                actual: triangles.coordinates,
+            }));
         }
-        scratch.z.clear();
-        scratch.z.resize(m * (m + 1) / 2, 0.0);
-        let mut out: Vec<Vec<f64>> = levels.iter().map(|_| Vec::with_capacity(samples)).collect();
-        for (j, h) in scratch.h.chunks_exact(m).enumerate() {
-            qsim::kernel::outer_triangle_lanes(h, &mut scratch.z);
+        if columns.start > columns.end || columns.end > triangles.cols() {
+            return Err(QuorumError::InvalidData(format!(
+                "columns {columns:?} lie outside the {} prepared columns",
+                triangles.cols()
+            )));
+        }
+        let h = &triangles.data[columns.start * m..columns.end * m];
+        z.clear();
+        z.resize(m * (m + 1) / 2, 0.0);
+        let mut out: Vec<Vec<f64>> = levels
+            .iter()
+            .map(|_| Vec::with_capacity(columns.len()))
+            .collect();
+        for (j, h) in h.chunks_exact(m).enumerate() {
+            qsim::kernel::outer_triangle_lanes(h, z);
             for ((deviations, form), &level) in out.iter_mut().zip(&forms).zip(levels) {
-                let raw = qsim::kernel::dot_lanes(&form.packed, &scratch.z);
+                let raw = qsim::kernel::dot_lanes(&form.packed, z);
                 deviations.push(pass.finish(raw, config, group.index(), level, j));
             }
         }
@@ -1716,6 +1888,8 @@ impl ScoringEngine for DensityEngine {
         "density"
     }
 
+    /// The one-group case of [`DensityEngine::prepare_triangles`] and
+    /// [`DensityEngine::score_triangles`], on the thread-local scratch.
     fn deviations_all_levels_panel(
         &self,
         group: &EnsembleGroup,
@@ -1723,39 +1897,32 @@ impl ScoringEngine for DensityEngine {
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        // The batch: every sample's vec(ρ_in) as one panel column,
-        // prepared in lockstep. Each column's products h_k·h_l are
-        // level-independent; each level then costs one dot product per
-        // column against its cached readout form. The thread-local
-        // scratch is held once: preparation runs through `prep` into
-        // `packed`, scoring through `score` — disjoint field borrows.
         DENSITY_SCRATCH.with(|cell| {
-            let DensityScratch {
-                prep,
-                packed,
-                score,
-            } = &mut *cell.borrow_mut();
-            Self::prepare_panel_into(
-                group,
-                panel.rows(),
-                panel.num_samples(),
+            let DensityScratch { triangles, z, .. } = &mut *cell.borrow_mut();
+            let samples = panel.num_samples();
+            let dim2 = 1usize << (2 * group.ansatz().num_qubits());
+            let threads = gemm_threads(config, dim2, samples);
+            Self::prepare_triangles_with(
+                std::slice::from_ref(group),
+                panel,
                 config,
-                prep,
-                packed,
+                threads,
+                triangles,
             )?;
-            Self::score_prepared_scratch(group, packed, config, levels, score)
+            Self::score_triangles_with(group, triangles, 0..samples, config, levels, z)
         })
     }
 }
 
 /// Reusable per-worker scratch for one structured column block: the
-/// gathered panel, the readout image `Y = W·P`, and the per-level
-/// evolved panel.
+/// gathered panel, the readout image `Y = W·P`, the per-level evolved
+/// panel and the MPO sweep's bond panels.
 #[derive(Default)]
 struct StructuredScratch {
     panel: Vec<C64>,
     y: Vec<C64>,
     evolved: Vec<C64>,
+    bonds: MpoBonds,
 }
 
 /// The structured analytic density noise engine: the same lockstep
@@ -1837,7 +2004,7 @@ impl StructuredDensityEngine {
                     .extend(packed.row(i)[c0..c1].iter().map(|&v| C64::from_real(v)));
             }
             s.y.resize(dim2 * width, C64::ZERO);
-            mpo.apply_panel(&s.panel, width, &mut s.y);
+            mpo.apply_panel(&s.panel, width, &mut s.bonds, &mut s.y);
             let mut raws = Vec::with_capacity(programs.len());
             for program in &programs {
                 s.evolved.clear();
@@ -1894,16 +2061,9 @@ impl ScoringEngine for StructuredDensityEngine {
         // score half never touches that thread-local, so holding the
         // borrow across it is safe.
         DENSITY_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            DensityEngine::prepare_panel_into(
-                group,
-                panel.rows(),
-                panel.num_samples(),
-                config,
-                &mut scratch.prep,
-                &mut scratch.packed,
-            )?;
-            Self::score_prepared(group, &scratch.packed, config, levels)
+            let DensityScratch { blocks, packed, .. } = &mut *cell.borrow_mut();
+            DensityEngine::prepare_full_into(group, panel, config, blocks, packed)?;
+            Self::score_prepared(group, packed, config, levels)
         })
     }
 }
@@ -2370,6 +2530,61 @@ mod tests {
             for (level, devs) in alone.iter().enumerate() {
                 assert_eq!(devs[0].to_bits(), panel[level][j].to_bits(), "sample {j}");
             }
+        }
+    }
+
+    #[test]
+    fn multi_group_triangles_match_each_row_prepared_alone() {
+        // 3 groups × 11 rows: 33 columns over two prep blocks, group 2's
+        // columns 22..33 straddling the boundary at 32. Every column's
+        // triangle must equal its row prepared alone under its group, and
+        // every group's slice must score like a one-group pass, at every
+        // thread count.
+        let ds = tiny_dataset();
+        let levels = [1usize, 2];
+        let groups: Vec<EnsembleGroup> = (0..3)
+            .map(|g| group_for(&noisy_config(qsim::NoiseModel::brisbane(), None), &ds, g))
+            .collect();
+        let samples = ds.num_samples();
+        for threads in [1usize, 2, 3] {
+            let config = noisy_config(qsim::NoiseModel::brisbane(), None).with_threads(threads);
+            let mut triangles = TrianglePanel::default();
+            with_panel(&ds, |panel| {
+                DensityEngine::prepare_triangles(&groups, panel, &config, &mut triangles)
+            })
+            .unwrap();
+            assert_eq!(triangles.cols(), groups.len() * samples);
+            assert_eq!(triangles.coordinates, 36);
+            for (g, group) in groups.iter().enumerate() {
+                for (j, row) in ds.rows().iter().enumerate() {
+                    let one = Dataset::from_rows("one", vec![row.clone()], None).unwrap();
+                    let alone = DensityEngine::prepare_batch(group, &one, &config).unwrap();
+                    let want: Vec<u64> = upper_triangle(8)
+                        .map(|(a, b)| alone.row(a * 8 + b)[0].to_bits())
+                        .collect();
+                    let c = g * samples + j;
+                    let got: Vec<u64> = triangles.data[c * 36..(c + 1) * 36]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(got, want, "threads {threads} group {g} row {j}");
+                }
+                let sliced = DensityEngine::score_triangles(
+                    group,
+                    &triangles,
+                    g * samples..(g + 1) * samples,
+                    &config,
+                    &levels,
+                )
+                .unwrap();
+                let one_group = DensityEngine
+                    .deviations_all_levels(group, &ds, &config, &levels)
+                    .unwrap();
+                assert_eq!(sliced, one_group, "threads {threads} group {g}");
+            }
+            let outside =
+                DensityEngine::score_triangles(&groups[0], &triangles, 30..34, &config, &levels);
+            assert!(matches!(outside, Err(QuorumError::InvalidData(_))));
         }
     }
 

@@ -491,12 +491,20 @@ impl SwapTestMpo {
     /// Computes `out = W · panel` for a `4^n × samples` vec(ρ_B) panel:
     /// initialise four bond panels `X_μ = h_μ · P`, thread the 16×16
     /// bond ⊗ field transfer through each qubit pair's vec-index field
-    /// (bits `q` and `n+q`), then contract the bond against `β`.
+    /// (bits `q` and `n+q`), then contract the bond against `β`. The bond
+    /// panels live in the caller's `bonds`, overwritten whole, so a
+    /// caller sweeping block after block reuses one set.
     ///
     /// # Panics
     ///
     /// Panics when `panel`/`out` are not `4^n · samples` long.
-    pub fn apply_panel(&self, panel: &[C64], samples: usize, out: &mut [C64]) {
+    pub fn apply_panel(
+        &self,
+        panel: &[C64],
+        samples: usize,
+        bonds: &mut MpoBonds,
+        out: &mut [C64],
+    ) {
         let n = self.num_qubits;
         let dim2 = 1usize << (2 * n);
         assert_eq!(panel.len(), dim2 * samples, "panel shape mismatch");
@@ -504,20 +512,18 @@ impl SwapTestMpo {
         if samples == 0 {
             return;
         }
-        let mut bonds: Vec<Vec<C64>> = self
-            .h
-            .iter()
-            .map(|&hm| panel.iter().map(|&x| x * hm).collect())
-            .collect();
+        for (bond, &hm) in bonds.panels.iter_mut().zip(&self.h) {
+            bond.clear();
+            bond.extend(panel.iter().map(|&x| x * hm));
+        }
+        let bonds = &mut bonds.panels;
         // Bond order: the chain runs h → pair n−1 → … → pair 0 → β
         // (the pull-back meets pair n−1 first).
         for q in (0..n).rev() {
             let ml = 1usize << q;
             let mh = 1usize << (n + q);
             let both = ml | mh;
-            let [b0, b1, b2, b3] = &mut bonds[..] else {
-                unreachable!("four bond panels");
-            };
+            let [b0, b1, b2, b3] = &mut *bonds;
             for base in 0..dim2 {
                 if base & both != 0 {
                     continue;
@@ -539,6 +545,14 @@ impl SwapTestMpo {
                 + self.beta[3] * bonds[3][i];
         }
     }
+}
+
+/// The four bond panels of a [`SwapTestMpo::apply_panel`] sweep, each
+/// `4^n × samples` complex numbers. The caller keeps them, so a sweep
+/// over block after block allocates them once instead of per block.
+#[derive(Debug, Default)]
+pub struct MpoBonds {
+    panels: [Vec<C64>; 4],
 }
 
 /// Borrows the four lane runs of one qubit-pair vec-index field
@@ -844,7 +858,7 @@ mod tests {
                     .map(|(v, u)| rho_b[(v, u)])
                     .collect();
                 let mut y = vec![C64::ZERO; dim2];
-                mpo.apply_panel(&vec_b, 1, &mut y);
+                mpo.apply_panel(&vec_b, 1, &mut MpoBonds::default(), &mut y);
                 let mut raw = C64::ZERO;
                 for va in 0..sub {
                     for ua in 0..sub {
@@ -858,6 +872,34 @@ mod tests {
                     "n={n}: MPO readout {raw} vs forward {expect}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn mpo_sweep_through_reused_dirty_bonds_matches_a_fresh_sweep() {
+        let gate_noise = GateNoise::from_model(&NoiseModel::brisbane());
+        let n = 2;
+        let dim2 = 1usize << (2 * n);
+        let mpo = SwapTestMpo::build(n, &gate_noise).unwrap();
+        let panel = |samples: usize, salt: f64| -> Vec<C64> {
+            (0..dim2 * samples)
+                .map(|i| C64::new((i as f64 * 0.37 + salt).sin(), (i as f64 * 0.11).cos()))
+                .collect()
+        };
+        // One set of bonds carried through sweeps of shrinking, growing
+        // and equal widths, each leaving the previous sweep's values
+        // behind: every output must equal a sweep through fresh bonds.
+        let mut bonds = MpoBonds::default();
+        for (samples, salt) in [(5usize, 0.0), (2, 1.3), (7, 2.9), (7, 0.4), (1, 5.1)] {
+            let p = panel(samples, salt);
+            let mut fresh = vec![C64::ZERO; dim2 * samples];
+            mpo.apply_panel(&p, samples, &mut MpoBonds::default(), &mut fresh);
+            let mut reused = vec![C64::new(9.0, -9.0); dim2 * samples];
+            mpo.apply_panel(&p, samples, &mut bonds, &mut reused);
+            let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&reused), bits(&fresh), "{samples} samples");
         }
     }
 }

@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment knob naming the resident pool's total participant count
 /// (dispatching caller + parked workers). Unset or unparsable, the pool
@@ -395,6 +395,59 @@ where
         .collect()
 }
 
+/// Runs `f(index, chunk)` once for every `chunk_len`-element chunk of
+/// `data` (the last one may be shorter), fanned out like [`map_indexed`]:
+/// how parallel participants fill disjoint ranges of one buffer. The
+/// chunks come off one shared `chunks_mut` iterator behind a mutex, held
+/// only to take the next chunk, so each chunk goes to exactly one call
+/// without `unsafe`. A chunk's contents depend only on its index, never
+/// on which participant wrote it. Returns the error of the
+/// lowest-indexed chunk that failed, whatever order the chunks ran in;
+/// nothing is allocated per chunk.
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is zero. A panic inside `f` reaches the caller,
+/// as in [`map_indexed`].
+pub fn try_for_each_chunk_mut<T, E, F>(
+    data: &mut [T],
+    chunk_len: usize,
+    threads: usize,
+    f: F,
+) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize, &mut [T]) -> Result<(), E> + Sync,
+{
+    assert!(chunk_len > 0, "chunks must hold at least one element");
+    let count = data.len().div_ceil(chunk_len);
+    // Neither lock is held while `f` runs, and each critical section is
+    // one step that leaves its data valid, so a poisoned lock is
+    // recovered rather than propagated.
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    map_indexed(count, threads, |_| {
+        // One claimed item, one chunk: the iterator yields exactly
+        // `count` chunks, so no claim ever comes back empty.
+        let next = chunks.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((index, chunk)) = next else { return };
+        if let Err(e) = f(index, chunk) {
+            let mut slot = first_error.lock().unwrap_or_else(PoisonError::into_inner);
+            if slot.as_ref().is_none_or(|&(first, _)| index < first) {
+                *slot = Some((index, e));
+            }
+        }
+    });
+    match first_error
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
 /// The result slots of one [`map_indexed_with`] call, shared by every
 /// participant. Each participant writes only the indices it claims off
 /// the call's `fetch_add` counter. The cell holds the slice's mutable
@@ -607,6 +660,45 @@ mod tests {
                 assert_eq!(value, &vec![idx; 3], "threads {threads}");
             }
         }
+    }
+
+    #[test]
+    fn chunks_are_filled_exactly_once_and_report_the_lowest_error() {
+        // Every chunk, the short tail included, goes to exactly one call
+        // that sees its own index, at every thread count.
+        for threads in [1usize, 2, 3, 8] {
+            let mut data = vec![0usize; 103];
+            let calls = AtomicUsize::new(0);
+            let ok: Result<(), ()> =
+                try_for_each_chunk_mut(&mut data, 10, threads, |index, chunk| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(chunk.len(), if index == 10 { 3 } else { 10 });
+                    for slot in chunk.iter_mut() {
+                        *slot += index + 1;
+                    }
+                    Ok(())
+                });
+            assert_eq!(ok, Ok(()));
+            assert_eq!(calls.load(Ordering::Relaxed), 11, "threads {threads}");
+            for (i, &v) in data.iter().enumerate() {
+                assert_eq!(v, i / 10 + 1, "threads {threads} element {i}");
+            }
+            // Several failing chunks: the lowest index wins, however the
+            // chunks were scheduled.
+            let err = try_for_each_chunk_mut(&mut data, 10, threads, |index, _| {
+                if index % 4 == 3 {
+                    Err(index)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(err, Err(3), "threads {threads}");
+        }
+        let mut empty: Vec<u8> = Vec::new();
+        assert_eq!(
+            try_for_each_chunk_mut(&mut empty, 4, 4, |_, _| Err::<(), _>(())),
+            Ok(())
+        );
     }
 
     #[test]

@@ -30,11 +30,12 @@ pub enum ServeError {
         /// The OS-level spawn failure.
         source: io::Error,
     },
-    /// An ensemble group's scoring job panicked on every attempt the
-    /// scorer gives it (see [`crate::frozen::GROUP_RETRIES`]). The text
-    /// names the group index, the attempt count and the last panic's
-    /// message. The panel was not scored; the next request runs every
-    /// group afresh.
+    /// A scoring stage panicked on every attempt the scorer gives it (see
+    /// [`crate::frozen::GROUP_RETRIES`]): an ensemble group's scoring job,
+    /// or the shared preparation stage of a dense noisy panel. The text
+    /// names the stage (the group index, or the prep stage), the attempt
+    /// count and the last panic's message. The panel was not scored; the
+    /// next request runs every stage afresh.
     Faulted(String),
 }
 

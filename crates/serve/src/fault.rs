@@ -7,8 +7,11 @@
 //! is explicitly [`arm`]ed.
 //!
 //! Every failpoint is a named **site** in the serving code. There are
-//! two:
+//! three:
 //!
+//! * `"frozen::prep"` — one hit per attempt of the shared prep stage
+//!   inside [`crate::FrozenDetector::score_samples`], which a dense noisy
+//!   panel runs once before its group jobs (panics and delays);
 //! * `"frozen::group"` — one hit per scoring attempt of one ensemble
 //!   group inside [`crate::FrozenDetector::score_samples`];
 //! * `"server::write_frame"` — one hit per TCP response frame.
@@ -22,10 +25,10 @@
 //!
 //! Faults a site can inject:
 //!
-//! * [`FaultAction::Panic`] — the group's scoring job panics (caught by
-//!   the job's `catch_unwind`, which re-runs the group);
-//! * [`FaultAction::Delay`] — the group's scoring job stalls (a slow
-//!   group holding its panel back);
+//! * [`FaultAction::Panic`] — the prep stage or the group's scoring job
+//!   panics (caught by the stage's `catch_unwind`, which re-runs it);
+//! * [`FaultAction::Delay`] — the prep stage or the group's scoring job
+//!   stalls (a slow stage holding its panel back);
 //! * [`FaultAction::TornWrite`] — a TCP response frame is cut short and
 //!   the socket closed (torn frame on the wire);
 //! * [`FaultAction::PoisonCaches`] — the group's derived caches get

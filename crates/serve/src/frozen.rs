@@ -11,12 +11,15 @@ use qsim::parallel::map_indexed;
 use quorum_core::ansatz::AnsatzParams;
 use quorum_core::bucket::BucketPlan;
 use quorum_core::config::ExecutionMode;
-use quorum_core::engine::{self, sampled_deviation, shot_seed, ScoringEngine};
+use quorum_core::engine::{
+    self, sampled_deviation, shot_seed, DensityEngine, ScoringEngine, TrianglePanel,
+};
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::features::FeatureSelection;
 use quorum_core::{QuorumConfig, QuorumError, ScoreReport};
 use std::any::Any;
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,9 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// 2^32 samples recycles measurement randomness, never data.
 const SAMPLE_ID_MASK: u64 = 0xFFFF_FFFF;
 
-/// How many times [`FrozenDetector::score_samples`] re-runs a group
-/// whose scoring job panicked before it fails the panel with
-/// [`ServeError::Faulted`]. A group gets `1 + GROUP_RETRIES` attempts.
+/// How many times [`FrozenDetector::score_samples`] re-runs a stage that
+/// panicked — a group's scoring job, or the shared preparation stage of a
+/// dense noisy panel — before it fails the panel with
+/// [`ServeError::Faulted`]. Each stage gets `1 + GROUP_RETRIES` attempts.
 pub const GROUP_RETRIES: u32 = 2;
 
 /// One normalized streamed panel in pooled flat storage: row-major
@@ -52,11 +56,21 @@ impl NormalizedPanel {
     }
 }
 
+/// The resident buffers of one streamed panel: the normalised rows and,
+/// on the dense noisy engine, every (group, row) column's prepared upper
+/// triangle (270 KiB for a 32-row panel over 30 groups at n = 3).
+#[derive(Debug, Default)]
+struct StreamScratch {
+    panel: NormalizedPanel,
+    triangles: TrianglePanel,
+}
+
 thread_local! {
-    /// Per-thread pooled panel for the streaming entry points. Each
-    /// serving thread normalises into its own resident buffer; the
-    /// engine pass borrows it read-only for the duration of the batch.
-    static STREAM_PANEL: RefCell<NormalizedPanel> = RefCell::default();
+    /// Per-thread pooled buffers for the streaming entry points. Each
+    /// serving thread normalises and prepares into its own resident
+    /// buffers; the per-group jobs borrow them read-only for the
+    /// duration of the batch.
+    static STREAM_PANEL: RefCell<StreamScratch> = RefCell::default();
 }
 
 /// A detector frozen against one reference dataset and held resident for
@@ -359,30 +373,40 @@ impl FrozenDetector {
 
     /// Scores streamed samples — the serving path. Rows are normalised by
     /// the **frozen** reference statistics, deviations are evaluated
-    /// exactly (shots stripped) over the whole coalesced panel in one
-    /// engine pass per group, shot sampling is re-applied per sample
-    /// under its stable id `first_sample_id + position`, and each
-    /// deviation is z-scored against the frozen pooled reference moments.
+    /// exactly (shots stripped) over the whole coalesced panel, shot
+    /// sampling is re-applied per sample under its stable id
+    /// `first_sample_id + position`, and each deviation is z-scored
+    /// against the frozen pooled reference moments.
+    ///
+    /// On the dense noisy engine ([`engine::scores_from_triangles`]) the
+    /// panel is prepared once for every group: a prep stage evolves all
+    /// (group, row) columns as one lockstep panel in fixed column blocks
+    /// over the worker pool ([`DensityEngine::prepare_triangles`]), and
+    /// each group then scores its own slice of the prepared upper
+    /// triangles. Every other engine prepares and scores inside its
+    /// group's job, one engine pass per group.
     ///
     /// Every per-sample quantity depends only on the sample's row and its
-    /// id — never on what else shares the panel — so any coalescing of
-    /// concurrent requests returns bit-identical scores to scoring each
-    /// sample alone. The groups run as jobs on the resident worker pool
-    /// and their partial vectors are summed in ascending group order, so
-    /// the scores are also bit-identical for every thread count.
+    /// id — never on what else shares the panel, a prep block or a worker
+    /// — so any coalescing of concurrent requests returns bit-identical
+    /// scores to scoring each sample alone. The groups run as jobs on the
+    /// resident worker pool and their partial vectors are summed in
+    /// ascending group order, so the scores are also bit-identical for
+    /// every thread count.
     ///
-    /// Each group's job runs under `catch_unwind`. A group that panics is
-    /// counted in [`FrozenDetector::group_panics`] and re-run in place, up
-    /// to [`GROUP_RETRIES`] times; its partial depends only on the group,
-    /// the rows and the ids, so a retried group scores exactly as an
-    /// uninterrupted one.
+    /// The prep stage and each group's job run under `catch_unwind`. A
+    /// stage that panics is counted in [`FrozenDetector::group_panics`]
+    /// and re-run in place, up to [`GROUP_RETRIES`] times; its output
+    /// depends only on the groups, the rows and the ids, so a retried
+    /// stage scores exactly as an uninterrupted one.
     ///
     /// # Errors
     ///
     /// [`ServeError::Request`] for rows of the wrong width or with
-    /// non-finite values; [`ServeError::Faulted`] when a group panics on
-    /// every attempt; simulation failures propagate. When several groups
-    /// fail, the lowest-indexed group's error is reported.
+    /// non-finite values; [`ServeError::Faulted`] when the prep stage or
+    /// a group panics on every attempt; simulation failures propagate.
+    /// When several groups fail, the lowest-indexed group's error is
+    /// reported.
     pub fn score_samples(
         &self,
         rows: &[Vec<f64>],
@@ -392,16 +416,24 @@ impl FrozenDetector {
             return Ok(Vec::new());
         }
         STREAM_PANEL.with(|cell| {
-            let pooled = &mut *cell.borrow_mut();
-            self.normalize_rows_into(rows, pooled)?;
+            let StreamScratch { panel, triangles } = &mut *cell.borrow_mut();
+            self.normalize_rows_into(rows, panel)?;
             let levels = self.config.effective_compression_levels();
             let threads = self.config.effective_threads();
-            let panel = pooled.as_panel();
+            let panel = panel.as_panel();
+            let prepared = if engine::scores_from_triangles(&self.exact_config) {
+                self.supervised(&"the prep stage", || self.prepare(&panel, triangles))?;
+                Some(&*triangles)
+            } else {
+                None
+            };
             let panel_ref = &panel;
             let levels_ref = &levels;
             let partials: Vec<Result<Vec<f64>, ServeError>> =
                 map_indexed(self.groups.len(), threads, move |g| {
-                    self.supervised_group_scores(g, panel_ref, levels_ref, first_sample_id)
+                    self.supervised(&format_args!("group {g}"), || {
+                        self.group_scores(g, panel_ref, prepared, levels_ref, first_sample_id)
+                    })
                 });
             let mut totals = vec![0.0; rows.len()];
             for partial in partials {
@@ -413,9 +445,10 @@ impl FrozenDetector {
         })
     }
 
-    /// Group-scoring attempts that panicked since this detector was
-    /// built. Each caught panic counts once, whether its retry succeeded
-    /// or the group ran out of attempts.
+    /// Scoring attempts that panicked since this detector was built: a
+    /// group's job, or the shared prep stage of a dense noisy panel. Each
+    /// caught panic counts once, whether its retry succeeded or the stage
+    /// ran out of attempts.
     pub fn group_panics(&self) -> u64 {
         self.group_panics.load(Ordering::Relaxed)
     }
@@ -494,32 +527,27 @@ impl FrozenDetector {
         Ok(())
     }
 
-    /// One group's pool job: [`FrozenDetector::group_scores`] under
+    /// One stage of a panel — the prep stage, or a group's job — under
     /// `catch_unwind`, re-run in place after a panic up to
     /// [`GROUP_RETRIES`] times. Every caught panic bumps
-    /// [`FrozenDetector::group_panics`]; a group that panics on every
+    /// [`FrozenDetector::group_panics`]; a stage that panics on every
     /// attempt fails the panel with [`ServeError::Faulted`], naming the
-    /// group, the attempt count and the last panic's message.
-    fn supervised_group_scores(
+    /// stage, the attempt count and the last panic's message.
+    fn supervised<T>(
         &self,
-        g: usize,
-        panel: &SamplePanel<'_>,
-        levels: &[usize],
-        first_sample_id: u64,
-    ) -> Result<Vec<f64>, ServeError> {
+        stage: &dyn Display,
+        mut job: impl FnMut() -> Result<T, QuorumError>,
+    ) -> Result<T, ServeError> {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.group_scores(g, panel, levels, first_sample_id)
-            }));
-            match outcome {
-                Ok(scores) => return scores.map_err(ServeError::Quorum),
+            match catch_unwind(AssertUnwindSafe(&mut job)) {
+                Ok(result) => return result.map_err(ServeError::Quorum),
                 Err(payload) => {
                     self.group_panics.fetch_add(1, Ordering::Relaxed);
                     if attempts > GROUP_RETRIES {
                         return Err(ServeError::Faulted(format!(
-                            "group {g} panicked on all {attempts} attempts; last panic: {}",
+                            "{stage} panicked on all {attempts} attempts; last panic: {}",
                             panic_message(payload.as_ref())
                         )));
                     }
@@ -528,8 +556,25 @@ impl FrozenDetector {
         }
     }
 
+    /// The prep stage of a dense noisy panel: every (group, row) column's
+    /// upper triangle, group `g`'s rows at columns `g·S..(g+1)·S`.
+    ///
+    /// The `"frozen::prep"` failpoint fires here, once per attempt: a
+    /// panic or a delay.
+    fn prepare(
+        &self,
+        panel: &SamplePanel<'_>,
+        triangles: &mut TrianglePanel,
+    ) -> Result<(), QuorumError> {
+        #[cfg(any(test, feature = "failpoints"))]
+        crate::fault::act("frozen::prep");
+        DensityEngine::prepare_triangles(&self.groups, panel, &self.exact_config, triangles)
+    }
+
     /// One group's additive streamed-score contribution. The engine only
-    /// evaluates the exact deviations; shot sampling and z-scoring run off
+    /// evaluates the exact deviations — from the group's slice of the
+    /// `prepared` triangles when the prep stage ran, otherwise in one
+    /// engine pass over the panel; shot sampling and z-scoring run off
     /// the frozen configuration and statistics.
     ///
     /// The `"frozen::group"` failpoint fires here, once per attempt: a
@@ -539,6 +584,7 @@ impl FrozenDetector {
         &self,
         g: usize,
         panel: &SamplePanel<'_>,
+        prepared: Option<&TrianglePanel>,
         levels: &[usize],
         first_sample_id: u64,
     ) -> Result<Vec<f64>, QuorumError> {
@@ -557,10 +603,21 @@ impl FrozenDetector {
             _ => {}
         }
         let group = &self.groups[g];
-        let per_level =
-            self.engine
-                .deviations_all_levels_panel(group, panel, &self.exact_config, levels)?;
-        let mut out = vec![0.0; panel.num_samples()];
+        let samples = panel.num_samples();
+        let per_level = match prepared {
+            Some(triangles) => DensityEngine::score_triangles(
+                group,
+                triangles,
+                g * samples..(g + 1) * samples,
+                &self.exact_config,
+                levels,
+            )?,
+            None => {
+                self.engine
+                    .deviations_all_levels_panel(group, panel, &self.exact_config, levels)?
+            }
+        };
+        let mut out = vec![0.0; samples];
         for ((deviations, &level), level_stats) in per_level.iter().zip(levels).zip(&self.stats[g])
         {
             for (j, &exact) in deviations.iter().enumerate() {

@@ -21,11 +21,18 @@
 //! FrozenDetector ── score_dataset (reference replay, bit-identical)
 //!         │
 //!         └─ QuorumServer::bind ── per-connection handlers ──► BatchScorer
-//!                                    coalesced 2^n×S panel ──► score_samples
+//!                                    coalesced S-row panel ──► score_samples
+//!                                                                  │
+//!                     dense noisy engine only: one prep stage (catch_unwind,
+//!                     re-run ≤ GROUP_RETRIES) evolves all G·S (group, row)
+//!                     columns as one lockstep panel in fixed column blocks
+//!                     over the pool and keeps each column's upper triangle
 //!                                                                  │
 //!                                    one pool job per group (catch_unwind,
 //!                                    panicking group re-run ≤ GROUP_RETRIES)
 //!                                    group 0 │ group 1 │ … │ group G−1
+//!                                    (dense: scores its columns g·S..(g+1)·S;
+//!                                     other engines: prepare and score)
 //!                                                                  ▼
 //!                                              Σ partials (ascending g)
 //! ```
@@ -38,13 +45,14 @@
 //! pool, and their partial vectors are summed in ascending group order,
 //! so the scores are bit-identical for every thread count.
 //!
-//! Fault tolerance builds on the same invariant. Each group's pool job
-//! runs under `catch_unwind`; a group that panics is re-run in place up
-//! to [`frozen::GROUP_RETRIES`] times, and since its partial depends only
-//! on the group, the rows and the ids, the retried panel is
-//! bit-identical to an uninterrupted one. A group that panics on every
-//! attempt fails its panel with a typed [`ServeError::Faulted`] that
-//! carries the panic message; the batcher thread never sees the panic.
+//! Fault tolerance builds on the same invariant. The prep stage and each
+//! group's pool job run under `catch_unwind`; a stage that panics is
+//! re-run in place up to [`frozen::GROUP_RETRIES`] times, and since its
+//! output depends only on the groups, the rows and the ids, the retried
+//! panel is bit-identical to an uninterrupted one. A stage that panics on
+//! every attempt fails its panel with a typed [`ServeError::Faulted`]
+//! that names the stage and carries the panic message; the batcher
+//! thread never sees the panic.
 //! The server sheds load with typed [`ServeError::Overloaded`] frames
 //! when the batching queue fills, answers `Health` probes with queue
 //! pressure and the caught-panic count, and [`ScoreClient`] retries
@@ -61,6 +69,8 @@ mod error;
 #[cfg(any(test, feature = "failpoints"))]
 pub mod fault;
 pub mod frozen;
+#[cfg(test)]
+mod mutation;
 pub mod server;
 mod wire;
 

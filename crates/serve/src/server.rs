@@ -89,8 +89,9 @@ pub struct HealthReport {
     pub batches_dispatched: u64,
     /// Samples scored by the shared batcher.
     pub samples_scored: u64,
-    /// Group-scoring attempts that panicked and were caught, over the
-    /// served detector's lifetime ([`FrozenDetector::group_panics`]).
+    /// Scoring attempts that panicked and were caught — group jobs and
+    /// dense prep stages — over the served detector's lifetime
+    /// ([`FrozenDetector::group_panics`]).
     pub group_panics: u64,
 }
 
@@ -873,6 +874,49 @@ mod tests {
         let decoded = HealthReport::decode(&bytes).unwrap();
         assert_eq!(decoded, report);
         assert!(HealthReport::decode(&bytes[..7]).is_err());
+    }
+
+    /// Decodes `cases` mutants of an encoded report per seed under the
+    /// artifact test's schedule ([`crate::mutation::mutate`]): bit flips,
+    /// truncations and 8-byte overwrites. Each must decode to a report or
+    /// a typed error, never panic. Returns how many decoded.
+    fn decode_mutated_health_reports(seeds: &[u64], cases: usize) -> usize {
+        let payload = HealthReport {
+            protocol_version: PROTOCOL_VERSION,
+            queue_depth: 3,
+            shed_total: 11,
+            batches_dispatched: 7,
+            samples_scored: 19,
+            group_panics: 2,
+        }
+        .encode();
+        let mut decoded = 0;
+        for &seed in seeds {
+            let mut rng = seed;
+            for case in 0..cases {
+                let bytes = crate::mutation::mutate(&payload, &mut rng);
+                match std::panic::catch_unwind(|| HealthReport::decode(&bytes)) {
+                    Ok(Ok(_)) => decoded += 1,
+                    Ok(Err(_)) => {}
+                    Err(_) => panic!("seed {seed} case {case}: decoding {bytes:?} panicked"),
+                }
+            }
+        }
+        decoded
+    }
+
+    #[test]
+    fn mutated_health_reports_decode_or_fail_typed() {
+        let decoded = decode_mutated_health_reports(&[0x5EED], 1_000);
+        // Flips and overwrites past the version field still decode, while
+        // truncations and version hits fail: both outcomes are exercised.
+        assert!(decoded > 0 && decoded < 1_000, "{decoded} of 1000 decoded");
+    }
+
+    #[test]
+    #[ignore = "exhaustive; run explicitly or in CI's --ignored pass"]
+    fn mutated_health_reports_decode_or_fail_typed_exhaustive() {
+        decode_mutated_health_reports(&[1, 2, 3], 100_000);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Wraps the system allocator in a counter and asserts that steady-state
 //! [`FrozenDetector::score_samples`] — after a warm-up that sizes the
-//! thread-local panel, scratch, and GEMM buffers — performs **zero**
-//! heap allocations of 1 KiB or more. Small per-call vectors (the
-//! per-sample score totals, 256 B at batch 32) stay under the threshold
-//! by design; anything panel- or matrix-shaped that slips back onto the
-//! allocator trips the counter.
+//! thread-local panel, prepared triangles and scratch buffers — performs
+//! **zero** heap allocations of 1 KiB or more, on 32-row, 2-row and
+//! block-straddling panels. Small per-call vectors (the per-sample score
+//! totals, 256 B at batch 32) stay under the threshold by design;
+//! anything panel- or matrix-shaped that slips back onto the allocator
+//! trips the counter.
 //!
 //! This test owns its binary so no sibling test's allocations can leak
 //! into the tracked window.
@@ -76,9 +77,9 @@ fn reference() -> Dataset {
     Dataset::from_rows("alloc-ref", rows, None).unwrap()
 }
 
-/// A batch of 32 streamed rows distinct from the reference set.
-fn batch32() -> Vec<Vec<f64>> {
-    (0..32)
+/// `count` streamed rows distinct from the reference set.
+fn stream_rows(count: usize) -> Vec<Vec<f64>> {
+    (0..count)
         .map(|i| {
             (0..7)
                 .map(|j| ((i * 13 + j * 5) as f64 * 0.23).cos() * 0.8 + 0.05 * j as f64)
@@ -102,33 +103,43 @@ fn serving_config() -> QuorumConfig {
         })
 }
 
-#[test]
-fn steady_state_score_samples_makes_no_large_allocations() {
-    let frozen = FrozenDetector::freeze(serving_config(), &reference()).unwrap();
-    let rows = batch32();
-
-    // Warm-up: size the pooled panel, the thread-local density scratch,
-    // and every noise/skeleton cache. Three rounds so second-order
-    // lazy-init (fused superoperators, GEMM scratch growth) settles.
-    let warm = frozen.score_samples(&rows, 0).unwrap();
+/// Scores `rows` until the pooled buffers are warm, then counts large
+/// allocations over five more steady-state panels.
+fn large_allocations_in_steady_state(frozen: &FrozenDetector, rows: &[Vec<f64>]) -> usize {
+    // Warm-up: size the pooled panel, the prepared triangles, the
+    // thread-local block and density scratch, and every noise/skeleton
+    // cache. Three rounds so second-order lazy-init settles.
+    let warm = frozen.score_samples(rows, 0).unwrap();
     for i in 1..3u64 {
-        let again = frozen.score_samples(&rows, 0).unwrap();
+        let again = frozen.score_samples(rows, 0).unwrap();
         assert_eq!(warm, again, "warm-up round {i} must be bit-identical");
     }
 
     LARGE_ALLOCS.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
     for _ in 0..5 {
-        let scores = frozen.score_samples(&rows, 0).unwrap();
+        let scores = frozen.score_samples(rows, 0).unwrap();
         assert_eq!(scores, warm, "steady-state scores must stay bit-identical");
     }
     TRACKING.store(false, Ordering::SeqCst);
+    LARGE_ALLOCS.load(Ordering::SeqCst)
+}
 
-    let count = LARGE_ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        count, 0,
-        "steady-state score_samples performed {count} allocation(s) of >= {LARGE} bytes; \
-         the pooled request path must not touch the allocator for panel- or matrix-sized \
-         buffers after warm-up"
-    );
+/// One test for every panel shape, so no sibling test runs inside a
+/// tracked window: batch 32; the two-row panels an RPC server mostly
+/// sees; and 9 rows, whose 4 × 9 (group, row) columns span two of the
+/// dense engine's 32-column prep blocks, with group 3's columns 27..36
+/// straddling the boundary.
+#[test]
+fn steady_state_score_samples_makes_no_large_allocations() {
+    let frozen = FrozenDetector::freeze(serving_config(), &reference()).unwrap();
+    for rows in [32, 2, 9] {
+        let count = large_allocations_in_steady_state(&frozen, &stream_rows(rows));
+        assert_eq!(
+            count, 0,
+            "steady-state score_samples on {rows}-row panels performed {count} allocation(s) \
+             of >= {LARGE} bytes; the pooled request path must not touch the allocator for \
+             panel- or matrix-sized buffers after warm-up"
+        );
+    }
 }

@@ -1,16 +1,18 @@
 //! Chaos suite: deterministic fault injection against the serving
-//! runtime's per-group supervision.
+//! runtime's supervision of its stages — each group's scoring job and the
+//! shared prep stage of a dense noisy panel.
 //!
 //! Compiled only under the `failpoints` feature (`cargo test -p
 //! quorum-serve --features failpoints --test chaos`). Every test arms a
 //! deterministic schedule in `quorum_serve::fault`, drives
 //! `FrozenDetector::score_samples` (directly or through a live server)
-//! through group panics, stalls and poisoned caches, and asserts the one
-//! property that matters: **every answer is bit-identical to an
+//! through group and prep panics, stalls and poisoned caches, and asserts
+//! the one property that matters: **every answer is bit-identical to an
 //! uninterrupted run, or a typed error**. A group's partial depends only
-//! on the group, the rows and the sample ids, so re-running a panicked
-//! group in place cannot move a bit — these tests pin that no recovery
-//! path forgets it.
+//! on the group, the rows and the sample ids, and the prepared columns
+//! only on the groups and the rows, so re-running a panicked stage in
+//! place cannot move a bit — these tests pin that no recovery path
+//! forgets it.
 //!
 //! The failpoint registry is process-global, so every test serialises
 //! on `fault::tests_serialized()` and resets the registry when done.
@@ -32,6 +34,9 @@ use std::time::Duration;
 
 /// The failpoint site inside each group's scoring attempt.
 const GROUP_SITE: &str = "frozen::group";
+
+/// The failpoint site inside each attempt of the dense noisy prep stage.
+const PREP_SITE: &str = "frozen::prep";
 
 const GROUPS: usize = 5;
 
@@ -212,6 +217,94 @@ fn exhausted_group_retries_are_a_typed_faulted_error() {
         "every attempt of every group panicked once"
     );
     fault::disarm(GROUP_SITE);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
+    fault::reset();
+}
+
+/// Noisy Brisbane at n = 3: the dense engine, whose panels run the
+/// shared prep stage before the group jobs.
+fn dense_noisy_config() -> QuorumConfig {
+    base_config().with_execution(ExecutionMode::Noisy {
+        noise: NoiseModel::brisbane(),
+        shots: None,
+    })
+}
+
+/// One prep-stage panic, scored directly and then under plain
+/// `QuorumServer::bind`: the stage is re-run in place, so the panel and
+/// every later request score exactly, and each caught panic is counted
+/// in `group_panics`.
+#[test]
+fn prep_panic_is_retried_and_scores_stay_bit_identical() {
+    let _serial = fault::tests_serialized();
+    fault::reset();
+    let frozen = Arc::new(FrozenDetector::freeze(dense_noisy_config(), &reference()).unwrap());
+    let rows = stream_rows(4);
+    let direct = frozen.score_samples(&rows, 0).unwrap();
+    fault::arm(PREP_SITE, FaultSpec::on_hit(FaultAction::Panic, 1));
+    assert_eq!(
+        frozen.score_samples(&rows, 0).unwrap(),
+        direct,
+        "a retried prep stage must not move a bit"
+    );
+    assert_eq!(frozen.group_panics(), 1, "exactly one caught panic");
+    assert_eq!(fault::hits(PREP_SITE), 2, "one panicked attempt, one retry");
+
+    let mut server = QuorumServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&frozen),
+        CoalescePolicy::default(),
+    )
+    .unwrap();
+    let mut client = ScoreClient::connect_with_timeouts(
+        server.local_addr(),
+        Some(Duration::from_secs(30)),
+        Some(Duration::from_secs(30)),
+    )
+    .unwrap();
+    fault::arm(PREP_SITE, FaultSpec::on_hit(FaultAction::Panic, 1));
+    for (row, want) in rows.iter().zip(&direct) {
+        assert_eq!(client.score(row).unwrap(), *want);
+    }
+    let health = client.health().unwrap();
+    assert_eq!(health.group_panics, 2);
+    assert_eq!(health.samples_scored, rows.len() as u64);
+    // Four one-row panels, each prepared once, plus the one retry.
+    assert_eq!(fault::hits(PREP_SITE), rows.len() as u64 + 1);
+    fault::reset();
+    server.shutdown();
+}
+
+/// A prep stage that panics on every attempt fails the panel with a
+/// typed `Faulted` error naming the stage, the attempt count and the
+/// failpoint's message; no group job runs on unprepared columns.
+/// Disarmed, the next panel scores exactly.
+#[test]
+fn exhausted_prep_retries_are_a_typed_faulted_error() {
+    let _serial = fault::tests_serialized();
+    fault::reset();
+    let frozen = FrozenDetector::freeze(dense_noisy_config(), &reference()).unwrap();
+    let rows = stream_rows(2);
+    let direct = frozen.score_samples(&rows, 0).unwrap();
+    fault::arm(PREP_SITE, FaultSpec::every(FaultAction::Panic, 1, 0));
+    let group_hits = fault::hits(GROUP_SITE);
+    let err = frozen.score_samples(&rows, 0).unwrap_err();
+    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
+    let text = err.to_string();
+    let attempts = GROUP_RETRIES + 1;
+    assert!(text.contains("prep stage"), "{text}");
+    assert!(text.contains(&format!("all {attempts} attempts")), "{text}");
+    assert!(
+        text.contains("failpoint \"frozen::prep\" injected a panic"),
+        "the panic payload must reach the error: {text}"
+    );
+    assert_eq!(frozen.group_panics(), u64::from(attempts));
+    assert_eq!(
+        fault::hits(GROUP_SITE),
+        group_hits,
+        "no group scored the failed panel"
+    );
+    fault::disarm(PREP_SITE);
     assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     fault::reset();
 }

@@ -144,29 +144,37 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 3, GROUPS];
 /// panel must give bit-identical scores to scoring each sample alone
 /// under its id, and — since the groups run as pool jobs whose partials
 /// are summed in ascending group order — to the same panel scored under
-/// `with_threads(k)` for every `k` in `thread_counts`.
+/// `with_threads(k)` for every `k` in `thread_counts`. Two panels: 6 rows,
+/// and 7 rows, whose 5 × 7 (group, row) columns span two of the dense
+/// engine's 32-column prep blocks, with group 4's columns 28..35
+/// straddling the boundary.
 fn assert_coalescing_invariant(config: QuorumConfig, thread_counts: &[usize]) {
     let frozen = FrozenDetector::freeze(config.clone(), &reference()).unwrap();
-    let rows = stream_rows(6);
-    let batched = frozen.score_samples(&rows, 100).unwrap();
-    for (j, row) in rows.iter().enumerate() {
-        let alone = frozen
-            .score_samples(std::slice::from_ref(row), 100 + j as u64)
-            .unwrap();
-        assert_eq!(
-            alone[0], batched[j],
-            "sample {j} must score identically alone and in a panel"
-        );
-    }
-    for &k in thread_counts {
-        let threaded = FrozenDetector::freeze(config.clone().with_threads(k), &reference())
-            .unwrap()
-            .score_samples(&rows, 100)
-            .unwrap();
-        assert_eq!(
-            threaded, batched,
-            "threads={k} scores must be bit-identical"
-        );
+    let threaded: Vec<FrozenDetector> = thread_counts
+        .iter()
+        .map(|&k| FrozenDetector::freeze(config.clone().with_threads(k), &reference()).unwrap())
+        .collect();
+    for rows in [stream_rows(6), stream_rows(7)] {
+        let batched = frozen.score_samples(&rows, 100).unwrap();
+        for (j, row) in rows.iter().enumerate() {
+            let alone = frozen
+                .score_samples(std::slice::from_ref(row), 100 + j as u64)
+                .unwrap();
+            assert_eq!(
+                alone[0],
+                batched[j],
+                "sample {j} of {} must score identically alone and in a panel",
+                rows.len()
+            );
+        }
+        for (&k, detector) in thread_counts.iter().zip(&threaded) {
+            assert_eq!(
+                detector.score_samples(&rows, 100).unwrap(),
+                batched,
+                "threads={k} scores of {} rows must be bit-identical",
+                rows.len()
+            );
+        }
     }
 }
 

@@ -105,8 +105,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Lockstep vs per-sample prepared states across widths and every
-    /// noise model, at mixed batch sizes (crossing the GEMM column-block
-    /// boundary at 32 samples exercises multi-block stitching).
+    /// noise model, at mixed batch sizes up to one full 32-column prep
+    /// block.
     #[test]
     fn lockstep_prep_matches_per_sample_walk(
         seed in 0u64..10_000,
@@ -148,11 +148,12 @@ proptest! {
     }
 }
 
-/// A batch exactly one sample wide (the degenerate block) and one crossing
-/// several column blocks, pinned on fixed seeds.
+/// A batch exactly one sample wide (the degenerate block), batches just
+/// inside one 32-column prep block, and one crossing into a second block,
+/// pinned on fixed seeds.
 #[test]
 fn lockstep_prep_handles_block_edges() {
-    for samples in [1usize, 2, 31, 32] {
+    for samples in [1usize, 2, 31, 32, 33] {
         check_lockstep_vs_per_sample(3, 97, 1, samples);
     }
 }

@@ -1,10 +1,15 @@
 //! Serving smoke test through the facade: freeze a detector, round-trip
 //! it through artifact bytes, serve it over loopback TCP and check that
-//! a client's score and the health probe agree with the in-process path.
+//! every served score equals its row scored alone in process, bit for
+//! bit, and that the health probe agrees. Once on the Exact path and once
+//! on the Noisy Brisbane path, whose dense engine prepares each panel's
+//! columns for all groups at once.
 
+use quorum::core::config::ExecutionMode;
 use quorum::core::QuorumConfig;
 use quorum::data::Dataset;
 use quorum::serve::{CoalescePolicy, FrozenDetector, QuorumServer, ScoreClient};
+use quorum::sim::NoiseModel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,18 +23,29 @@ fn rows(count: usize, phase: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-#[test]
-fn frozen_detector_serves_bit_identical_scores_over_loopback() {
-    let config = QuorumConfig::default()
+fn smoke_config() -> QuorumConfig {
+    QuorumConfig::default()
         .with_data_qubits(3)
         .with_ensemble_groups(4)
         .with_threads(2)
-        .with_seed(0x5EEF_1E55);
+        .with_seed(0x5EEF_1E55)
+}
+
+/// Freeze → bytes → thaw → loopback score → health for `config`.
+fn assert_serves_bit_identically(config: QuorumConfig) {
     let reference = Dataset::from_rows("smoke-ref", rows(12, 0), None).unwrap();
     let frozen = FrozenDetector::freeze(config, &reference).unwrap();
     let thawed = Arc::new(FrozenDetector::from_bytes(&frozen.to_bytes().unwrap()).unwrap());
     let stream = rows(3, 40);
-    let direct = frozen.score_samples(&stream, 0).unwrap();
+    let alone: Vec<f64> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            frozen
+                .score_samples(std::slice::from_ref(row), i as u64)
+                .unwrap()[0]
+        })
+        .collect();
 
     let mut server = QuorumServer::bind(
         "127.0.0.1:0",
@@ -43,7 +59,7 @@ fn frozen_detector_serves_bit_identical_scores_over_loopback() {
         Some(Duration::from_secs(30)),
     )
     .unwrap();
-    for (row, want) in stream.iter().zip(&direct) {
+    for (row, want) in stream.iter().zip(&alone) {
         assert_eq!(client.score(row).unwrap().to_bits(), want.to_bits());
     }
 
@@ -54,4 +70,17 @@ fn frozen_detector_serves_bit_identical_scores_over_loopback() {
     assert_eq!(health.shed_total, 0);
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn frozen_detector_serves_bit_identical_scores_over_loopback() {
+    assert_serves_bit_identically(smoke_config());
+}
+
+#[test]
+fn noisy_frozen_detector_serves_bit_identical_scores_over_loopback() {
+    assert_serves_bit_identically(smoke_config().with_execution(ExecutionMode::Noisy {
+        noise: NoiseModel::brisbane(),
+        shots: None,
+    }));
 }
