@@ -865,12 +865,14 @@ impl ReadoutForm {
 /// single 1 on the diagonal, so `vec(ρ) = F·h` for a real symmetric `ρ`.
 /// `apply` maps `F`'s columns in place, [`GEMM_COL_BLOCK`] at a time, as a
 /// complex `4^n × width` panel — the block bounds the transient panels at
-/// every width. Image column `k` comes back as one contiguous run of
-/// `2·4^n` reals at `k·2·4^n`: its real parts, then its imaginary parts.
+/// every width. Image column `k` comes back as one contiguous run of its
+/// `4^n` real parts at `k·4^n`; the imaginary parts are dropped, since
+/// only `Re A·Re B` survives in a form whose factor `B = W·F` is real
+/// (see [`build_readout_form`]).
 fn fold_image(dim: usize, mut apply: impl FnMut(&mut [C64], usize)) -> Vec<f64> {
     let dim2 = dim * dim;
     let coords: Vec<(usize, usize)> = upper_triangle(dim).collect();
-    let mut image = vec![0.0; coords.len() * 2 * dim2];
+    let mut image = vec![0.0; coords.len() * dim2];
     let mut panel = Vec::new();
     for (index, block) in coords.chunks(GEMM_COL_BLOCK).enumerate() {
         let width = block.len();
@@ -881,15 +883,10 @@ fn fold_image(dim: usize, mut apply: impl FnMut(&mut [C64], usize)) -> Vec<f64> 
             panel[(b * dim + a) * width + j] = C64::ONE;
         }
         apply(&mut panel, width);
-        let runs = image
-            .chunks_exact_mut(2 * dim2)
-            .skip(index * GEMM_COL_BLOCK);
+        let runs = image.chunks_exact_mut(dim2).skip(index * GEMM_COL_BLOCK);
         for (j, run) in runs.take(width).enumerate() {
-            let (re, im) = run.split_at_mut(dim2);
-            for (i, (r, m)) in re.iter_mut().zip(im).enumerate() {
-                let z = panel[i * width + j];
-                *r = z.re;
-                *m = z.im;
+            for (i, r) in run.iter_mut().enumerate() {
+                *r = panel[i * width + j].re;
             }
         }
     }
@@ -914,10 +911,14 @@ fn fold_image(dim: usize, mut apply: impl FnMut(&mut [C64], usize)) -> Vec<f64> 
 ///   ([`swap_test_image`]).
 ///
 /// Only the real part is contracted, `G_kl = Σ_i Re A_ik·Re B_il −
-/// Im A_ik·Im B_il` for `A = S_r·F` and `B = W·F`: two real dots per
-/// entry over [`fold_image`]'s split columns. The build is sequential
-/// with a fixed order, so its bits depend neither on the thread count nor
-/// on which caller built the image. The result is symmetrised into the
+/// Im A_ik·Im B_il` for `A = S_r·F` and `B = W·F`, and `B` is real in
+/// exact arithmetic: the lowered SWAP-test network is a real map, and its
+/// depolarizing and damping channels commute with the diagonal `T`
+/// phases (the unit test `swap_test_image_is_real` bounds the rounding
+/// residue by 1e-15). So `G_kl = Re A_k·Re B_l`: one real dot per entry
+/// over [`fold_image`]'s real columns. The build is sequential with a
+/// fixed order, so its bits depend neither on the thread count nor on
+/// which caller built the image. The result is symmetrised into the
 /// packed triangle. Called through the per-group cache
 /// ([`EnsembleGroup::readout_form`]).
 ///
@@ -935,20 +936,11 @@ pub(crate) fn build_readout_form(
     let wf = swap_test_image(n, noise)?;
     let program = build_channel_program(ansatz, noise, reset_count)?;
     let sf = fold_image(1 << n, |panel, width| program.apply_panel(panel, width));
-    let a: Vec<_> = sf
-        .chunks_exact(2 * dim2)
-        .map(|run| run.split_at(dim2))
-        .collect();
-    let b: Vec<_> = wf
-        .chunks_exact(2 * dim2)
-        .map(|run| run.split_at(dim2))
-        .collect();
-    let m = a.len();
+    let m = sf.len() / dim2;
     let mut g = vec![0.0; m * m];
-    for (k, &(a_re, a_im)) in a.iter().enumerate() {
-        for (l, &(b_re, b_im)) in b.iter().enumerate() {
-            g[k * m + l] =
-                qsim::kernel::dot_lanes(a_re, b_re) - qsim::kernel::dot_lanes(a_im, b_im);
+    for (k, a_re) in sf.chunks_exact(dim2).enumerate() {
+        for (l, b_re) in wf.chunks_exact(dim2).enumerate() {
+            g[k * m + l] = qsim::kernel::dot_lanes(a_re, b_re);
         }
     }
     // hᵀ·G·h = Σ_k G_kk·h_k² + Σ_{k<l} (G_kl + G_lk)·h_k·h_l.
@@ -1130,9 +1122,9 @@ fn swap_test_functional(n: usize, noise: &NoiseModel) -> Result<Arc<CMatrix>, Qu
 }
 
 /// Bytes the global SWAP-test image cache may retain: an image is
-/// `2·4^n·m` reals — 36 KiB at n = 3, 8.3 MiB at n = 5 — so every width
-/// up to 5 fits under many noise models, while an n = 6 image (~136 MiB)
-/// is rebuilt per form instead of pinned.
+/// `4^n·m` reals — 18 KiB at n = 3, 4.1 MiB at n = 5 — so every width
+/// up to 5 fits under many noise models, while an n = 6 image (65 MiB,
+/// just over the bound) is rebuilt per form instead of pinned.
 const SWAP_TEST_IMAGE_CACHE_BYTES: usize = 64 << 20;
 
 /// The process-wide store of `W·F`, the SWAP-test functional applied to
@@ -2677,6 +2669,42 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_test_image_is_real() {
+        // The readout forms keep only Re(W·F), so W·F must be real up to
+        // rounding: run the fold through the MPO sweep itself and bound
+        // the imaginary residue at every width the dense engine serves,
+        // from no noise to heavy noise. The ideal model's is exactly 0.
+        let brisbane = qsim::NoiseModel::brisbane();
+        for n in 2..=4 {
+            for factor in [0.0, 1.0, 2.0, 100.0, 300.0] {
+                let noise = if factor == 0.0 {
+                    qsim::NoiseModel::ideal()
+                } else {
+                    brisbane.scaled(factor)
+                };
+                let mpo = SwapTestMpo::build(n, &cached_gate_noise(&noise)).unwrap();
+                let (mut max_re, mut max_im) = (0.0_f64, 0.0_f64);
+                let mut out = Vec::new();
+                fold_image(1 << n, |panel, width| {
+                    out.clear();
+                    out.resize(panel.len(), C64::ZERO);
+                    mpo.apply_panel(panel, width, &mut MpoBonds::default(), &mut out);
+                    for z in &out {
+                        max_re = max_re.max(z.re.abs());
+                        max_im = max_im.max(z.im.abs());
+                    }
+                    panel.copy_from_slice(&out);
+                });
+                assert!(max_re > 0.1, "n {n} ×{factor}: image vanished ({max_re})");
+                assert!(max_im <= 1e-15, "n {n} ×{factor}: max |Im| {max_im:e}");
+                if factor == 0.0 {
+                    assert_eq!(max_im, 0.0, "n {n}: the ideal image is exactly real");
                 }
             }
         }

@@ -8,30 +8,37 @@
 //! 1. **Scalar oracle** ([`mul_panel_scalar`]): the original interleaved
 //!    `C64` i–k–j loop. Slowest, but the bit-exact reference every other
 //!    kernel is pinned against.
-//! 2. **Split-complex SoA** ([`mul_panel`], default): the `rhs` panel is
-//!    repacked once into separate re/im `f64` slices, and the output is
-//!    produced in register tiles — 4 rows × 4 column lanes with the `k`
-//!    reduction innermost, so the 32 partial sums live in registers for
-//!    the whole reduction instead of streaming through memory per `k`.
-//!    The lane loops are pure branchless unrolled `f64` arithmetic that
-//!    stable rustc autovectorises; because the default x86-64 target
-//!    baseline stops at 128-bit SSE2, the same safe body is *also*
-//!    compiled under `#[target_feature(enable = "avx")]` and dispatched
-//!    at runtime, giving full 256-bit lanes on any AVX machine with no
-//!    cargo feature and no behaviour change. Each output element
-//!    accumulates the exact expression the scalar oracle evaluates
-//!    (`re += ar·br − ai·bi; im += ar·bi + ai·br`) in the same `k` order;
-//!    the only divergence is that the oracle's sparse-term skip is traded
-//!    for multiplying exact `±0`s through (branches would defeat
-//!    vectorisation), which can flip the sign of a zero but never a
-//!    value — so without the `simd` feature the results equal the
-//!    oracle's, bitwise except for zero signs.
-//! 3. **AVX2/FMA** (`--features simd`, x86-64 only): the same tiling
-//!    driven by explicit 256-bit `core::arch` FMA intrinsics. Selected
-//!    *at runtime* via `is_x86_feature_detected!` — a `simd` build still
-//!    runs correctly (through kernel 2) on hardware without AVX2. FMA
-//!    contracts the multiply–add rounding step, so this path is not
-//!    bit-identical to the oracle; property suites pin it to ≤ 1e-12.
+//! 2. **Portable split-complex SoA** (the fallback of [`mul_panel`]): the
+//!    `rhs` panel is repacked once into separate re/im `f64` slices, and
+//!    the output is produced in register tiles — 4 rows × 4 column lanes
+//!    with the `k` reduction innermost, so the 32 partial sums live in
+//!    registers for the whole reduction instead of streaming through
+//!    memory per `k`. The lane loops are pure branchless unrolled `f64`
+//!    arithmetic that stable rustc autovectorises for the build's target
+//!    baseline. Each output element accumulates the exact expression the
+//!    scalar oracle evaluates (`re += ar·br − ai·bi; im += ar·bi + ai·br`)
+//!    in the same `k` order; the only divergence is that the oracle's
+//!    sparse-term skip is traded for multiplying exact `±0`s through
+//!    (branches would defeat vectorisation), which can flip the sign of a
+//!    zero but never a value — so its results equal the oracle's, bitwise
+//!    except for zero signs. It runs wherever the CPU lacks AVX2 + FMA
+//!    (aarch64, older x86-64), and for the remainder rows of every panel.
+//! 3. **AVX2/FMA tile** (x86-64): the same 4-row stripes driven by
+//!    explicit 256-bit `core::arch` FMA intrinsics, selected *at runtime*
+//!    when [`simd_active`] — one binary runs everywhere. FMA contracts the
+//!    multiply–add rounding step, so this path is not bit-identical to the
+//!    oracle; property suites pin it to ≤ 1e-12.
+//!
+//! The probe is cached, so which implementation computes an output
+//! element depends only on the CPU and on whether its row falls in a
+//! 4-row stripe — never on the thread count, the panel width or the call.
+//! Each column remainder replays its vector lanes' exact operation
+//! sequence, so a column's bits are those of the column multiplied alone.
+//!
+//! The density engines' lane kernels further down keep their own ladder:
+//! one safe body, also compiled for AVX-512 and for AVX and picked at
+//! runtime (`avx512_autovec_active`, `avx_autovec_active`). They have no
+//! FMA counterpart, so every rung gives the same bits.
 //!
 //! The repack buffers live in a [`PanelScratch`] owned by the caller:
 //! `matmul_threaded` hands each worker thread one scratch for its whole
@@ -51,7 +58,7 @@ const TILE_ROWS: usize = 4;
 /// [`crate::matrix::GEMM_COL_BLOCK`] must stay a multiple of this so
 /// threaded panels and the sequential full-width panel put the same
 /// columns in lane tiles vs the scalar remainder (statically asserted
-/// there) — otherwise FMA builds would lose bit-for-bit thread-count
+/// there) — otherwise FMA hosts could lose bit-for-bit thread-count
 /// determinism.
 pub(crate) const LANES: usize = 4;
 
@@ -93,24 +100,30 @@ impl PanelScratch {
     }
 }
 
-/// Returns `true` when the explicit AVX2/FMA kernel is both compiled in
-/// (`--features simd` on x86-64) and supported by the running CPU. The
-/// single runtime-dispatch predicate for every SIMD path in the crate.
+/// Returns `true` when the running CPU has AVX2 and FMA, so [`mul_panel`]
+/// runs its 4-row stripes through the FMA tile. The single dispatch
+/// predicate of the GEMM; cached after the first probe, so a process never
+/// switches kernels mid-run.
 #[inline]
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        use std::sync::OnceLock;
+        static ACTIVE: OnceLock<bool> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        })
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-/// The scalar oracle: interleaved-`C64` i–k–j panel kernel (the PR 2
-/// kernel, verbatim). Kept as the bit-exact reference for the SoA and
-/// AVX2 kernels and as the baseline the SIMD speedup is measured against.
+/// The scalar oracle: interleaved-`C64` i–k–j panel kernel. Kept as the
+/// bit-exact reference for the SoA and FMA kernels and as the baseline
+/// the SIMD speedup is measured against.
 #[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
 pub fn mul_panel_scalar(
     a: &[C64],
@@ -141,9 +154,9 @@ pub fn mul_panel_scalar(
 
 /// Returns `true` when the AVX-recompiled autovec kernels are usable: the
 /// same safe Rust bodies compiled with 256-bit vectors enabled,
-/// dispatched at runtime, available on any x86-64 build (no cargo feature
-/// needed). Shared by this module's SoA tiles and the density-matrix
-/// lane kernels.
+/// dispatched at runtime, available on any x86-64 build. Used by the
+/// density-matrix lane kernels only; the GEMM dispatches on
+/// [`simd_active`].
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-64-gated
 pub(crate) fn avx_autovec_active() -> bool {
@@ -162,7 +175,7 @@ pub(crate) fn avx_autovec_active() -> bool {
 /// step on the same ladder as [`avx_autovec_active`] — no intrinsics, no
 /// contraction, so results stay identical to the baseline bodies; only the
 /// vector width doubles. Cached after the first probe (the lane kernels
-/// sit inside per-gate loops, unlike the per-panel GEMM dispatch).
+/// sit inside per-gate loops).
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-64-gated
 pub(crate) fn avx512_autovec_active() -> bool {
@@ -183,11 +196,11 @@ pub(crate) fn avx512_autovec_active() -> bool {
 }
 
 /// The dispatching split-complex panel kernel: repacks the `rhs` panel
-/// into SoA slices once, then produces the output in register tiles —
-/// through the AVX2/FMA intrinsics when [`simd_active`], else the
-/// autovectorised SoA body recompiled for 256-bit AVX when the CPU has it
-/// (still value-identical to [`mul_panel_scalar`]; see the module docs
-/// for the exact equality contract), else the baseline-target SoA body.
+/// into SoA slices once, then produces each 4-row stripe in register
+/// tiles — through the AVX2/FMA intrinsics when [`simd_active`], else the
+/// portable SoA body (value-identical to [`mul_panel_scalar`]; see the
+/// module docs for the exact equality contract). Remainder rows always
+/// take the portable single-row body.
 #[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
 pub fn mul_panel(
     a: &[C64],
@@ -225,71 +238,30 @@ pub fn mul_panel_into(
     repack_panel(b, b_cols, c0, c1, a_cols, scratch);
     panel.clear();
     panel.resize(a_rows * width, C64::ZERO);
-    // Only referenced from the x86-64 dispatch arms below.
+    // Only referenced from the x86-64 dispatch arm below.
     #[cfg(target_arch = "x86_64")]
-    let avx_autovec = avx_autovec_active();
-    #[cfg(target_arch = "x86_64")]
-    let avx512_autovec = avx512_autovec_active();
+    let fma = simd_active();
     let mut i = 0;
     while i + TILE_ROWS <= a_rows {
         let a_rows_slice = &a[i * a_cols..(i + TILE_ROWS) * a_cols];
         let out = &mut panel[i * width..(i + TILE_ROWS) * width];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd_active() {
+        i += TILE_ROWS;
+        #[cfg(target_arch = "x86_64")]
+        if fma {
             // SAFETY: `simd_active` verified AVX2 + FMA at runtime; both
             // slices are cut to the tile shape above and `repack_panel`
             // sized `scratch` to `a_cols × width` for this panel.
             unsafe {
                 tile_rows_avx2(a_rows_slice, a_cols, width, scratch, out);
             }
-            i += TILE_ROWS;
-            continue;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if avx512_autovec {
-            // SAFETY: `avx512_autovec` verified AVX-512 at runtime; the
-            // function body is the same safe Rust as `tile_rows_soa`.
-            unsafe {
-                tile_rows_soa_avx512(a_rows_slice, a_cols, width, scratch, out);
-            }
-            i += TILE_ROWS;
-            continue;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if avx_autovec {
-            // SAFETY: `avx_autovec` verified AVX at runtime; the function
-            // body is the same safe Rust as `tile_rows_soa`.
-            unsafe {
-                tile_rows_soa_avx(a_rows_slice, a_cols, width, scratch, out);
-            }
-            i += TILE_ROWS;
             continue;
         }
         tile_rows_soa(a_rows_slice, a_cols, width, scratch, out);
-        i += TILE_ROWS;
     }
     while i < a_rows {
         let a_row = &a[i * a_cols..(i + 1) * a_cols];
         let out = &mut panel[i * width..(i + 1) * width];
-        #[cfg(target_arch = "x86_64")]
-        if avx512_autovec {
-            // SAFETY: as above.
-            unsafe {
-                single_row_avx512(a_row, a_cols, width, scratch, out);
-            }
-            i += 1;
-            continue;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if avx_autovec {
-            // SAFETY: as above.
-            unsafe {
-                single_row_avx(a_row, a_cols, width, scratch, out);
-            }
-            i += 1;
-            continue;
-        }
-        single_row(a_row, a_cols, width, scratch, out);
+        single_row(a_row, width, scratch, out);
         i += 1;
     }
 }
@@ -362,54 +334,6 @@ fn tile_rows_soa(
     scratch: &PanelScratch,
     out: &mut [C64],
 ) {
-    tile_rows_body(a_rows, a_cols, width, scratch, out);
-}
-
-/// [`tile_rows_soa`]'s body recompiled with 256-bit AVX vectors enabled —
-/// identical safe Rust, so identical results; only the instruction
-/// selection differs. Dispatched at runtime behind [`avx_autovec_active`].
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn tile_rows_soa_avx(
-    a_rows: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    tile_rows_body(a_rows, a_cols, width, scratch, out);
-}
-
-/// [`tile_rows_soa`]'s body recompiled with 512-bit AVX-512 vectors
-/// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn tile_rows_soa_avx512(
-    a_rows: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    tile_rows_body(a_rows, a_cols, width, scratch, out);
-}
-
-#[inline(always)]
-fn tile_rows_body(
-    a_rows: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
     let (r0, rest) = out.split_at_mut(width);
     let (r1, rest) = rest.split_at_mut(width);
     let (r2, r3) = rest.split_at_mut(width);
@@ -459,59 +383,12 @@ fn tile_rows_body(
 /// The remainder-row kernel (fewer than [`TILE_ROWS`] rows left): one
 /// output row, 4-lane column tiles, `k` innermost — the single-row
 /// specialisation of [`tile_rows_soa`] with identical per-element order.
-fn single_row(a_row: &[C64], a_cols: usize, width: usize, scratch: &PanelScratch, out: &mut [C64]) {
-    single_row_body(a_row, a_cols, width, scratch, out);
-}
-
-/// [`single_row`]'s body recompiled with 256-bit AVX vectors enabled;
-/// see [`tile_rows_soa_avx`].
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn single_row_avx(
-    a_row: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    single_row_body(a_row, a_cols, width, scratch, out);
-}
-
-/// [`single_row`]'s body recompiled with 512-bit AVX-512 vectors
-/// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn single_row_avx512(
-    a_row: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    single_row_body(a_row, a_cols, width, scratch, out);
-}
-
-#[inline(always)]
-fn single_row_body(
-    a_row: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
+fn single_row(a_row: &[C64], width: usize, scratch: &PanelScratch, out: &mut [C64]) {
     let mut j = 0;
     while j + LANES <= width {
         let mut acc_re = [0.0_f64; LANES];
         let mut acc_im = [0.0_f64; LANES];
-        for (k, &av) in a_row.iter().enumerate().take(a_cols) {
+        for (k, &av) in a_row.iter().enumerate() {
             let br = lanes_at(&scratch.b_re, k * width + j);
             let bi = lanes_at(&scratch.b_im, k * width + j);
             lane_madd(&mut acc_re, &mut acc_im, av, br, bi);
@@ -523,7 +400,7 @@ fn single_row_body(
     }
     while j < width {
         let mut acc = C64::ZERO;
-        for (k, &av) in a_row.iter().enumerate().take(a_cols) {
+        for (k, &av) in a_row.iter().enumerate() {
             acc += av * C64::new(scratch.b_re[k * width + j], scratch.b_im[k * width + j]);
         }
         out[j] = acc;
@@ -543,7 +420,7 @@ fn single_row_body(
 /// `a_rows.len() >= TILE_ROWS * a_cols`, `out.len() >= TILE_ROWS * width`,
 /// and `scratch` must hold this panel's repacked `a_cols × width` planes
 /// (`b_re` and `b_im` at least `a_cols * width` long).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn tile_rows_avx2(
     a_rows: &[C64],
@@ -649,7 +526,7 @@ impl LaneScalar for C64 {
 /// fused 4×4 superoperator) produces on the real plane, term for term in
 /// the same order, so the lockstep batch matches the per-sample walk's
 /// real parts bit-for-bit (up to the sign of exact zeros). Dispatched
-/// through the same runtime AVX recompilation ladder as the GEMM tiles.
+/// through the runtime AVX recompilation ladder.
 #[allow(clippy::too_many_arguments)] // flat lane-kernel signature
 pub fn ry_conj_lanes(
     v0: &mut [f64],
@@ -1270,27 +1147,53 @@ mod tests {
         (9, 25, 64),
     ];
 
+    /// The panel the portable bodies alone produce — what [`mul_panel`]
+    /// returns on a CPU without AVX2 + FMA — called directly, so FMA hosts
+    /// test them too.
+    fn mul_panel_portable(
+        a: &[C64],
+        (m, k, n): (usize, usize, usize),
+        b: &[C64],
+        c0: usize,
+        c1: usize,
+    ) -> Vec<C64> {
+        let width = c1 - c0;
+        let mut scratch = PanelScratch::new();
+        repack_panel(b, n, c0, c1, k, &mut scratch);
+        let mut panel = vec![C64::ZERO; m * width];
+        let mut i = 0;
+        while i + TILE_ROWS <= m {
+            let out = &mut panel[i * width..(i + TILE_ROWS) * width];
+            tile_rows_soa(&a[i * k..(i + TILE_ROWS) * k], k, width, &scratch, out);
+            i += TILE_ROWS;
+        }
+        for i in i..m {
+            let out = &mut panel[i * width..(i + 1) * width];
+            single_row(&a[i * k..(i + 1) * k], width, &scratch, out);
+        }
+        panel
+    }
+
     #[test]
     fn soa_kernel_is_bit_identical_to_scalar_oracle() {
         for &(m, k, n) in &SHAPES {
             let a = dense(m, k, 1);
             let b = dense(k, n, 2);
-            let mut scratch = PanelScratch::new();
             // Full-width panel and a ragged sub-panel alike.
             for (c0, c1) in [(0, n), (n / 3, n), (0, n.div_ceil(2))] {
                 if c0 >= c1 {
                     continue;
                 }
                 let oracle = mul_panel_scalar(&a, m, k, &b, n, c0, c1);
-                let soa = mul_panel(&a, m, k, &b, n, c0, c1, &mut scratch);
-                if simd_active() {
-                    // FMA rounding: not bit-exact, but pinned tight.
-                    for (s, o) in soa.iter().zip(&oracle) {
-                        assert!(s.approx_eq(*o, 1e-12), "{m}x{k}x{n}: {s} vs {o}");
-                    }
-                } else {
-                    assert_eq!(soa, oracle, "shape {m}x{k}x{n} panel {c0}..{c1}");
-                }
+                let soa = mul_panel_portable(&a, (m, k, n), &b, c0, c1);
+                let bits = |p: &[C64]| -> Vec<(u64, u64)> {
+                    p.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(&soa),
+                    bits(&oracle),
+                    "shape {m}x{k}x{n} panel {c0}..{c1}"
+                );
             }
         }
     }
@@ -1416,7 +1319,6 @@ mod tests {
         assert_eq!(over_im, oi_ref);
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[test]
     fn superop16_lanes_matches_plain_mat_vec() {
         let lanes = 7;
@@ -1515,15 +1417,15 @@ mod tests {
     #[test]
     fn avx2_kernel_matches_oracle_when_available() {
         if !simd_active() {
-            return; // no AVX2/FMA on this host: dispatch already covered.
+            return; // no AVX2 + FMA: `mul_panel` runs the portable bodies, pinned above.
         }
         for &(m, k, n) in &SHAPES {
             let a = dense(m, k, 7);
             let b = dense(k, n, 8);
             let mut scratch = PanelScratch::new();
             let oracle = mul_panel_scalar(&a, m, k, &b, n, 0, n);
-            let simd = mul_panel(&a, m, k, &b, n, 0, n, &mut scratch);
-            for (s, o) in simd.iter().zip(&oracle) {
+            let fma = mul_panel(&a, m, k, &b, n, 0, n, &mut scratch);
+            for (s, o) in fma.iter().zip(&oracle) {
                 assert!(s.approx_eq(*o, 1e-12), "shape {m}x{k}x{n}: {s} vs {o}");
             }
         }

@@ -8,8 +8,9 @@
 //!
 //! * [`complex`] / [`matrix`] — scalar and small-matrix complex algebra.
 //! * [`kernel`] — split-complex SIMD GEMM micro-kernels behind the
-//!   [`matrix::CMatrix::matmul`] seam (scalar oracle → autovectorised
-//!   SoA → runtime-dispatched AVX2/FMA under `--features simd`).
+//!   [`matrix::CMatrix::matmul`] seam (scalar oracle, portable SoA tiles,
+//!   and an AVX2/FMA tile chosen at runtime per CPU), plus the lane
+//!   kernels of the density engines.
 //! * [`gate`] — the gate library (rotations, Cliffords, CSWAP, …).
 //! * [`circuit`] — a circuit IR with mid-circuit reset and measurement.
 //! * [`statevector`] — pure-state evolution kernels.

@@ -6,11 +6,10 @@
 //! Kraus-channel algebra — and, through the blocked [`CMatrix::matmul`]
 //! kernel, for applying a fused unitary to many statevectors packed
 //! column-wise in one matrix–matrix product (the batched analytic scoring
-//! path) or a fused superoperator to many `vec(ρ)` columns (the batched
-//! density scoring path). The panel kernel itself lives in
-//! [`crate::kernel`]: a split-complex structure-of-arrays loop with an
-//! optional runtime-dispatched AVX2/FMA path (`--features simd`), pinned
-//! against the scalar oracle kept on [`CMatrix::matmul_scalar`].
+//! path). The panel kernel itself lives in [`crate::kernel`]: a portable
+//! split-complex structure-of-arrays loop and an AVX2/FMA tile chosen at
+//! runtime per CPU, pinned against the scalar oracle kept on
+//! [`CMatrix::matmul_scalar`].
 //! Single-state evolution uses specialised kernels in
 //! [`crate::statevector`] and [`crate::density`].
 
@@ -37,7 +36,7 @@ pub const GEMM_COL_BLOCK: usize = 64;
 
 // Panel starts must preserve lane alignment: threaded panels and the
 // sequential full-width panel have to agree on which columns sit in
-// vector tiles vs the scalar remainder, or FMA builds would diverge
+// vector tiles vs the scalar remainder, or FMA hosts could diverge
 // bit-wise across thread counts.
 const _: () = assert!(GEMM_COL_BLOCK.is_multiple_of(kernel::LANES));
 
@@ -293,11 +292,10 @@ impl CMatrix {
     /// independently by the split-complex register-tile kernel in
     /// [`crate::kernel`], so the per-column accumulation order is
     /// identical for every thread count — results are bit-for-bit
-    /// deterministic regardless of `threads`. Without the `simd` feature
-    /// the kernel is value-identical to the scalar oracle on
-    /// [`CMatrix::matmul_scalar`] (see [`crate::kernel`] for the exact
-    /// equality contract); with it, an AVX2/FMA path is selected at
-    /// runtime where the CPU supports it.
+    /// deterministic regardless of `threads`. On a CPU with AVX2 + FMA the
+    /// kernel runs an FMA tile, pinned to ≤ 1e-12 of the scalar oracle on
+    /// [`CMatrix::matmul_scalar`]; elsewhere it is value-identical to the
+    /// oracle (see [`crate::kernel`] for the exact equality contract).
     ///
     /// # Errors
     ///
@@ -772,15 +770,15 @@ mod tests {
 
     #[test]
     fn gemm_matches_scalar_oracle_across_shapes() {
-        // The dispatching kernel (SoA, or AVX2 under `--features simd`)
-        // against the bit-exact scalar oracle, over shapes that exercise
-        // ragged panels and remainder lanes.
+        // The dispatching kernel (the FMA tile on AVX2 + FMA CPUs, else
+        // the portable SoA body) against the bit-exact scalar oracle, over
+        // shapes that exercise ragged panels and remainder lanes.
         for (rows, inner, cols) in [(1, 1, 1), (3, 5, 2), (8, 8, 96), (16, 16, 100), (5, 9, 67)] {
             let a = dense(rows, inner, 31);
             let b = dense(inner, cols, 32);
             let oracle = a.matmul_scalar(&b).unwrap();
             let fast = a.matmul(&b).unwrap();
-            if qsim_kernel_simd_active() {
+            if crate::kernel::simd_active() {
                 assert!(fast.approx_eq(&oracle, 1e-12), "{rows}x{inner}x{cols}");
             } else {
                 assert_eq!(fast.as_slice(), oracle.as_slice(), "{rows}x{inner}x{cols}");
@@ -788,10 +786,6 @@ mod tests {
             let threaded = a.matmul_threaded(&b, 4).unwrap();
             assert_eq!(fast.as_slice(), threaded.as_slice());
         }
-    }
-
-    fn qsim_kernel_simd_active() -> bool {
-        crate::kernel::simd_active()
     }
 
     #[test]

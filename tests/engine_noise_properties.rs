@@ -116,11 +116,11 @@ fn check_ideal_density_vs_analytic(data_qubits: usize, seed: u64, group_index: u
     }
 }
 
-/// The batched vec(ρ) GEMM path against the per-sample density oracle:
-/// both engines over the full level sweep, at one register width, across
-/// every noise model. The two paths accumulate each sample in the same
-/// index order, so 1e-9 is generous (they are value-identical without the
-/// `simd` feature and within FMA rounding with it).
+/// The dense engine (lockstep preparation, cached readout forms) against
+/// the per-sample density oracle: both engines over the full level sweep,
+/// at one register width, across every noise model. Neither runs a GEMM;
+/// they evaluate the same real form in different summation orders and
+/// agree to ~1e-15, so 1e-9 is generous.
 fn check_batched_density_vs_per_sample(
     data_qubits: usize,
     seed: u64,

@@ -1,13 +1,14 @@
 //! Property pins for the split-complex GEMM kernel layer: the dispatching
-//! kernel (autovectorised SoA, AVX-recompiled SoA, or AVX2/FMA intrinsics
-//! under `--features simd`) against the bit-exact scalar oracle on
+//! kernel (the AVX2/FMA tile where the CPU has it, else the portable
+//! autovectorised SoA body) against the bit-exact scalar oracle on
 //! [`CMatrix::matmul_scalar`], across non-square, odd and remainder-lane
-//! shapes, ragged panels, structural zeros and thread counts.
+//! shapes, ragged panels, structural zeros and thread counts, plus the
+//! column independence a served score relies on.
 //!
 //! The fast blocks run on every `cargo test`; the `#[ignore]`d block is
 //! the exhaustive suite CI executes with `cargo test -- --ignored` and a
-//! bumped `PROPTEST_CASES` — under both the default and the `simd`
-//! feature builds.
+//! bumped `PROPTEST_CASES`. The portable body is also pinned bit for bit
+//! by `qsim`'s kernel unit tests, which call it directly.
 
 use proptest::prelude::*;
 use quorum::sim::complex::C64;
@@ -59,6 +60,25 @@ fn check_against_oracle(a: &CMatrix, b: &CMatrix) {
     for threads in [2usize, 4] {
         let threaded = a.matmul_threaded(b, threads).unwrap();
         assert_eq!(fast.as_slice(), threaded.as_slice(), "threads {threads}");
+    }
+    // Column independence is bit-for-bit: a column multiplied alone runs
+    // the column remainder, which replays the vector lanes' operation
+    // sequence, so a served score equals its row scored alone.
+    let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+    for j in 0..b.cols() {
+        let column = CMatrix::from_columns(&[b.column(j)]);
+        let alone = a.matmul(&column).unwrap();
+        for i in 0..a.rows() {
+            assert_eq!(
+                bits(alone[(i, 0)]),
+                bits(fast[(i, j)]),
+                "{}x{}·{}x{} entry ({i}, {j}): alone vs in the wide product",
+                a.rows(),
+                a.cols(),
+                b.rows(),
+                b.cols()
+            );
+        }
     }
 }
 
