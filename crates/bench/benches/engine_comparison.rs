@@ -606,11 +606,14 @@ fn time_gemm(reps: usize, mut f: impl FnMut() -> CMatrix) -> Duration {
         .unwrap()
 }
 
-/// The raw GEMM-kernel column on the flagship shapes: the `4³ × 4³`
-/// fused-superoperator product over a 96-sample batch (the batched
-/// density hot path) and the `2³ × 2³` encoder product (the batched
-/// pure-state hot path), dispatched kernel vs scalar oracle, with
-/// GFLOP/s throughputs (8 real flops per complex multiply–add).
+/// The raw GEMM-kernel column on two flagship shapes: the `4³ × 4³`
+/// fused-superoperator product over a 96-sample batch (the dense noisy
+/// engine now scores through readout forms instead) and the `2³ × 2³`
+/// encoder product (the batched pure-state engine now runs the
+/// real-amplitude lane kernel `qsim::kernel::encode_readout_lanes`
+/// instead), dispatched kernel vs scalar oracle, with GFLOP/s
+/// throughputs (8 real flops per complex multiply–add). No production
+/// scoring path runs either product.
 fn report_gemm_kernel(_c: &mut Criterion) {
     let fma_tile = qsim::kernel::simd_active();
     record("simd_active", if fma_tile { 1.0 } else { 0.0 });

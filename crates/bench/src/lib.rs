@@ -10,6 +10,7 @@
 //! laptop while preserving the papers' qualitative shapes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use qdata::{synth, Dataset};
 use qmetrics::confusion::ConfusionMatrix;

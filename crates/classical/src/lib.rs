@@ -17,6 +17,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod isolation_forest;
 pub mod kmeans;

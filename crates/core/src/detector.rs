@@ -167,9 +167,9 @@ impl QuorumDetector {
         let subset = &subset;
         // Flatten the normalised dataset once; every group scores the same
         // borrowed panel. For noiseless runs the engine is the batched
-        // analytic one: each group scores its whole batch per
-        // compression level through one GEMM against its cached fused
-        // encoder.
+        // analytic one: each group scores its whole batch at every
+        // compression level in 8-sample lane blocks against its cached
+        // fused encoder.
         crate::engine::with_panel(&normalized, |panel| {
             let partials: Vec<Result<Vec<f64>, QuorumError>> =
                 map_indexed(subset.len(), threads, move |i| {

@@ -28,12 +28,14 @@
 //!
 //! [`BatchedAnalyticEngine`] — the default for noiseless runs — pushes the
 //! same reduction one level further: instead of one `2^n`-dim matvec per
-//! sample it packs **every** sample of the group column-wise into a single
-//! `2^n × S` matrix `Ψ`, applies the fused encoder once as a blocked
-//! matrix–matrix product `Φ = E·Ψ` ([`qsim::matrix::CMatrix::matmul`]),
-//! and expands the reset branches as batched column dot products over `Φ`,
-//! emitting the whole group's deviation vector in one call. The encoder
-//! fusion itself is hoisted into a per-group `OnceLock` cache
+//! sample it scores the group's samples in fixed blocks of eight lanes.
+//! Each block's amplitudes are **real**, so they are embedded straight
+//! into a reused real `2^n × 8` block, and one lane kernel
+//! ([`qsim::kernel::encode_readout_lanes`]) applies the fused encoder as a
+//! complex × real product and expands every level's reset branches in
+//! registers, emitting `P(1)` per lane — no complex `Ψ`, no `Φ` matrix
+//! and no per-group scratch allocation. The encoder fusion itself is
+//! hoisted into a per-group `OnceLock` cache
 //! ([`crate::ensemble::EnsembleGroup::fused_encoder`]) so all compression
 //! levels of a group reuse one `to_unitary` result.
 //!
@@ -138,13 +140,10 @@ use qsim::complex::C64;
 use qsim::density::{permute_cx_columns, ry_conjugate_columns, DensityMatrix};
 use qsim::matrix::{CMatrix, GEMM_COL_BLOCK};
 use qsim::parallel::{map_indexed_with, try_for_each_chunk_mut};
-use qsim::simulator::{
-    Backend, DensityMatrixBackend, GateNoise, OutcomeDistribution, StatevectorBackend,
-};
+use qsim::simulator::{Backend, DensityMatrixBackend, GateNoise, StatevectorBackend};
 use qsim::stateprep::{prepare_real_amplitudes, PrepSkeleton, PrepStep};
 use qsim::{transpile, NoiseModel, QsimError};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -167,7 +166,7 @@ pub trait ScoringEngine: Send + Sync {
     /// The deviation `P(ancilla = 1)` of every sample in `panel` at every
     /// compression level in `levels`, in order — the granularity at which
     /// a full group pass runs, so batched engines share everything that
-    /// is level-independent (packing, the encoder product, the prepared
+    /// is level-independent (embedding, the encoder product, the prepared
     /// states) across the sweep. The panel is a borrowed flat view: the
     /// serving runtime feeds it from pooled request buffers, and the
     /// detector flattens its normalised dataset once per pass.
@@ -396,18 +395,22 @@ fn ensure_reset_range(reset_count: usize, num_qubits: usize) -> Result<(), Quoru
 }
 
 /// Binomial draw of `shots` ancilla measurements from an exact deviation,
-/// through the same cumulative-distribution sampler the circuit backends
-/// use — so all engines produce bit-identical sampled statistics from the
-/// same seed. Public for the serving runtime, which applies the draw
-/// after scoring a coalesced batch exactly (see [`shot_seed`]).
+/// with the arithmetic of the cumulative-distribution sampler the circuit
+/// backends use ([`qsim::simulator::OutcomeDistribution::sample`]) — so
+/// all engines produce bit-identical sampled statistics from the same
+/// seed. Over the two outcomes that sampler's table is `[w0, w0 + p]`
+/// with `w0 = 1 − p`, and a draw `u` lands on outcome 1 exactly when
+/// `w0 < u·(w0 + p)`; this loop counts those draws over the same random
+/// stream without building the table. Public for the serving runtime,
+/// which applies the draw after scoring a coalesced batch exactly (see
+/// [`shot_seed`]).
 pub fn sampled_deviation(exact: f64, shots: u64, seed: u64) -> f64 {
-    use rand::SeedableRng;
-    let mut probs = HashMap::new();
-    probs.insert(0u64, 1.0 - exact);
-    probs.insert(1u64, exact);
-    let dist = OutcomeDistribution::from_probs(1, probs);
+    use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    dist.sample(shots, &mut rng).marginal_one(0)
+    let w0 = 1.0 - exact;
+    let total = w0 + exact;
+    let ones = (0..shots).filter(|_| w0 < rng.gen::<f64>() * total).count();
+    ones as f64 / shots as f64
 }
 
 /// The paper-literal engine: builds and simulates the full `2n + 1`-qubit
@@ -567,21 +570,21 @@ impl ScoringEngine for AnalyticEngine {
     }
 }
 
-/// One batched pass per group is far too small at flagship scale (an
-/// `8×8 · 8×96` encoder GEMM, a `64 × 96` lockstep preparation panel) to
-/// amortise thread spawn, so the batched engines only thread a pass when
-/// it is genuinely large (roughly `n ≥ 7` for the pure-state path,
-/// `n ≥ 4` for the density paths, at realistic batch sizes).
+/// One batched pass per group is far too small at flagship scale (a
+/// 96-sample lane-block pass at n = 3, a `64 × 96` lockstep preparation
+/// panel) to amortise thread dispatch, so the batched engines only thread
+/// a pass when it is genuinely large (roughly `n ≥ 7` for the pure-state
+/// path, `n ≥ 4` for the density paths, at realistic batch sizes).
 const GEMM_PARALLEL_WORK: usize = 1 << 21;
 
-/// Worker threads for one batched pass (the encoder GEMM, or a density
-/// panel's preparation or structured walk), from the configured thread
-/// count and the pass's `dim² × samples` work estimate. Multi-group
-/// ensembles keep the GEMM sequential regardless of size: the detector
-/// already fans groups out across cores, and threading inside each
-/// worker would multiply the two levels of parallelism into
+/// Worker threads for one batched pass (the pure-state lane blocks, or a
+/// density panel's preparation or structured walk), from the configured
+/// thread count and the pass's `dim² × samples` work estimate.
+/// Multi-group ensembles keep the pass sequential regardless of size: the
+/// detector already fans groups out across cores, and threading inside
+/// each worker would multiply the two levels of parallelism into
 /// oversubscription. Thread counts never change the results either way
-/// (panel outputs are position-fixed).
+/// (every block's output is position-fixed).
 fn gemm_threads(config: &QuorumConfig, dim: usize, samples: usize) -> usize {
     if config.ensemble_groups > 1 || dim * dim * samples < GEMM_PARALLEL_WORK {
         1
@@ -590,133 +593,176 @@ fn gemm_threads(config: &QuorumConfig, dim: usize, samples: usize) -> usize {
     }
 }
 
-/// The batched analytic engine: the whole group's samples are packed
-/// column-wise into one `2^n × S` matrix, the cached fused encoder is
-/// applied as a single blocked matrix–matrix product, and the reset
-/// branches expand into batched column dot products — one call emits the
-/// entire deviation vector. The default for Exact and Sampled execution.
+/// Samples per lane block of a batched pure-state pass.
+const LANES: usize = qsim::kernel::READOUT_LANES;
+
+/// Lane blocks per chunk of a threaded pure-state pass: 64 samples, so a
+/// chunk's amplitude blocks and kernel calls amortise one claim.
+const PASS_CHUNK_BLOCKS: usize = 8;
+
+/// The lane kernel a batched pure-state pass runs: the dispatched
+/// [`qsim::kernel::encode_readout_lanes`]; tests also run the portable
+/// body.
+type ReadoutKernel =
+    fn(&[C64], &[[f64; LANES]], &[usize], f64, &mut [[f64; LANES]], &mut [[f64; LANES]]);
+
+/// One participant's buffers for a pure-state pass: one row's projected
+/// features and amplitudes, the real `2^n × 8` amplitude block and the
+/// kernel's `Φ` planes. Held per thread, so a steady-state pass
+/// allocates nothing.
+#[derive(Default)]
+struct LaneScratch {
+    values: Vec<f64>,
+    amps: Vec<f64>,
+    block: Vec<[f64; LANES]>,
+    phi: Vec<[f64; LANES]>,
+}
+
+thread_local! {
+    static LANE_SCRATCH: RefCell<LaneScratch> = RefCell::default();
+    /// The calling thread's per-pass deviations, block-major: block `b`,
+    /// level `v` at `b·levels + v`.
+    static LANE_DEVIATIONS: RefCell<Vec<[f64; LANES]>> = RefCell::default();
+}
+
+/// The batched analytic engine: the group's samples run through the
+/// cached fused encoder in fixed blocks of eight
+/// ([`qsim::kernel::READOUT_LANES`]) samples, each block
+/// embedded into a real `2^n × 8` amplitude block and scored at every
+/// level by one call of the [`qsim::kernel::encode_readout_lanes`] lane
+/// kernel, which applies the encoder and expands the reset branches in
+/// registers. The default for Exact and Sampled execution.
 ///
-/// Produces the same numbers as [`AnalyticEngine`] (the per-column
-/// accumulation order of the GEMM matches the per-sample matvec), but
-/// amortises the encoder application across samples and the encoder
+/// Produces the same numbers as [`AnalyticEngine`] (the kernel keeps the
+/// per-sample matvec's accumulation order; see its rounding contract),
+/// but amortises the encoder application across samples and the encoder
 /// *fusion* across compression levels via
 /// [`EnsembleGroup::fused_encoder`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchedAnalyticEngine;
 
 impl BatchedAnalyticEngine {
-    /// Packs every sample's amplitude embedding into the columns of a
-    /// `2^n × S` matrix, unit-normalising each column the way the circuit
-    /// path's state preparation does. Projection and embedding run
-    /// through reusable scratch buffers — no per-sample allocations.
-    fn pack_samples(
-        group: &EnsembleGroup,
-        panel: &SamplePanel<'_>,
-        num_qubits: usize,
-    ) -> Result<CMatrix, QuorumError> {
-        let dim = 1usize << num_qubits;
-        let mut psi = CMatrix::zeros(dim, panel.num_samples());
-        let mut values = Vec::with_capacity(group.features().len());
-        let mut amps = vec![0.0_f64; dim];
-        for (col, row) in panel.rows().enumerate() {
-            group.features().project_into(row, &mut values);
-            crate::embed::amplitudes_with_overflow_into(&values, num_qubits, &mut amps)?;
-            let norm: f64 = amps.iter().map(|a| a * a).sum::<f64>().sqrt();
-            for (i, &a) in amps.iter().enumerate() {
-                psi[(i, col)] = C64::from_real(a / norm);
-            }
-        }
-        Ok(psi)
-    }
-
-    /// The level-independent half of a group pass: pack the batch and
-    /// push it through the cached fused encoder in one GEMM, yielding
-    /// `Φ = E·Ψ` with one encoded sample per column.
-    fn encode_batch(
+    /// The pass, written once over any lane kernel. Blocks of
+    /// [`PASS_CHUNK_BLOCKS`] lane blocks fan out over
+    /// [`gemm_threads`] participants; each sample's deviations depend only
+    /// on its own row, so no bit depends on the thread count. Sampled
+    /// execution then draws each deviation's shots.
+    fn pass(
         group: &EnsembleGroup,
         panel: &SamplePanel<'_>,
         config: &QuorumConfig,
-    ) -> Result<CMatrix, QuorumError> {
+        levels: &[usize],
+        kernel: ReadoutKernel,
+    ) -> Result<Vec<Vec<f64>>, QuorumError> {
+        ensure_pure_state(config)?;
         let n = group.ansatz().num_qubits();
-        let encoder = group.fused_encoder()?;
-        let psi = Self::pack_samples(group, panel, n)?;
-        let threads = gemm_threads(config, 1 << n, psi.cols());
-        Ok(encoder.matmul_threaded(&psi, threads)?)
-    }
-
-    /// Splits the encoded matrix `Φ` into separate re/im `f64` planes
-    /// (row-major, one repack per group pass) so the branch sweeps run on
-    /// pure `f64` lane streams instead of interleaved `C64` rows.
-    fn split_phi(phi: &CMatrix) -> (Vec<f64>, Vec<f64>) {
-        let mut re = Vec::with_capacity(phi.rows() * phi.cols());
-        let mut im = Vec::with_capacity(phi.rows() * phi.cols());
-        for &z in phi.as_slice() {
-            re.push(z.re);
-            im.push(z.im);
+        for &reset_count in levels {
+            ensure_reset_range(reset_count, n)?;
         }
-        (re, im)
+        let encoder = group.fused_encoder()?.as_slice();
+        if levels.is_empty() {
+            return Ok(Vec::new());
+        }
+        let samples = panel.num_samples();
+        let threads = gemm_threads(config, 1 << n, samples);
+        LANE_DEVIATIONS.with(|cell| {
+            let lanes = &mut *cell.borrow_mut();
+            lanes.clear();
+            lanes.resize(samples.div_ceil(LANES) * levels.len(), [0.0; LANES]);
+            let chunk = PASS_CHUNK_BLOCKS * levels.len();
+            try_for_each_chunk_mut(lanes, chunk, threads, |c, out| {
+                LANE_SCRATCH.with(|scratch| {
+                    Self::score_blocks(
+                        group,
+                        panel,
+                        encoder,
+                        levels,
+                        kernel,
+                        c * PASS_CHUNK_BLOCKS,
+                        out,
+                        &mut scratch.borrow_mut(),
+                    )
+                })
+            })?;
+            Ok(levels
+                .iter()
+                .enumerate()
+                .map(|(v, &reset_count)| {
+                    (0..samples)
+                        .map(|j| {
+                            let exact = lanes[j / LANES * levels.len() + v][j % LANES];
+                            match &config.execution {
+                                ExecutionMode::Sampled { shots } => {
+                                    let seed = shot_seed(config, group.index(), reset_count, j);
+                                    sampled_deviation(exact, *shots, seed)
+                                }
+                                _ => exact,
+                            }
+                        })
+                        .collect()
+                })
+                .collect())
+        })
     }
 
-    /// `P(ancilla = 1)` for every column of the encoded matrix `Φ = E·Ψ`,
-    /// given as split re/im planes.
-    ///
-    /// The per-sample branch expansion (see [`AnalyticEngine`]) becomes
-    /// row-wise sweeps over `Φ`: for branch `k` and kept index `i`, row
-    /// `k·2^kept + i` holds every sample's `k`-th block entry contiguously,
-    /// so branch weights and overlaps accumulate for all `S` samples in
-    /// one lane pass per row through the split-complex
-    /// [`qsim::kernel::branch_sweep_lanes`] kernel (runtime-AVX-recompiled
-    /// like the GEMM tiles) — same per-sample summation order and
-    /// per-element expressions as the matvec path, hence bit-identical
-    /// deviations.
-    fn deviations_of(
-        phi_re: &[f64],
-        phi_im: &[f64],
-        samples: usize,
-        num_qubits: usize,
-        reset_count: usize,
-    ) -> Vec<f64> {
-        let kept = num_qubits - reset_count;
-        let low_dim = 1usize << kept;
-        let branches = 1usize << reset_count;
-
-        let mut trace_overlap = vec![0.0; samples];
-        let mut over_re = vec![0.0; samples];
-        let mut over_im = vec![0.0; samples];
-        let mut weight = vec![0.0; samples];
-        for k in 0..branches {
-            over_re.fill(0.0);
-            over_im.fill(0.0);
-            weight.fill(0.0);
-            for i in 0..low_dim {
-                let low = i * samples;
-                let top = (k * low_dim + i) * samples;
-                qsim::kernel::branch_sweep_lanes(
-                    &phi_re[low..low + samples],
-                    &phi_im[low..low + samples],
-                    &phi_re[top..top + samples],
-                    &phi_im[top..top + samples],
-                    &mut weight,
-                    &mut over_re,
-                    &mut over_im,
-                );
-            }
-            for (((t, &or), &oi), &w) in trace_overlap
-                .iter_mut()
-                .zip(&over_re)
-                .zip(&over_im)
-                .zip(&weight)
-            {
-                // Mirror the per-sample path's branch pruning exactly.
-                if w > BRANCH_PRUNE {
-                    *t += or * or + oi * oi;
+    /// Scores the lane blocks from block `b0` on, as many as `out` holds
+    /// (`levels.len()` lane rows each). Every row is projected, embedded
+    /// and unit-normalised the way the circuit path's state preparation
+    /// does, into its lane of the amplitude block; lanes past the panel's
+    /// end stay zero.
+    #[allow(clippy::too_many_arguments)] // private worker body of `pass`
+    fn score_blocks(
+        group: &EnsembleGroup,
+        panel: &SamplePanel<'_>,
+        encoder: &[C64],
+        levels: &[usize],
+        kernel: ReadoutKernel,
+        b0: usize,
+        out: &mut [[f64; LANES]],
+        scratch: &mut LaneScratch,
+    ) -> Result<(), QuorumError> {
+        let n = group.ansatz().num_qubits();
+        let dim = 1usize << n;
+        let LaneScratch {
+            values,
+            amps,
+            block,
+            phi,
+        } = scratch;
+        amps.resize(dim, 0.0);
+        block.resize(dim, [0.0; LANES]);
+        phi.resize(2 * dim, [0.0; LANES]);
+        for (b, deviations) in (b0..).zip(out.chunks_exact_mut(levels.len())) {
+            let rows = b * LANES..panel.num_samples().min((b + 1) * LANES);
+            let live = rows.len();
+            for (lane, j) in rows.enumerate() {
+                group.features().project_into(panel.row(j), values);
+                crate::embed::amplitudes_with_overflow_into(values, n, amps)?;
+                for (row, &a) in block.iter_mut().zip(amps.iter()) {
+                    row[lane] = a;
                 }
             }
+            // Unit-normalise all lanes at once: per lane, the same
+            // in-order sum of squares, root and quotients as one column
+            // alone. Dead lanes get norm 1 and stay zero.
+            let mut norm = [0.0; LANES];
+            for row in block.iter_mut() {
+                row[live..].fill(0.0);
+                for (s, &a) in norm.iter_mut().zip(row.iter()) {
+                    *s += a * a;
+                }
+            }
+            for (l, s) in norm.iter_mut().enumerate() {
+                *s = if l < live { s.sqrt() } else { 1.0 };
+            }
+            for row in block.iter_mut() {
+                for (a, &s) in row.iter_mut().zip(&norm) {
+                    *a /= s;
+                }
+            }
+            kernel(encoder, block, levels, BRANCH_PRUNE, phi, deviations);
         }
-        trace_overlap
-            .iter()
-            .map(|t| ((1.0 - t) / 2.0).clamp(0.0, 0.5))
-            .collect()
+        Ok(())
     }
 }
 
@@ -732,36 +778,13 @@ impl ScoringEngine for BatchedAnalyticEngine {
         config: &QuorumConfig,
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
-        ensure_pure_state(config)?;
-        let n = group.ansatz().num_qubits();
-        for &reset_count in levels {
-            ensure_reset_range(reset_count, n)?;
-        }
-
-        // Everything level-independent happens once per group: packing,
-        // fusion (cached across calls too), the encoder GEMM, and the
-        // split-complex repack the branch sweeps run on.
-        let phi = Self::encode_batch(group, panel, config)?;
-        let samples = phi.cols();
-        let (phi_re, phi_im) = Self::split_phi(&phi);
-
-        levels
-            .iter()
-            .map(|&reset_count| {
-                let exact = Self::deviations_of(&phi_re, &phi_im, samples, n, reset_count);
-                Ok(match &config.execution {
-                    ExecutionMode::Sampled { shots } => exact
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &e)| {
-                            let seed = shot_seed(config, group.index(), reset_count, i);
-                            sampled_deviation(e, *shots, seed)
-                        })
-                        .collect(),
-                    _ => exact,
-                })
-            })
-            .collect()
+        Self::pass(
+            group,
+            panel,
+            config,
+            levels,
+            qsim::kernel::encode_readout_lanes,
+        )
     }
 }
 
@@ -2271,6 +2294,221 @@ mod tests {
         }
     }
 
+    /// `samples` rows of `features` values each, in the embedded range
+    /// `[0, 1/features]` and spread so that no two rows coincide, flat.
+    fn spread_rows(features: usize, samples: usize, salt: u64) -> Vec<f64> {
+        let m = features as f64;
+        (0..samples * features)
+            .map(|t| ((t as f64 + salt as f64 * 0.13) * 0.7182).sin().abs() / m)
+            .collect()
+    }
+
+    fn pure_group(config: &QuorumConfig, features: usize) -> EnsembleGroup {
+        let plan = BucketPlan::from_target(64, 0.1, config.bucket_probability);
+        EnsembleGroup::generate(0, config, features, &plan)
+    }
+
+    fn deviation_bits(levels: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        levels
+            .iter()
+            .map(|d| d.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// The staged pipeline the batched pass fuses into one lane kernel:
+    /// every sample packed into a complex `Ψ`, `Φ = E·Ψ` through
+    /// `CMatrix::matmul`, then the per-sample engine's interleaved branch
+    /// loop over each column of `Φ`.
+    fn staged_deviations(
+        group: &EnsembleGroup,
+        panel: &SamplePanel<'_>,
+        levels: &[usize],
+    ) -> Vec<Vec<f64>> {
+        let n = group.ansatz().num_qubits();
+        let dim = 1usize << n;
+        let mut psi = CMatrix::zeros(dim, panel.num_samples());
+        for (col, row) in panel.rows().enumerate() {
+            let values = group.features().project(row);
+            let amps = crate::embed::amplitudes_with_overflow(&values, n).unwrap();
+            let norm: f64 = amps.iter().map(|a| a * a).sum::<f64>().sqrt();
+            for (i, &a) in amps.iter().enumerate() {
+                psi[(i, col)] = C64::from_real(a / norm);
+            }
+        }
+        let phi = group.fused_encoder().unwrap().matmul(&psi).unwrap();
+        levels
+            .iter()
+            .map(|&reset_count| {
+                let low_dim = 1usize << (n - reset_count);
+                (0..panel.num_samples())
+                    .map(|s| {
+                        let col: Vec<C64> = (0..dim).map(|i| phi[(i, s)]).collect();
+                        let mut trace = 0.0;
+                        for block in col.chunks(low_dim) {
+                            let weight: f64 = block.iter().map(|a| a.norm_sqr()).sum();
+                            if weight <= BRANCH_PRUNE {
+                                continue;
+                            }
+                            let overlap: C64 = col[..low_dim]
+                                .iter()
+                                .zip(block)
+                                .map(|(a, b)| a.conj() * *b)
+                                .sum();
+                            trace += overlap.norm_sqr();
+                        }
+                        ((1.0 - trace) / 2.0).clamp(0.0, 0.5)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_pass_is_bit_identical_to_its_oracles() {
+        for n in 2..=6 {
+            let config = QuorumConfig::default()
+                .with_data_qubits(n)
+                .with_seed(40 + n as u64);
+            let features = config.features_per_circuit();
+            let group = pure_group(&config, features);
+            let levels: Vec<usize> = (1..n).collect();
+            for width in [1, 7, 8, 9, 33] {
+                let flat = spread_rows(features, width, n as u64);
+                let panel = SamplePanel::new(&flat, features);
+                let label = format!("n = {n}, {width} samples");
+                // The dispatched lane kernel against the staged GEMM
+                // pipeline, which dispatches on the same CPU probe.
+                let batched = BatchedAnalyticEngine
+                    .deviations_all_levels_panel(&group, &panel, &config, &levels)
+                    .unwrap();
+                let staged = staged_deviations(&group, &panel, &levels);
+                assert_eq!(deviation_bits(&batched), deviation_bits(&staged), "{label}");
+                // The portable body, which hosts without AVX2 + FMA run,
+                // against the per-sample matvec engine on every host.
+                let portable = BatchedAnalyticEngine::pass(
+                    &group,
+                    &panel,
+                    &config,
+                    &levels,
+                    qsim::kernel::encode_readout_lanes_portable,
+                )
+                .unwrap();
+                let analytic = AnalyticEngine
+                    .deviations_all_levels_panel(&group, &panel, &config, &levels)
+                    .unwrap();
+                assert_eq!(
+                    deviation_bits(&portable),
+                    deviation_bits(&analytic),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_row_in_a_late_lane_fails_with_the_embedding_error() {
+        let config = QuorumConfig::default().with_seed(3);
+        let features = config.features_per_circuit();
+        let mut flat = spread_rows(features, 16, 1);
+        // Row 14 (lane 6 of the second block) comes first; row 15 is bad too.
+        flat[14 * features..15 * features].fill(-0.25);
+        flat[15 * features..].fill(f64::NAN);
+        let panel = SamplePanel::new(&flat, features);
+        let group = pure_group(&config, features);
+        let levels = config.effective_compression_levels();
+        let err = BatchedAnalyticEngine
+            .deviations_all_levels_panel(&group, &panel, &config, &levels)
+            .unwrap_err();
+        match &err {
+            QuorumError::InvalidData(msg) => assert_eq!(
+                msg,
+                "feature value at position 0 is -0.25; normalised features must be finite and \
+                 non-negative"
+            ),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
+        let oracle = AnalyticEngine
+            .deviations_all_levels_panel(&group, &panel, &config, &levels)
+            .unwrap_err();
+        assert_eq!(err.to_string(), oracle.to_string());
+    }
+
+    #[test]
+    fn fanned_out_single_group_pass_is_thread_count_invariant() {
+        // n = 6 at 600 samples is past the threading threshold, so a
+        // single-group pass spreads its 75 lane blocks over participants.
+        let base = QuorumConfig::default()
+            .with_data_qubits(6)
+            .with_ensemble_groups(1)
+            .with_seed(8);
+        let features = base.features_per_circuit();
+        let flat = spread_rows(features, 600, 2);
+        let panel = SamplePanel::new(&flat, features);
+        let group = pure_group(&base, features);
+        let levels = base.effective_compression_levels();
+        let runs: Vec<Vec<Vec<u64>>> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let config = base.clone().with_threads(threads);
+                assert_eq!(gemm_threads(&config, 64, 600), threads);
+                let deviations = BatchedAnalyticEngine
+                    .deviations_all_levels_panel(&group, &panel, &config, &levels)
+                    .unwrap();
+                deviation_bits(&deviations)
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+    }
+
+    /// `sampled_deviation` as it was first written: a two-outcome
+    /// `OutcomeDistribution` drawn through the shared cumulative sampler
+    /// and read back as the marginal of bit 0.
+    fn sampled_through_the_distribution(exact: f64, shots: u64, seed: u64) -> f64 {
+        use rand::SeedableRng;
+        let probs = std::collections::HashMap::from([(0u64, 1.0 - exact), (1u64, exact)]);
+        let dist = qsim::simulator::OutcomeDistribution::from_probs(1, probs);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        dist.sample(shots, &mut rng).marginal_one(0)
+    }
+
+    #[test]
+    fn sampled_deviation_matches_the_distribution_sampler_bit_for_bit() {
+        let mut cases = Vec::new();
+        // Edge probabilities at every shot count, 100 seeds each.
+        for p in [
+            0.0,
+            0.5,
+            1.0,
+            0.25,
+            f64::EPSILON,
+            1.0 - f64::EPSILON,
+            1e-300,
+        ] {
+            for shots in [1, 2, 7, 31, 1024, 4096] {
+                cases.extend((0..100).map(|s| (p, shots, s)));
+            }
+        }
+        // Spread probabilities, mostly at small shot counts.
+        for i in 0..56_000u64 {
+            let p = (i as f64 * 0.618_033_988_749_895).fract();
+            let shots = match i % 100 {
+                0 => 4096,
+                1..=4 => 1024,
+                k => [1, 7, 2, 31][k as usize % 4],
+            };
+            cases.push((p, shots, i));
+        }
+        assert!(cases.len() >= 60_000);
+        for (p, shots, s) in cases {
+            let seed = derive_seed(0x5A3F, s);
+            assert_eq!(
+                sampled_deviation(p, shots, seed).to_bits(),
+                sampled_through_the_distribution(p, shots, seed).to_bits(),
+                "p = {p}, {shots} shots, seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn zero_width_datasets_are_invalid_data() {
         // A panel cannot represent zero-width rows: the Dataset entry
@@ -2813,8 +3051,8 @@ mod tests {
 
     #[test]
     fn batched_matches_per_sample_engine_exactly() {
-        // Same summation order per sample ⇒ the batched GEMM path is
-        // bit-identical to the per-sample matvec path in Exact mode.
+        // Same summation order per sample ⇒ the batched lane-block path
+        // is bit-identical to the per-sample matvec path in Exact mode.
         let ds = tiny_dataset();
         let config = QuorumConfig::default().with_seed(17);
         for index in 0..3 {

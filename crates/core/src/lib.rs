@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod ansatz;

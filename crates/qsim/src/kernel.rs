@@ -1,4 +1,5 @@
-//! Split-complex SIMD micro-kernels behind the GEMM seam.
+//! SIMD micro-kernels: the split-complex GEMM panel kernel, and the lane
+//! kernels the batched scoring engines run across sample lanes.
 //!
 //! [`CMatrix::matmul_threaded`](crate::matrix::CMatrix::matmul_threaded)
 //! computes its output in independent column panels; this module owns the
@@ -34,6 +35,18 @@
 //! 4-row stripe — never on the thread count, the panel width or the call.
 //! Each column remainder replays its vector lanes' exact operation
 //! sequence, so a column's bits are those of the column multiplied alone.
+//!
+//! The batched Exact engine's kernel, [`encode_readout_lanes`], needs no
+//! GEMM: a block's amplitude columns are real, so it applies the fused
+//! encoder to eight of them as a complex × real product — half the
+//! multiplies of the complex GEMM — and expands every level's reset
+//! branches in registers. It dispatches on the same [`simd_active`]
+//! probe, to a safe `#[target_feature]` AVX2 + FMA rung whose fused
+//! product steps round as the FMA tile does on a real right-hand side, or
+//! else to its portable unfused body, which rounds as the portable GEMM
+//! body does. Either way a lane's bits equal those of the staged
+//! pipeline on that host — the dispatched GEMM on the complex block, then
+//! the per-sample branch loop — which the unit tests pin.
 //!
 //! The density engines' lane kernels further down keep their own ladder:
 //! one safe body, also compiled for AVX-512 and for AVX and picked at
@@ -101,8 +114,9 @@ impl PanelScratch {
 }
 
 /// Returns `true` when the running CPU has AVX2 and FMA, so [`mul_panel`]
-/// runs its 4-row stripes through the FMA tile. The single dispatch
-/// predicate of the GEMM; cached after the first probe, so a process never
+/// runs its 4-row stripes through the FMA tile and
+/// [`encode_readout_lanes`] runs its fused rung. The single dispatch
+/// predicate of both; cached after the first probe, so a process never
 /// switches kernels mid-run.
 #[inline]
 pub fn simd_active() -> bool {
@@ -729,107 +743,171 @@ fn superop4_body<T: LaneScalar>(
     }
 }
 
-/// The split-complex branch-sweep lane kernel for the batched pure-state
-/// engine: one row pass of the reset-branch expansion, accumulating every
-/// sample's branch weight and overlap term across the lanes of a split
-/// `Φ` row pair. Per lane:
-/// `w += |top|²`, `o += conj(low) · top` — expanded into the exact real
-/// expressions the interleaved per-sample loop evaluates (same value, same
-/// per-element accumulation order). Dispatched through the runtime AVX
-/// recompilation ladder.
-#[allow(clippy::too_many_arguments)] // flat lane-kernel signature
-pub fn branch_sweep_lanes(
-    low_re: &[f64],
-    low_im: &[f64],
-    top_re: &[f64],
-    top_im: &[f64],
-    weight: &mut [f64],
-    over_re: &mut [f64],
-    over_im: &mut [f64],
+/// Sample lanes in one block of [`encode_readout_lanes`]: two 256-bit
+/// vectors of `f64`, so every per-lane accumulator of the FMA rung fits
+/// in two registers.
+pub const READOUT_LANES: usize = 8;
+
+/// The pure-state readout lane kernel of the batched Exact engine: the
+/// SWAP-test deviation `P(ancilla = 1)` of [`READOUT_LANES`] samples at
+/// every requested compression level, from one block of their real
+/// amplitude columns.
+///
+/// `amps[k][l]` is amplitude `k` of lane `l`'s unit-norm column (a real
+/// `2^n × 8` block; lanes past the panel's end are zero), and `encoder`
+/// is the group's fused `2^n × 2^n` encoder `E`, row-major. The kernel
+///
+/// 1. forms `Φ = E·Ψ` as a complex × real product into `phi` (`2^n`
+///    rows of real parts, then `2^n` rows of imaginary parts);
+/// 2. for each `r = reset_counts[v]`, with `kept = n − r`, expands the
+///    `2^r` reset branches: `w_k = Σ_i |Φ[k·2^kept + i]|²` and
+///    `o_k = Σ_i conj(Φ[i])·Φ[k·2^kept + i]`, and a branch with
+///    `w_k > prune` adds `|o_k|²` to the trace overlap `t`;
+/// 3. writes `out[v][l] = ((1 − t) / 2).clamp(0, 0.5)`.
+///
+/// Rounding: each product element accumulates over `k` in index order
+/// from zero. Where [`simd_active`] holds, every step is one fused
+/// multiply–add, the rounding of the GEMM's FMA tile on a real
+/// right-hand side; elsewhere it is a multiply then an add, the rounding
+/// of the portable GEMM body and of the per-sample matvec. The branch
+/// sweeps are unfused on every host and evaluate, term for term, the
+/// per-sample engine's interleaved complex loop. So each lane's
+/// deviations depend only on its own column, never on its block mates,
+/// and equal those of the GEMM-then-sweep pipeline bit for bit.
+///
+/// # Panics
+///
+/// Panics unless `amps.len()` is a power of two `2^n`, `encoder` holds
+/// `4^n` entries, `phi` holds `2·2^n` lane rows, `out` holds one lane row
+/// per reset count and every reset count is at most `n`.
+pub fn encode_readout_lanes(
+    encoder: &[C64],
+    amps: &[[f64; READOUT_LANES]],
+    reset_counts: &[usize],
+    prune: f64,
+    phi: &mut [[f64; READOUT_LANES]],
+    out: &mut [[f64; READOUT_LANES]],
 ) {
+    check_readout_shapes(encoder, amps, reset_counts, phi, out);
     #[cfg(target_arch = "x86_64")]
-    if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `branch_sweep_body`.
-        unsafe {
-            branch_sweep_avx512(low_re, low_im, top_re, top_im, weight, over_re, over_im);
-        }
+    if simd_active() {
+        // SAFETY: `simd_active` verified AVX2 and FMA at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
+        unsafe { encode_readout_fma(encoder, amps, reset_counts, prune, phi, out) };
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `branch_sweep_body`.
-        unsafe {
-            branch_sweep_avx(low_re, low_im, top_re, top_im, weight, over_re, over_im);
-        }
-        return;
-    }
-    branch_sweep_body(low_re, low_im, top_re, top_im, weight, over_re, over_im);
+    encode_readout_body::<false>(encoder, amps, reset_counts, prune, phi, out);
 }
 
-/// [`branch_sweep_lanes`]'s body recompiled with 512-bit AVX-512 vectors
-/// enabled — identical safe Rust, identical results.
+/// [`encode_readout_lanes`]' portable unfused body, which every host
+/// without AVX2 + FMA runs; public so that FMA hosts can pin it too.
 ///
-/// # Safety
+/// # Panics
 ///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-#[allow(clippy::too_many_arguments)] // flat lane-kernel signature
-unsafe fn branch_sweep_avx512(
-    low_re: &[f64],
-    low_im: &[f64],
-    top_re: &[f64],
-    top_im: &[f64],
-    weight: &mut [f64],
-    over_re: &mut [f64],
-    over_im: &mut [f64],
+/// Same conditions as [`encode_readout_lanes`].
+pub fn encode_readout_lanes_portable(
+    encoder: &[C64],
+    amps: &[[f64; READOUT_LANES]],
+    reset_counts: &[usize],
+    prune: f64,
+    phi: &mut [[f64; READOUT_LANES]],
+    out: &mut [[f64; READOUT_LANES]],
 ) {
-    branch_sweep_body(low_re, low_im, top_re, top_im, weight, over_re, over_im);
+    check_readout_shapes(encoder, amps, reset_counts, phi, out);
+    encode_readout_body::<false>(encoder, amps, reset_counts, prune, phi, out);
 }
 
-/// [`branch_sweep_lanes`]'s body recompiled with 256-bit AVX vectors
-/// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn branch_sweep_avx(
-    low_re: &[f64],
-    low_im: &[f64],
-    top_re: &[f64],
-    top_im: &[f64],
-    weight: &mut [f64],
-    over_re: &mut [f64],
-    over_im: &mut [f64],
+fn check_readout_shapes(
+    encoder: &[C64],
+    amps: &[[f64; READOUT_LANES]],
+    reset_counts: &[usize],
+    phi: &[[f64; READOUT_LANES]],
+    out: &[[f64; READOUT_LANES]],
 ) {
-    branch_sweep_body(low_re, low_im, top_re, top_im, weight, over_re, over_im);
+    let dim = amps.len();
+    assert!(dim.is_power_of_two(), "amplitude block has {dim} rows");
+    assert_eq!(encoder.len(), dim * dim, "encoder is not 2^n × 2^n");
+    assert_eq!(phi.len(), 2 * dim, "Φ scratch holds 2·2^n lane rows");
+    assert_eq!(out.len(), reset_counts.len(), "one output row per level");
+    let n = dim.trailing_zeros() as usize;
+    assert!(
+        reset_counts.iter().all(|&r| r <= n),
+        "reset counts exceed the {n}-qubit register"
+    );
+}
+
+/// [`encode_readout_lanes`]' fused rung: the same body with AVX2 + FMA
+/// enabled and the product steps fused. The sweeps compile here too, on
+/// 256-bit vectors, and stay unfused.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn encode_readout_fma(
+    encoder: &[C64],
+    amps: &[[f64; READOUT_LANES]],
+    reset_counts: &[usize],
+    prune: f64,
+    phi: &mut [[f64; READOUT_LANES]],
+    out: &mut [[f64; READOUT_LANES]],
+) {
+    encode_readout_body::<true>(encoder, amps, reset_counts, prune, phi, out);
 }
 
 #[inline(always)]
-fn branch_sweep_body(
-    low_re: &[f64],
-    low_im: &[f64],
-    top_re: &[f64],
-    top_im: &[f64],
-    weight: &mut [f64],
-    over_re: &mut [f64],
-    over_im: &mut [f64],
+fn encode_readout_body<const FUSED: bool>(
+    encoder: &[C64],
+    amps: &[[f64; READOUT_LANES]],
+    reset_counts: &[usize],
+    prune: f64,
+    phi: &mut [[f64; READOUT_LANES]],
+    out: &mut [[f64; READOUT_LANES]],
 ) {
-    for (((((w, or), oi), (&lr, &li)), &tr), &ti) in weight
-        .iter_mut()
-        .zip(over_re.iter_mut())
-        .zip(over_im.iter_mut())
-        .zip(low_re.iter().zip(low_im))
-        .zip(top_re)
-        .zip(top_im)
+    const L: usize = READOUT_LANES;
+    let dim = amps.len();
+    let (phi_re, phi_im) = phi.split_at_mut(dim);
+    for ((row, re_out), im_out) in encoder
+        .chunks_exact(dim)
+        .zip(phi_re.iter_mut())
+        .zip(phi_im.iter_mut())
     {
-        *w += tr * tr + ti * ti;
-        *or += lr * tr + li * ti;
-        *oi += lr * ti - li * tr;
+        let (mut re, mut im) = ([0.0; L], [0.0; L]);
+        for (e, b) in row.iter().zip(amps) {
+            for l in 0..L {
+                if FUSED {
+                    re[l] = e.re.mul_add(b[l], re[l]);
+                    im[l] = e.im.mul_add(b[l], im[l]);
+                } else {
+                    re[l] += e.re * b[l];
+                    im[l] += e.im * b[l];
+                }
+            }
+        }
+        *re_out = re;
+        *im_out = im;
+    }
+    let n = dim.trailing_zeros() as usize;
+    for (&r, lanes) in reset_counts.iter().zip(out.iter_mut()) {
+        let low_dim = 1usize << (n - r);
+        let mut trace = [0.0; L];
+        for top in (0..dim).step_by(low_dim) {
+            let (mut w, mut o_re, mut o_im) = ([0.0; L], [0.0; L], [0.0; L]);
+            for i in 0..low_dim {
+                let (lr, li) = (&phi_re[i], &phi_im[i]);
+                let (tr, ti) = (&phi_re[top + i], &phi_im[top + i]);
+                for l in 0..L {
+                    w[l] += tr[l] * tr[l] + ti[l] * ti[l];
+                    o_re[l] += lr[l] * tr[l] + li[l] * ti[l];
+                    o_im[l] += lr[l] * ti[l] - li[l] * tr[l];
+                }
+            }
+            for l in 0..L {
+                if w[l] > prune {
+                    trace[l] += o_re[l] * o_re[l] + o_im[l] * o_im[l];
+                }
+            }
+        }
+        for (o, t) in lanes.iter_mut().zip(trace) {
+            *o = ((1.0 - t) / 2.0).clamp(0.0, 0.5);
+        }
     }
 }
 
@@ -1285,38 +1363,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn branch_sweep_lanes_matches_interleaved_loop() {
-        let lanes = 13;
-        let low = dense(1, lanes, 9);
-        let top = dense(1, lanes, 10);
-        let (low_re, low_im): (Vec<f64>, Vec<f64>) = low.iter().map(|z| (z.re, z.im)).unzip();
-        let (top_re, top_im): (Vec<f64>, Vec<f64>) = top.iter().map(|z| (z.re, z.im)).unzip();
-        // Start from non-zero accumulators to catch += vs = mistakes.
-        let mut weight: Vec<f64> = (0..lanes).map(|j| j as f64 * 0.1).collect();
-        let mut over_re = weight.clone();
-        let mut over_im = weight.clone();
-        let (mut w_ref, mut or_ref, mut oi_ref) =
-            (weight.clone(), over_re.clone(), over_im.clone());
-        for j in 0..lanes {
-            w_ref[j] += top[j].norm_sqr();
-            let o = low[j].conj() * top[j];
-            or_ref[j] += o.re;
-            oi_ref[j] += o.im;
+    /// A unitary on `n` qubits (layers of RY, RZ and a CX ladder) and a
+    /// block of unit-norm real amplitude columns, the last lane zero as in
+    /// a panel's final block.
+    fn readout_inputs(n: usize, salt: u64) -> (Vec<C64>, Vec<[f64; READOUT_LANES]>) {
+        let mut circuit = crate::circuit::Circuit::new(n);
+        for layer in 0..2 {
+            for q in 0..n {
+                let t = (q + n * layer) as f64 + salt as f64 * 0.37;
+                circuit.ry((t * 0.913).sin() * 3.0, q);
+                circuit.rz((t * 1.371).cos() * 3.0, q);
+            }
+            for q in 1..n {
+                circuit.cx(q - 1, q);
+            }
         }
-        branch_sweep_lanes(
-            &low_re,
-            &low_im,
-            &top_re,
-            &top_im,
-            &mut weight,
-            &mut over_re,
-            &mut over_im,
+        let encoder = circuit.to_unitary().expect("unitary").as_slice().to_vec();
+        let dim = 1usize << n;
+        let mut amps = vec![[0.0; READOUT_LANES]; dim];
+        for l in 0..READOUT_LANES - 1 {
+            let column: Vec<f64> = (0..dim)
+                .map(|k| {
+                    ((k * READOUT_LANES + l) as f64 * 0.7182 + salt as f64)
+                        .sin()
+                        .abs()
+                })
+                .collect();
+            let norm = column.iter().map(|a| a * a).sum::<f64>().sqrt();
+            for (row, a) in amps.iter_mut().zip(column) {
+                row[l] = a / norm;
+            }
+        }
+        (encoder, amps)
+    }
+
+    /// The staged readout the kernel fuses: `Φ = E·Ψ` through `gemm` on
+    /// the complex block, then the per-sample engine's interleaved
+    /// branch loop, one lane at a time.
+    fn staged_readout(
+        gemm: impl Fn(&[C64], (usize, usize, usize), &[C64]) -> Vec<C64>,
+        encoder: &[C64],
+        amps: &[[f64; READOUT_LANES]],
+        reset_counts: &[usize],
+    ) -> Vec<[f64; READOUT_LANES]> {
+        let dim = amps.len();
+        let psi: Vec<C64> = amps.iter().flatten().map(|&a| C64::new(a, 0.0)).collect();
+        let phi = gemm(encoder, (dim, dim, READOUT_LANES), &psi);
+        let n = dim.trailing_zeros() as usize;
+        reset_counts
+            .iter()
+            .map(|&r| {
+                let low_dim = 1usize << (n - r);
+                let mut lanes = [0.0; READOUT_LANES];
+                for (l, out) in lanes.iter_mut().enumerate() {
+                    let col: Vec<C64> = (0..dim).map(|i| phi[i * READOUT_LANES + l]).collect();
+                    let mut trace = 0.0;
+                    for block in col.chunks(low_dim) {
+                        let weight: f64 = block.iter().map(|a| a.norm_sqr()).sum();
+                        if weight <= 1e-14 {
+                            continue;
+                        }
+                        let overlap: C64 = col[..low_dim]
+                            .iter()
+                            .zip(block)
+                            .map(|(a, b)| a.conj() * *b)
+                            .sum();
+                        trace += overlap.norm_sqr();
+                    }
+                    *out = ((1.0 - trace) / 2.0).clamp(0.0, 0.5);
+                }
+                lanes
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encode_readout_lanes_match_the_staged_pipeline() {
+        type Kernel = fn(
+            &[C64],
+            &[[f64; READOUT_LANES]],
+            &[usize],
+            f64,
+            &mut [[f64; READOUT_LANES]],
+            &mut [[f64; READOUT_LANES]],
         );
-        // The split expressions are exactly the interleaved ones.
-        assert_eq!(weight, w_ref);
-        assert_eq!(over_re, or_ref);
-        assert_eq!(over_im, oi_ref);
+        let bits = |rows: &[[f64; READOUT_LANES]]| -> Vec<u64> {
+            rows.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        // From n = 2 up, where every GEMM row lies in a 4-row stripe, so
+        // the dispatched GEMM runs its FMA tile wherever the kernel fuses.
+        for n in 2..=6 {
+            let (encoder, amps) = readout_inputs(n, n as u64);
+            let reset_counts: Vec<usize> = (0..=n).collect();
+            let dispatched = |a: &[C64], shape: (usize, usize, usize), b: &[C64]| {
+                let (m, k, cols) = shape;
+                mul_panel(a, m, k, b, cols, 0, cols, &mut PanelScratch::new())
+            };
+            let portable = |a: &[C64], shape: (usize, usize, usize), b: &[C64]| {
+                mul_panel_portable(a, shape, b, 0, shape.2)
+            };
+            let cases: [(Kernel, Vec<[f64; READOUT_LANES]>); 2] = [
+                (
+                    encode_readout_lanes,
+                    staged_readout(dispatched, &encoder, &amps, &reset_counts),
+                ),
+                (
+                    encode_readout_lanes_portable,
+                    staged_readout(portable, &encoder, &amps, &reset_counts),
+                ),
+            ];
+            for (kernel, staged) in cases {
+                let mut phi = vec![[f64::NAN; READOUT_LANES]; 2 << n];
+                let mut out = vec![[f64::NAN; READOUT_LANES]; reset_counts.len()];
+                kernel(&encoder, &amps, &reset_counts, 1e-14, &mut phi, &mut out);
+                assert_eq!(bits(&out), bits(&staged), "n = {n}");
+                // The zero lane is pruned away in every branch.
+                assert!(out.iter().all(|lanes| lanes[READOUT_LANES - 1] == 0.5));
+            }
+        }
     }
 
     #[test]

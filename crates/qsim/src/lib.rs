@@ -9,8 +9,9 @@
 //! * [`complex`] / [`matrix`] — scalar and small-matrix complex algebra.
 //! * [`kernel`] — split-complex SIMD GEMM micro-kernels behind the
 //!   [`matrix::CMatrix::matmul`] seam (scalar oracle, portable SoA tiles,
-//!   and an AVX2/FMA tile chosen at runtime per CPU), plus the lane
-//!   kernels of the density engines.
+//!   and an AVX2/FMA tile chosen at runtime per CPU), plus the
+//!   sample-lane kernels of the batched engines: the Exact engine's
+//!   encoder-and-readout kernel and the density engines' channel kernels.
 //! * [`gate`] — the gate library (rotations, Cliffords, CSWAP, …).
 //! * [`circuit`] — a circuit IR with mid-circuit reset and measurement.
 //! * [`statevector`] — pure-state evolution kernels.

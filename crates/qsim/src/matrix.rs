@@ -5,8 +5,10 @@
 //! used for gate definitions, unitarity checks, transpiler verification,
 //! Kraus-channel algebra — and, through the blocked [`CMatrix::matmul`]
 //! kernel, for applying a fused unitary to many statevectors packed
-//! column-wise in one matrix–matrix product (the batched analytic scoring
-//! path). The panel kernel itself lives in [`crate::kernel`]: a portable
+//! column-wise in one matrix–matrix product (the oracles and benchmarks;
+//! the batched analytic engine's real amplitude blocks go through
+//! [`crate::kernel::encode_readout_lanes`] instead). The panel kernel
+//! itself lives in [`crate::kernel`]: a portable
 //! split-complex structure-of-arrays loop and an AVX2/FMA tile chosen at
 //! runtime per CPU, pinned against the scalar oracle kept on
 //! [`CMatrix::matmul_scalar`].
@@ -42,7 +44,7 @@ const _: () = assert!(GEMM_COL_BLOCK.is_multiple_of(kernel::LANES));
 
 thread_local! {
     /// Panel scratch for sequential GEMMs: repeated products on a fixed
-    /// configuration (one per group per scoring pass) reuse one repack
+    /// configuration reuse one repack
     /// buffer per thread instead of reallocating every call. Worker
     /// threads spawned by [`CMatrix::matmul_threaded`] get their own
     /// per-call scratch through

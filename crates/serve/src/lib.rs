@@ -62,6 +62,7 @@
 //! these guarantees.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod batch;

@@ -2,12 +2,13 @@
 //!
 //! Wraps the system allocator in a counter and asserts that steady-state
 //! [`FrozenDetector::score_samples`] — after a warm-up that sizes the
-//! thread-local panel, prepared triangles and scratch buffers — performs
-//! **zero** heap allocations of 1 KiB or more, on 32-row, 2-row and
-//! block-straddling panels. Small per-call vectors (the per-sample score
-//! totals, 256 B at batch 32) stay under the threshold by design;
-//! anything panel- or matrix-shaped that slips back onto the allocator
-//! trips the counter.
+//! thread-local panel, prepared triangles, lane blocks and scratch
+//! buffers — performs **zero** heap allocations of 1 KiB or more, on
+//! 32-row, 2-row and block-straddling panels, for frozen Noisy, Exact
+//! and Sampled detectors. Small per-call vectors (the per-sample score
+//! totals and per-level deviations, 256 B at batch 32) stay under the
+//! threshold by design; anything panel- or matrix-shaped that slips back
+//! onto the allocator trips the counter.
 //!
 //! This test owns its binary so no sibling test's allocations can leak
 //! into the tracked window.
@@ -21,8 +22,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Allocations at or above this size are counted while tracking is on.
-/// The pooled buffers (panel, packed state, GEMM scratch) are all well
-/// above it; legitimate per-call vectors at batch 32 are well below.
+/// Per-panel buffers reach it at batch 32 (the normalised panel, the
+/// prepared triangles, a complex `2^n × S` matrix); legitimate per-call
+/// vectors at batch 32 stay below it.
 const LARGE: usize = 1024;
 
 static TRACKING: AtomicBool = AtomicBool::new(false);
@@ -88,19 +90,16 @@ fn stream_rows(count: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The flagship serving configuration: noisy density scoring,
-/// single-threaded GEMM (the serving sweet spot on one core).
-fn serving_config() -> QuorumConfig {
+/// The flagship serving configuration under `execution`: four groups
+/// at n = 3, single-threaded (the serving sweet spot on one core).
+fn serving_config(execution: ExecutionMode) -> QuorumConfig {
     QuorumConfig::default()
         .with_data_qubits(3)
         .with_ensemble_groups(4)
         .with_ansatz_layers(2)
         .with_threads(1)
         .with_seed(0x5EEF_1E55)
-        .with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        })
+        .with_execution(execution)
 }
 
 /// Scores `rows` until the pooled buffers are warm, then counts large
@@ -125,21 +124,38 @@ fn large_allocations_in_steady_state(frozen: &FrozenDetector, rows: &[Vec<f64>])
     LARGE_ALLOCS.load(Ordering::SeqCst)
 }
 
-/// One test for every panel shape, so no sibling test runs inside a
-/// tracked window: batch 32; the two-row panels an RPC server mostly
-/// sees; and 9 rows, whose 4 × 9 (group, row) columns span two of the
-/// dense engine's 32-column prep blocks, with group 3's columns 27..36
-/// straddling the boundary.
+/// One test for every detector and panel shape, so no sibling test runs
+/// inside a tracked window. Detectors: Noisy Brisbane (the dense engine's
+/// shared prep stage), Exact and Sampled at 1,024 shots (the batched
+/// analytic engine's lane blocks, plus one shot draw per deviation).
+/// Panels: batch 32; the two-row panels an RPC server mostly sees; and
+/// 9 rows, whose 4 × 9 (group, row) columns span two of the dense
+/// engine's 32-column prep blocks, with group 3's columns 27..36
+/// straddling the boundary, and whose rows fill one 8-lane block and
+/// one lane of a second.
 #[test]
 fn steady_state_score_samples_makes_no_large_allocations() {
-    let frozen = FrozenDetector::freeze(serving_config(), &reference()).unwrap();
-    for rows in [32, 2, 9] {
-        let count = large_allocations_in_steady_state(&frozen, &stream_rows(rows));
-        assert_eq!(
-            count, 0,
-            "steady-state score_samples on {rows}-row panels performed {count} allocation(s) \
-             of >= {LARGE} bytes; the pooled request path must not touch the allocator for \
-             panel- or matrix-sized buffers after warm-up"
-        );
+    let executions = [
+        (
+            "noisy",
+            ExecutionMode::Noisy {
+                noise: NoiseModel::brisbane(),
+                shots: None,
+            },
+        ),
+        ("exact", ExecutionMode::Exact),
+        ("sampled", ExecutionMode::Sampled { shots: 1024 }),
+    ];
+    for (name, execution) in executions {
+        let frozen = FrozenDetector::freeze(serving_config(execution), &reference()).unwrap();
+        for rows in [32, 2, 9] {
+            let count = large_allocations_in_steady_state(&frozen, &stream_rows(rows));
+            assert_eq!(
+                count, 0,
+                "steady-state score_samples of the {name} detector on {rows}-row panels \
+                 performed {count} allocation(s) of >= {LARGE} bytes; the pooled request path \
+                 must not touch the allocator for panel- or matrix-sized buffers after warm-up"
+            );
+        }
     }
 }

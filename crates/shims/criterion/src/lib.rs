@@ -10,6 +10,7 @@
 //! enough for the ≥5× comparisons this workspace cares about.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

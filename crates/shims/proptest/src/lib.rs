@@ -10,6 +10,7 @@
 //! input is printed as-is.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

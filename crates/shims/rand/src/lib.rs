@@ -10,6 +10,7 @@
 //! stream values.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

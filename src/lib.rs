@@ -16,6 +16,8 @@
 //! See the repository README for a tour and EXPERIMENTS.md for the
 //! paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use classical_baselines as classical;
 pub use qdata as data;
 pub use qmetrics as metrics;

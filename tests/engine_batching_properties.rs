@@ -1,8 +1,10 @@
-//! Property pins for the batched analytic scoring path: the batched GEMM
-//! engine, the per-sample analytic engine and the paper-literal circuit
-//! engine must agree on every deviation — across random ansatz draws,
-//! register widths n ∈ {2, 3}, reset counts 1..n and batch sizes 1..=32
-//! (including the degenerate single-sample batch).
+//! Property pins for the batched analytic scoring path: the batched
+//! lane-block engine (8-sample blocks through one encoder-and-readout
+//! lane kernel), the per-sample analytic engine and the paper-literal
+//! circuit engine must agree on every deviation — across random ansatz
+//! draws, register widths n ∈ {2, 3}, reset counts 1..n and batch sizes
+//! 1..=32 (including the degenerate single-sample batch and batches that
+//! end mid-block).
 //!
 //! The fast blocks run on every `cargo test`; the `#[ignore]`d blocks are
 //! the slow exhaustive suite CI executes with `cargo test -- --ignored`
