@@ -1,17 +1,14 @@
 //! Head-to-head of the scoring engines on the flagship pipeline
 //! configuration (n = 3 data qubits, 30 ensemble groups): the batched
-//! GEMM engine vs the per-sample analytic engine vs the paper-literal
-//! circuit engine — plus a noisy column pitting the batched density
-//! engine against the noisy circuit simulation and against its own
-//! per-sample oracle, and a raw GEMM-kernel column pitting the
-//! runtime-dispatched kernel against the scalar oracle — with direct
-//! speedup reports. Acceptance bars on this configuration: batched ≥ 2×
-//! the per-sample analytic engine, analytic ≥ 5× the circuit engine,
-//! density ≥ 5× the noisy circuit engine, the fully-batched noisy path
-//! (lockstep prep + batched score) ≥ 1.7× the per-sample oracle with the
-//! lockstep prep stage alone ≥ 1.3× the per-sample gate walk, and (when
-//! the CPU runs the AVX2/FMA tile) the dispatched GEMM ≥ 2× the scalar
-//! kernel.
+//! lane-kernel engine vs the per-sample analytic engine vs the
+//! paper-literal circuit engine — plus a noisy column pitting the batched
+//! density engine against the noisy circuit simulation and against its
+//! own per-sample oracle — with direct speedup reports. Acceptance bars
+//! on this configuration: batched ≥ 2× the per-sample analytic engine,
+//! analytic ≥ 5× the circuit engine, density ≥ 5× the noisy circuit
+//! engine, and the fully-batched noisy path (lockstep prep + batched
+//! score) ≥ 1.7× the per-sample oracle with the lockstep prep stage alone
+//! ≥ 1.3× the per-sample gate walk.
 //! The noisy column is split into explicit `noisy_prep_ns_per_sample` and
 //! `noisy_score_ns_per_sample` metrics via the engine's public prep/score
 //! seam. A wide-register noisy column pits the structured per-gate
@@ -27,8 +24,9 @@
 //! 1/8/32 and requires the per-sample cost to fall as panels grow — the
 //! win the cross-request batcher delivers to a long-lived server.
 //!
+//! A plain `main` (`harness = false`) runs the columns in that order.
 //! Every reported number also lands in `BENCH_engines.json` (per-engine
-//! ns/sample, kernel GFLOP/s, speedup ratios) so the perf trajectory is
+//! ns/sample, speedup ratios) so the perf trajectory is
 //! machine-readable across PRs; override the path with the
 //! `QUORUM_BENCH_JSON` env var. A missed speed bar does not stop the run:
 //! it is recorded ([`expect_speed`]), the JSON is written with every
@@ -36,10 +34,8 @@
 //! two correctness checks (dense/structured agreement at n = 5, n = 6
 //! probabilities) still fail at once.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdata::Dataset;
-use qsim::matrix::CMatrix;
-use qsim::{NoiseModel, C64};
+use qsim::NoiseModel;
 use quorum_bench::table1_specs;
 use quorum_core::bucket::BucketPlan;
 use quorum_core::engine::{
@@ -48,6 +44,7 @@ use quorum_core::engine::{
 };
 use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::{ExecutionMode, QuorumConfig, QuorumDetector};
+use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -107,19 +104,6 @@ fn flagship_dataset() -> Dataset {
     truncate(&table1_specs()[0].load(42), FLAGSHIP_SAMPLES)
 }
 
-fn bench_engines(c: &mut Criterion) {
-    let ds = flagship_dataset();
-    let mut group = c.benchmark_group("engine_flagship_n3_30groups");
-    group.sample_size(10);
-    let detector = QuorumDetector::new(flagship_config()).unwrap();
-    for (label, engine) in FLAGSHIP_ENGINES {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &ds, |b, ds| {
-            b.iter(|| black_box(detector.score_with(engine, ds).unwrap()))
-        });
-    }
-    group.finish();
-}
-
 /// Best-of-nine full-pipeline wall time through one engine (two warmups,
 /// minimum of nine timed runs — the sub-millisecond engines need the
 /// extra repetitions to shake off scheduling noise).
@@ -143,8 +127,17 @@ fn ns_per_sample(d: Duration, samples: usize) -> f64 {
 }
 
 /// Times the three engines directly and prints the speedup ratios the
-/// acceptance criteria ask for.
-fn report_speedup(_c: &mut Criterion) {
+/// acceptance criteria ask for. Records `simd_active` first: the batched
+/// engine's lane kernel takes its AVX2 + FMA rung on that probe.
+fn report_speedup() {
+    record(
+        "simd_active",
+        if qsim::kernel::simd_active() {
+            1.0
+        } else {
+            0.0
+        },
+    );
     let ds = flagship_dataset();
     let [batched, analytic, circuit] = FLAGSHIP_ENGINES.map(|(_, engine)| time_engine(&ds, engine));
     record(
@@ -207,7 +200,7 @@ fn time_noisy_engine(
 /// The noisy column: the batched analytic density engine vs the
 /// paper-literal noisy circuit simulation on the flagship n=3/30-group
 /// configuration.
-fn report_noisy_speedup(_c: &mut Criterion) {
+fn report_noisy_speedup() {
     let ds = truncate(&table1_specs()[0].load(42), NOISY_SAMPLES);
     let density = time_noisy_engine(noisy_flagship_config(), &ds, &DensityEngine, 5);
     let circuit = time_noisy_engine(noisy_flagship_config(), &ds, &CircuitEngine, 2);
@@ -264,7 +257,7 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
 /// this shape (`4³` superoperators, 96-sample batches), not an
 /// order-of-magnitude algorithmic gap. The speed bars below pin those
 /// levels with headroom for runner noise.
-fn report_density_batch_speedup(_c: &mut Criterion) {
+fn report_density_batch_speedup() {
     let config = noisy_flagship_config().with_ensemble_groups(1);
     // Feed the engines exactly what the production pipeline feeds them.
     let ds = quorum_core::detector::normalize_for_scoring(&config, &flagship_dataset());
@@ -405,7 +398,7 @@ fn wide_noisy_config(data_qubits: usize) -> QuorumConfig {
 /// Noisy runs switch to the structured engine at
 /// `STRUCTURED_AUTO_MIN_QUBITS = 5`.
 /// Both engines share the identical lockstep batch preparation.
-fn report_structured_noisy(_c: &mut Criterion) {
+fn report_structured_noisy() {
     let levels = vec![1usize, 2];
 
     // n = 5 head-to-head.
@@ -545,7 +538,7 @@ const CROSSOVER: [(usize, &str, &str); 2] = [
 /// [`QuorumDetector::score_with`], which draws fresh groups every pass,
 /// so the dense engine rebuilds its readout forms each time — what a
 /// one-shot detector pays.
-fn report_noisy_crossover(_c: &mut Criterion) {
+fn report_noisy_crossover() {
     let ds = truncate(&table1_specs()[0].load(42), NOISY_SAMPLES);
     let engines: [&dyn ScoringEngine; 2] = [&DensityEngine, &StructuredDensityEngine];
     for (n, warm_key, detector_key) in CROSSOVER {
@@ -578,86 +571,6 @@ fn report_noisy_crossover(_c: &mut Criterion) {
     }
 }
 
-/// Deterministic dense test matrix for the raw kernel column.
-fn dense(rows: usize, cols: usize, salt: u64) -> CMatrix {
-    let mut m = CMatrix::zeros(rows, cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            let t = (i * cols + j) as f64 + salt as f64 * 0.37;
-            m[(i, j)] = C64::new((t * 0.7311).sin(), (t * 1.1931).cos());
-        }
-    }
-    m
-}
-
-/// Times one GEMM closure: repeats it enough to clear timer noise and
-/// returns the best per-product time.
-fn time_gemm(reps: usize, mut f: impl FnMut() -> CMatrix) -> Duration {
-    black_box(f());
-    (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..reps {
-                black_box(f());
-            }
-            start.elapsed() / reps as u32
-        })
-        .min()
-        .unwrap()
-}
-
-/// The raw GEMM-kernel column on two flagship shapes: the `4³ × 4³`
-/// fused-superoperator product over a 96-sample batch (the dense noisy
-/// engine now scores through readout forms instead) and the `2³ × 2³`
-/// encoder product (the batched pure-state engine now runs the
-/// real-amplitude lane kernel `qsim::kernel::encode_readout_lanes`
-/// instead), dispatched kernel vs scalar oracle, with GFLOP/s
-/// throughputs (8 real flops per complex multiply–add). No production
-/// scoring path runs either product.
-fn report_gemm_kernel(_c: &mut Criterion) {
-    let fma_tile = qsim::kernel::simd_active();
-    record("simd_active", if fma_tile { 1.0 } else { 0.0 });
-
-    // Flagship density GEMM: 64×64 · 64×96.
-    let a = dense(64, 64, 1);
-    let b = dense(64, 96, 2);
-    let scalar = time_gemm(200, || a.matmul_scalar(&b).unwrap());
-    let dispatch = time_gemm(200, || a.matmul(&b).unwrap());
-    let flops = 8.0 * 64.0 * 64.0 * 96.0;
-    let scalar_gflops = flops / scalar.as_secs_f64() / 1e9;
-    let dispatch_gflops = flops / dispatch.as_secs_f64() / 1e9;
-    let speedup = scalar.as_secs_f64() / dispatch.as_secs_f64();
-    record("gemm_scalar_gflops", scalar_gflops);
-    record("gemm_simd_gflops", dispatch_gflops);
-    record("gemm_simd_vs_scalar_speedup", speedup);
-    println!(
-        "gemm_kernel_flagship_64x64x96                            scalar {scalar_gflops:.2} GFLOP/s vs dispatch {dispatch_gflops:.2} GFLOP/s (x{speedup:.2})"
-    );
-
-    // Flagship encoder GEMM: 8×8 · 8×96 (reported, not asserted — the
-    // shape is too small for lane parallelism to dominate fixed costs).
-    let ae = dense(8, 8, 3);
-    let be = dense(8, 96, 4);
-    let scalar_e = time_gemm(2000, || ae.matmul_scalar(&be).unwrap());
-    let dispatch_e = time_gemm(2000, || ae.matmul(&be).unwrap());
-    let encoder_speedup = scalar_e.as_secs_f64() / dispatch_e.as_secs_f64();
-    record("gemm_encoder_simd_vs_scalar_speedup", encoder_speedup);
-    println!(
-        "gemm_kernel_flagship_8x8x96                              scalar {scalar_e:.2?} vs dispatch {dispatch_e:.2?} (x{encoder_speedup:.2})"
-    );
-
-    if fma_tile {
-        expect_speed(
-            speedup >= 2.0,
-            format!("the SIMD GEMM kernel must be ≥2× the scalar oracle on the flagship 64×64·64×96 product, got ×{speedup:.2}"),
-        );
-    } else {
-        println!(
-            "gemm_kernel_simd_assert                                  skipped (SIMD kernel inactive: this CPU lacks AVX2 + FMA, so the portable tile runs)"
-        );
-    }
-}
-
 /// Coalescing batch sizes for the serving-throughput column.
 const SERVE_BATCHES: [usize; 3] = [1, 8, 32];
 /// Groups for the serving column — enough work per panel for the batched
@@ -672,7 +585,7 @@ const SERVE_GROUPS: usize = 8;
 /// `prepare_batch`/`score_prepared` and `deviations_all_levels` seams
 /// instead of per-sample. Scores are batch-invariant (pinned by the
 /// serve crate's tests), so the sizes here only move throughput.
-fn report_serve_throughput(_c: &mut Criterion) {
+fn report_serve_throughput() {
     let config = noisy_flagship_config().with_ensemble_groups(SERVE_GROUPS);
     let ds = flagship_dataset();
     let frozen = quorum_serve::FrozenDetector::freeze(config, &ds).unwrap();
@@ -722,8 +635,8 @@ fn report_serve_throughput(_c: &mut Criterion) {
     );
 
     // Pooled steady state: one warm batch-32 panel scored repeatedly.
-    // After warm-up the thread-local panel, density scratch and GEMM
-    // buffers are all resident (pinned by the serve crate's
+    // After warm-up the thread-local panel and density scratch buffers
+    // are all resident (pinned by the serve crate's
     // alloc-discipline test), so this column isolates the zero-copy
     // request path the server runs per coalesced panel — no per-sweep
     // chunking or tail batches.
@@ -750,7 +663,7 @@ fn report_serve_throughput(_c: &mut Criterion) {
 /// path with `QUORUM_BENCH_JSON`) so CI and future PRs can track the
 /// perf trajectory without scraping bench stdout, then fails the bench
 /// if any speed bar was missed.
-fn emit_bench_json(_c: &mut Criterion) {
+fn emit_bench_json() {
     let path =
         std::env::var("QUORUM_BENCH_JSON").unwrap_or_else(|_| "BENCH_engines.json".to_string());
     let metrics = METRICS.lock().expect("metrics registry");
@@ -779,11 +692,12 @@ fn emit_bench_json(_c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_engines, report_speedup, report_noisy_speedup,
-        report_density_batch_speedup, report_structured_noisy, report_noisy_crossover,
-        report_gemm_kernel, report_serve_throughput, emit_bench_json
+fn main() {
+    report_speedup();
+    report_noisy_speedup();
+    report_density_batch_speedup();
+    report_structured_noisy();
+    report_noisy_crossover();
+    report_serve_throughput();
+    emit_bench_json();
 }
-criterion_main!(benches);

@@ -2315,11 +2315,33 @@ mod tests {
             .collect()
     }
 
+    /// `Φ = E·Ψ` with every step one fused multiply–add in index order:
+    /// the rounding of the lane kernel's FMA rung, written out on the
+    /// complex block.
+    fn fused_product(encoder: &CMatrix, psi: &CMatrix) -> CMatrix {
+        let mut phi = CMatrix::zeros(encoder.rows(), psi.cols());
+        for i in 0..encoder.rows() {
+            for j in 0..psi.cols() {
+                let (mut re, mut im) = (0.0_f64, 0.0_f64);
+                for (k, e) in encoder.row(i).iter().enumerate() {
+                    let b = psi[(k, j)];
+                    re = e.re.mul_add(b.re, re);
+                    re = e.im.mul_add(-b.im, re);
+                    im = e.re.mul_add(b.im, im);
+                    im = e.im.mul_add(b.re, im);
+                }
+                phi[(i, j)] = C64::new(re, im);
+            }
+        }
+        phi
+    }
+
     /// The staged pipeline the batched pass fuses into one lane kernel:
     /// every sample packed into a complex `Ψ`, `Φ = E·Ψ` through
-    /// `CMatrix::matmul`, then the per-sample engine's interleaved branch
-    /// loop over each column of `Φ`.
+    /// `product`, then the per-sample engine's interleaved branch loop
+    /// over each column of `Φ`.
     fn staged_deviations(
+        product: fn(&CMatrix, &CMatrix) -> CMatrix,
         group: &EnsembleGroup,
         panel: &SamplePanel<'_>,
         levels: &[usize],
@@ -2335,7 +2357,7 @@ mod tests {
                 psi[(i, col)] = C64::from_real(a / norm);
             }
         }
-        let phi = group.fused_encoder().unwrap().matmul(&psi).unwrap();
+        let phi = product(group.fused_encoder().unwrap(), &psi);
         levels
             .iter()
             .map(|&reset_count| {
@@ -2365,6 +2387,14 @@ mod tests {
 
     #[test]
     fn batched_pass_is_bit_identical_to_its_oracles() {
+        // The dispatched lane kernel fuses its product steps where
+        // `simd_active` holds; the portable body never does.
+        let plain: fn(&CMatrix, &CMatrix) -> CMatrix = |e, psi| e.matmul(psi).unwrap();
+        let dispatched = if qsim::kernel::simd_active() {
+            fused_product
+        } else {
+            plain
+        };
         for n in 2..=6 {
             let config = QuorumConfig::default()
                 .with_data_qubits(n)
@@ -2376,15 +2406,16 @@ mod tests {
                 let flat = spread_rows(features, width, n as u64);
                 let panel = SamplePanel::new(&flat, features);
                 let label = format!("n = {n}, {width} samples");
-                // The dispatched lane kernel against the staged GEMM
-                // pipeline, which dispatches on the same CPU probe.
+                // The dispatched kernel against the staged pipeline that
+                // rounds as its rung does.
                 let batched = BatchedAnalyticEngine
                     .deviations_all_levels_panel(&group, &panel, &config, &levels)
                     .unwrap();
-                let staged = staged_deviations(&group, &panel, &levels);
+                let staged = staged_deviations(dispatched, &group, &panel, &levels);
                 assert_eq!(deviation_bits(&batched), deviation_bits(&staged), "{label}");
                 // The portable body, which hosts without AVX2 + FMA run,
-                // against the per-sample matvec engine on every host.
+                // against the plain product and the per-sample matvec
+                // engine on every host.
                 let portable = BatchedAnalyticEngine::pass(
                     &group,
                     &panel,
@@ -2393,6 +2424,12 @@ mod tests {
                     qsim::kernel::encode_readout_lanes_portable,
                 )
                 .unwrap();
+                let staged = staged_deviations(plain, &group, &panel, &levels);
+                assert_eq!(
+                    deviation_bits(&portable),
+                    deviation_bits(&staged),
+                    "{label}"
+                );
                 let analytic = AnalyticEngine
                     .deviations_all_levels_panel(&group, &panel, &config, &levels)
                     .unwrap();

@@ -433,42 +433,12 @@ impl DensityMatrix {
     /// `2^q`, so the 4×4 map applies elementwise across four zipped
     /// slices — bounds-check-free loops the compiler autovectorises,
     /// with per-element operations identical to the indexed original.
-    /// On x86-64 with AVX the same safe body is dispatched in a
-    /// 256-bit-vector recompilation (the [`crate::kernel`] pattern),
-    /// again with identical results.
     ///
     /// # Errors
     ///
     /// Returns [`QsimError::QubitOutOfRange`] for a bad operand.
     pub fn apply_superop_1q(&mut self, q: usize, s: &[[C64; 4]; 4]) -> Result<(), QsimError> {
         self.check_qubits(&[q])?;
-        #[cfg(target_arch = "x86_64")]
-        if crate::kernel::avx_autovec_active() {
-            // SAFETY: AVX support verified at runtime; the function body
-            // is the same safe Rust as `superop_1q_body`.
-            unsafe {
-                self.superop_1q_avx(q, s);
-            }
-            return Ok(());
-        }
-        self.superop_1q_body(q, s);
-        Ok(())
-    }
-
-    /// [`DensityMatrix::apply_superop_1q`]'s body recompiled with 256-bit
-    /// AVX vectors enabled — identical safe Rust, identical results.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX support at runtime.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn superop_1q_avx(&mut self, q: usize, s: &[[C64; 4]; 4]) {
-        self.superop_1q_body(q, s);
-    }
-
-    #[inline(always)]
-    fn superop_1q_body(&mut self, q: usize, s: &[[C64; 4]; 4]) {
         let stride = 1usize << q;
         let dim = self.dim;
         let mut rbase = 0;
@@ -506,6 +476,7 @@ impl DensityMatrix {
             }
             rbase += stride << 1;
         }
+        Ok(())
     }
 
     /// Applies a precomputed two-qubit superoperator to `(qa, qb)` (`qa`
@@ -866,7 +837,7 @@ const DEPOL_TRACE_LANES: usize = crate::matrix::GEMM_COL_BLOCK;
 /// expressions replicated exactly, for either lane scalar. Each
 /// sub-block's lane-wise traces are accumulated in a fixed-size stack
 /// chunk, so the kernel allocates nothing. Dispatched through the
-/// runtime AVX recompilation ladder like the per-sample kernel.
+/// runtime AVX recompilation ladder of [`crate::kernel`]'s lane kernels.
 ///
 /// # Panics
 ///
@@ -892,8 +863,8 @@ pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
     }
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `depol2q_columns_body`.
+        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
+        // only requirement of the safe `#[target_feature]` rung.
         unsafe {
             depol2q_columns_avx512(data, dim, samples, qa, qb, lambda);
         }
@@ -901,8 +872,8 @@ pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
     }
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `depol2q_columns_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             depol2q_columns_avx(data, dim, samples, qa, qb, lambda);
         }
@@ -913,13 +884,9 @@ pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
 
 /// [`apply_depolarizing_2q_columns`]'s body recompiled with 512-bit
 /// AVX-512 vectors enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn depol2q_columns_avx512<T: LaneScalar>(
+fn depol2q_columns_avx512<T: LaneScalar>(
     data: &mut [T],
     dim: usize,
     samples: usize,
@@ -932,13 +899,9 @@ unsafe fn depol2q_columns_avx512<T: LaneScalar>(
 
 /// [`apply_depolarizing_2q_columns`]'s body recompiled with 256-bit AVX
 /// vectors enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn depol2q_columns_avx<T: LaneScalar>(
+fn depol2q_columns_avx<T: LaneScalar>(
     data: &mut [T],
     dim: usize,
     samples: usize,

@@ -1,123 +1,32 @@
-//! SIMD micro-kernels: the split-complex GEMM panel kernel, and the lane
-//! kernels the batched scoring engines run across sample lanes.
+//! SIMD lane kernels: the loops the batched scoring engines run across
+//! sample lanes.
 //!
-//! [`CMatrix::matmul_threaded`](crate::matrix::CMatrix::matmul_threaded)
-//! computes its output in independent column panels; this module owns the
-//! panel kernel. Three implementations share one contract (the row-major
-//! `a_rows × width` block of `A·B` covering output columns `c0..c1`):
+//! The batched Exact engine's kernel, [`encode_readout_lanes`], applies a
+//! group's fused encoder to eight real amplitude columns as a complex ×
+//! real product and expands every level's reset branches in registers.
+//! It dispatches on [`simd_active`] to an AVX2 + FMA rung whose product
+//! steps are fused multiply–adds, or else to its portable unfused body.
+//! Either way each lane's bits depend only on its own column, and the
+//! unit tests pin both rungs bit for bit against the staged pipeline: the
+//! product `Φ = E·Ψ` formed on the complex block (fused steps for the FMA
+//! rung, [`CMatrix::matmul`](crate::matrix::CMatrix::matmul) for the
+//! portable body), then the per-sample branch loop.
 //!
-//! 1. **Scalar oracle** ([`mul_panel_scalar`]): the original interleaved
-//!    `C64` i–k–j loop. Slowest, but the bit-exact reference every other
-//!    kernel is pinned against.
-//! 2. **Portable split-complex SoA** (the fallback of [`mul_panel`]): the
-//!    `rhs` panel is repacked once into separate re/im `f64` slices, and
-//!    the output is produced in register tiles — 4 rows × 4 column lanes
-//!    with the `k` reduction innermost, so the 32 partial sums live in
-//!    registers for the whole reduction instead of streaming through
-//!    memory per `k`. The lane loops are pure branchless unrolled `f64`
-//!    arithmetic that stable rustc autovectorises for the build's target
-//!    baseline. Each output element accumulates the exact expression the
-//!    scalar oracle evaluates (`re += ar·br − ai·bi; im += ar·bi + ai·br`)
-//!    in the same `k` order; the only divergence is that the oracle's
-//!    sparse-term skip is traded for multiplying exact `±0`s through
-//!    (branches would defeat vectorisation), which can flip the sign of a
-//!    zero but never a value — so its results equal the oracle's, bitwise
-//!    except for zero signs. It runs wherever the CPU lacks AVX2 + FMA
-//!    (aarch64, older x86-64), and for the remainder rows of every panel.
-//! 3. **AVX2/FMA tile** (x86-64): the same 4-row stripes driven by
-//!    explicit 256-bit `core::arch` FMA intrinsics, selected *at runtime*
-//!    when [`simd_active`] — one binary runs everywhere. FMA contracts the
-//!    multiply–add rounding step, so this path is not bit-identical to the
-//!    oracle; property suites pin it to ≤ 1e-12.
+//! The density engines' lane kernels keep their own ladder: one safe
+//! body, also compiled for AVX-512 and for AVX and picked at runtime
+//! (`avx512_autovec_active`, `avx_autovec_active`). They have no FMA
+//! counterpart, so every rung gives the same bits.
 //!
-//! The probe is cached, so which implementation computes an output
-//! element depends only on the CPU and on whether its row falls in a
-//! 4-row stripe — never on the thread count, the panel width or the call.
-//! Each column remainder replays its vector lanes' exact operation
-//! sequence, so a column's bits are those of the column multiplied alone.
-//!
-//! The batched Exact engine's kernel, [`encode_readout_lanes`], needs no
-//! GEMM: a block's amplitude columns are real, so it applies the fused
-//! encoder to eight of them as a complex × real product — half the
-//! multiplies of the complex GEMM — and expands every level's reset
-//! branches in registers. It dispatches on the same [`simd_active`]
-//! probe, to a safe `#[target_feature]` AVX2 + FMA rung whose fused
-//! product steps round as the FMA tile does on a real right-hand side, or
-//! else to its portable unfused body, which rounds as the portable GEMM
-//! body does. Either way a lane's bits equal those of the staged
-//! pipeline on that host — the dispatched GEMM on the complex block, then
-//! the per-sample branch loop — which the unit tests pin.
-//!
-//! The density engines' lane kernels further down keep their own ladder:
-//! one safe body, also compiled for AVX-512 and for AVX and picked at
-//! runtime (`avx512_autovec_active`, `avx_autovec_active`). They have no
-//! FMA counterpart, so every rung gives the same bits.
-//!
-//! The repack buffers live in a [`PanelScratch`] owned by the caller:
-//! `matmul_threaded` hands each worker thread one scratch for its whole
-//! panel stream (via [`crate::parallel::map_indexed_with`]), and the
-//! sequential path reuses a thread-local scratch across calls, so repeated
-//! GEMMs on a fixed configuration stop reallocating per panel.
+//! Every rung is a safe `#[target_feature]` function that only calls its
+//! kernel's safe body. Calling one is `unsafe` because the CPU must have
+//! the features it was compiled for, so each call sits in one `unsafe`
+//! block right after the runtime probe that establishes them.
 
 use crate::complex::C64;
 
-/// Output rows per register tile: four rows' accumulators (4 × 4 lanes ×
-/// re/im = 8 vectors) plus the broadcast multiplicands fit the 16-register
-/// AVX2 file, and every extra row in the tile divides the `rhs`-panel
-/// read traffic by one more.
-const TILE_ROWS: usize = 4;
-
-/// Output column lanes per register tile: one 256-bit vector of `f64`.
-/// [`crate::matrix::GEMM_COL_BLOCK`] must stay a multiple of this so
-/// threaded panels and the sequential full-width panel put the same
-/// columns in lane tiles vs the scalar remainder (statically asserted
-/// there) — otherwise FMA hosts could lose bit-for-bit thread-count
-/// determinism.
-pub(crate) const LANES: usize = 4;
-
-/// Elements (per re/im buffer) the long-lived sequential scratch may
-/// retain between GEMMs: 512 Ki doubles — 4 MiB each — covers every
-/// supported shape except the `n = 6` density extreme (`4096 × S`
-/// batches), which pays a realloc per pass instead of pinning
-/// batch-sized buffers on the thread forever (the same trade the noisy
-/// superoperator cache makes). Per-call worker scratches die with their
-/// threads and are never trimmed.
-pub(crate) const SCRATCH_RETAIN_ELEMS: usize = 1 << 19;
-
-/// Reusable split-complex workspace for the panel kernels: the repacked
-/// re/im copies of one `rhs` panel. Buffers only ever grow, so a scratch
-/// reused across same-shape GEMMs allocates once.
-#[derive(Debug, Default)]
-pub struct PanelScratch {
-    /// Real parts of the current `rhs` panel, `k`-major (`a_cols × width`).
-    b_re: Vec<f64>,
-    /// Imaginary parts of the current `rhs` panel, same layout.
-    b_im: Vec<f64>,
-}
-
-impl PanelScratch {
-    /// Creates an empty scratch; buffers are sized lazily by the kernels.
-    pub fn new() -> Self {
-        PanelScratch::default()
-    }
-
-    /// Releases oversized repack buffers (beyond
-    /// [`SCRATCH_RETAIN_ELEMS`]) so a long-lived scratch — the
-    /// sequential path's thread-local — never pins an extreme-shape
-    /// allocation past the GEMM that needed it.
-    pub(crate) fn trim(&mut self) {
-        if self.b_re.capacity() > SCRATCH_RETAIN_ELEMS {
-            self.b_re = Vec::new();
-            self.b_im = Vec::new();
-        }
-    }
-}
-
-/// Returns `true` when the running CPU has AVX2 and FMA, so [`mul_panel`]
-/// runs its 4-row stripes through the FMA tile and
-/// [`encode_readout_lanes`] runs its fused rung. The single dispatch
-/// predicate of both; cached after the first probe, so a process never
-/// switches kernels mid-run.
+/// Returns `true` when the running CPU has AVX2 and FMA, so
+/// [`encode_readout_lanes`] runs its fused rung. Cached after the first
+/// probe, so a process never switches rungs mid-run.
 #[inline]
 pub fn simd_active() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -135,42 +44,11 @@ pub fn simd_active() -> bool {
     }
 }
 
-/// The scalar oracle: interleaved-`C64` i–k–j panel kernel. Kept as the
-/// bit-exact reference for the SoA and FMA kernels and as the baseline
-/// the SIMD speedup is measured against.
-#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
-pub fn mul_panel_scalar(
-    a: &[C64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[C64],
-    b_cols: usize,
-    c0: usize,
-    c1: usize,
-) -> Vec<C64> {
-    let width = c1 - c0;
-    let mut panel = vec![C64::ZERO; a_rows * width];
-    for i in 0..a_rows {
-        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-        let out_row = &mut panel[i * width..(i + 1) * width];
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == C64::ZERO {
-                continue;
-            }
-            let b_row = &b[k * b_cols + c0..k * b_cols + c1];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-    panel
-}
-
 /// Returns `true` when the AVX-recompiled autovec kernels are usable: the
 /// same safe Rust bodies compiled with 256-bit vectors enabled,
 /// dispatched at runtime, available on any x86-64 build. Used by the
-/// density-matrix lane kernels only; the GEMM dispatches on
-/// [`simd_active`].
+/// density-matrix lane kernels only; [`encode_readout_lanes`] dispatches
+/// on [`simd_active`].
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-64-gated
 pub(crate) fn avx_autovec_active() -> bool {
@@ -206,299 +84,6 @@ pub(crate) fn avx512_autovec_active() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// The dispatching split-complex panel kernel: repacks the `rhs` panel
-/// into SoA slices once, then produces each 4-row stripe in register
-/// tiles — through the AVX2/FMA intrinsics when [`simd_active`], else the
-/// portable SoA body (value-identical to [`mul_panel_scalar`]; see the
-/// module docs for the exact equality contract). Remainder rows always
-/// take the portable single-row body.
-#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
-pub fn mul_panel(
-    a: &[C64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[C64],
-    b_cols: usize,
-    c0: usize,
-    c1: usize,
-    scratch: &mut PanelScratch,
-) -> Vec<C64> {
-    let mut panel = Vec::new();
-    mul_panel_into(a, a_rows, a_cols, b, b_cols, c0, c1, scratch, &mut panel);
-    panel
-}
-
-/// [`mul_panel`] writing into a caller-owned output vector — the
-/// allocation-free seam for steady-state scoring loops that run the same
-/// GEMM shape every batch. `panel` is cleared and refilled; its capacity
-/// is reused across calls. Values are identical to [`mul_panel`]'s: the
-/// output buffer never feeds back into the product.
-#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
-pub fn mul_panel_into(
-    a: &[C64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[C64],
-    b_cols: usize,
-    c0: usize,
-    c1: usize,
-    scratch: &mut PanelScratch,
-    panel: &mut Vec<C64>,
-) {
-    let width = c1 - c0;
-    repack_panel(b, b_cols, c0, c1, a_cols, scratch);
-    panel.clear();
-    panel.resize(a_rows * width, C64::ZERO);
-    // Only referenced from the x86-64 dispatch arm below.
-    #[cfg(target_arch = "x86_64")]
-    let fma = simd_active();
-    let mut i = 0;
-    while i + TILE_ROWS <= a_rows {
-        let a_rows_slice = &a[i * a_cols..(i + TILE_ROWS) * a_cols];
-        let out = &mut panel[i * width..(i + TILE_ROWS) * width];
-        i += TILE_ROWS;
-        #[cfg(target_arch = "x86_64")]
-        if fma {
-            // SAFETY: `simd_active` verified AVX2 + FMA at runtime; both
-            // slices are cut to the tile shape above and `repack_panel`
-            // sized `scratch` to `a_cols × width` for this panel.
-            unsafe {
-                tile_rows_avx2(a_rows_slice, a_cols, width, scratch, out);
-            }
-            continue;
-        }
-        tile_rows_soa(a_rows_slice, a_cols, width, scratch, out);
-    }
-    while i < a_rows {
-        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-        let out = &mut panel[i * width..(i + 1) * width];
-        single_row(a_row, width, scratch, out);
-        i += 1;
-    }
-}
-
-/// Copies the `rhs` panel (`a_cols` rows × columns `c0..c1`) into the
-/// scratch's split re/im slices, `k`-major so each inner sweep is one
-/// contiguous stream per array.
-fn repack_panel(
-    b: &[C64],
-    b_cols: usize,
-    c0: usize,
-    c1: usize,
-    a_cols: usize,
-    scratch: &mut PanelScratch,
-) {
-    let width = c1 - c0;
-    scratch.b_re.resize(a_cols * width, 0.0);
-    scratch.b_im.resize(a_cols * width, 0.0);
-    for k in 0..a_cols {
-        let row = &b[k * b_cols + c0..k * b_cols + c1];
-        let re = &mut scratch.b_re[k * width..(k + 1) * width];
-        let im = &mut scratch.b_im[k * width..(k + 1) * width];
-        for ((r, i), &z) in re.iter_mut().zip(im.iter_mut()).zip(row) {
-            *r = z.re;
-            *i = z.im;
-        }
-    }
-}
-
-/// One 4-wide lane accumulator: `acc += a · b` over split complex lanes,
-/// exactly the scalar oracle's expression per element. Fixed-size array
-/// references keep every lane loop bounds-check-free and SLP-friendly; a
-/// free function so every tile kernel instantiates the identical
-/// operation sequence.
-#[inline(always)]
-fn lane_madd(
-    acc_re: &mut [f64; LANES],
-    acc_im: &mut [f64; LANES],
-    av: C64,
-    br: &[f64; LANES],
-    bi: &[f64; LANES],
-) {
-    let (ar, ai) = (av.re, av.im);
-    for l in 0..LANES {
-        acc_re[l] += ar * br[l] - ai * bi[l];
-        acc_im[l] += ar * bi[l] + ai * br[l];
-    }
-}
-
-/// Borrows the 4-lane window at `offset` as a fixed-size array.
-#[inline(always)]
-fn lanes_at(slice: &[f64], offset: usize) -> &[f64; LANES] {
-    slice[offset..offset + LANES]
-        .try_into()
-        .expect("window is exactly LANES wide")
-}
-
-/// One full 4-row tile stripe in autovectorised form: for each 4-lane
-/// column tile the 32 partial sums stay in named local arrays (registers)
-/// while `k` runs innermost, with the four rows unrolled by hand. The
-/// tile body is branchless — structurally-zero `A` terms are multiplied
-/// through rather than skipped, contributing exact `±0`s, so results
-/// equal the oracle's in value with per-element accumulation in the same
-/// `k` order (only the sign of a zero can differ; the skip survives in
-/// the oracle, where sparse rows are actually worth a branch).
-fn tile_rows_soa(
-    a_rows: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    let (r0, rest) = out.split_at_mut(width);
-    let (r1, rest) = rest.split_at_mut(width);
-    let (r2, r3) = rest.split_at_mut(width);
-    let a0 = &a_rows[..a_cols];
-    let a1 = &a_rows[a_cols..2 * a_cols];
-    let a2 = &a_rows[2 * a_cols..3 * a_cols];
-    let a3 = &a_rows[3 * a_cols..4 * a_cols];
-    let mut j = 0;
-    while j + LANES <= width {
-        let (mut re0, mut im0) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-        let (mut re1, mut im1) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-        let (mut re2, mut im2) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-        let (mut re3, mut im3) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-        for k in 0..a_cols {
-            let br = lanes_at(&scratch.b_re, k * width + j);
-            let bi = lanes_at(&scratch.b_im, k * width + j);
-            lane_madd(&mut re0, &mut im0, a0[k], br, bi);
-            lane_madd(&mut re1, &mut im1, a1[k], br, bi);
-            lane_madd(&mut re2, &mut im2, a2[k], br, bi);
-            lane_madd(&mut re3, &mut im3, a3[k], br, bi);
-        }
-        for l in 0..LANES {
-            r0[j + l] = C64::new(re0[l], im0[l]);
-            r1[j + l] = C64::new(re1[l], im1[l]);
-            r2[j + l] = C64::new(re2[l], im2[l]);
-            r3[j + l] = C64::new(re3[l], im3[l]);
-        }
-        j += LANES;
-    }
-    while j < width {
-        let mut acc = [C64::ZERO; TILE_ROWS];
-        for k in 0..a_cols {
-            let bv = C64::new(scratch.b_re[k * width + j], scratch.b_im[k * width + j]);
-            acc[0] += a0[k] * bv;
-            acc[1] += a1[k] * bv;
-            acc[2] += a2[k] * bv;
-            acc[3] += a3[k] * bv;
-        }
-        r0[j] = acc[0];
-        r1[j] = acc[1];
-        r2[j] = acc[2];
-        r3[j] = acc[3];
-        j += 1;
-    }
-}
-
-/// The remainder-row kernel (fewer than [`TILE_ROWS`] rows left): one
-/// output row, 4-lane column tiles, `k` innermost — the single-row
-/// specialisation of [`tile_rows_soa`] with identical per-element order.
-fn single_row(a_row: &[C64], width: usize, scratch: &PanelScratch, out: &mut [C64]) {
-    let mut j = 0;
-    while j + LANES <= width {
-        let mut acc_re = [0.0_f64; LANES];
-        let mut acc_im = [0.0_f64; LANES];
-        for (k, &av) in a_row.iter().enumerate() {
-            let br = lanes_at(&scratch.b_re, k * width + j);
-            let bi = lanes_at(&scratch.b_im, k * width + j);
-            lane_madd(&mut acc_re, &mut acc_im, av, br, bi);
-        }
-        for l in 0..LANES {
-            out[j + l] = C64::new(acc_re[l], acc_im[l]);
-        }
-        j += LANES;
-    }
-    while j < width {
-        let mut acc = C64::ZERO;
-        for (k, &av) in a_row.iter().enumerate() {
-            acc += av * C64::new(scratch.b_re[k * width + j], scratch.b_im[k * width + j]);
-        }
-        out[j] = acc;
-        j += 1;
-    }
-}
-
-/// The explicit AVX2/FMA 4-row tile stripe: the same register tiling as
-/// [`tile_rows_soa`] with 256-bit fused multiply–adds. Rounding differs
-/// from the oracle only by FMA's skipped intermediate round; property
-/// tests pin the gap to ≤ 1e-12.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 and FMA support at runtime. The
-/// body indexes unchecked, so the operands must have the tile shape:
-/// `a_rows.len() >= TILE_ROWS * a_cols`, `out.len() >= TILE_ROWS * width`,
-/// and `scratch` must hold this panel's repacked `a_cols × width` planes
-/// (`b_re` and `b_im` at least `a_cols * width` long).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_rows_avx2(
-    a_rows: &[C64],
-    a_cols: usize,
-    width: usize,
-    scratch: &PanelScratch,
-    out: &mut [C64],
-) {
-    use core::arch::x86_64::{
-        __m256d, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd,
-    };
-    let b_re = scratch.b_re.as_ptr();
-    let b_im = scratch.b_im.as_ptr();
-    let mut j = 0;
-    while j + LANES <= width {
-        let mut acc_re: [__m256d; TILE_ROWS] = [_mm256_setzero_pd(); TILE_ROWS];
-        let mut acc_im: [__m256d; TILE_ROWS] = [_mm256_setzero_pd(); TILE_ROWS];
-        for k in 0..a_cols {
-            let vbr = _mm256_loadu_pd(b_re.add(k * width + j));
-            let vbi = _mm256_loadu_pd(b_im.add(k * width + j));
-            for r in 0..TILE_ROWS {
-                let av = *a_rows.get_unchecked(r * a_cols + k);
-                let var = _mm256_set1_pd(av.re);
-                let vai = _mm256_set1_pd(av.im);
-                acc_re[r] = _mm256_fmadd_pd(var, vbr, acc_re[r]);
-                acc_re[r] = _mm256_fnmadd_pd(vai, vbi, acc_re[r]);
-                acc_im[r] = _mm256_fmadd_pd(var, vbi, acc_im[r]);
-                acc_im[r] = _mm256_fmadd_pd(vai, vbr, acc_im[r]);
-            }
-        }
-        // Interleave each row's re/im lanes back into C64 storage.
-        for r in 0..TILE_ROWS {
-            let mut re = [0.0_f64; LANES];
-            let mut im = [0.0_f64; LANES];
-            _mm256_storeu_pd(re.as_mut_ptr(), acc_re[r]);
-            _mm256_storeu_pd(im.as_mut_ptr(), acc_im[r]);
-            for l in 0..LANES {
-                *out.get_unchecked_mut(r * width + j + l) = C64::new(re[l], im[l]);
-            }
-        }
-        j += LANES;
-    }
-    while j < width {
-        for r in 0..TILE_ROWS {
-            let mut acc_re = 0.0_f64;
-            let mut acc_im = 0.0_f64;
-            for k in 0..a_cols {
-                let av = *a_rows.get_unchecked(r * a_cols + k);
-                let br = *b_re.add(k * width + j);
-                let bi = *b_im.add(k * width + j);
-                // The exact fused sequence of the vector lanes above
-                // (mul_add(ai, -bi, ·) is bit-identical to fnmadd), so a
-                // column's bits never depend on which path the panel
-                // width routed it through — a single-sample panel must
-                // score bit-identically to a coalesced one.
-                acc_re = av.re.mul_add(br, acc_re);
-                acc_re = av.im.mul_add(-bi, acc_re);
-                acc_im = av.re.mul_add(bi, acc_im);
-                acc_im = av.im.mul_add(br, acc_im);
-            }
-            *out.get_unchecked_mut(r * width + j) = C64::new(acc_re, acc_im);
-        }
-        j += 1;
     }
 }
 
@@ -553,8 +138,8 @@ pub fn ry_conj_lanes(
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `ry_conj_body`.
+        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
+        // only requirement of the safe `#[target_feature]` rung.
         unsafe {
             ry_conj_avx512(v0, v1, v2, v3, cc, cs, ss);
         }
@@ -562,8 +147,8 @@ pub fn ry_conj_lanes(
     }
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `ry_conj_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             ry_conj_avx(v0, v1, v2, v3, cc, cs, ss);
         }
@@ -574,13 +159,9 @@ pub fn ry_conj_lanes(
 
 /// [`ry_conj_lanes`]'s body recompiled with 512-bit AVX-512 vectors
 /// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn ry_conj_avx512(
+fn ry_conj_avx512(
     v0: &mut [f64],
     v1: &mut [f64],
     v2: &mut [f64],
@@ -594,13 +175,9 @@ unsafe fn ry_conj_avx512(
 
 /// [`ry_conj_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
 /// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn ry_conj_avx(
+fn ry_conj_avx(
     v0: &mut [f64],
     v1: &mut [f64],
     v2: &mut [f64],
@@ -661,8 +238,8 @@ pub fn superop4_lanes<T: LaneScalar>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `superop4_body`.
+        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
+        // only requirement of the safe `#[target_feature]` rung.
         unsafe {
             superop4_avx512(v0, v1, v2, v3, s);
         }
@@ -670,8 +247,8 @@ pub fn superop4_lanes<T: LaneScalar>(
     }
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `superop4_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             superop4_avx(v0, v1, v2, v3, s);
         }
@@ -682,13 +259,9 @@ pub fn superop4_lanes<T: LaneScalar>(
 
 /// [`superop4_lanes`]'s body recompiled with 512-bit AVX-512 vectors
 /// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn superop4_avx512<T: LaneScalar>(
+fn superop4_avx512<T: LaneScalar>(
     v0: &mut [T],
     v1: &mut [T],
     v2: &mut [T],
@@ -700,13 +273,9 @@ unsafe fn superop4_avx512<T: LaneScalar>(
 
 /// [`superop4_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
 /// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn superop4_avx<T: LaneScalar>(
+fn superop4_avx<T: LaneScalar>(
     v0: &mut [T],
     v1: &mut [T],
     v2: &mut [T],
@@ -767,13 +336,13 @@ pub const READOUT_LANES: usize = 8;
 ///
 /// Rounding: each product element accumulates over `k` in index order
 /// from zero. Where [`simd_active`] holds, every step is one fused
-/// multiply–add, the rounding of the GEMM's FMA tile on a real
-/// right-hand side; elsewhere it is a multiply then an add, the rounding
-/// of the portable GEMM body and of the per-sample matvec. The branch
-/// sweeps are unfused on every host and evaluate, term for term, the
-/// per-sample engine's interleaved complex loop. So each lane's
-/// deviations depend only on its own column, never on its block mates,
-/// and equal those of the GEMM-then-sweep pipeline bit for bit.
+/// multiply–add; elsewhere it is a multiply then an add, the rounding of
+/// [`CMatrix::matmul`](crate::matrix::CMatrix::matmul) and of the
+/// per-sample matvec. The branch sweeps are unfused on every host and
+/// evaluate, term for term, the per-sample engine's interleaved complex
+/// loop. So each lane's deviations depend only on its own column, never
+/// on its block mates, and equal those of the product-then-sweep
+/// pipeline bit for bit.
 ///
 /// # Panics
 ///
@@ -925,8 +494,8 @@ fn encode_readout_body<const FUSED: bool>(
 pub fn superop16_lanes(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
     #[cfg(target_arch = "x86_64")]
     if avx512_autovec_active() {
-        // SAFETY: AVX-512 support verified at runtime; the function body
-        // is the same safe Rust as `superop16_body`.
+        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
+        // only requirement of the safe `#[target_feature]` rung.
         unsafe {
             superop16_avx512(rows, s);
         }
@@ -934,8 +503,8 @@ pub fn superop16_lanes(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
     }
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `superop16_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             superop16_avx(rows, s);
         }
@@ -946,25 +515,17 @@ pub fn superop16_lanes(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
 
 /// [`superop16_lanes`]'s body recompiled with 512-bit AVX-512 vectors
 /// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-unsafe fn superop16_avx512(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
+fn superop16_avx512(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
     superop16_body(rows, s);
 }
 
 /// [`superop16_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
 /// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn superop16_avx(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
+fn superop16_avx(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
     superop16_body(rows, s);
 }
 
@@ -999,8 +560,8 @@ fn superop16_body(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
 pub fn reset_lanes(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64]) {
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `reset_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             reset_avx(v0, v1, v2, v3);
         }
@@ -1011,13 +572,9 @@ pub fn reset_lanes(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64
 
 /// [`reset_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
 /// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn reset_avx(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64]) {
+fn reset_avx(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64]) {
     reset_body(v0, v1, v2, v3);
 }
 
@@ -1052,8 +609,8 @@ pub fn amp_damp_lanes(
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `amp_damp_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             amp_damp_avx(v0, v1, v2, v3, gamma, damp);
         }
@@ -1064,13 +621,9 @@ pub fn amp_damp_lanes(
 
 /// [`amp_damp_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
 /// identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn amp_damp_avx(
+fn amp_damp_avx(
     v0: &mut [C64],
     v1: &mut [C64],
     v2: &mut [C64],
@@ -1112,8 +665,8 @@ fn amp_damp_body(
 pub fn phase_damp_lanes(v1: &mut [C64], v2: &mut [C64], damp: f64) {
     #[cfg(target_arch = "x86_64")]
     if avx_autovec_active() {
-        // SAFETY: AVX support verified at runtime; the function body is
-        // the same safe Rust as `phase_damp_body`.
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
         unsafe {
             phase_damp_avx(v1, v2, damp);
         }
@@ -1124,13 +677,9 @@ pub fn phase_damp_lanes(v1: &mut [C64], v2: &mut [C64], damp: f64) {
 
 /// [`phase_damp_lanes`]'s body recompiled with 256-bit AVX vectors
 /// enabled — identical safe Rust, identical results.
-///
-/// # Safety
-///
-/// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn phase_damp_avx(v1: &mut [C64], v2: &mut [C64], damp: f64) {
+fn phase_damp_avx(v1: &mut [C64], v2: &mut [C64], damp: f64) {
     phase_damp_body(v1, v2, damp);
 }
 
@@ -1208,104 +757,6 @@ mod tests {
                 C64::new((t * 0.7311).sin(), (t * 1.1931).cos())
             })
             .collect()
-    }
-
-    /// Shapes that exercise every remainder case: widths below, at, and
-    /// beyond the 4-lane tile, row counts straddling the 4-row tile, plus
-    /// single rows/columns.
-    const SHAPES: [(usize, usize, usize); 9] = [
-        (1, 1, 1),
-        (3, 5, 2),
-        (4, 4, 4),
-        (5, 7, 9),
-        (8, 8, 13),
-        (7, 3, 33),
-        (6, 11, 5),
-        (16, 16, 37),
-        (9, 25, 64),
-    ];
-
-    /// The panel the portable bodies alone produce — what [`mul_panel`]
-    /// returns on a CPU without AVX2 + FMA — called directly, so FMA hosts
-    /// test them too.
-    fn mul_panel_portable(
-        a: &[C64],
-        (m, k, n): (usize, usize, usize),
-        b: &[C64],
-        c0: usize,
-        c1: usize,
-    ) -> Vec<C64> {
-        let width = c1 - c0;
-        let mut scratch = PanelScratch::new();
-        repack_panel(b, n, c0, c1, k, &mut scratch);
-        let mut panel = vec![C64::ZERO; m * width];
-        let mut i = 0;
-        while i + TILE_ROWS <= m {
-            let out = &mut panel[i * width..(i + TILE_ROWS) * width];
-            tile_rows_soa(&a[i * k..(i + TILE_ROWS) * k], k, width, &scratch, out);
-            i += TILE_ROWS;
-        }
-        for i in i..m {
-            let out = &mut panel[i * width..(i + 1) * width];
-            single_row(&a[i * k..(i + 1) * k], width, &scratch, out);
-        }
-        panel
-    }
-
-    #[test]
-    fn soa_kernel_is_bit_identical_to_scalar_oracle() {
-        for &(m, k, n) in &SHAPES {
-            let a = dense(m, k, 1);
-            let b = dense(k, n, 2);
-            // Full-width panel and a ragged sub-panel alike.
-            for (c0, c1) in [(0, n), (n / 3, n), (0, n.div_ceil(2))] {
-                if c0 >= c1 {
-                    continue;
-                }
-                let oracle = mul_panel_scalar(&a, m, k, &b, n, c0, c1);
-                let soa = mul_panel_portable(&a, (m, k, n), &b, c0, c1);
-                let bits = |p: &[C64]| -> Vec<(u64, u64)> {
-                    p.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-                };
-                assert_eq!(
-                    bits(&soa),
-                    bits(&oracle),
-                    "shape {m}x{k}x{n} panel {c0}..{c1}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_handles_structural_zeros_like_the_oracle() {
-        // Rows of zeros in A exercise the sparse-term skip in every tile
-        // position of both kernels.
-        let mut a = dense(6, 6, 3);
-        for j in 0..6 {
-            a[2 * 6 + j] = C64::ZERO;
-            a[j * 6 + 4] = C64::ZERO;
-        }
-        let b = dense(6, 10, 4);
-        let mut scratch = PanelScratch::new();
-        let oracle = mul_panel_scalar(&a, 6, 6, &b, 10, 0, 10);
-        let soa = mul_panel(&a, 6, 6, &b, 10, 0, 10, &mut scratch);
-        for (s, o) in soa.iter().zip(&oracle) {
-            assert!(s.approx_eq(*o, 1e-12));
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_across_different_shapes_is_safe() {
-        let mut scratch = PanelScratch::new();
-        for &(m, k, n) in &SHAPES {
-            let a = dense(m, k, 5);
-            let b = dense(k, n, 6);
-            let oracle = mul_panel_scalar(&a, m, k, &b, n, 0, n);
-            let soa = mul_panel(&a, m, k, &b, n, 0, n, &mut scratch);
-            for (s, o) in soa.iter().zip(&oracle) {
-                assert!(s.approx_eq(*o, 1e-12), "shape {m}x{k}x{n}");
-            }
-        }
     }
 
     #[test]
@@ -1397,18 +848,52 @@ mod tests {
         (encoder, amps)
     }
 
-    /// The staged readout the kernel fuses: `Φ = E·Ψ` through `gemm` on
-    /// the complex block, then the per-sample engine's interleaved
+    /// `Φ = E·Ψ` on a complex block of `cols` columns, every step one
+    /// fused multiply–add in index order: the rounding of the kernel's FMA
+    /// rung, written out on a complex right-hand side.
+    fn fused_product(encoder: &[C64], psi: &[C64], cols: usize) -> Vec<C64> {
+        let dim = psi.len() / cols;
+        let mut phi = vec![C64::ZERO; dim * cols];
+        for (row, out) in encoder.chunks_exact(dim).zip(phi.chunks_exact_mut(cols)) {
+            for (j, o) in out.iter_mut().enumerate() {
+                let (mut re, mut im) = (0.0_f64, 0.0_f64);
+                for (k, e) in row.iter().enumerate() {
+                    let b = psi[k * cols + j];
+                    re = e.re.mul_add(b.re, re);
+                    re = e.im.mul_add(-b.im, re);
+                    im = e.re.mul_add(b.im, im);
+                    im = e.im.mul_add(b.re, im);
+                }
+                *o = C64::new(re, im);
+            }
+        }
+        phi
+    }
+
+    /// `Φ = E·Ψ` through [`CMatrix::matmul`](crate::matrix::CMatrix::matmul),
+    /// whose steps are a multiply then an add: the rounding of the
+    /// kernel's portable body.
+    fn plain_product(encoder: &[C64], psi: &[C64], cols: usize) -> Vec<C64> {
+        use crate::matrix::CMatrix;
+        let dim = psi.len() / cols;
+        let mut rhs = CMatrix::zeros(dim, cols);
+        rhs.as_mut_slice().copy_from_slice(psi);
+        let e = CMatrix::from_flat(encoder).expect("square encoder");
+        e.matmul(&rhs).expect("shapes agree").as_slice().to_vec()
+    }
+
+    /// The staged readout the kernel fuses: `Φ = E·Ψ` through `product`
+    /// on the complex block, then the per-sample engine's interleaved
     /// branch loop, one lane at a time.
     fn staged_readout(
-        gemm: impl Fn(&[C64], (usize, usize, usize), &[C64]) -> Vec<C64>,
+        product: fn(&[C64], &[C64], usize) -> Vec<C64>,
         encoder: &[C64],
         amps: &[[f64; READOUT_LANES]],
         reset_counts: &[usize],
     ) -> Vec<[f64; READOUT_LANES]> {
         let dim = amps.len();
         let psi: Vec<C64> = amps.iter().flatten().map(|&a| C64::new(a, 0.0)).collect();
-        let phi = gemm(encoder, (dim, dim, READOUT_LANES), &psi);
+        let phi = product(encoder, &psi, READOUT_LANES);
         let n = dim.trailing_zeros() as usize;
         reset_counts
             .iter()
@@ -1450,18 +935,16 @@ mod tests {
         let bits = |rows: &[[f64; READOUT_LANES]]| -> Vec<u64> {
             rows.iter().flatten().map(|x| x.to_bits()).collect()
         };
-        // From n = 2 up, where every GEMM row lies in a 4-row stripe, so
-        // the dispatched GEMM runs its FMA tile wherever the kernel fuses.
-        for n in 2..=6 {
+        // The dispatched rung fuses its product steps where `simd_active`
+        // holds; the portable body never does.
+        let dispatched = if simd_active() {
+            fused_product
+        } else {
+            plain_product
+        };
+        for n in 1..=6 {
             let (encoder, amps) = readout_inputs(n, n as u64);
             let reset_counts: Vec<usize> = (0..=n).collect();
-            let dispatched = |a: &[C64], shape: (usize, usize, usize), b: &[C64]| {
-                let (m, k, cols) = shape;
-                mul_panel(a, m, k, b, cols, 0, cols, &mut PanelScratch::new())
-            };
-            let portable = |a: &[C64], shape: (usize, usize, usize), b: &[C64]| {
-                mul_panel_portable(a, shape, b, 0, shape.2)
-            };
             let cases: [(Kernel, Vec<[f64; READOUT_LANES]>); 2] = [
                 (
                     encode_readout_lanes,
@@ -1469,7 +952,7 @@ mod tests {
                 ),
                 (
                     encode_readout_lanes_portable,
-                    staged_readout(portable, &encoder, &amps, &reset_counts),
+                    staged_readout(plain_product, &encoder, &amps, &reset_counts),
                 ),
             ];
             for (kernel, staged) in cases {
@@ -1575,23 +1058,6 @@ mod tests {
             assert!(v[1][j].approx_eq(orig[1][j].scale(damp), 1e-14));
             assert!(v[2][j].approx_eq(orig[2][j].scale(damp), 1e-14));
             assert_eq!(v[3][j], orig[3][j]);
-        }
-    }
-
-    #[test]
-    fn avx2_kernel_matches_oracle_when_available() {
-        if !simd_active() {
-            return; // no AVX2 + FMA: `mul_panel` runs the portable bodies, pinned above.
-        }
-        for &(m, k, n) in &SHAPES {
-            let a = dense(m, k, 7);
-            let b = dense(k, n, 8);
-            let mut scratch = PanelScratch::new();
-            let oracle = mul_panel_scalar(&a, m, k, &b, n, 0, n);
-            let fma = mul_panel(&a, m, k, &b, n, 0, n, &mut scratch);
-            for (s, o) in fma.iter().zip(&oracle) {
-                assert!(s.approx_eq(*o, 1e-12), "shape {m}x{k}x{n}: {s} vs {o}");
-            }
         }
     }
 

@@ -7,11 +7,10 @@
 //! ## Layers
 //!
 //! * [`complex`] / [`matrix`] — scalar and small-matrix complex algebra.
-//! * [`kernel`] — split-complex SIMD GEMM micro-kernels behind the
-//!   [`matrix::CMatrix::matmul`] seam (scalar oracle, portable SoA tiles,
-//!   and an AVX2/FMA tile chosen at runtime per CPU), plus the
-//!   sample-lane kernels of the batched engines: the Exact engine's
-//!   encoder-and-readout kernel and the density engines' channel kernels.
+//! * [`kernel`] — the sample-lane kernels of the batched engines: the
+//!   Exact engine's encoder-and-readout kernel and the density engines'
+//!   channel kernels, each with safe `#[target_feature]` rungs chosen at
+//!   runtime per CPU.
 //! * [`gate`] — the gate library (rotations, Cliffords, CSWAP, …).
 //! * [`circuit`] — a circuit IR with mid-circuit reset and measurement.
 //! * [`statevector`] — pure-state evolution kernels.
@@ -49,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod channel;
 pub mod circuit;

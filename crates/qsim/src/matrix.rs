@@ -3,54 +3,27 @@
 //! Gates are at most 8×8 (three-qubit CSWAP), so a simple row-major
 //! `Vec<C64>` representation is both adequate and cache-friendly. The type is
 //! used for gate definitions, unitarity checks, transpiler verification,
-//! Kraus-channel algebra — and, through the blocked [`CMatrix::matmul`]
-//! kernel, for applying a fused unitary to many statevectors packed
-//! column-wise in one matrix–matrix product (the oracles and benchmarks;
-//! the batched analytic engine's real amplitude blocks go through
-//! [`crate::kernel::encode_readout_lanes`] instead). The panel kernel
-//! itself lives in [`crate::kernel`]: a portable
-//! split-complex structure-of-arrays loop and an AVX2/FMA tile chosen at
-//! runtime per CPU, pinned against the scalar oracle kept on
-//! [`CMatrix::matmul_scalar`].
+//! Kraus-channel algebra and the test oracles. [`CMatrix::matmul`] is one
+//! plain i–k–j loop: no scoring path multiplies matrices, since the
+//! batched engines run the lane kernels in [`crate::kernel`] on their
+//! sample blocks instead.
 //! Single-state evolution uses specialised kernels in
 //! [`crate::statevector`] and [`crate::density`].
 
 use crate::complex::C64;
 use crate::error::QsimError;
-use crate::kernel::{self, PanelScratch};
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Output columns per GEMM panel — the unit of parallelism in
-/// [`CMatrix::matmul_threaded`] and the width of the split-complex repack
-/// in [`crate::kernel`]. Measured on the flagship GEMM shapes
-/// (`8×8·8×96` encoder and `64×64·64×96` superoperator products),
-/// widths 32–128 are equivalent within noise for the scalar, SoA and
-/// AVX2 kernels alike while 16 trails slightly (repack overhead and
-/// partial register tiles); 64 is chosen from that plateau because it
-/// halves the panel count — and thus stitch/fan-out overhead — relative
-/// to the previous 32-column blocks while keeping the SoA panel copy
-/// (`2 × a_cols × 64` doubles — 64 KiB at the flagship density width
-/// `4³ = 64`) comfortably L2-resident at every supported register
-/// width.
+/// Columns per block of the column-blocked batch loops: the unit of
+/// parallelism of [`CMatrix::matmul_threaded`]'s fan-out, of the
+/// structured noisy engine's scoring blocks and of `fold_image`'s column
+/// batches in `quorum-core`, and the lane count of the depolarizing
+/// kernel's trace chunk
+/// ([`crate::density::apply_depolarizing_2q_columns`]). A block is an
+/// independent unit of work whose results depend only on its index, so
+/// every one of these stays bit-identical across thread counts.
 pub const GEMM_COL_BLOCK: usize = 64;
-
-// Panel starts must preserve lane alignment: threaded panels and the
-// sequential full-width panel have to agree on which columns sit in
-// vector tiles vs the scalar remainder, or FMA hosts could diverge
-// bit-wise across thread counts.
-const _: () = assert!(GEMM_COL_BLOCK.is_multiple_of(kernel::LANES));
-
-thread_local! {
-    /// Panel scratch for sequential GEMMs: repeated products on a fixed
-    /// configuration reuse one repack
-    /// buffer per thread instead of reallocating every call. Worker
-    /// threads spawned by [`CMatrix::matmul_threaded`] get their own
-    /// per-call scratch through
-    /// [`crate::parallel::map_indexed_with`] instead.
-    static SEQ_SCRATCH: RefCell<PanelScratch> = RefCell::new(PanelScratch::new());
-}
 
 /// A dense, row-major complex matrix.
 ///
@@ -272,10 +245,9 @@ impl CMatrix {
         out
     }
 
-    /// Matrix–matrix product `A·B` through the blocked GEMM kernel.
-    ///
-    /// Sequential convenience wrapper around
-    /// [`CMatrix::matmul_threaded`]; see there for the kernel layout.
+    /// Matrix–matrix product `A·B`: for each row of `A`, every nonzero
+    /// entry `a_ik` adds `a_ik · B[k, ·]` to the output row, in `k` order.
+    /// Sequential convenience wrapper around [`CMatrix::matmul_threaded`].
     ///
     /// # Errors
     ///
@@ -285,19 +257,12 @@ impl CMatrix {
         self.matmul_threaded(rhs, 1)
     }
 
-    /// Matrix–matrix product `A·B`, blocked over column panels of `rhs`
-    /// and fanned out over up to `threads` OS threads via
-    /// [`crate::parallel::map_indexed_with`] (each worker owns one panel
-    /// scratch for its whole panel stream).
-    ///
-    /// Each panel of [`GEMM_COL_BLOCK`] output columns is computed
-    /// independently by the split-complex register-tile kernel in
-    /// [`crate::kernel`], so the per-column accumulation order is
-    /// identical for every thread count — results are bit-for-bit
-    /// deterministic regardless of `threads`. On a CPU with AVX2 + FMA the
-    /// kernel runs an FMA tile, pinned to ≤ 1e-12 of the scalar oracle on
-    /// [`CMatrix::matmul_scalar`]; elsewhere it is value-identical to the
-    /// oracle (see [`crate::kernel`] for the exact equality contract).
+    /// Matrix–matrix product `A·B`, with the output's column blocks of
+    /// [`GEMM_COL_BLOCK`] fanned out over up to `threads` OS threads via
+    /// [`crate::parallel::map_indexed`]. Every output entry accumulates
+    /// the same terms in the same order whichever block computes it, so
+    /// results are bit-for-bit those of [`CMatrix::matmul`] for every
+    /// `threads`.
     ///
     /// # Errors
     ///
@@ -310,11 +275,10 @@ impl CMatrix {
     }
 
     /// [`CMatrix::matmul_threaded`] writing into a caller-owned output
-    /// matrix — the allocation-free seam for steady-state scoring loops
-    /// that run the same product shape every batch. `out` is reshaped to
-    /// `self.rows() × rhs.cols()` and overwritten; its backing storage is
-    /// reused across calls. Results are bit-identical to the allocating
-    /// path (the output buffer never feeds back into the product).
+    /// matrix: `out` is reshaped to `self.rows() × rhs.cols()` and
+    /// overwritten, and its backing storage is reused across calls.
+    /// Results are bit-identical to the allocating path (the output
+    /// buffer never feeds back into the product).
     ///
     /// # Errors
     ///
@@ -332,100 +296,47 @@ impl CMatrix {
                 actual: rhs.rows,
             });
         }
-        if rhs.cols == 0 || self.rows == 0 {
-            out.resize_zeroed(self.rows, rhs.cols);
-            return Ok(());
-        }
-        if threads <= 1 {
-            // Sequential fast path: one full-width panel *is* the
-            // row-major result — no zero-fill, no stitching — through the
-            // thread-local scratch so repeated GEMMs reuse their buffers.
-            out.rows = self.rows;
-            out.cols = rhs.cols;
-            SEQ_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                self.mul_panel_into(rhs, 0, rhs.cols, &mut scratch, &mut out.data);
-                // Don't pin extreme-shape buffers on this thread forever.
-                scratch.trim();
-            });
-            return Ok(());
-        }
         out.resize_zeroed(self.rows, rhs.cols);
-        let num_panels = rhs.cols.div_ceil(GEMM_COL_BLOCK);
-        let panels =
-            crate::parallel::map_indexed_with(num_panels, threads, PanelScratch::new, |s, p| {
-                let c0 = p * GEMM_COL_BLOCK;
-                let c1 = (c0 + GEMM_COL_BLOCK).min(rhs.cols);
-                self.mul_panel(rhs, c0, c1, s)
-            });
-        // Stitch the row-major panels back into the row-major output.
-        for (p, panel) in panels.iter().enumerate() {
-            let c0 = p * GEMM_COL_BLOCK;
+        if threads <= 1 {
+            self.mul_columns(rhs, 0, rhs.cols, &mut out.data);
+            return Ok(());
+        }
+        let num_blocks = rhs.cols.div_ceil(GEMM_COL_BLOCK);
+        let blocks = crate::parallel::map_indexed(num_blocks, threads, |b| {
+            let c0 = b * GEMM_COL_BLOCK;
+            let c1 = (c0 + GEMM_COL_BLOCK).min(rhs.cols);
+            let mut block = vec![C64::ZERO; self.rows * (c1 - c0)];
+            self.mul_columns(rhs, c0, c1, &mut block);
+            block
+        });
+        // Stitch the row-major blocks back into the row-major output.
+        for (b, block) in blocks.iter().enumerate() {
+            let c0 = b * GEMM_COL_BLOCK;
             let width = (c0 + GEMM_COL_BLOCK).min(rhs.cols) - c0;
-            for i in 0..self.rows {
-                out.data[i * rhs.cols + c0..i * rhs.cols + c0 + width]
-                    .copy_from_slice(&panel[i * width..(i + 1) * width]);
+            for (i, row) in block.chunks_exact(width).enumerate() {
+                out.data[i * rhs.cols + c0..i * rhs.cols + c0 + width].copy_from_slice(row);
             }
         }
         Ok(())
     }
 
-    /// Matrix–matrix product through the scalar oracle kernel only — the
-    /// bit-exact reference the SoA/AVX2 kernels are pinned against, and
-    /// the baseline the SIMD speedup is benchmarked from. Always
-    /// sequential; production code wants [`CMatrix::matmul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::DimensionMismatch`] when
-    /// `self.cols() != rhs.rows()`.
-    pub fn matmul_scalar(&self, rhs: &CMatrix) -> Result<CMatrix, QsimError> {
-        if self.cols != rhs.rows {
-            return Err(QsimError::DimensionMismatch {
-                expected: self.cols,
-                actual: rhs.rows,
-            });
+    /// Adds the row-major `self.rows() × (c1 − c0)` block of `self · rhs`
+    /// covering output columns `c0..c1` into `block`, which starts zeroed.
+    fn mul_columns(&self, rhs: &CMatrix, c0: usize, c1: usize, block: &mut [C64]) {
+        let width = c1 - c0;
+        for i in 0..self.rows {
+            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
+            let out_row = &mut block[i * width..(i + 1) * width];
+            for (k, &a) in a_row.iter().enumerate() {
+                if a == C64::ZERO {
+                    continue;
+                }
+                let b_row = &rhs.data[k * rhs.cols + c0..k * rhs.cols + c1];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
         }
-        if rhs.cols == 0 || self.rows == 0 {
-            return Ok(CMatrix::zeros(self.rows, rhs.cols));
-        }
-        Ok(CMatrix {
-            rows: self.rows,
-            cols: rhs.cols,
-            data: kernel::mul_panel_scalar(
-                &self.data, self.rows, self.cols, &rhs.data, rhs.cols, 0, rhs.cols,
-            ),
-        })
-    }
-
-    /// One GEMM column panel: the row-major `self.rows × (c1 − c0)` block
-    /// of `self · rhs` covering output columns `c0..c1`, through the
-    /// dispatching split-complex kernel.
-    fn mul_panel(
-        &self,
-        rhs: &CMatrix,
-        c0: usize,
-        c1: usize,
-        scratch: &mut PanelScratch,
-    ) -> Vec<C64> {
-        kernel::mul_panel(
-            &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, scratch,
-        )
-    }
-
-    /// [`CMatrix::mul_panel`] into a caller-owned buffer (cleared and
-    /// refilled; capacity reused).
-    fn mul_panel_into(
-        &self,
-        rhs: &CMatrix,
-        c0: usize,
-        c1: usize,
-        scratch: &mut PanelScratch,
-        panel: &mut Vec<C64>,
-    ) {
-        kernel::mul_panel_into(
-            &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, scratch, panel,
-        );
     }
 
     /// Returns `true` when every entry is within `tol` of `other`'s.
@@ -686,12 +597,14 @@ mod tests {
 
     #[test]
     fn gemm_composition_law() {
-        // U·(V·M) = (U·V)·M across a panel boundary (40 > GEMM_COL_BLOCK).
+        // U·(V·M) = (U·V)·M through the fan-out, across two column-block
+        // boundaries and into a ragged third block.
         let u = dense(8, 8, 2);
         let v = dense(8, 8, 3);
-        let m = dense(8, 40, 4);
-        let nested = u.matmul(&v.matmul(&m).unwrap()).unwrap();
-        let fused = u.matmul(&v).unwrap().matmul(&m).unwrap();
+        let m = dense(8, 2 * GEMM_COL_BLOCK + 3, 4);
+        let product = |a: &CMatrix, b: &CMatrix| a.matmul_threaded(b, 4).unwrap();
+        let nested = product(&u, &product(&v, &m));
+        let fused = product(&product(&u, &v), &m);
         assert!(nested.approx_eq(&fused, 1e-9));
     }
 
@@ -704,8 +617,7 @@ mod tests {
         qc.h(0).ry(0.8, 1).cx(0, 1).rz(1.3, 2).cx(1, 2);
         let u = qc.to_unitary().unwrap();
 
-        // 37 unit-norm columns (crosses the panel boundary with a ragged
-        // final panel).
+        // 37 unit-norm columns.
         let cols: Vec<Vec<C64>> = (0..37)
             .map(|j| {
                 let raw: Vec<C64> = (0..8)
@@ -762,7 +674,7 @@ mod tests {
     #[test]
     fn gemm_threaded_matches_sequential_bit_for_bit() {
         let a = dense(16, 16, 11);
-        let b = dense(16, 100, 12); // four panels, ragged tail
+        let b = dense(16, 100, 12); // two column blocks, the second ragged
         let seq = a.matmul_threaded(&b, 1).unwrap();
         for threads in [2, 4, 8] {
             let par = a.matmul_threaded(&b, threads).unwrap();
@@ -771,37 +683,16 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_scalar_oracle_across_shapes() {
-        // The dispatching kernel (the FMA tile on AVX2 + FMA CPUs, else
-        // the portable SoA body) against the bit-exact scalar oracle, over
-        // shapes that exercise ragged panels and remainder lanes.
-        for (rows, inner, cols) in [(1, 1, 1), (3, 5, 2), (8, 8, 96), (16, 16, 100), (5, 9, 67)] {
-            let a = dense(rows, inner, 31);
-            let b = dense(inner, cols, 32);
-            let oracle = a.matmul_scalar(&b).unwrap();
-            let fast = a.matmul(&b).unwrap();
-            if crate::kernel::simd_active() {
-                assert!(fast.approx_eq(&oracle, 1e-12), "{rows}x{inner}x{cols}");
-            } else {
-                assert_eq!(fast.as_slice(), oracle.as_slice(), "{rows}x{inner}x{cols}");
+    fn matmul_handles_empty_operands() {
+        // No rows, no inner dimension or no columns, sequential and
+        // through the fan-out.
+        for (m, k, n) in [(0, 4, 7), (3, 0, 5), (2, 3, 0), (3, 0, 2 * GEMM_COL_BLOCK)] {
+            let (a, b) = (CMatrix::zeros(m, k), CMatrix::zeros(k, n));
+            for p in [a.matmul(&b).unwrap(), a.matmul_threaded(&b, 4).unwrap()] {
+                assert_eq!((p.rows(), p.cols()), (m, n));
+                assert!(p.as_slice().iter().all(|&z| z == C64::ZERO));
             }
-            let threaded = a.matmul_threaded(&b, 4).unwrap();
-            assert_eq!(fast.as_slice(), threaded.as_slice());
         }
-    }
-
-    #[test]
-    fn matmul_scalar_validates_shapes_like_matmul() {
-        let a = CMatrix::zeros(2, 3);
-        let b = CMatrix::zeros(2, 2);
-        assert!(matches!(
-            a.matmul_scalar(&b),
-            Err(QsimError::DimensionMismatch { .. })
-        ));
-        let empty = CMatrix::zeros(0, 4);
-        let tall = CMatrix::zeros(4, 7);
-        let p = empty.matmul_scalar(&tall).unwrap();
-        assert_eq!((p.rows(), p.cols()), (0, 7));
     }
 
     #[test]

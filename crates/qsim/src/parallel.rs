@@ -6,9 +6,9 @@
 //! executes it: parked OS threads that live for the whole process, so a
 //! streaming workload (one scored panel after another) pays thread spawn
 //! and join once instead of per panel — and, because the workers are the
-//! *same* threads every panel, every `thread_local` scratch buffer in the
-//! kernel layer (e.g. the GEMM seam's split-complex panels) stays warm
-//! across panels instead of being torn down with the scope.
+//! *same* threads every panel, every `thread_local` scratch buffer of
+//! the scoring engines (e.g. the Exact engine's amplitude blocks) stays
+//! warm across panels instead of being torn down with the scope.
 //!
 //! Work distribution is an atomic claim counter over item indices, so
 //! which worker runs which item is scheduling-dependent — callers that
@@ -335,15 +335,13 @@ where
 /// [`map_indexed`] with per-worker scratch state: `init` runs once on each
 /// worker thread (and once for the sequential path) and the resulting
 /// value is threaded through every item that worker claims. This is how
-/// the GEMM seam reuses its split-complex panel buffers across the panel
-/// stream instead of reallocating per panel — each worker pays for one
-/// scratch allocation per call, however many panels it processes — and
-/// how the lockstep noisy state preparation fans its fixed-width vec(ρ)
-/// column blocks out across workers (each worker keeping one set of RY
-/// coefficient lanes for its whole block stream). Items are claimed off
-/// one atomic counter, so distribution is work-stealing-ish; callers that
-/// need thread-count-independent *results* make each item's output a pure
-/// function of its index (fixed block boundaries), as both users above do.
+/// the structured noisy engine reuses its panel buffers across its
+/// fixed-width column blocks instead of reallocating per block — each
+/// worker pays for one scratch allocation per call, however many blocks
+/// it processes. Items are claimed off one atomic counter, so
+/// distribution is work-stealing-ish; callers that need
+/// thread-count-independent *results* make each item's output a pure
+/// function of its index (fixed block boundaries), as that engine does.
 pub fn map_indexed_with<S, T, I, F>(num_items: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
