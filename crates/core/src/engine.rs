@@ -90,13 +90,18 @@
 //!    the product is contracted (`build_readout_form`). The form is built
 //!    once per (group, noise model, level) and cached on
 //!    [`crate::ensemble::EnsembleGroup::readout_form`]: `m(m+1)/2` reals,
-//!    5 KiB at n = 3. Per sample, the
-//!    level-independent products `h_k·h_l` are formed once
-//!    ([`qsim::kernel::outer_triangle_lanes`]) and each level costs one
-//!    real dot product against its packed form
-//!    ([`qsim::kernel::dot_lanes`]) — about 2 kflop per (group, sample)
-//!    at n = 3 with two levels, where three complex `4^n × 4^n` GEMM
-//!    columns cost ~100;
+//!    5 KiB at n = 3. Each level's `P(1)` is one real dot product of its
+//!    packed form with the level-independent products `h_k·h_l` — about
+//!    2 k multiply–adds per (group, sample) at n = 3 with two levels,
+//!    where three complex `4^n × 4^n` GEMM columns cost ~100. Samples go
+//!    eight at a time: one lane kernel call
+//!    ([`qsim::kernel::readout_form_lanes`]) evaluates every level on a
+//!    lane-major block of eight triangles, forming each `h_k·h_l` once per
+//!    pair of levels, and each lane sums exactly what the per-sample dot
+//!    product sums, in its order. The last 0–7 samples of a range are
+//!    scored one at a time ([`qsim::kernel::outer_triangle_lanes`], then
+//!    [`qsim::kernel::dot_lanes`] per level), so a sample's bits never
+//!    depend on its block;
 //! 4. applies the readout confusion to the resulting `P(1)`.
 //!
 //! [`SampleDensityEngine`] keeps the unreduced one-matvec-per-(sample,
@@ -865,7 +870,9 @@ fn upper_triangle(dim: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Stored as its packed upper triangle, row-major over coordinate pairs
 /// `k ≤ l`, with every off-diagonal entry doubled — so the form is one
 /// dot product ([`qsim::kernel::dot_lanes`]) against the packed products
-/// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]). Built once per
+/// `h_k·h_l` ([`qsim::kernel::outer_triangle_lanes`]), which
+/// [`qsim::kernel::readout_form_lanes`] evaluates on eight samples at
+/// once with the same bits. Built once per
 /// (group, noise model, level) from the level's [`ChannelProgram`] and
 /// the cached SWAP-test image of a [`SwapTestMpo`] (see the module docs)
 /// and cached per group ([`EnsembleGroup::readout_form`]).
@@ -1478,8 +1485,8 @@ struct BlockScratch {
 
 /// The per-thread buffers of one-group density passes: the prepared
 /// columns (upper triangles for the dense engine, full blocks and their
-/// stitched panel for the structured one) and one column's packed
-/// products `h_k·h_l`. After the first panel on a thread every buffer is
+/// stitched panel for the structured one) and the readout's buffers
+/// ([`FormScratch`]). After the first panel on a thread every buffer is
 /// reused at capacity, so a steady-state scoring loop stops
 /// heap-allocating per batch.
 #[derive(Default)]
@@ -1487,6 +1494,18 @@ struct DensityScratch {
     triangles: TrianglePanel,
     blocks: Vec<f64>,
     packed: RealPanel,
+    form: FormScratch,
+}
+
+/// The buffers [`DensityEngine::score_triangles`] reads the readout forms
+/// through: one lane-major `m × 8` block of upper triangles and its
+/// per-level lane rows for [`qsim::kernel::readout_form_lanes`], and one
+/// column's packed products `h_k·h_l` for the last 0–7 columns of a
+/// range.
+#[derive(Default)]
+struct FormScratch {
+    block: Vec<[f64; LANES]>,
+    raw: Vec<[f64; LANES]>,
     z: Vec<f64>,
 }
 
@@ -1814,25 +1833,32 @@ impl DensityEngine {
             }));
         }
         DENSITY_SCRATCH.with(|cell| {
-            let DensityScratch { triangles, z, .. } = &mut *cell.borrow_mut();
+            let DensityScratch {
+                triangles, form, ..
+            } = &mut *cell.borrow_mut();
             triangles.coordinates = Keep::Triangle.run(dim);
             triangles
                 .data
                 .resize(packed.cols() * triangles.coordinates, 0.0);
             gather_triangles(dim, |i| packed.row(i), &mut triangles.data);
-            Self::score_triangles_with(group, triangles, 0..packed.cols(), config, levels, z)
+            Self::score_triangles_with(group, triangles, 0..packed.cols(), config, levels, form)
         })
     }
 
     /// Scores the prepared columns `columns` of `triangles` (from
     /// [`DensityEngine::prepare_triangles`]) under `group` at every
-    /// requested compression level. Per column, the products `h_k·h_l`
-    /// are formed once and each level is one dot product against the
-    /// group's cached [`ReadoutForm`]. Each column is scored on its own,
-    /// in a fixed order, so its bits depend neither on the other columns
-    /// nor on the thread count; sample `j` of the result is column
-    /// `columns.start + j`, and `j` is the sample index shot sampling
-    /// seeds its draw with.
+    /// requested compression level: each level is the quadratic form of
+    /// the group's cached [`ReadoutForm`]. Every full block of eight
+    /// columns runs through one lane kernel call
+    /// ([`qsim::kernel::readout_form_lanes`]), one column per lane, and
+    /// the last 0–7 columns one at a time: their products `h_k·h_l` are
+    /// formed once ([`qsim::kernel::outer_triangle_lanes`]) and each level
+    /// is one dot product ([`qsim::kernel::dot_lanes`]). A lane sums
+    /// exactly what that dot product sums, in its order, so a column's
+    /// bits depend neither on its block mates, nor on where the range
+    /// starts, nor on the thread count; sample `j` of the result is
+    /// column `columns.start + j`, and `j` is the sample index shot
+    /// sampling seeds its draw with.
     ///
     /// # Errors
     ///
@@ -1847,20 +1873,20 @@ impl DensityEngine {
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         DENSITY_SCRATCH.with(|cell| {
-            let z = &mut cell.borrow_mut().z;
-            Self::score_triangles_with(group, triangles, columns, config, levels, z)
+            let form = &mut cell.borrow_mut().form;
+            Self::score_triangles_with(group, triangles, columns, config, levels, form)
         })
     }
 
-    /// The body of [`DensityEngine::score_triangles`] with the products
-    /// in the caller's reusable buffer `z`.
+    /// The body of [`DensityEngine::score_triangles`] on the caller's
+    /// reusable buffers.
     fn score_triangles_with(
         group: &EnsembleGroup,
         triangles: &TrianglePanel,
         columns: Range<usize>,
         config: &QuorumConfig,
         levels: &[usize],
-        z: &mut Vec<f64>,
+        scratch: &mut FormScratch,
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         let pass = NoisyPass::prepare(group, config, levels)?;
         let forms = levels
@@ -1880,17 +1906,36 @@ impl DensityEngine {
                 triangles.cols()
             )));
         }
-        let h = &triangles.data[columns.start * m..columns.end * m];
-        z.clear();
+        let packed: Vec<&[f64]> = forms.iter().map(|form| form.packed.as_slice()).collect();
+        let FormScratch { block, raw, z } = scratch;
+        block.resize(m, [0.0; LANES]);
+        raw.resize(levels.len(), [0.0; LANES]);
         z.resize(m * (m + 1) / 2, 0.0);
         let mut out: Vec<Vec<f64>> = levels
             .iter()
             .map(|_| Vec::with_capacity(columns.len()))
             .collect();
-        for (j, h) in h.chunks_exact(m).enumerate() {
+        let h = &triangles.data[columns.start * m..columns.end * m];
+        let mut blocks = h.chunks_exact(LANES * m);
+        for (b, triangles) in blocks.by_ref().enumerate() {
+            for (k, row) in block.iter_mut().enumerate() {
+                for (x, column) in row.iter_mut().zip(triangles.chunks_exact(m)) {
+                    *x = column[k];
+                }
+            }
+            qsim::kernel::readout_form_lanes(&packed, block, raw);
+            for ((deviations, lanes), &level) in out.iter_mut().zip(raw.iter()).zip(levels) {
+                for (l, &value) in lanes.iter().enumerate() {
+                    let j = b * LANES + l;
+                    deviations.push(pass.finish(value, config, group.index(), level, j));
+                }
+            }
+        }
+        let done = columns.len() - columns.len() % LANES;
+        for (j, h) in (done..).zip(blocks.remainder().chunks_exact(m)) {
             qsim::kernel::outer_triangle_lanes(h, z);
-            for ((deviations, form), &level) in out.iter_mut().zip(&forms).zip(levels) {
-                let raw = qsim::kernel::dot_lanes(&form.packed, z);
+            for ((deviations, form), &level) in out.iter_mut().zip(&packed).zip(levels) {
+                let raw = qsim::kernel::dot_lanes(form, z);
                 deviations.push(pass.finish(raw, config, group.index(), level, j));
             }
         }
@@ -1913,7 +1958,9 @@ impl ScoringEngine for DensityEngine {
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         DENSITY_SCRATCH.with(|cell| {
-            let DensityScratch { triangles, z, .. } = &mut *cell.borrow_mut();
+            let DensityScratch {
+                triangles, form, ..
+            } = &mut *cell.borrow_mut();
             let samples = panel.num_samples();
             let dim2 = 1usize << (2 * group.ansatz().num_qubits());
             let threads = gemm_threads(config, dim2, samples);
@@ -1924,7 +1971,7 @@ impl ScoringEngine for DensityEngine {
                 threads,
                 triangles,
             )?;
-            Self::score_triangles_with(group, triangles, 0..samples, config, levels, z)
+            Self::score_triangles_with(group, triangles, 0..samples, config, levels, form)
         })
     }
 }
@@ -2780,8 +2827,9 @@ mod tests {
 
     #[test]
     fn dense_scores_do_not_depend_on_panel_company() {
-        // Each column is scored on its own: a sample's deviations are
-        // bit-identical alone and at every position of a wider panel.
+        // A sample's deviations are bit-identical alone and at every
+        // position of a wider panel: in its 8-lane block or among the
+        // per-column remainder.
         let ds = tiny_dataset();
         let config = noisy_config(qsim::NoiseModel::brisbane(), None);
         let levels = config.effective_compression_levels();
@@ -2852,6 +2900,85 @@ mod tests {
             let outside =
                 DensityEngine::score_triangles(&groups[0], &triangles, 30..34, &config, &levels);
             assert!(matches!(outside, Err(QuorumError::InvalidData(_))));
+        }
+    }
+
+    #[test]
+    fn triangle_ranges_score_every_column_as_it_scores_alone() {
+        // Full 8-column blocks run the lane kernel and the last 0–7
+        // columns the per-column dot products, so ranges of every width
+        // and start must give each column the bits of a width-1 range.
+        // With shots, a column's draw is seeded by its index in the range,
+        // so its reference is the alone-scored exact deviation drawn at
+        // that index.
+        let rows: Vec<Vec<f64>> = (0..41)
+            .map(|i| {
+                (0..7)
+                    .map(|j| ((i * 7 + j) as f64 * 0.37).sin().abs() * 0.3 + 0.01)
+                    .collect()
+            })
+            .collect();
+        let ds = Dataset::from_rows("ranges", rows, None).unwrap();
+        let brisbane = qsim::NoiseModel::brisbane;
+        for n in [2usize, 3, 4] {
+            let exact = noisy_config(brisbane(), None).with_data_qubits(n);
+            let levels = exact.effective_compression_levels();
+            let group = group_for(&exact, &ds, 0);
+            let mut triangles = TrianglePanel::default();
+            with_panel(&ds, |panel| {
+                DensityEngine::prepare_triangles(
+                    std::slice::from_ref(&group),
+                    panel,
+                    &exact,
+                    &mut triangles,
+                )
+            })
+            .unwrap();
+            // alone[c][v]: column c's exact deviation at level v.
+            let alone: Vec<Vec<f64>> = (0..ds.num_samples())
+                .map(|c| {
+                    DensityEngine::score_triangles(&group, &triangles, c..c + 1, &exact, &levels)
+                        .unwrap()
+                        .iter()
+                        .map(|devs| devs[0])
+                        .collect()
+                })
+                .collect();
+            for shots in [None, Some(64)] {
+                let config = noisy_config(brisbane(), shots).with_data_qubits(n);
+                for width in [0usize, 1, 7, 8, 9, 16, 17, 33] {
+                    for start in [0usize, 5, 8] {
+                        let columns = start..start + width;
+                        let scored = DensityEngine::score_triangles(
+                            &group,
+                            &triangles,
+                            columns.clone(),
+                            &config,
+                            &levels,
+                        )
+                        .unwrap();
+                        for ((v, devs), &level) in scored.iter().enumerate().zip(&levels) {
+                            assert_eq!(devs.len(), width);
+                            for (j, (dev, c)) in devs.iter().zip(columns.clone()).enumerate() {
+                                let want = match shots {
+                                    Some(k) => sampled_deviation(
+                                        alone[c][v],
+                                        k,
+                                        shot_seed(&config, group.index(), level, j),
+                                    ),
+                                    None => alone[c][v],
+                                };
+                                assert_eq!(
+                                    dev.to_bits(),
+                                    want.to_bits(),
+                                    "n = {n}, shots {shots:?}, columns {columns:?}, column {c}, \
+                                     level {level}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

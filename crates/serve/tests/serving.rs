@@ -144,17 +144,18 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 3, GROUPS];
 /// panel must give bit-identical scores to scoring each sample alone
 /// under its id, and — since the groups run as pool jobs whose partials
 /// are summed in ascending group order — to the same panel scored under
-/// `with_threads(k)` for every `k` in `thread_counts`. Two panels: 6 rows,
-/// and 7 rows, whose 5 × 7 (group, row) columns span two of the dense
+/// `with_threads(k)` for every `k` in `thread_counts`. Three panels: 6
+/// rows; 7 rows, whose 5 × 7 (group, row) columns span two of the dense
 /// engine's 32-column prep blocks, with group 4's columns 28..35
-/// straddling the boundary.
+/// straddling the boundary; and 17 rows, which give every group two full
+/// 8-column lane blocks of the dense readout and a one-column remainder.
 fn assert_coalescing_invariant(config: QuorumConfig, thread_counts: &[usize]) {
     let frozen = FrozenDetector::freeze(config.clone(), &reference()).unwrap();
     let threaded: Vec<FrozenDetector> = thread_counts
         .iter()
         .map(|&k| FrozenDetector::freeze(config.clone().with_threads(k), &reference()).unwrap())
         .collect();
-    for rows in [stream_rows(6), stream_rows(7)] {
+    for rows in [stream_rows(6), stream_rows(7), stream_rows(17)] {
         let batched = frozen.score_samples(&rows, 100).unwrap();
         for (j, row) in rows.iter().enumerate() {
             let alone = frozen

@@ -3,7 +3,9 @@
 //! every served score equals its row scored alone in process, bit for
 //! bit, and that the health probe agrees. Once on the Exact path and once
 //! on the Noisy Brisbane path, whose dense engine prepares each panel's
-//! columns for all groups at once.
+//! columns for all groups at once. In process, a 9-row panel must also
+//! score like its rows alone: on the dense engine its columns fill one
+//! 8-lane readout block and leave one column for the per-column path.
 
 use quorum::core::config::ExecutionMode;
 use quorum::core::QuorumConfig;
@@ -36,16 +38,26 @@ fn assert_serves_bit_identically(config: QuorumConfig) {
     let reference = Dataset::from_rows("smoke-ref", rows(12, 0), None).unwrap();
     let frozen = FrozenDetector::freeze(config, &reference).unwrap();
     let thawed = Arc::new(FrozenDetector::from_bytes(&frozen.to_bytes().unwrap()).unwrap());
+    let alone = |stream: &[Vec<f64>]| -> Vec<f64> {
+        stream
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                frozen
+                    .score_samples(std::slice::from_ref(row), i as u64)
+                    .unwrap()[0]
+            })
+            .collect()
+    };
+    let panel = rows(9, 20);
+    let bits = |scores: &[f64]| -> Vec<u64> { scores.iter().map(|s| s.to_bits()).collect() };
+    assert_eq!(
+        bits(&frozen.score_samples(&panel, 0).unwrap()),
+        bits(&alone(&panel)),
+        "a 9-row panel must score like its rows alone"
+    );
     let stream = rows(3, 40);
-    let alone: Vec<f64> = stream
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            frozen
-                .score_samples(std::slice::from_ref(row), i as u64)
-                .unwrap()[0]
-        })
-        .collect();
+    let alone = alone(&stream);
 
     let mut server = QuorumServer::bind(
         "127.0.0.1:0",
