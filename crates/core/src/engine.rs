@@ -54,15 +54,21 @@
 //!    and every Kraus channel of the noise model is real, so no entry
 //!    ever gains an imaginary part: the panel is a real `f64` matrix
 //!    ([`RealPanel`]), so every kernel moves half the bytes a complex
-//!    panel would, and a fused 1q channel costs 16 real multiply-adds per
-//!    lane instead of 16 complex ones. Per skeleton step, one per-column
-//!    RY conjugation
-//!    ([`qsim::density::ry_conjugate_columns`], the only sample-dependent
-//!    operation) plus the **shared** channel/gate superoperators applied
-//!    to the whole panel through sample-contiguous lane kernels
-//!    ([`GateNoise::apply_after_gate_columns`] with the real views of
-//!    the fused channels, [`qsim::density::permute_cx_columns`]), with
-//!    fixed-width column blocks distributed across workers
+//!    panel would. Each skeleton step is **one sweep** over the panel
+//!    ([`qsim::density::ry_step_columns`],
+//!    [`qsim::density::cx_step_columns`]): an RY step rotates every
+//!    column by its own angle (the only sample-dependent operation) and
+//!    charges the fused 1q channel in registers; a CX step reads each
+//!    16-row sub-block through the CX relabeling inside the depolarizing
+//!    sweep and then relaxes both operands. Every channel of the noise
+//!    model is phase-covariant, so it runs in block form
+//!    ([`qsim::density::PhaseCovariantChannel`]: populations mix only
+//!    with populations, coherences with coherences, 12 flops per
+//!    sub-block instead of 28), and sub-blocks of qubits no earlier step
+//!    touched, exact zeros, are skipped. A block's angles come from one
+//!    lane-major amplitude block
+//!    ([`qsim::stateprep::PrepSkeleton::angles_for_lanes`]). Fixed-width
+//!    column blocks are distributed across workers
 //!    ([`qsim::parallel::try_for_each_chunk_mut`]). The skeleton depends
 //!    only on `n` and the channels only on the noise model, so one panel
 //!    may hold the columns of many groups: a server prepares every
@@ -142,7 +148,7 @@ use qdata::{Dataset, SamplePanel};
 use qsim::channel::{ChannelProgram, MpoBonds, SwapTestMpo};
 use qsim::circuit::{Circuit, Operation};
 use qsim::complex::C64;
-use qsim::density::{permute_cx_columns, ry_conjugate_columns, DensityMatrix};
+use qsim::density::{cx_step_columns, ry_step_columns, DensityMatrix};
 use qsim::matrix::{CMatrix, GEMM_COL_BLOCK};
 use qsim::parallel::{map_indexed_with, try_for_each_chunk_mut};
 use qsim::simulator::{Backend, DensityMatrixBackend, GateNoise, StatevectorBackend};
@@ -580,7 +586,7 @@ impl ScoringEngine for AnalyticEngine {
 /// panel) to amortise thread dispatch, so the batched engines only thread
 /// a pass when it is genuinely large (roughly `n ≥ 7` for the pure-state
 /// path, `n ≥ 4` for the density paths, at realistic batch sizes).
-const GEMM_PARALLEL_WORK: usize = 1 << 21;
+const PARALLEL_PASS_WORK: usize = 1 << 21;
 
 /// Worker threads for one batched pass (the pure-state lane blocks, or a
 /// density panel's preparation or structured walk), from the configured
@@ -590,8 +596,8 @@ const GEMM_PARALLEL_WORK: usize = 1 << 21;
 /// each worker would multiply the two levels of parallelism into
 /// oversubscription. Thread counts never change the results either way
 /// (every block's output is position-fixed).
-fn gemm_threads(config: &QuorumConfig, dim: usize, samples: usize) -> usize {
-    if config.ensemble_groups > 1 || dim * dim * samples < GEMM_PARALLEL_WORK {
+fn pass_threads(config: &QuorumConfig, dim: usize, samples: usize) -> usize {
+    if config.ensemble_groups > 1 || dim * dim * samples < PARALLEL_PASS_WORK {
         1
     } else {
         config.effective_threads()
@@ -649,7 +655,7 @@ pub struct BatchedAnalyticEngine;
 impl BatchedAnalyticEngine {
     /// The pass, written once over any lane kernel. Blocks of
     /// [`PASS_CHUNK_BLOCKS`] lane blocks fan out over
-    /// [`gemm_threads`] participants; each sample's deviations depend only
+    /// [`pass_threads`] participants; each sample's deviations depend only
     /// on its own row, so no bit depends on the thread count. Sampled
     /// execution then draws each deviation's shots.
     fn pass(
@@ -669,7 +675,7 @@ impl BatchedAnalyticEngine {
             return Ok(Vec::new());
         }
         let samples = panel.num_samples();
-        let threads = gemm_threads(config, 1 << n, samples);
+        let threads = pass_threads(config, 1 << n, samples);
         LANE_DEVIATIONS.with(|cell| {
             let lanes = &mut *cell.borrow_mut();
             lanes.clear();
@@ -1457,29 +1463,23 @@ fn gather_triangles<'a>(dim: usize, row: impl Fn(usize) -> &'a [f64], out: &mut 
     }
 }
 
-/// Reusable per-worker scratch for one lockstep column block: the RY
-/// coefficient lanes (`cos²`, `cos·sin`, `sin²` of the half-angles).
-#[derive(Default)]
-struct RyCoeffs {
-    cc: Vec<f64>,
-    cs: Vec<f64>,
-    ss: Vec<f64>,
-}
-
-/// Everything one lockstep column block needs: the block's angle lanes,
-/// one column's embedding buffers, the RY coefficient lanes and the
-/// evolving row-major `4^n × width` block of a triangle preparation.
-/// Held per thread, so resident pool workers
-/// ([`qsim::parallel::WorkerPool`]) keep it warm across panels and a
-/// steady-state preparation allocates nothing.
+/// Everything one lockstep column block needs: one column's embedding
+/// buffers, the block's lane-major amplitudes and angle-major angle
+/// lanes, the RY coefficient lanes and the evolving row-major
+/// `4^n × width` block of a triangle preparation. Held per thread, so
+/// resident pool workers ([`qsim::parallel::WorkerPool`]) keep it warm
+/// across panels and a steady-state preparation allocates nothing.
 #[derive(Default)]
 struct BlockScratch {
-    /// Per-column angle vectors, angle-major (`num_angles × width`).
-    thetas: Vec<f64>,
     values: Vec<f64>,
     amps: Vec<f64>,
-    angles: Vec<f64>,
-    coeffs: RyCoeffs,
+    /// Lane-major amplitudes (`2^n × width`).
+    lanes: Vec<f64>,
+    /// Angle-major angles (`num_angles × width`).
+    thetas: Vec<f64>,
+    /// One rotation's coefficient lanes: `cos²`, `cos·sin` and `sin²` of
+    /// the half-angles.
+    coeffs: [Vec<f64>; 3],
     block: Vec<f64>,
 }
 
@@ -1522,33 +1522,35 @@ impl DensityEngine {
     /// identically) — by evolving the batch **in lockstep** through the
     /// shared [`PrepSkeleton`]:
     ///
-    /// 1. each sample contributes only its angle vector
-    ///    ([`PrepSkeleton::angles_for_into`]); every gate *position* is
+    /// 1. each sample contributes only its angle vector, computed for a
+    ///    whole column block at once from its lane-major amplitudes
+    ///    ([`PrepSkeleton::angles_for_lanes`]); every gate *position* is
     ///    shared, so one skeleton walk serves a whole column block;
     /// 2. a block starts as a real `4^n × width` panel ([`RealPanel`]) of
-    ///    `vec(|0…0⟩⟨0…0|)` columns;
-    ///    each skeleton rotation applies the per-column RY conjugation
-    ///    ([`qsim::density::ry_conjugate_columns`] — the only
-    ///    sample-dependent operation) and every shared operation — the
-    ///    fused 1q noise channel after each rotation, the CX basis
-    ///    permutation, the CX depolarizing + relaxation channels — hits
-    ///    the **whole block at once** through the batched channel kernels
-    ///    ([`GateNoise::apply_after_gate_columns`],
-    ///    [`qsim::density::permute_cx_columns`]), whose sub-block lane
-    ///    runs are contiguous across samples;
+    ///    `vec(|0…0⟩⟨0…0|)` columns, and each skeleton step is one sweep
+    ///    over its sub-blocks: an RY step rotates each column by its own
+    ///    angle and charges the fused 1q noise channel in registers
+    ///    ([`qsim::density::ry_step_columns`]); a CX step folds the basis
+    ///    permutation into the depolarizing sweep and relaxes both
+    ///    operands ([`qsim::density::cx_step_columns`]). The channels run
+    ///    in their phase-covariant block form ([`GateNoise::block_1q`],
+    ///    [`GateNoise::block_2q_relax`]), the sub-block lane runs are
+    ///    contiguous across samples, and sub-blocks of qubits no earlier
+    ///    step touched (exact zeros) are skipped;
     /// 3. fixed-width column blocks evolve independently and are
     ///    distributed across workers — block boundaries never move with
     ///    the worker count, and every kernel is a per-column lane
     ///    operation, so results are bit-identical for every thread count
     ///    and every batch a sample shares.
     ///
-    /// The per-element arithmetic of every lockstep kernel replicates the
-    /// real plane of the per-sample walk term for term, so the packed
-    /// result equals the real parts of
-    /// [`SampleDensityEngine::prepare_batch`]'s complex panel (whose
-    /// imaginary parts are all zero) to machine precision — with none of
-    /// the per-sample circuit construction, lowering, or strided
-    /// small-kernel dispatch, and with half the bytes per lane.
+    /// The per-element arithmetic of every step kernel replicates the
+    /// real plane of the per-sample walk term for term, leaving out only
+    /// products with exact zeros, so the packed result equals the real
+    /// parts of [`SampleDensityEngine::prepare_batch`]'s complex panel
+    /// (whose imaginary parts are all zero) bit for bit, up to the sign
+    /// of exact zeros — with none of the per-sample circuit
+    /// construction, lowering, or strided small-kernel dispatch, and
+    /// with half the bytes per lane.
     ///
     /// Public as the batch half of the prep/score seam: the bench times
     /// the two stages separately through it. It runs the same
@@ -1633,7 +1635,7 @@ impl DensityEngine {
         packed: &mut RealPanel,
     ) -> Result<(), QuorumError> {
         let dim2 = 1usize << (2 * group.ansatz().num_qubits());
-        let threads = gemm_threads(config, dim2, panel.num_samples());
+        let threads = pass_threads(config, dim2, panel.num_samples());
         Self::prepare_columns(
             std::slice::from_ref(group),
             panel,
@@ -1700,7 +1702,9 @@ impl DensityEngine {
 
     /// Prepares the block of columns starting at `c0` (as many as
     /// `chunk` has room for) and writes what `keep` keeps of it into
-    /// `chunk`: a full block is evolved in place there.
+    /// `chunk`: a full block is evolved in place there. Each column is
+    /// embedded into its lane of one lane-major amplitude block, whose
+    /// angles come from one [`PrepSkeleton::angles_for_lanes`] call.
     #[allow(clippy::too_many_arguments)] // private worker body of prepare_columns
     fn prepare_block(
         groups: &[EnsembleGroup],
@@ -1718,61 +1722,66 @@ impl DensityEngine {
         let width = chunk.len() / run;
         let samples = panel.num_samples();
         let BlockScratch {
-            thetas,
             values,
             amps,
-            angles,
+            lanes,
+            thetas,
             coeffs,
             block,
         } = scratch;
-        // Angle-major: slot `a` of every column sits contiguously at
-        // `thetas[a·width..(a+1)·width]`, one lane run per rotation.
-        thetas.clear();
-        thetas.resize(skeleton.num_angles() * width, 0.0);
         amps.resize(dim, 0.0);
+        lanes.resize(dim * width, 0.0);
         for j in 0..width {
             let c = c0 + j;
             groups[c / samples]
                 .features()
                 .project_into(panel.row(c % samples), values);
             crate::embed::amplitudes_with_overflow_into(values, num_qubits, amps)?;
-            skeleton
-                .angles_for_into(amps, angles)
-                .map_err(QuorumError::Simulation)?;
-            for (a, &theta) in angles.iter().enumerate() {
-                thetas[a * width + j] = theta;
+            for (i, &a) in amps.iter().enumerate() {
+                lanes[i * width + j] = a;
             }
         }
+        thetas.resize(skeleton.num_angles() * width, 0.0);
+        skeleton
+            .angles_for_lanes(lanes, width, thetas)
+            .map_err(QuorumError::Simulation)?;
         match keep {
             Keep::Full => Self::evolve_block(skeleton, gate_noise, thetas, width, coeffs, chunk),
             Keep::Triangle => {
                 block.resize(dim * dim * width, 0.0);
-                Self::evolve_block(skeleton, gate_noise, thetas, width, coeffs, block)?;
+                Self::evolve_block(skeleton, gate_noise, thetas, width, coeffs, block);
                 gather_triangles(dim, |i| &block[i * width..(i + 1) * width], chunk);
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// Evolves one block of `width` columns, whose angle lanes `thetas`
     /// holds angle-major, through the whole skeleton into the row-major
-    /// `4^n × width` panel `data`: per-column RY conjugations interleaved
-    /// with the shared panel channel kernels.
+    /// `4^n × width` panel `data`: one sweep per step, the RY steps
+    /// rotating each column by its own angle before the fused 1q
+    /// channel, the CX steps folding the permutation into the
+    /// depolarizing sweep before relaxing both operands. A qubit no
+    /// earlier step touched still holds `|0⟩⟨0|`, so every entry with its
+    /// bit set is an exact zero and the step kernels skip those
+    /// sub-blocks: the first steps sweep a quarter of the panel or less.
     fn evolve_block(
         skeleton: &PrepSkeleton,
         gate_noise: &GateNoise,
         thetas: &[f64],
         width: usize,
-        coeffs: &mut RyCoeffs,
+        coeffs: &mut [Vec<f64>; 3],
         data: &mut [f64],
-    ) -> Result<(), QuorumError> {
+    ) {
         let dim = 1usize << skeleton.num_qubits();
         // vec(|0…0⟩⟨0…0|): row-major index (0, 0) = row 0.
         data.fill(0.0);
         data[..width].fill(1.0);
-        coeffs.cc.resize(width, 0.0);
-        coeffs.cs.resize(width, 0.0);
-        coeffs.ss.resize(width, 0.0);
+        let [cc, cs, ss] = coeffs;
+        for lanes in [&mut *cc, &mut *cs, &mut *ss] {
+            lanes.resize(width, 0.0);
+        }
+        let mut touched = 0usize;
         for step in skeleton.steps() {
             match *step {
                 PrepStep::Ry {
@@ -1782,30 +1791,41 @@ impl DensityEngine {
                     let lane = &thetas[angle_index * width..(angle_index + 1) * width];
                     for (j, &theta) in lane.iter().enumerate() {
                         // Same half-angle evaluation as Gate::RY's matrix,
-                        // so the conjugation matches the per-sample gate
+                        // so the rotation matches the per-sample gate
                         // kernel bit for bit.
                         let half = theta / 2.0;
                         let (c, s) = (half.cos(), half.sin());
-                        coeffs.cc[j] = c * c;
-                        coeffs.cs[j] = c * s;
-                        coeffs.ss[j] = s * s;
+                        cc[j] = c * c;
+                        cs[j] = c * s;
+                        ss[j] = s * s;
                     }
-                    ry_conjugate_columns(
-                        data, dim, width, target, &coeffs.cc, &coeffs.cs, &coeffs.ss,
+                    let lanes = [&cc[..], &cs[..], &ss[..]];
+                    ry_step_columns(
+                        data,
+                        dim,
+                        width,
+                        target,
+                        lanes,
+                        gate_noise.block_1q(),
+                        touched,
                     );
-                    gate_noise
-                        .apply_after_gate_columns(data, dim, width, 1, &[target])
-                        .map_err(QuorumError::Simulation)?;
+                    touched |= 1 << target;
                 }
                 PrepStep::Cx { control, target } => {
-                    permute_cx_columns(data, dim, width, control, target);
-                    gate_noise
-                        .apply_after_gate_columns(data, dim, width, 2, &[control, target])
-                        .map_err(QuorumError::Simulation)?;
+                    cx_step_columns(
+                        data,
+                        dim,
+                        width,
+                        control,
+                        target,
+                        gate_noise.depol_2q(),
+                        gate_noise.block_2q_relax(),
+                        touched,
+                    );
+                    touched |= (1 << control) | (1 << target);
                 }
             }
         }
-        Ok(())
     }
 
     /// Scores an already-prepared `4^n × S` batch (the output of
@@ -1963,7 +1983,7 @@ impl ScoringEngine for DensityEngine {
             } = &mut *cell.borrow_mut();
             let samples = panel.num_samples();
             let dim2 = 1usize << (2 * group.ansatz().num_qubits());
-            let threads = gemm_threads(config, dim2, samples);
+            let threads = pass_threads(config, dim2, samples);
             Self::prepare_triangles_with(
                 std::slice::from_ref(group),
                 panel,
@@ -2053,7 +2073,7 @@ impl StructuredDensityEngine {
         if samples == 0 {
             return Ok(out);
         }
-        let threads = gemm_threads(config, dim2, samples);
+        let threads = pass_threads(config, dim2, samples);
         let blocks = samples.div_ceil(GEMM_COL_BLOCK);
         let block_raws = map_indexed_with(blocks, threads, StructuredScratch::default, |s, b| {
             let c0 = b * GEMM_COL_BLOCK;
@@ -2534,7 +2554,7 @@ mod tests {
             .into_iter()
             .map(|threads| {
                 let config = base.clone().with_threads(threads);
-                assert_eq!(gemm_threads(&config, 64, 600), threads);
+                assert_eq!(pass_threads(&config, 64, 600), threads);
                 let deviations = BatchedAnalyticEngine
                     .deviations_all_levels_panel(&group, &panel, &config, &levels)
                     .unwrap();

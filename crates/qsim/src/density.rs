@@ -669,52 +669,397 @@ impl DensityMatrix {
     }
 }
 
-/// Applies a per-column RY conjugation `ρ_j → RY(θ_j) ρ_j RY(θ_j)†` on
-/// one qubit of a **real batched vec(ρ) panel**: `data` is the row-major
-/// `dim² × samples` matrix whose column `j` is the row-major vectorisation
-/// of sample `j`'s real `dim × dim` density matrix, and `cc`/`cs`/`ss`
-/// hold the per-sample coefficients `cos²(θ_j/2)`, `cos(θ_j/2)·sin(θ_j/2)`,
-/// `sin²(θ_j/2)`.
+/// A single-qubit superoperator in **phase-covariant block form**: every
+/// channel a [`crate::noise::NoiseModel`] builds (depolarizing, amplitude
+/// and phase damping, and their compositions) maps the populations
+/// `(ρ00, ρ11)` among themselves and the coherences `(ρ01, ρ10)` among
+/// themselves, so 8 of the 16 entries of its real 4×4 superoperator
+/// are exact zeros and one sub-block costs 12 flops instead of 28.
+/// Built by [`crate::simulator::GateNoise::from_model`] for the lockstep
+/// preparation's step kernels ([`ry_step_columns`], [`cx_step_columns`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseCovariantChannel {
+    /// Superoperator rows and columns 0 and 3: `(ρ00, ρ11)` from
+    /// `(ρ00, ρ11)`.
+    pub(crate) populations: [[f64; 2]; 2],
+    /// Superoperator rows and columns 1 and 2: `(ρ01, ρ10)` from
+    /// `(ρ01, ρ10)`.
+    pub(crate) coherences: [[f64; 2]; 2],
+}
+
+/// Vec positions of the populations and the coherences in a
+/// single-qubit sub-block `(ρ00, ρ01, ρ10, ρ11)`.
+const POPULATIONS: [usize; 2] = [0, 3];
+const COHERENCES: [usize; 2] = [1, 2];
+
+impl PhaseCovariantChannel {
+    /// The block form of a fused single-qubit superoperator (as
+    /// [`DensityMatrix::apply_superop_1q`] takes it), or `None` unless
+    /// every imaginary part and every population↔coherence entry is
+    /// exactly zero (either sign).
+    pub(crate) fn from_superop(s: &[[C64; 4]; 4]) -> Option<Self> {
+        let block_diagonal = s.iter().enumerate().all(|(i, row)| {
+            row.iter().enumerate().all(|(j, z)| {
+                z.im == 0.0 && (POPULATIONS.contains(&i) == POPULATIONS.contains(&j) || z.re == 0.0)
+            })
+        });
+        block_diagonal.then(|| PhaseCovariantChannel {
+            populations: POPULATIONS.map(|i| POPULATIONS.map(|j| s[i][j].re)),
+            coherences: COHERENCES.map(|i| COHERENCES.map(|j| s[i][j].re)),
+        })
+    }
+
+    /// Applies the channel to one sub-block `(ρ00, ρ01, ρ10, ρ11)`. Each
+    /// output sums the dense superoperator row's nonzero terms in their
+    /// column order, so it equals [`apply_superop_1q_columns`]'s row sum
+    /// (whose other two terms are products with exact zeros) up to the
+    /// sign of an exact zero.
+    #[inline(always)]
+    fn apply(&self, [w, x, y, z]: [f64; 4]) -> [f64; 4] {
+        let [[p00, p03], [p30, p33]] = self.populations;
+        let [[q11, q12], [q21, q22]] = self.coherences;
+        [
+            p00 * w + p03 * z,
+            q11 * x + q12 * y,
+            q21 * x + q22 * y,
+            p30 * w + p33 * z,
+        ]
+    }
+}
+
+/// One RY position of the lockstep noisy preparation on a **real
+/// batched vec(ρ) panel**: `data` is the row-major `dim² × samples`
+/// matrix whose column `j` is the row-major vectorisation of sample
+/// `j`'s real `dim × dim` density matrix. Per column it conjugates
+/// `qubit` by `RY(θ_j)` — `cc`/`cs`/`ss` hold `cos²(θ_j/2)`,
+/// `cos(θ_j/2)·sin(θ_j/2)` and `sin²(θ_j/2)` — and then applies the
+/// gate's fused noise `channel`, both on each sub-block's four vec rows
+/// in registers, in one sweep.
 ///
-/// This is the only sample-dependent operation in the lockstep noisy
-/// state preparation: everything else in the Möttönen skeleton is shared
-/// across the batch and applied to the whole panel. For each (row-pair,
-/// column-pair) sub-block of ρ the four affected vec rows are
-/// *contiguous sample-lane runs* of the panel, so the real 4×4 rotation
-/// superoperator applies across all samples at once through
-/// [`crate::kernel::ry_conj_lanes`] (runtime-AVX-recompiled); per lane the
-/// arithmetic matches the real plane of [`DensityMatrix::apply_gate`]'s
-/// fused superoperator term for term. The preparation is this kernel's
-/// only caller, and its panels are real, so it takes `f64` lanes only.
+/// The rotation evaluates the real plane of
+/// [`DensityMatrix::apply_gate`]'s fused superoperator term for term and
+/// the channel [`apply_superop_1q_columns`]'s nonzero terms in order, so
+/// each entry equals the per-sample walk's real part up to the sign of an
+/// exact zero. Sub-blocks whose row or column base has the bit of a qubit
+/// outside `live` (the step's own operand always counts as live) are
+/// skipped: the caller guarantees every such entry is zero, which the
+/// step keeps. Pass `dim − 1` to sweep every sub-block.
 ///
 /// # Panics
 ///
 /// Panics when `data.len() != dim² · samples`, `dim` is not a power of
 /// two, `qubit` is out of range, or a coefficient slice is not
 /// `samples` long.
-pub fn ry_conjugate_columns(
+#[allow(clippy::too_many_arguments)] // flat lane-kernel signature
+pub fn ry_step_columns(
     data: &mut [f64],
     dim: usize,
     samples: usize,
     qubit: usize,
-    cc: &[f64],
-    cs: &[f64],
-    ss: &[f64],
+    [cc, cs, ss]: [&[f64]; 3],
+    channel: Option<&PhaseCovariantChannel>,
+    live: usize,
 ) {
     assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
     assert!(1usize << qubit < dim, "qubit out of range");
     assert_eq!(data.len(), dim * dim * samples, "panel shape mismatch");
-    assert_eq!(cc.len(), samples, "coefficient lanes mismatch");
-    assert_eq!(cs.len(), samples, "coefficient lanes mismatch");
-    assert_eq!(ss.len(), samples, "coefficient lanes mismatch");
+    for lanes in [cc, cs, ss] {
+        assert_eq!(lanes.len(), samples, "coefficient lanes mismatch");
+    }
+    let step = Step::Ry {
+        mask: 1 << qubit,
+        coeffs: [cc, cs, ss],
+        channel,
+    };
+    step_columns(data, dim, samples, live, step);
+}
+
+/// One CX position of the lockstep noisy preparation on a real batched
+/// vec(ρ) panel (layout as in [`ry_step_columns`]): the CX conjugation,
+/// the closed-form two-qubit depolarizing channel with Kraus parameter
+/// `depol` (skipped when it is 0) and the per-qubit `relax` channel on
+/// `control`, then on `target`.
+///
+/// CX only relabels vec rows, so it is folded into the depolarizing
+/// sweep: each 16-row sub-block is read through the relabeling, its
+/// trace summed in that order and every entry written back at its
+/// natural row — the arithmetic of [`permute_cx_columns`] followed by
+/// [`apply_depolarizing_2q_columns`] with no separate permutation pass.
+/// The two relaxation sweeps then evaluate
+/// [`apply_superop_1q_columns`]'s nonzero terms in order. Each entry
+/// equals the per-sample walk's real part up to the sign of an exact
+/// zero. `live` skips sub-blocks as in [`ry_step_columns`]; both
+/// operands count as live.
+///
+/// # Panics
+///
+/// Panics on a malformed panel shape, bad operands, or `depol` outside
+/// `[0, 15/16]`.
+#[allow(clippy::too_many_arguments)] // flat lane-kernel signature
+pub fn cx_step_columns(
+    data: &mut [f64],
+    dim: usize,
+    samples: usize,
+    control: usize,
+    target: usize,
+    depol: f64,
+    relax: Option<&PhaseCovariantChannel>,
+    live: usize,
+) {
+    assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
+    assert!(1usize << control < dim, "control out of range");
+    assert!(1usize << target < dim, "target out of range");
+    assert_ne!(control, target, "operands must differ");
+    assert_eq!(data.len(), dim * dim * samples, "panel shape mismatch");
+    let lambda = 16.0 * depol / 15.0;
+    assert!((0.0..=1.0).contains(&lambda), "invalid probability {depol}");
+    let step = Step::Cx {
+        cmask: 1 << control,
+        tmask: 1 << target,
+        // The per-sample walk charges no depolarizing at p = 0.
+        depol: (depol > 0.0).then_some((1.0 - lambda, lambda / 4.0)),
+        relax,
+    };
+    step_columns(data, dim, samples, live, step);
+}
+
+/// One lockstep step, as the step kernels hand it to their shared
+/// dispatch.
+enum Step<'a> {
+    Ry {
+        mask: usize,
+        coeffs: [&'a [f64]; 3],
+        channel: Option<&'a PhaseCovariantChannel>,
+    },
+    Cx {
+        cmask: usize,
+        tmask: usize,
+        /// `(1 − λ, λ/4)` of the depolarizing channel, if any.
+        depol: Option<(f64, f64)>,
+        relax: Option<&'a PhaseCovariantChannel>,
+    },
+}
+
+/// Runs one step over the live sub-blocks, dispatched through the runtime
+/// AVX recompilation ladder once per step.
+fn step_columns(data: &mut [f64], dim: usize, samples: usize, live: usize, step: Step<'_>) {
     if samples == 0 {
         return;
     }
-    let mask = 1usize << qubit;
-    for r0 in (0..dim).filter(|r| r & mask == 0) {
-        for c0 in (0..dim).filter(|c| c & mask == 0) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernel::avx512_autovec_active() {
+        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
+        // only requirement of the safe `#[target_feature]` rung.
+        unsafe {
+            step_columns_avx512(data, dim, samples, live, step);
+        }
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernel::avx_autovec_active() {
+        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
+        // requirement of the safe `#[target_feature]` rung.
+        unsafe {
+            step_columns_avx(data, dim, samples, live, step);
+        }
+        return;
+    }
+    step_columns_body(data, dim, samples, live, step);
+}
+
+/// [`step_columns`]'s body recompiled with 512-bit AVX-512 vectors
+/// enabled — identical safe Rust, identical results.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
+fn step_columns_avx512(data: &mut [f64], dim: usize, samples: usize, live: usize, step: Step<'_>) {
+    step_columns_body(data, dim, samples, live, step);
+}
+
+/// [`step_columns`]'s body recompiled with 256-bit AVX vectors enabled —
+/// identical safe Rust, identical results.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn step_columns_avx(data: &mut [f64], dim: usize, samples: usize, live: usize, step: Step<'_>) {
+    step_columns_body(data, dim, samples, live, step);
+}
+
+#[inline(always)]
+fn step_columns_body(data: &mut [f64], dim: usize, samples: usize, live: usize, step: Step<'_>) {
+    match step {
+        Step::Ry {
+            mask,
+            coeffs,
+            channel,
+        } => ry_sweep(data, dim, samples, mask, live | mask, coeffs, channel),
+        Step::Cx {
+            cmask,
+            tmask,
+            depol,
+            relax,
+        } => {
+            let live = live | cmask | tmask;
+            cx_fold(data, dim, samples, cmask, tmask, live, depol);
+            if let Some(relax) = relax {
+                channel_sweep(data, dim, samples, cmask, live, relax);
+                channel_sweep(data, dim, samples, tmask, live, relax);
+            }
+        }
+    }
+}
+
+/// The sub-block bases of a sweep: indices below `dim` with no bit
+/// outside `free`.
+#[inline(always)]
+fn live_bases(dim: usize, free: usize) -> impl Iterator<Item = usize> {
+    (0..dim).filter(move |b| b & !free == 0)
+}
+
+/// Rotates, then (with a channel) relaxes, every live sub-block of the
+/// qubit `mask`.
+#[inline(always)]
+fn ry_sweep(
+    data: &mut [f64],
+    dim: usize,
+    samples: usize,
+    mask: usize,
+    live: usize,
+    [cc, cs, ss]: [&[f64]; 3],
+    channel: Option<&PhaseCovariantChannel>,
+) {
+    for r0 in live_bases(dim, live & !mask) {
+        for c0 in live_bases(dim, live & !mask) {
             let (v0, v1, v2, v3) = sub_block_rows_mut(data, dim, samples, mask, r0, c0);
-            crate::kernel::ry_conj_lanes(v0, v1, v2, v3, cc, cs, ss);
+            for ((((((a, b), c_), d), &kcc), &kcs), &kss) in v0
+                .iter_mut()
+                .zip(v1.iter_mut())
+                .zip(v2.iter_mut())
+                .zip(v3.iter_mut())
+                .zip(cc)
+                .zip(cs)
+                .zip(ss)
+            {
+                // U ⊗ U for the real rotation U = [[c, −s], [s, c]]
+                // (c = cos θ/2, s = sin θ/2), row-major over
+                // (ρ00, ρ01, ρ10, ρ11).
+                let (w, x, y, z) = (*a, *b, *c_, *d);
+                let mut out = [
+                    kcc * w - kcs * x - kcs * y + kss * z,
+                    kcs * w + kcc * x - kss * y - kcs * z,
+                    kcs * w - kss * x + kcc * y - kcs * z,
+                    kss * w + kcs * x + kcs * y + kcc * z,
+                ];
+                if let Some(channel) = channel {
+                    out = channel.apply(out);
+                }
+                [*a, *b, *c_, *d] = out;
+            }
+        }
+    }
+}
+
+/// Applies `channel` to every live sub-block of the qubit `mask`.
+#[inline(always)]
+fn channel_sweep(
+    data: &mut [f64],
+    dim: usize,
+    samples: usize,
+    mask: usize,
+    live: usize,
+    channel: &PhaseCovariantChannel,
+) {
+    for r0 in live_bases(dim, live & !mask) {
+        for c0 in live_bases(dim, live & !mask) {
+            let (v0, v1, v2, v3) = sub_block_rows_mut(data, dim, samples, mask, r0, c0);
+            for (((a, b), c_), d) in v0
+                .iter_mut()
+                .zip(v1.iter_mut())
+                .zip(v2.iter_mut())
+                .zip(v3.iter_mut())
+            {
+                [*a, *b, *c_, *d] = channel.apply([*a, *b, *c_, *d]);
+            }
+        }
+    }
+}
+
+/// The CX conjugation of every live 16-row sub-block of `(control,
+/// target)`, with the depolarizing channel `(1 − λ, λ/4)` folded in when
+/// given. Sub-index `s` of a sub-block has the control at bit 1 and the
+/// target at bit 0, as in [`apply_depolarizing_2q_columns`]; after CX the
+/// entry at `(rs, cs)` is the one read at `(cx(rs), cx(cs))`, so each
+/// swapped pair of rows is read together and written back crosswise.
+#[inline(always)]
+fn cx_fold(
+    data: &mut [f64],
+    dim: usize,
+    samples: usize,
+    cmask: usize,
+    tmask: usize,
+    live: usize,
+    depol: Option<(f64, f64)>,
+) {
+    let expand = |base: usize, sub: usize| {
+        base | if sub & 2 != 0 { cmask } else { 0 } | if sub & 1 != 0 { tmask } else { 0 }
+    };
+    let cx = |sub: usize| if sub & 2 != 0 { sub ^ 1 } else { sub };
+    let free = live & !(cmask | tmask);
+    let mut trace = [0.0; DEPOL_TRACE_LANES];
+    for r_base in live_bases(dim, free) {
+        for c_base in live_bases(dim, free) {
+            let row =
+                |rs: usize, cs: usize| (expand(r_base, rs) * dim + expand(c_base, cs)) * samples;
+            // Lanes are independent, so chunking them leaves every lane's
+            // arithmetic as it was.
+            for l0 in (0..samples).step_by(DEPOL_TRACE_LANES) {
+                let width = (samples - l0).min(DEPOL_TRACE_LANES);
+                if let Some((_, quarter)) = depol {
+                    // The relabeled block's trace, in the depolarizing
+                    // kernel's s = 0..4 order over the relabeled diagonal.
+                    let mixed = &mut trace[..width];
+                    mixed.fill(0.0);
+                    for s in 0..4 {
+                        let r = row(cx(s), cx(s)) + l0;
+                        for (m, &v) in mixed.iter_mut().zip(&data[r..r + width]) {
+                            *m += v;
+                        }
+                    }
+                    for m in mixed.iter_mut() {
+                        *m *= quarter;
+                    }
+                }
+                let mixed = &trace[..width];
+                for rs in 0..4 {
+                    for cs in 0..4 {
+                        let here = row(rs, cs) + l0;
+                        let there = row(cx(rs), cx(cs)) + l0;
+                        let diagonal = rs == cs;
+                        if here == there {
+                            let Some((keep, _)) = depol else { continue };
+                            for (v, &m) in data[here..here + width].iter_mut().zip(mixed) {
+                                *v = if diagonal { *v * keep + m } else { *v * keep };
+                            }
+                        } else if here < there {
+                            let (head, tail) = data.split_at_mut(there);
+                            let (a, b) = (&mut head[here..here + width], &mut tail[..width]);
+                            match depol {
+                                None => a.swap_with_slice(b),
+                                Some((keep, _)) => {
+                                    for ((u, v), &m) in a.iter_mut().zip(b.iter_mut()).zip(mixed) {
+                                        let (old_a, old_b) = (*u, *v);
+                                        if diagonal {
+                                            *u = old_b * keep + m;
+                                            *v = old_a * keep + m;
+                                        } else {
+                                            *u = old_b * keep;
+                                            *v = old_a * keep;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -754,13 +1099,16 @@ fn sub_block_rows_mut<T>(
 /// [`DensityMatrix::apply_superop_1q`], with identical per-element term
 /// order — the whole batch pays one pass of contiguous lane sweeps
 /// ([`crate::kernel::superop4_lanes`]) instead of `S` strided per-sample
-/// applications. Generic over the lane scalar: the noisy preparation
-/// runs it on a real panel with a real channel, the structured engine's
-/// channel programs on a complex one.
+/// applications. Generic over the lane scalar: the structured engine's
+/// channel programs run it on a complex panel; on a real panel with a
+/// real channel it is the dense reference the lockstep preparation's
+/// block-form sweeps ([`ry_step_columns`], [`cx_step_columns`]) are
+/// pinned to.
 ///
 /// # Panics
 ///
-/// Same contract as [`ry_conjugate_columns`].
+/// Panics when `data.len() != dim² · samples`, `dim` is not a power of
+/// two, or `qubit` is out of range.
 pub fn apply_superop_1q_columns<T: LaneScalar>(
     data: &mut [T],
     dim: usize,
@@ -1078,7 +1426,7 @@ pub fn apply_superop_2q_columns(
 ///
 /// # Panics
 ///
-/// Same contract as [`ry_conjugate_columns`].
+/// Same contract as [`apply_superop_1q_columns`].
 pub fn apply_reset_columns(
     data: &mut [crate::complex::C64],
     dim: usize,
@@ -1459,49 +1807,181 @@ mod tests {
         rho
     }
 
+    /// The noise models the step pins sweep: the ideal model (no
+    /// channel), Brisbane and three scaled copies, and a relaxation-only
+    /// model (no depolarizing, so CX is a pure permutation).
+    fn step_pin_models() -> Vec<(&'static str, crate::simulator::GateNoise)> {
+        let brisbane = crate::noise::NoiseModel::brisbane();
+        let relaxation_only = crate::noise::NoiseModel {
+            error_1q: 0.0,
+            error_2q: 0.0,
+            ..brisbane.clone()
+        };
+        [
+            ("ideal", crate::noise::NoiseModel::ideal()),
+            ("brisbane", brisbane.clone()),
+            ("brisbane x0.3", brisbane.scaled(0.3)),
+            ("brisbane x2", brisbane.scaled(2.0)),
+            ("brisbane x10", brisbane.scaled(10.0)),
+            ("relaxation only", relaxation_only),
+        ]
+        .map(|(name, model)| (name, crate::simulator::GateNoise::from_model(&model)))
+        .into()
+    }
+
+    /// Lane widths straddling every vector width and one 32-column prep
+    /// block.
+    const STEP_PIN_WIDTHS: [usize; 6] = [1, 7, 8, 31, 32, 33];
+
+    /// A `dim² × samples` real panel with no exact zeros inside the live
+    /// sub-blocks — entries whose row and column indices have no bit
+    /// outside `live` — and exact zeros everywhere else, as a lockstep
+    /// block holds them before the qubits outside `live` are touched.
+    fn live_panel(dim: usize, samples: usize, live: usize, salt: u64) -> Vec<f64> {
+        let mut panel = real_panel(dim * dim * samples, salt);
+        for (i, row) in panel.chunks_exact_mut(samples).enumerate() {
+            if ((i / dim) | (i % dim)) & !live != 0 {
+                row.fill(0.0);
+            }
+        }
+        panel
+    }
+
+    /// The step kernels' contract: every entry equal as `f64` to the
+    /// sequence they replace, and equal bit for bit wherever that
+    /// sequence's entry is nonzero (only exact zeros may change sign).
+    fn assert_step_pin(got: &[f64], want: &[f64], case: &str) {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g, w, "{case} entry {i}");
+            if w != 0.0 {
+                assert_eq!(g.to_bits(), w.to_bits(), "{case} entry {i}");
+            }
+        }
+    }
+
     #[test]
-    fn ry_conjugate_columns_matches_per_sample_gate_application() {
-        // A real panel of random mixed states (RY, CX and depolarizing
-        // keep them real), one per column, conjugated in lockstep —
-        // against DensityMatrix::apply_gate per sample. The lane kernel
-        // reproduces the fused superoperator's real-plane arithmetic, so
-        // the agreement is exact up to zero signs.
-        let samples = 5;
-        let n = 3;
-        let dim = 1usize << n;
-        let states: Vec<DensityMatrix> = (0..samples)
-            .map(|j| random_mixed_state(600 + j as u64))
-            .collect();
-        for qubit in 0..n {
-            let thetas: Vec<f64> = (0..samples).map(|j| 0.7 * j as f64 - 1.3).collect();
-            let mut panel = vec![0.0; dim * dim * samples];
-            for (j, rho) in states.iter().enumerate() {
-                for (i, &v) in rho.as_slice().iter().enumerate() {
-                    assert_eq!(v.im, 0.0, "sample {j} row {i} is not real");
-                    panel[i * samples + j] = v.re;
+    fn ry_step_matches_rotation_then_dense_channel() {
+        // The sequence the fused RY step replaces: each column conjugated
+        // by DensityMatrix::apply_gate(RY) on its own (real parts kept),
+        // then the fused 1q channel as a dense real superoperator over
+        // the whole panel. Every qubit of dim 2–16, every set of other
+        // qubits touched earlier (the full set is the unmasked run).
+        let models = step_pin_models();
+        for n in 1..=4usize {
+            let dim = 1usize << n;
+            for samples in STEP_PIN_WIDTHS {
+                let thetas: Vec<f64> = (0..samples)
+                    .map(|j| match j {
+                        0 => 0.0,
+                        1 => std::f64::consts::PI,
+                        _ => 0.7 * j as f64 - 1.3,
+                    })
+                    .collect();
+                let mut lanes = [vec![0.0; samples], vec![0.0; samples], vec![0.0; samples]];
+                for (j, &theta) in thetas.iter().enumerate() {
+                    let half = theta / 2.0;
+                    let (c, s) = (half.cos(), half.sin());
+                    [lanes[0][j], lanes[1][j], lanes[2][j]] = [c * c, c * s, s * s];
+                }
+                let coeffs = [&lanes[0][..], &lanes[1][..], &lanes[2][..]];
+                for qubit in 0..n {
+                    for touched in (0..dim).filter(|t| t & 1 << qubit == 0) {
+                        let live = touched | 1 << qubit;
+                        let panel = live_panel(dim, samples, live, (n * 31 + qubit) as u64);
+                        let mut rotated = panel.clone();
+                        for (j, &theta) in thetas.iter().enumerate() {
+                            let mut rho = DensityMatrix {
+                                num_qubits: n,
+                                dim,
+                                data: (0..dim * dim)
+                                    .map(|i| C64::from_real(panel[i * samples + j]))
+                                    .collect(),
+                            };
+                            rho.apply_gate(Gate::RY(theta), &[qubit]).unwrap();
+                            for (i, z) in rho.as_slice().iter().enumerate() {
+                                rotated[i * samples + j] = z.re;
+                            }
+                        }
+                        for (model, g) in &models {
+                            let mut want = rotated.clone();
+                            if let Some(s) = g.superop_1q() {
+                                let s_real = s.map(|row| row.map(|z| z.re));
+                                apply_superop_1q_columns(&mut want, dim, samples, qubit, &s_real);
+                            }
+                            let mut got = panel.clone();
+                            ry_step_columns(
+                                &mut got,
+                                dim,
+                                samples,
+                                qubit,
+                                coeffs,
+                                g.block_1q(),
+                                touched,
+                            );
+                            let case =
+                                format!("n={n} S={samples} q={qubit} touched={touched:b} {model}");
+                            assert_step_pin(&got, &want, &case);
+                        }
+                    }
                 }
             }
-            let (mut cc, mut cs, mut ss) =
-                (vec![0.0; samples], vec![0.0; samples], vec![0.0; samples]);
-            for j in 0..samples {
-                let half = thetas[j] / 2.0;
-                let (c, s) = (half.cos(), half.sin());
-                cc[j] = c * c;
-                cs[j] = c * s;
-                ss[j] = s * s;
-            }
-            ry_conjugate_columns(&mut panel, dim, samples, qubit, &cc, &cs, &ss);
-            for (j, rho) in states.iter().enumerate() {
-                let mut expected = rho.clone();
-                expected
-                    .apply_gate(crate::gate::Gate::RY(thetas[j]), &[qubit])
-                    .unwrap();
-                for (i, &want) in expected.as_slice().iter().enumerate() {
-                    let got = panel[i * samples + j];
-                    assert!(
-                        (got - want.re).abs() <= 1e-14 && want.im == 0.0,
-                        "qubit {qubit} sample {j} row {i}: {got} vs {want}"
-                    );
+        }
+    }
+
+    #[test]
+    fn cx_step_matches_permutation_depolarizing_and_relaxation() {
+        // The sequence the fused CX step replaces: the CX row permutation,
+        // the closed-form depolarizing channel (when the model has one),
+        // then the dense real relaxation on the control and on the
+        // target. Every ordered pair of dim 4–16, every set of other
+        // qubits touched earlier (the full set is the unmasked run).
+        let models = step_pin_models();
+        for n in 2..=4usize {
+            let dim = 1usize << n;
+            for samples in STEP_PIN_WIDTHS {
+                for control in 0..n {
+                    for target in (0..n).filter(|&t| t != control) {
+                        let operands = 1 << control | 1 << target;
+                        for touched in (0..dim).filter(|t| t & operands == 0) {
+                            let live = touched | operands;
+                            let salt = (n * 97 + control * 5 + target) as u64;
+                            let panel = live_panel(dim, samples, live, salt);
+                            for (model, g) in &models {
+                                let mut want = panel.clone();
+                                permute_cx_columns(&mut want, dim, samples, control, target);
+                                if g.depol_2q() > 0.0 {
+                                    let p = g.depol_2q();
+                                    apply_depolarizing_2q_columns(
+                                        &mut want, dim, samples, control, target, p,
+                                    );
+                                }
+                                if let Some(s) = g.superop_2q_relax() {
+                                    let s_real = s.map(|row| row.map(|z| z.re));
+                                    apply_superop_1q_columns(
+                                        &mut want, dim, samples, control, &s_real,
+                                    );
+                                    apply_superop_1q_columns(
+                                        &mut want, dim, samples, target, &s_real,
+                                    );
+                                }
+                                let mut got = panel.clone();
+                                cx_step_columns(
+                                    &mut got,
+                                    dim,
+                                    samples,
+                                    control,
+                                    target,
+                                    g.depol_2q(),
+                                    g.block_2q_relax(),
+                                    touched,
+                                );
+                                let case = format!(
+                                    "n={n} S={samples} cx({control}, {target}) touched={touched:b} {model}"
+                                );
+                                assert_step_pin(&got, &want, &case);
+                            }
+                        }
+                    }
                 }
             }
         }

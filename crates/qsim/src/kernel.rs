@@ -14,7 +14,10 @@
 //!
 //! The density engines' lane kernels keep their own ladder: one safe
 //! body, also compiled for AVX-512 and for AVX and picked at runtime
-//! (`avx512_autovec_active`, `avx_autovec_active`). They have no FMA
+//! (`avx512_autovec_active`, `avx_autovec_active`); the lockstep noisy
+//! preparation's step kernels ([`crate::density::ry_step_columns`],
+//! [`crate::density::cx_step_columns`]) climb the same ladder once per
+//! step. They have no FMA
 //! counterpart, so every rung gives the same bits. One of them is the
 //! dense noisy readout, [`readout_form_lanes`]: it evaluates every
 //! level's packed quadratic form on eight prepared columns at once, each
@@ -93,9 +96,12 @@ pub(crate) fn avx512_autovec_active() -> bool {
     }
 }
 
-/// The scalar held in the lanes of a `4^n × S` vec(ρ) panel: `f64` for
-/// the lockstep noisy preparation, whose every entry is real, and [`C64`]
-/// for the structured engine's channel-program walk. The generic lane
+/// The scalar held in the lanes of a `4^n × S` vec(ρ) panel: [`C64`]
+/// for the structured engine's channel-program walk, and `f64` for a real
+/// panel such as the lockstep noisy preparation's, whose step kernels
+/// ([`crate::density::ry_step_columns`],
+/// [`crate::density::cx_step_columns`]) are pinned to the `f64` sequence
+/// of these kernels. The generic lane
 /// kernels evaluate the same expression in the same term order for both,
 /// so an `f64` panel equals the real parts of a real-valued `C64` panel
 /// bit for bit.
@@ -116,112 +122,6 @@ impl LaneScalar for f64 {
 
 impl LaneScalar for C64 {
     const ZERO: C64 = C64::ZERO;
-}
-
-/// The batched RY-conjugation lane kernel: applies the real 4×4
-/// superoperator of `ρ → RY(θ_j) ρ RY(θ_j)†` across the sample lanes of
-/// one row quadruple of a real `4^n × S` vec(ρ) panel. `v0..v3` are the
-/// four vec rows `(ρ00, ρ01, ρ10, ρ11)` of the conjugated qubit's
-/// sub-block — each a contiguous `S`-lane slice — and `cc`/`cs`/`ss` hold
-/// the per-sample coefficients `cos²(θ/2)`, `cos(θ/2)·sin(θ/2)`,
-/// `sin²(θ/2)`.
-///
-/// Per lane, each output element evaluates the exact expression the
-/// per-sample gate kernel ([`crate::density::DensityMatrix::apply_gate`]'s
-/// fused 4×4 superoperator) produces on the real plane, term for term in
-/// the same order, so the lockstep batch matches the per-sample walk's
-/// real parts bit-for-bit (up to the sign of exact zeros). Dispatched
-/// through the runtime AVX recompilation ladder.
-#[allow(clippy::too_many_arguments)] // flat lane-kernel signature
-pub fn ry_conj_lanes(
-    v0: &mut [f64],
-    v1: &mut [f64],
-    v2: &mut [f64],
-    v3: &mut [f64],
-    cc: &[f64],
-    cs: &[f64],
-    ss: &[f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_autovec_active() {
-        // SAFETY: `avx512_autovec_active` verified AVX-512 at runtime, the
-        // only requirement of the safe `#[target_feature]` rung.
-        unsafe {
-            ry_conj_avx512(v0, v1, v2, v3, cc, cs, ss);
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
-        // requirement of the safe `#[target_feature]` rung.
-        unsafe {
-            ry_conj_avx(v0, v1, v2, v3, cc, cs, ss);
-        }
-        return;
-    }
-    ry_conj_body(v0, v1, v2, v3, cc, cs, ss);
-}
-
-/// [`ry_conj_lanes`]'s body recompiled with 512-bit AVX-512 vectors
-/// enabled — identical safe Rust, identical results.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-fn ry_conj_avx512(
-    v0: &mut [f64],
-    v1: &mut [f64],
-    v2: &mut [f64],
-    v3: &mut [f64],
-    cc: &[f64],
-    cs: &[f64],
-    ss: &[f64],
-) {
-    ry_conj_body(v0, v1, v2, v3, cc, cs, ss);
-}
-
-/// [`ry_conj_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
-/// identical safe Rust, identical results.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn ry_conj_avx(
-    v0: &mut [f64],
-    v1: &mut [f64],
-    v2: &mut [f64],
-    v3: &mut [f64],
-    cc: &[f64],
-    cs: &[f64],
-    ss: &[f64],
-) {
-    ry_conj_body(v0, v1, v2, v3, cc, cs, ss);
-}
-
-#[inline(always)]
-fn ry_conj_body(
-    v0: &mut [f64],
-    v1: &mut [f64],
-    v2: &mut [f64],
-    v3: &mut [f64],
-    cc: &[f64],
-    cs: &[f64],
-    ss: &[f64],
-) {
-    // U ⊗ U for the real rotation U = [[c, −s], [s, c]] (c = cos θ/2,
-    // s = sin θ/2), row-major over (ρ00, ρ01, ρ10, ρ11).
-    for ((((((a, b), c_), d), &kcc), &kcs), &kss) in v0
-        .iter_mut()
-        .zip(v1.iter_mut())
-        .zip(v2.iter_mut())
-        .zip(v3.iter_mut())
-        .zip(cc)
-        .zip(cs)
-        .zip(ss)
-    {
-        let (w, x, y, z) = (*a, *b, *c_, *d);
-        *a = kcc * w - kcs * x - kcs * y + kss * z;
-        *b = kcs * w + kcc * x - kss * y - kcs * z;
-        *c_ = kcs * w - kss * x + kcc * y - kcs * z;
-        *d = kss * w + kcs * x + kcs * y + kcc * z;
-    }
 }
 
 /// The batched 1q-superoperator lane kernel: applies one shared 4×4
@@ -948,61 +848,6 @@ mod tests {
                 C64::new((t * 0.7311).sin(), (t * 1.1931).cos())
             })
             .collect()
-    }
-
-    #[test]
-    fn ry_conj_lanes_matches_direct_superop_arithmetic() {
-        // Reference: the same 4×4 real map evaluated lane by lane with
-        // plain arithmetic in the per-sample kernel's term order.
-        let lanes = 11;
-        let mut v: Vec<Vec<f64>> = (0..4)
-            .map(|r| dense(1, lanes, r as u64).iter().map(|z| z.re).collect())
-            .collect();
-        let thetas: Vec<f64> = (0..lanes).map(|j| 0.3 * j as f64 - 1.1).collect();
-        let (mut cc, mut cs, mut ss) = (vec![0.0; lanes], vec![0.0; lanes], vec![0.0; lanes]);
-        for j in 0..lanes {
-            let half = thetas[j] / 2.0;
-            let (c, s) = (half.cos(), half.sin());
-            cc[j] = c * c;
-            cs[j] = c * s;
-            ss[j] = s * s;
-        }
-        let mut expected = v.clone();
-        for j in 0..lanes {
-            let half = thetas[j] / 2.0;
-            let (c, s) = (half.cos(), half.sin());
-            let m = [
-                [c * c, -(c * s), -(c * s), s * s],
-                [c * s, c * c, -(s * s), -(c * s)],
-                [c * s, -(s * s), c * c, -(c * s)],
-                [s * s, c * s, c * s, c * c],
-            ];
-            let vin = [v[0][j], v[1][j], v[2][j], v[3][j]];
-            for (i, row) in m.iter().enumerate() {
-                let mut acc = 0.0;
-                for (k, &coef) in row.iter().enumerate() {
-                    acc += vin[k] * coef;
-                }
-                expected[i][j] = acc;
-            }
-        }
-        let (v0, rest) = v.split_at_mut(1);
-        let (v1, rest) = rest.split_at_mut(1);
-        let (v2, v3) = rest.split_at_mut(1);
-        ry_conj_lanes(
-            &mut v0[0], &mut v1[0], &mut v2[0], &mut v3[0], &cc, &cs, &ss,
-        );
-        for r in 0..4 {
-            let row = [&v0[0], &v1[0], &v2[0], &v3[0]][r];
-            for j in 0..lanes {
-                assert!(
-                    (row[j] - expected[r][j]).abs() <= 1e-14,
-                    "row {r} lane {j}: {} vs {}",
-                    row[j],
-                    expected[r][j]
-                );
-            }
-        }
     }
 
     /// A unitary on `n` qubits (layers of RY, RZ and a CX ladder) and a

@@ -14,7 +14,7 @@
 //!   path and the exactness cross-check for the branching backend.
 
 use crate::circuit::{Circuit, Operation};
-use crate::density::DensityMatrix;
+use crate::density::{DensityMatrix, PhaseCovariantChannel};
 use crate::error::QsimError;
 use crate::noise::NoiseModel;
 use crate::statevector::Statevector;
@@ -351,7 +351,9 @@ impl StatevectorBackend {
 ///
 /// The adjoint channels are precomputed too, so observables can be pulled
 /// *backwards* through a noisy gate sequence (Heisenberg picture) with the
-/// same kernels.
+/// same kernels, and so are the two forward channels' phase-covariant
+/// block forms ([`PhaseCovariantChannel`]), which the lockstep noisy
+/// preparation's step kernels charge on real panels.
 #[derive(Debug, Clone, Default)]
 pub struct GateNoise {
     /// Fused channel after every 1-qubit gate.
@@ -365,36 +367,32 @@ pub struct GateNoise {
     superop_2q_relax: Option<[[crate::complex::C64; 4]; 4]>,
     /// Adjoint of `superop_2q_relax`.
     superop_2q_relax_adj: Option<[[crate::complex::C64; 4]; 4]>,
-    /// Real view of `superop_1q`, for real vec(ρ) panels.
-    superop_1q_real: Option<[[f64; 4]; 4]>,
-    /// Real view of `superop_2q_relax`, for real vec(ρ) panels.
-    superop_2q_relax_real: Option<[[f64; 4]; 4]>,
+    /// Block form of `superop_1q`, for real vec(ρ) panels.
+    block_1q: Option<PhaseCovariantChannel>,
+    /// Block form of `superop_2q_relax`, for real vec(ρ) panels.
+    block_2q_relax: Option<PhaseCovariantChannel>,
     /// Symmetric readout bit-flip probability.
     readout_error: f64,
 }
 
-/// The real parts of a fused single-qubit superoperator.
+/// The block form of a fused forward channel.
 ///
 /// # Panics
 ///
-/// Panics unless every imaginary part is exactly zero. Every channel a
-/// [`NoiseModel`] builds (depolarizing, amplitude and phase damping) has
-/// a real superoperator, so this holds for any model.
-fn real_view_1q(s: &[[crate::complex::C64; 4]; 4]) -> [[f64; 4]; 4] {
-    assert!(
-        s.iter().flatten().all(|z| z.im == 0.0),
-        "fused noise channel is not real"
-    );
-    s.map(|row| row.map(|z| z.re))
+/// Panics unless the channel is real and phase-covariant. Every channel
+/// a [`NoiseModel`] builds (depolarizing, amplitude and phase damping) is
+/// both, and so is any composition of them.
+fn block_form(s: &[[crate::complex::C64; 4]; 4]) -> PhaseCovariantChannel {
+    PhaseCovariantChannel::from_superop(s).expect("fused noise channel is not real phase-covariant")
 }
 
 impl GateNoise {
     /// Fuses the model's per-gate channel stacks into superoperators, and
-    /// keeps real views of the two forward channels for real panels.
+    /// keeps the block forms of the two forward channels for real panels.
     ///
     /// # Panics
     ///
-    /// Panics if a fused forward channel has a non-zero imaginary part,
+    /// Panics if a fused forward channel is not real phase-covariant,
     /// which no [`NoiseModel`] produces.
     pub fn from_model(noise: &NoiseModel) -> Self {
         use crate::density::{
@@ -415,8 +413,8 @@ impl GateNoise {
             depol_2q: noise.error_2q,
             superop_2q_relax,
             superop_2q_relax_adj: superop_2q_relax.as_ref().map(superop_adjoint_1q),
-            superop_1q_real: superop_1q.as_ref().map(real_view_1q),
-            superop_2q_relax_real: superop_2q_relax.as_ref().map(real_view_1q),
+            block_1q: superop_1q.as_ref().map(block_form),
+            block_2q_relax: superop_2q_relax.as_ref().map(block_form),
             readout_error: noise.readout_error,
         }
     }
@@ -440,6 +438,18 @@ impl GateNoise {
     /// 2-qubit gate, if any.
     pub fn superop_2q_relax(&self) -> Option<&[[crate::complex::C64; 4]; 4]> {
         self.superop_2q_relax.as_ref()
+    }
+
+    /// [`GateNoise::superop_1q`] in block form, for real panels
+    /// ([`crate::density::ry_step_columns`]).
+    pub fn block_1q(&self) -> Option<&PhaseCovariantChannel> {
+        self.block_1q.as_ref()
+    }
+
+    /// [`GateNoise::superop_2q_relax`] in block form, for real panels
+    /// ([`crate::density::cx_step_columns`]).
+    pub fn block_2q_relax(&self) -> Option<&PhaseCovariantChannel> {
+        self.block_2q_relax.as_ref()
     }
 
     /// Applies the post-gate channel stack for a gate of the given arity on
@@ -470,65 +480,6 @@ impl GateNoise {
                 if let Some(s) = &self.superop_2q_relax {
                     rho.apply_superop_1q(qubits[0], s)?;
                     rho.apply_superop_1q(qubits[1], s)?;
-                }
-            }
-            _ => {
-                return Err(QsimError::Unsupported(
-                    "3-qubit gate survived lowering".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the post-gate channel stack to **every column** of a real
-    /// `dim² × samples` vec(ρ) panel — the lockstep analogue of
-    /// [`GateNoise::apply_after_gate`], charging the real views of the
-    /// *same* fused channels with the same per-element arithmetic through
-    /// the batched panel kernels
-    /// ([`crate::density::apply_superop_1q_columns`] /
-    /// [`crate::density::apply_depolarizing_2q_columns`]), so a batch
-    /// walked in lockstep matches the real parts of per-sample evolution
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::Unsupported`] for arity > 2, like the
-    /// per-sample direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed panel shape or out-of-range operands (the
-    /// panel kernels' contract).
-    pub fn apply_after_gate_columns(
-        &self,
-        data: &mut [f64],
-        dim: usize,
-        samples: usize,
-        gate_arity: usize,
-        qubits: &[usize],
-    ) -> Result<(), QsimError> {
-        use crate::density::{apply_depolarizing_2q_columns, apply_superop_1q_columns};
-        match gate_arity {
-            1 => {
-                if let Some(s) = &self.superop_1q_real {
-                    apply_superop_1q_columns(data, dim, samples, qubits[0], s);
-                }
-            }
-            2 => {
-                if self.depol_2q > 0.0 {
-                    apply_depolarizing_2q_columns(
-                        data,
-                        dim,
-                        samples,
-                        qubits[0],
-                        qubits[1],
-                        self.depol_2q,
-                    );
-                }
-                if let Some(s) = &self.superop_2q_relax_real {
-                    apply_superop_1q_columns(data, dim, samples, qubits[0], s);
-                    apply_superop_1q_columns(data, dim, samples, qubits[1], s);
                 }
             }
             _ => {
@@ -858,31 +809,78 @@ mod tests {
     }
 
     #[test]
-    fn gate_noise_real_views_are_the_fused_channels_real_parts() {
+    fn gate_noise_block_forms_are_the_fused_channels_nonzero_blocks() {
         // The real panels of the lockstep preparation are charged through
-        // these views, so they must be the complex arrays' real parts
-        // exactly — and present exactly when the complex channel is.
+        // these block forms, so for every preset and scaled model each
+        // block entry must be the complex array's real part exactly, every
+        // entry outside the two blocks an exact zero, and a block form
+        // present exactly when the complex channel is.
         let brisbane = NoiseModel::brisbane();
-        for model in [NoiseModel::ideal(), brisbane.clone(), brisbane.scaled(2.0)] {
+        let relaxation_only = NoiseModel {
+            error_1q: 0.0,
+            error_2q: 0.0,
+            ..brisbane.clone()
+        };
+        let models = [
+            NoiseModel::ideal(),
+            brisbane.clone(),
+            brisbane.scaled(0.3),
+            brisbane.scaled(2.0),
+            brisbane.scaled(10.0),
+            relaxation_only,
+        ];
+        let population = |i: usize| i == 0 || i == 3;
+        for model in models {
             let g = GateNoise::from_model(&model);
-            for (complex, real) in [
-                (g.superop_1q, g.superop_1q_real),
-                (g.superop_2q_relax, g.superop_2q_relax_real),
+            for (complex, block) in [
+                (g.superop_1q(), g.block_1q()),
+                (g.superop_2q_relax(), g.block_2q_relax()),
             ] {
-                assert_eq!(complex.is_some(), real.is_some(), "{model:?}");
-                if let (Some(c), Some(r)) = (complex, real) {
-                    for (crow, rrow) in c.iter().zip(&r) {
-                        for (z, &x) in crow.iter().zip(rrow) {
-                            assert_eq!(z.re.to_bits(), x.to_bits(), "{model:?}");
-                            assert_eq!(z.im, 0.0, "{model:?}");
-                        }
+                assert_eq!(complex.is_some(), block.is_some(), "{model:?}");
+                let (Some(c), Some(b)) = (complex, block) else {
+                    continue;
+                };
+                for (i, row) in c.iter().enumerate() {
+                    for (j, z) in row.iter().enumerate() {
+                        assert_eq!(z.im, 0.0, "{model:?} ({i}, {j})");
+                        let kept = match (population(i), population(j)) {
+                            (true, true) => b.populations[i / 3][j / 3],
+                            (false, false) => b.coherences[i - 1][j - 1],
+                            _ => {
+                                assert_eq!(z.re, 0.0, "{model:?} ({i}, {j})");
+                                continue;
+                            }
+                        };
+                        assert_eq!(kept.to_bits(), z.re.to_bits(), "{model:?} ({i}, {j})");
                     }
                 }
             }
         }
-        let brisbane = GateNoise::from_model(&brisbane);
-        assert!(brisbane.superop_1q_real.is_some());
-        assert!(brisbane.superop_2q_relax_real.is_some());
+        let g = GateNoise::from_model(&brisbane);
+        assert!(g.block_1q().is_some() && g.block_2q_relax().is_some());
+        assert!(GateNoise::from_model(&NoiseModel::ideal())
+            .block_1q()
+            .is_none());
+    }
+
+    #[test]
+    fn block_form_rejects_channels_that_mix_populations_and_coherences() {
+        // An RY rotation moves population into coherence, an RZ rotation
+        // gives coherences imaginary factors: neither has a real
+        // phase-covariant block form. Phase damping has one.
+        let superop = |kraus: &[crate::matrix::CMatrix]| {
+            crate::density::superop_to_array_1q(&crate::density::superop_from_kraus(kraus))
+        };
+        let unitary = |g: Gate| {
+            let m = g.matrix_1q();
+            superop(&[crate::matrix::CMatrix::from_rows(&[&m[0], &m[1]])])
+        };
+        assert!(PhaseCovariantChannel::from_superop(&unitary(Gate::RY(0.4))).is_none());
+        assert!(PhaseCovariantChannel::from_superop(&unitary(Gate::RZ(0.4))).is_none());
+        let mut leaky = superop(&crate::noise::phase_damping(0.2));
+        assert!(PhaseCovariantChannel::from_superop(&leaky).is_some());
+        leaky[1][3] = crate::complex::C64::from_real(1e-300);
+        assert!(PhaseCovariantChannel::from_superop(&leaky).is_none());
     }
 
     #[test]

@@ -13,15 +13,23 @@
 //! rotation angles. No gate is ever pruned on an angle condition —
 //! zero-angle rotations are emitted as `RY(0)` — so every sample of a
 //! batch walks the *identical* gate sequence. That invariant is what lets
-//! the noisy scoring engine evolve a whole batch of density matrices in
-//! lockstep (one shared superoperator GEMM per skeleton position, with
-//! only the cheap single-qubit RY conjugation varying per sample), and it
-//! keeps per-gate noise accounting independent of the data.
-//! [`prepare_real_amplitudes`] is the skeleton instantiated with one
-//! sample's angles.
+//! the noisy scoring engine evolve a whole block of density matrices in
+//! lockstep (one sweep over the block per skeleton position, in which
+//! only the RY rotation's coefficients vary per sample), and it keeps
+//! per-gate noise accounting independent of the data. The angles of such
+//! a block come from one lane-major amplitude block
+//! ([`PrepSkeleton::angles_for_lanes`]), every step but `atan2` running
+//! across the samples at once; [`PrepSkeleton::angles_for_into`] is its
+//! one-sample case. [`prepare_real_amplitudes`] is the skeleton
+//! instantiated with one sample's angles.
 
 use crate::circuit::Circuit;
 use crate::error::QsimError;
+use std::ops::Range;
+
+/// Samples per stack chunk of [`PrepSkeleton::angles_for_lanes`]: one
+/// 512-bit vector of `f64`.
+const ANGLE_LANES: usize = 8;
 
 /// Builds a circuit over `num_qubits` qubits that maps `|0…0⟩` to
 /// `Σ_i a_i |i⟩` for the given non-negative real amplitudes (length
@@ -177,10 +185,9 @@ impl PrepSkeleton {
 
     /// Computes one sample's angle vector, in the skeleton's
     /// `angle_index` order, into a caller-owned buffer (cleared first) —
-    /// the form batch packers use. It allocates nothing once `out` has
-    /// room for [`PrepSkeleton::num_angles`] entries: each level's raw
-    /// pattern angles are written straight into `out` and resolved there
-    /// in place.
+    /// the one-sample case of [`PrepSkeleton::angles_for_lanes`], so it
+    /// gives the same bits as every lane of a block. It allocates nothing
+    /// once `out` has room for [`PrepSkeleton::num_angles`] entries.
     ///
     /// # Errors
     ///
@@ -189,48 +196,9 @@ impl PrepSkeleton {
     /// * [`QsimError::InvalidAmplitude`] on negative or non-finite entries.
     /// * [`QsimError::NotNormalized`] if all amplitudes are zero.
     pub fn angles_for_into(&self, amplitudes: &[f64], out: &mut Vec<f64>) -> Result<(), QsimError> {
-        let dim = 1usize << self.num_qubits;
-        if amplitudes.len() != dim {
-            return Err(QsimError::DimensionMismatch {
-                expected: dim,
-                actual: amplitudes.len(),
-            });
-        }
-        for (i, &a) in amplitudes.iter().enumerate() {
-            if !a.is_finite() || a < 0.0 {
-                return Err(QsimError::InvalidAmplitude { index: i });
-            }
-        }
-        let norm_sqr: f64 = amplitudes.iter().map(|a| a * a).sum();
-        if norm_sqr <= 0.0 {
-            return Err(QsimError::NotNormalized { norm_sqr });
-        }
-
-        // The normalised probability of basis state i, evaluated where it
-        // is read instead of stored.
-        let prob = |i: usize| amplitudes[i] * amplitudes[i] / norm_sqr;
-
         out.clear();
-        out.reserve(self.num_angles);
-        for k in 0..self.num_qubits {
-            let start = out.len();
-            let low_bits = self.num_qubits - 1 - k;
-            for s in 0..1usize << k {
-                // P(prefix s, next bit b) summed over the remaining low
-                // bits.
-                let mut p0 = 0.0;
-                let mut p1 = 0.0;
-                for rest in 0..(1usize << low_bits) {
-                    let base = (s << (low_bits + 1)) | rest;
-                    p0 += prob(base);
-                    p1 += prob(base | (1 << low_bits));
-                }
-                out.push(2.0 * p1.sqrt().atan2(p0.sqrt()));
-            }
-            Self::resolve_ucry_angles(&mut out[start..]);
-        }
-        debug_assert_eq!(out.len(), self.num_angles);
-        Ok(())
+        out.resize(self.num_angles, 0.0);
+        self.angles_for_lanes(amplitudes, 1, out)
     }
 
     /// [`PrepSkeleton::angles_for_into`] returning a fresh vector.
@@ -244,24 +212,137 @@ impl PrepSkeleton {
         Ok(out)
     }
 
-    /// Resolves one multiplexor's raw pattern angles, in place, into the
-    /// rotation angles actually emitted, in
+    /// Computes the angle vectors of `width` samples at once: column `j`
+    /// of the lane-major `2^n × width` block `amplitudes` (amplitude `i`
+    /// at `i·width + j`) yields angle `a` at `out[a·width + j]`, the
+    /// angle-major layout a lockstep walk reads one rotation's lanes from.
+    ///
+    /// Per sample the arithmetic is the textbook one: each level `k`
+    /// splits the normalised probabilities `a_i²/Σa²` on qubit
+    /// `n − 1 − k`, sums each pattern's two halves over the remaining low
+    /// bits in index order, emits `2·atan2(√p1, √p0)`, and resolves the
+    /// level's raw angles in place into the half-sum (`beta`) and
+    /// half-difference (`gamma`) multiplexors that the skeleton plays
+    /// beta-first. Each of those steps runs across up to eight samples at
+    /// once on stack lanes, with only `atan2` called per sample, so every
+    /// lane gives the bits of its sample computed alone. It allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first failing sample's error, as
+    /// [`PrepSkeleton::angles_for_into`] returns it for that sample alone
+    /// ([`QsimError::InvalidAmplitude`] names the index within the
+    /// sample), or [`QsimError::DimensionMismatch`] if
+    /// `amplitudes.len() != 2^n · width`. On an error `out` holds no
+    /// complete angle block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != num_angles · width`.
+    pub fn angles_for_lanes(
+        &self,
+        amplitudes: &[f64],
+        width: usize,
+        out: &mut [f64],
+    ) -> Result<(), QsimError> {
+        let n = self.num_qubits;
+        let dim = 1usize << n;
+        if amplitudes.len() != dim * width {
+            return Err(QsimError::DimensionMismatch {
+                expected: dim * width,
+                actual: amplitudes.len(),
+            });
+        }
+        assert_eq!(
+            out.len(),
+            self.num_angles * width,
+            "angle block shape mismatch"
+        );
+        for l0 in (0..width).step_by(ANGLE_LANES) {
+            let w = (width - l0).min(ANGLE_LANES);
+            // Amplitude `i` of the chunk's samples.
+            let amps = |i: usize| &amplitudes[i * width + l0..][..w];
+            let mut norm_sqr = [0.0; ANGLE_LANES];
+            for i in 0..dim {
+                for (s, &a) in norm_sqr.iter_mut().zip(amps(i)) {
+                    *s += a * a;
+                }
+            }
+            let invalid = |a: f64| !a.is_finite() || a < 0.0;
+            if (0..dim).any(|i| amps(i).iter().any(|&a| invalid(a)))
+                || norm_sqr[..w].iter().any(|&s| s <= 0.0)
+            {
+                // Name the first failing sample's error, checked in the
+                // order one sample alone is.
+                for (l, &norm_sqr) in norm_sqr[..w].iter().enumerate() {
+                    if let Some(index) = (0..dim).position(|i| invalid(amps(i)[l])) {
+                        return Err(QsimError::InvalidAmplitude { index });
+                    }
+                    if norm_sqr <= 0.0 {
+                        return Err(QsimError::NotNormalized { norm_sqr });
+                    }
+                }
+            }
+            let lanes = l0..l0 + w;
+            let mut row = 0;
+            for k in 0..n {
+                let start = row;
+                let low_bits = n - 1 - k;
+                for s in 0..1usize << k {
+                    // P(prefix s, next bit b) summed over the remaining
+                    // low bits, each probability evaluated where it is
+                    // read.
+                    let mut p0 = [0.0; ANGLE_LANES];
+                    let mut p1 = [0.0; ANGLE_LANES];
+                    for rest in 0..1usize << low_bits {
+                        let base = (s << (low_bits + 1)) | rest;
+                        let (a0, a1) = (amps(base), amps(base | (1 << low_bits)));
+                        for l in 0..w {
+                            p0[l] += a0[l] * a0[l] / norm_sqr[l];
+                            p1[l] += a1[l] * a1[l] / norm_sqr[l];
+                        }
+                    }
+                    for (p0, p1) in p0.iter_mut().zip(p1.iter_mut()) {
+                        (*p0, *p1) = (p0.sqrt(), p1.sqrt());
+                    }
+                    let angles = &mut out[row * width..][lanes.clone()];
+                    for ((theta, &r0), &r1) in angles.iter_mut().zip(&p0).zip(&p1) {
+                        *theta = 2.0 * r1.atan2(r0);
+                    }
+                    row += 1;
+                }
+                Self::resolve_ucry_lanes(out, width, start..row, lanes.clone());
+            }
+            debug_assert_eq!(row, self.num_angles);
+        }
+        Ok(())
+    }
+
+    /// Resolves one multiplexor's raw pattern angles — rows `rows` of the
+    /// angle-major block `out`, on the samples `lanes` — in place into
+    /// the rotation angles actually emitted, in
     /// [`PrepSkeleton::emit_ucry_skeleton`]'s beta-first depth-first
     /// order: a k-control multiplexor splits into the half-sum (`beta`)
     /// and half-difference (`gamma`) multiplexors that play between its
-    /// CX gates, which take the first and second half of the slice.
-    fn resolve_ucry_angles(angles: &mut [f64]) {
-        if angles.len() == 1 {
+    /// CX gates, which take the first and second half of the rows.
+    fn resolve_ucry_lanes(out: &mut [f64], width: usize, rows: Range<usize>, lanes: Range<usize>) {
+        let half = rows.len() / 2;
+        if half == 0 {
             return;
         }
-        let (beta, gamma) = angles.split_at_mut(angles.len() / 2);
-        for (b, g) in beta.iter_mut().zip(gamma.iter_mut()) {
-            let (lo, hi) = (*b, *g);
-            *b = (lo + hi) / 2.0;
-            *g = (lo - hi) / 2.0;
+        for b in rows.start..rows.start + half {
+            let (head, tail) = out.split_at_mut((b + half) * width);
+            let beta = &mut head[b * width..][lanes.clone()];
+            let gamma = &mut tail[lanes.clone()];
+            for (b, g) in beta.iter_mut().zip(gamma.iter_mut()) {
+                let (lo, hi) = (*b, *g);
+                *b = (lo + hi) / 2.0;
+                *g = (lo - hi) / 2.0;
+            }
         }
-        Self::resolve_ucry_angles(beta);
-        Self::resolve_ucry_angles(gamma);
+        Self::resolve_ucry_lanes(out, width, rows.start..rows.start + half, lanes.clone());
+        Self::resolve_ucry_lanes(out, width, rows.start + half..rows.end, lanes);
     }
 
     /// Instantiates the skeleton with one sample's angle vector. Every
@@ -534,6 +615,119 @@ mod tests {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&out), bits(&want), "n={n}");
             }
+        }
+    }
+
+    /// One test column of `2^n` amplitudes, of the kind `j mod 5`:
+    /// random with hard zeros, one-hot, uniform, zero upper half (so at
+    /// n ≥ 2 a pattern has `p0 = p1 = 0`), and dense unnormalised.
+    fn angle_test_column(n: usize, j: usize, rng: &mut StdRng) -> Vec<f64> {
+        let dim = 1usize << n;
+        let mut col: Vec<f64> = match j % 5 {
+            0 => (0..dim)
+                .map(|_| {
+                    if rng.gen::<f64>() < 0.3 {
+                        0.0
+                    } else {
+                        rng.gen::<f64>()
+                    }
+                })
+                .collect(),
+            1 => (0..dim)
+                .map(|i| {
+                    if i == j % dim {
+                        rng.gen::<f64>() + 0.1
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            2 => vec![0.3; dim],
+            3 => (0..dim)
+                .map(|i| if i < dim / 2 { rng.gen::<f64>() } else { 0.0 })
+                .collect(),
+            _ => (0..dim).map(|_| 37.0 * (rng.gen::<f64>() + 0.01)).collect(),
+        };
+        if col.iter().all(|&a| a == 0.0) {
+            col[0] = 0.5;
+        }
+        col
+    }
+
+    /// `columns` as one lane-major block: amplitude `i` of column `j` at
+    /// `i·width + j`.
+    fn lane_major(columns: &[Vec<f64>]) -> Vec<f64> {
+        let width = columns.len();
+        let mut block = vec![0.0; columns.first().map_or(0, Vec::len) * width];
+        for (j, col) in columns.iter().enumerate() {
+            for (i, &a) in col.iter().enumerate() {
+                block[i * width + j] = a;
+            }
+        }
+        block
+    }
+
+    #[test]
+    fn block_angles_match_the_per_column_loop_in_every_lane() {
+        let mut rng = StdRng::seed_from_u64(89);
+        for n in 1..=5usize {
+            let skeleton = PrepSkeleton::new(n);
+            for width in 1..=33usize {
+                let columns: Vec<Vec<f64>> = (0..width)
+                    .map(|j| angle_test_column(n, j, &mut rng))
+                    .collect();
+                let mut out = vec![f64::NAN; skeleton.num_angles() * width];
+                skeleton
+                    .angles_for_lanes(&lane_major(&columns), width, &mut out)
+                    .unwrap();
+                for (j, col) in columns.iter().enumerate() {
+                    for (a, want) in allocating_angles(n, col).iter().enumerate() {
+                        let got = out[a * width + j];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "n={n} width={width} lane {j} angle {a}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_angles_name_the_first_failing_sample_error() {
+        let skeleton = PrepSkeleton::new(2);
+        let good = vec![0.1, 0.2, 0.3, 0.4];
+        let bad = [
+            vec![0.1, -0.5, 0.0, 0.2],
+            vec![f64::NAN, 0.2, 0.0, 0.1],
+            vec![0.1, 0.2, f64::INFINITY, 0.1],
+            vec![0.0; 4],
+        ];
+        for width in [1usize, 5, 9, 17] {
+            let mut out = vec![0.0; skeleton.num_angles() * width];
+            for (first, first_bad) in bad.iter().enumerate() {
+                for lane in 0..width {
+                    // `first_bad` at `lane`, the next bad kind on every
+                    // later lane: the error is `lane`'s alone.
+                    let columns: Vec<Vec<f64>> = (0..width)
+                        .map(|j| match j.cmp(&lane) {
+                            std::cmp::Ordering::Less => good.clone(),
+                            std::cmp::Ordering::Equal => first_bad.clone(),
+                            std::cmp::Ordering::Greater => bad[(first + 1) % bad.len()].clone(),
+                        })
+                        .collect();
+                    let got = skeleton.angles_for_lanes(&lane_major(&columns), width, &mut out);
+                    assert_eq!(got, Err(skeleton.angles_for(first_bad).unwrap_err()));
+                }
+            }
+            assert_eq!(
+                skeleton.angles_for_lanes(&[0.5; 7], width, &mut out),
+                Err(QsimError::DimensionMismatch {
+                    expected: 4 * width,
+                    actual: 7
+                })
+            );
         }
     }
 

@@ -1,12 +1,15 @@
 //! Property pins for the lockstep batched noisy state preparation: the
 //! whole-batch skeleton evolution on a real panel
-//! ([`DensityEngine::prepare_batch`] — one per-column RY conjugation plus
-//! the shared fused channels per rotation position) must reproduce the
+//! ([`DensityEngine::prepare_batch`] — one sweep per skeleton step, the
+//! per-column RY rotation fused with the shared 1q channel and the CX
+//! permutation folded into its depolarizing channel) must reproduce the
 //! real parts of the per-sample gate walk
 //! ([`SampleDensityEngine::prepare_batch`]) entry for entry, across
 //! register widths n ∈ {2, 3}, every noise model, and batch sizes
-//! 1..=32 — and the full scoring pass built on top of it must keep its
-//! sampled-draw determinism.
+//! 1..=32 (exactly at n = 2–5 in
+//! `wide_register_lockstep_matches_per_sample_exactly`) — and the full
+//! scoring pass built on top of it must keep its sampled-draw
+//! determinism.
 //!
 //! The fast blocks run on every `cargo test`; the `#[ignore]`d blocks are
 //! the slow exhaustive suite CI executes with `cargo test -- --ignored`
@@ -158,20 +161,35 @@ fn lockstep_prep_handles_block_edges() {
     }
 }
 
-/// A wide register (n = 5, beyond every proptest width) through the same
-/// lockstep pass: the real panel kernels replicate the real plane of the
-/// per-sample walk's arithmetic exactly, so the lockstep panel equals the
-/// per-sample panel's real parts value for value.
+/// The lockstep panel equals the per-sample panel's real parts value for
+/// value (`assert_eq!` on `f64`, so only the sign of an exact zero may
+/// differ), where the proptests above allow 1e-9: at n = 2, 3 and 4 under
+/// every noise model at widths 1, 31 and 33 (inside one 32-column prep
+/// block, and across two), and at a wide register (n = 5, beyond every
+/// proptest width) under Brisbane. The step kernels evaluate the
+/// per-sample walk's real-plane arithmetic term for term and skip only
+/// products with exact zeros, so a reordered sum shows here.
 #[test]
 fn wide_register_lockstep_matches_per_sample_exactly() {
-    let config = noisy_config(5, 11, NoiseModel::brisbane());
-    let ds = normalized_dataset(config.features_per_circuit(), 2, 11);
-    let group = group_for(&config, ds.num_features(), 0);
-    let lockstep = DensityEngine::prepare_batch(&group, &ds, &config).unwrap();
-    let per_sample = SampleDensityEngine::prepare_batch(&group, &ds, &config).unwrap();
-    assert_eq!(lockstep.rows(), 1 << 10);
-    let real_parts: Vec<f64> = per_sample.as_slice().iter().map(|z| z.re).collect();
-    assert_eq!(lockstep.as_slice(), real_parts.as_slice());
+    let mut cases = vec![(5usize, NoiseModel::brisbane(), 2usize)];
+    for data_qubits in 2..=4 {
+        for noise in noise_models() {
+            for samples in [1, 31, 33] {
+                cases.push((data_qubits, noise.clone(), samples));
+            }
+        }
+    }
+    for (data_qubits, noise, samples) in cases {
+        let case = format!("n={data_qubits} S={samples} {noise:?}");
+        let config = noisy_config(data_qubits, 11, noise);
+        let ds = normalized_dataset(config.features_per_circuit(), samples, 11);
+        let group = group_for(&config, ds.num_features(), 0);
+        let lockstep = DensityEngine::prepare_batch(&group, &ds, &config).unwrap();
+        let per_sample = SampleDensityEngine::prepare_batch(&group, &ds, &config).unwrap();
+        assert_eq!(lockstep.rows(), 1 << (2 * data_qubits), "{case}");
+        let real_parts: Vec<f64> = per_sample.as_slice().iter().map(|z| z.re).collect();
+        assert_eq!(lockstep.as_slice(), real_parts.as_slice(), "{case}");
+    }
 }
 
 /// Both packers are noise-only API surface: pure-state execution modes are
