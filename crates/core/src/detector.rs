@@ -87,48 +87,6 @@ impl QuorumDetector {
         engine: &dyn ScoringEngine,
         data: &Dataset,
     ) -> Result<ScoreReport, QuorumError> {
-        let all: Vec<usize> = (0..self.config.ensemble_groups).collect();
-        let totals = self.subset_totals(engine, data, &all)?;
-        Ok(ScoreReport::new(
-            data.name(),
-            totals,
-            self.config.ensemble_groups,
-            self.config.effective_compression_levels(),
-        ))
-    }
-
-    /// The additive partial score contributed by a **subset** of the
-    /// ensemble groups. Quorum's total score is a plain sum of
-    /// independent per-group contributions, so disjoint subsets can run
-    /// separately and be merged afterwards; summing the per-group
-    /// partials in ascending group-index order reproduces
-    /// [`QuorumDetector::score`] bit for bit.
-    ///
-    /// `group_indices` may arrive in any order; evaluation and
-    /// accumulation happen in ascending index order so a subset's partial
-    /// is a pure function of its *set* of groups.
-    ///
-    /// # Errors
-    ///
-    /// [`QuorumError::InvalidConfig`] for out-of-range or duplicate group
-    /// indices; otherwise the same conditions as
-    /// [`QuorumDetector::score`].
-    pub fn score_group_subset(
-        &self,
-        data: &Dataset,
-        group_indices: &[usize],
-    ) -> Result<Vec<f64>, QuorumError> {
-        self.subset_totals(crate::engine::resolve(&self.config), data, group_indices)
-    }
-
-    /// The body of [`QuorumDetector::score_group_subset`] through a given
-    /// engine.
-    fn subset_totals(
-        &self,
-        engine: &dyn ScoringEngine,
-        data: &Dataset,
-        group_indices: &[usize],
-    ) -> Result<Vec<f64>, QuorumError> {
         if data.num_samples() < 4 {
             return Err(QuorumError::InvalidData(
                 "need at least 4 samples to form deviation statistics".into(),
@@ -136,22 +94,6 @@ impl QuorumDetector {
         }
         if data.num_features() == 0 {
             return Err(QuorumError::InvalidData("dataset has no features".into()));
-        }
-        let mut subset = group_indices.to_vec();
-        subset.sort_unstable();
-        if subset.windows(2).any(|w| w[0] == w[1]) {
-            return Err(QuorumError::InvalidConfig(
-                "group subset contains a duplicate index".into(),
-            ));
-        }
-        if subset
-            .last()
-            .is_some_and(|&g| g >= self.config.ensemble_groups)
-        {
-            return Err(QuorumError::InvalidConfig(format!(
-                "group subset indexes beyond the {} configured groups",
-                self.config.ensemble_groups
-            )));
         }
         let normalized = normalize_for_scoring(&self.config, data);
 
@@ -164,17 +106,16 @@ impl QuorumDetector {
 
         let threads = self.config.effective_threads();
         let config = &self.config;
-        let subset = &subset;
         // Flatten the normalised dataset once; every group scores the same
         // borrowed panel. For noiseless runs the engine is the batched
         // analytic one: each group scores its whole batch at every
         // compression level in 8-sample lane blocks against its cached
-        // fused encoder.
-        crate::engine::with_panel(&normalized, |panel| {
+        // fused encoder. The partials are summed in ascending group
+        // order whatever the thread count, as a frozen detector sums them.
+        let totals = crate::engine::with_panel(&normalized, |panel| {
             let partials: Vec<Result<Vec<f64>, QuorumError>> =
-                map_indexed(subset.len(), threads, move |i| {
-                    let group =
-                        EnsembleGroup::generate(subset[i], config, panel.num_features(), &plan);
+                map_indexed(config.ensemble_groups, threads, move |g| {
+                    let group = EnsembleGroup::generate(g, config, panel.num_features(), &plan);
                     group.run_with(engine, panel, config)
                 });
             let mut totals = vec![0.0; panel.num_samples()];
@@ -184,7 +125,13 @@ impl QuorumDetector {
                 }
             }
             Ok(totals)
-        })
+        })?;
+        Ok(ScoreReport::new(
+            data.name(),
+            totals,
+            self.config.ensemble_groups,
+            self.config.effective_compression_levels(),
+        ))
     }
 }
 
@@ -332,57 +279,6 @@ mod tests {
         let report = detector.score(&ds).unwrap();
         let top2 = &report.ranking()[..2];
         assert!(top2.contains(&20) && top2.contains(&21), "top2 {top2:?}");
-    }
-
-    #[test]
-    fn group_subsets_are_additive_and_order_free() {
-        let ds = planted();
-        let detector = QuorumDetector::new(fast_config()).unwrap();
-        let full = detector.score(&ds).unwrap();
-        // Any disjoint partition, merged per group in ascending index
-        // order, reproduces the full run bit for bit — the property the
-        // serving runtime's per-group pool jobs lean on.
-        let partitions: [(Vec<usize>, Vec<usize>); 2] = [
-            ((0..5).collect(), (5..10).collect()),
-            (vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7, 9]),
-        ];
-        for (left, right) in partitions {
-            let mut per_group: Vec<(usize, Vec<f64>)> = Vec::new();
-            for subset in [&left, &right] {
-                for &g in subset {
-                    per_group.push((g, detector.score_group_subset(&ds, &[g]).unwrap()));
-                }
-            }
-            per_group.sort_by_key(|(g, _)| *g);
-            let mut merged = vec![0.0; ds.num_samples()];
-            for (_, partial) in per_group {
-                for (t, p) in merged.iter_mut().zip(partial) {
-                    *t += p;
-                }
-            }
-            assert_eq!(merged, full.scores(), "partition {left:?} | {right:?}");
-        }
-        // The subset's own accumulation is order-free: indices may arrive
-        // shuffled without changing a single bit.
-        let shuffled = detector.score_group_subset(&ds, &[7, 1, 4, 0]).unwrap();
-        let sorted = detector.score_group_subset(&ds, &[0, 1, 4, 7]).unwrap();
-        assert_eq!(shuffled, sorted);
-    }
-
-    #[test]
-    fn group_subset_rejects_bad_indices() {
-        let ds = planted();
-        let detector = QuorumDetector::new(fast_config()).unwrap();
-        assert!(matches!(
-            detector.score_group_subset(&ds, &[10]),
-            Err(QuorumError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            detector.score_group_subset(&ds, &[1, 1]),
-            Err(QuorumError::InvalidConfig(_))
-        ));
-        let empty = detector.score_group_subset(&ds, &[]).unwrap();
-        assert!(empty.iter().all(|&s| s == 0.0));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `4^n × 4^n` superoperator — exact, but `O(16^n)` to build and store,
 //! which walls the register width around n ≈ 5. This module keeps the
 //! *structure* of the segment instead: a [`ChannelProgram`] is a flat IR
-//! of local operations (fused 1q unitary-conjugation ⊕ noise steps, CX
-//! permutations, 2q unitary conjugations, closed-form depolarizing,
-//! reset and amplitude/phase-damping channels) that is lowered **once**
+//! of the four local operations a lowered segment needs (fused 1q
+//! unitary-conjugation ⊕ noise steps, CX permutations, the closed-form
+//! two-qubit depolarizing channel and reset) that is lowered **once**
 //! per (group, level) and then executed column-lockstep over the whole
 //! batch's `4^n × S` panel with the [`crate::density`] /
 //! [`crate::kernel`] lane kernels — `O(G · 4^n · S)` for `G` program
@@ -30,9 +30,8 @@
 use crate::circuit::{Circuit, Operation};
 use crate::complex::C64;
 use crate::density::{
-    apply_amplitude_damping_columns, apply_depolarizing_2q_columns, apply_phase_damping_columns,
-    apply_reset_columns, apply_superop_1q_columns, apply_superop_2q_columns, permute_cx_columns,
-    superop_from_kraus, superop_to_array_2q, DensityMatrix,
+    apply_depolarizing_2q_columns, apply_reset_columns, apply_superop_1q_columns,
+    permute_cx_columns, DensityMatrix,
 };
 use crate::error::QsimError;
 use crate::gate::Gate;
@@ -74,51 +73,11 @@ pub enum ChannelOp {
         /// Kraus parameter in `[0, 15/16]`.
         p: f64,
     },
-    /// A shared 16×16 superoperator on a qubit pair — a general 2q
-    /// unitary conjugation `U ⊗ Ū` (non-CX gates surviving lowering) or
-    /// an arbitrary fused 2q channel.
-    Superop2q {
-        /// Most significant sub-index qubit.
-        qa: usize,
-        /// Least significant sub-index qubit.
-        qb: usize,
-        /// Row-major 16×16 superoperator over the vectorised pair block.
-        s: Box<[[C64; 16]; 16]>,
-    },
     /// Exact reset of one qubit to `|0⟩` (Kraus `{|0⟩⟨0|, |0⟩⟨1|}`).
     Reset {
         /// Operand qubit.
         qubit: usize,
     },
-    /// The amplitude-damping channel with parameter `gamma`.
-    AmplitudeDamping {
-        /// Operand qubit.
-        qubit: usize,
-        /// Damping parameter in `[0, 1]`.
-        gamma: f64,
-    },
-    /// The phase-damping (dephasing) channel with parameter `lambda`;
-    /// `lambda = 1` is a full computational-basis dephase.
-    PhaseDamping {
-        /// Operand qubit.
-        qubit: usize,
-        /// Damping parameter in `[0, 1]`.
-        lambda: f64,
-    },
-}
-
-impl ChannelOp {
-    /// The qubits this op touches (padded with `usize::MAX`).
-    fn operands(&self) -> (usize, usize) {
-        match self {
-            ChannelOp::Superop1q { qubit, .. }
-            | ChannelOp::Reset { qubit }
-            | ChannelOp::AmplitudeDamping { qubit, .. }
-            | ChannelOp::PhaseDamping { qubit, .. } => (*qubit, usize::MAX),
-            ChannelOp::PermuteCx { control, target } => (*control, *target),
-            ChannelOp::Depol2q { qa, qb, .. } | ChannelOp::Superop2q { qa, qb, .. } => (*qa, *qb),
-        }
-    }
 }
 
 /// The 1q unitary-conjugation superoperator `U ⊗ Ū`:
@@ -180,9 +139,9 @@ impl ChannelProgram {
     ///
     /// # Errors
     ///
-    /// Returns [`QsimError::Unsupported`] for gates of arity > 2 (lower
-    /// first) and for measurements (a channel program is trace
-    /// preserving; measurement is the caller's job).
+    /// Returns [`QsimError::Unsupported`] for any multi-qubit gate other
+    /// than CX (lower first) and for measurements (a channel program is
+    /// trace preserving; measurement is the caller's job).
     pub fn from_lowered(circuit: &Circuit, noise: &GateNoise) -> Result<Self, QsimError> {
         let n = circuit.num_qubits();
         let mut ops: Vec<ChannelOp> = Vec::new();
@@ -209,50 +168,40 @@ impl ChannelProgram {
 
         for instr in circuit.instructions() {
             match &instr.op {
-                Operation::Gate(g) => match g.num_qubits() {
-                    1 => {
-                        let q = instr.qubits[0];
-                        let mut s = conj_superop_1q(&g.matrix_1q());
-                        if let Some(ns) = noise.superop_1q() {
-                            s = compose_1q_arrays(&s, ns);
-                        }
-                        push_1q(&mut ops, &mut tail_1q, q, s);
+                Operation::Gate(g) if g.num_qubits() == 1 => {
+                    let q = instr.qubits[0];
+                    let mut s = conj_superop_1q(&g.matrix_1q());
+                    if let Some(ns) = noise.superop_1q() {
+                        s = compose_1q_arrays(&s, ns);
                     }
-                    2 => {
-                        let (a, b) = (instr.qubits[0], instr.qubits[1]);
-                        tail_1q[a] = None;
-                        tail_1q[b] = None;
-                        if matches!(g, Gate::CX) {
-                            ops.push(ChannelOp::PermuteCx {
-                                control: a,
-                                target: b,
-                            });
-                        } else {
-                            let s = superop_from_kraus(&[g.matrix()]);
-                            ops.push(ChannelOp::Superop2q {
-                                qa: a,
-                                qb: b,
-                                s: superop_to_array_2q(&s),
-                            });
-                        }
-                        if noise.depol_2q() > 0.0 {
-                            ops.push(ChannelOp::Depol2q {
-                                qa: a,
-                                qb: b,
-                                p: noise.depol_2q(),
-                            });
-                        }
-                        if let Some(r) = noise.superop_2q_relax() {
-                            push_1q(&mut ops, &mut tail_1q, a, *r);
-                            push_1q(&mut ops, &mut tail_1q, b, *r);
-                        }
+                    push_1q(&mut ops, &mut tail_1q, q, s);
+                }
+                Operation::Gate(Gate::CX) => {
+                    let (a, b) = (instr.qubits[0], instr.qubits[1]);
+                    tail_1q[a] = None;
+                    tail_1q[b] = None;
+                    ops.push(ChannelOp::PermuteCx {
+                        control: a,
+                        target: b,
+                    });
+                    if noise.depol_2q() > 0.0 {
+                        ops.push(ChannelOp::Depol2q {
+                            qa: a,
+                            qb: b,
+                            p: noise.depol_2q(),
+                        });
                     }
-                    _ => {
-                        return Err(QsimError::Unsupported(
-                            "3-qubit gate survived lowering".into(),
-                        ))
+                    if let Some(r) = noise.superop_2q_relax() {
+                        push_1q(&mut ops, &mut tail_1q, a, *r);
+                        push_1q(&mut ops, &mut tail_1q, b, *r);
                     }
-                },
+                }
+                Operation::Gate(g) => {
+                    return Err(QsimError::Unsupported(format!(
+                        "gate `{}` survived lowering (a channel program takes 1q gates and CX)",
+                        g.name()
+                    )))
+                }
                 Operation::Reset => {
                     let q = instr.qubits[0];
                     tail_1q[q] = None;
@@ -269,36 +218,6 @@ impl ChannelProgram {
         Ok(ChannelProgram { num_qubits: n, ops })
     }
 
-    /// Wraps an explicit op list as a program over `num_qubits` qubits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::QubitOutOfRange`] /
-    /// [`QsimError::DuplicateQubit`] for malformed operands.
-    pub fn from_ops(num_qubits: usize, ops: Vec<ChannelOp>) -> Result<Self, QsimError> {
-        for op in &ops {
-            let (a, b) = op.operands();
-            if a >= num_qubits {
-                return Err(QsimError::QubitOutOfRange {
-                    qubit: a,
-                    num_qubits,
-                });
-            }
-            if b != usize::MAX {
-                if b >= num_qubits {
-                    return Err(QsimError::QubitOutOfRange {
-                        qubit: b,
-                        num_qubits,
-                    });
-                }
-                if a == b {
-                    return Err(QsimError::DuplicateQubit { qubit: a });
-                }
-            }
-        }
-        Ok(ChannelProgram { num_qubits, ops })
-    }
-
     /// Register width the program acts on.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -311,15 +230,7 @@ impl ChannelProgram {
 
     /// Approximate heap + inline footprint, for cache accounting.
     pub fn approx_bytes(&self) -> usize {
-        let boxed: usize = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                ChannelOp::Superop2q { .. } => std::mem::size_of::<[[C64; 16]; 16]>(),
-                _ => 0,
-            })
-            .sum();
-        std::mem::size_of::<Self>() + self.ops.capacity() * std::mem::size_of::<ChannelOp>() + boxed
+        std::mem::size_of::<Self>() + self.ops.capacity() * std::mem::size_of::<ChannelOp>()
     }
 
     /// Executes the program on **every column** of a `4^n × samples`
@@ -343,17 +254,8 @@ impl ChannelProgram {
                 ChannelOp::Depol2q { qa, qb, p } => {
                     apply_depolarizing_2q_columns(data, dim, samples, *qa, *qb, *p);
                 }
-                ChannelOp::Superop2q { qa, qb, s } => {
-                    apply_superop_2q_columns(data, dim, samples, *qa, *qb, s);
-                }
                 ChannelOp::Reset { qubit } => {
                     apply_reset_columns(data, dim, samples, *qubit);
-                }
-                ChannelOp::AmplitudeDamping { qubit, gamma } => {
-                    apply_amplitude_damping_columns(data, dim, samples, *qubit, *gamma);
-                }
-                ChannelOp::PhaseDamping { qubit, lambda } => {
-                    apply_phase_damping_columns(data, dim, samples, *qubit, *lambda);
                 }
             }
         }
@@ -585,8 +487,6 @@ mod tests {
     use super::*;
     use crate::noise::NoiseModel;
 
-    const TOL: f64 = 1e-12;
-
     /// Deterministic trace-1 PSD matrix (a valid mixed state).
     fn test_state(num_qubits: usize, salt: u64) -> CMatrix {
         let dim = 1usize << num_qubits;
@@ -624,6 +524,23 @@ mod tests {
         transpile::decompose_multiqubit(&c)
     }
 
+    /// A 3-qubit segment holding every gate `decompose_multiqubit`
+    /// rewrites, lowered: the program's four ops must cover each of their
+    /// lowerings.
+    fn multiqubit_segment() -> Circuit {
+        let mut c = Circuit::new(3);
+        for q in 0..3 {
+            c.rx(0.5 - 0.4 * q as f64, q);
+        }
+        c.swap(0, 2)
+            .cz(1, 0)
+            .crz(0.8, 2, 1)
+            .cp(-1.1, 0, 1)
+            .ccx(2, 0, 1)
+            .cswap(1, 2, 0);
+        transpile::decompose_multiqubit(&c)
+    }
+
     /// Walks the segment per-sample with the dense kernels (the oracle
     /// the program must match).
     fn evolve_dense(rho: &mut DensityMatrix, circ: &Circuit, noise: &GateNoise) {
@@ -644,14 +561,15 @@ mod tests {
 
     #[test]
     fn program_matches_dense_walk_under_noise() {
-        for n in [2usize, 3] {
+        let segments = [test_segment(2), test_segment(3), multiqubit_segment()];
+        for (case, circ) in segments.iter().enumerate() {
+            let n = circ.num_qubits();
             for noise_model in [None, Some(NoiseModel::brisbane())] {
                 let gate_noise = noise_model
                     .as_ref()
                     .map(GateNoise::from_model)
                     .unwrap_or_default();
-                let circ = test_segment(n);
-                let program = ChannelProgram::from_lowered(&circ, &gate_noise).unwrap();
+                let program = ChannelProgram::from_lowered(circ, &gate_noise).unwrap();
                 assert!(!program.ops().is_empty());
 
                 let samples = 3;
@@ -669,7 +587,7 @@ mod tests {
 
                 for (j, s) in states.iter().enumerate() {
                     let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
-                    evolve_dense(&mut rho, &circ, &gate_noise);
+                    evolve_dense(&mut rho, circ, &gate_noise);
                     let expect = rho.as_slice();
                     let mut trace = C64::ZERO;
                     for r in 0..dim {
@@ -683,7 +601,7 @@ mod tests {
                         let got = panel[idx * samples + j];
                         assert!(
                             got.approx_eq(expect[idx], 1e-10),
-                            "n={n} sample {j} entry {idx}: {got} vs {}",
+                            "segment {case} sample {j} entry {idx}: {got} vs {}",
                             expect[idx]
                         );
                     }
@@ -721,76 +639,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_damping_ops_preserve_trace_and_match_kraus() {
-        let n = 2;
-        let dim = 1usize << n;
-        let program = ChannelProgram::from_ops(
-            n,
-            vec![
-                ChannelOp::AmplitudeDamping {
-                    qubit: 0,
-                    gamma: 0.23,
-                },
-                ChannelOp::PhaseDamping {
-                    qubit: 1,
-                    lambda: 0.41,
-                },
-                ChannelOp::Reset { qubit: 0 },
-            ],
-        )
-        .unwrap();
-        let state = test_state(n, 7);
-        let mut panel = vec![C64::ZERO; dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                panel[r * dim + c] = state[(r, c)];
-            }
-        }
-        program.apply_panel(&mut panel, 1);
-
-        let mut rho = DensityMatrix::from_cmatrix(&state).unwrap();
-        rho.apply_kraus(&crate::noise::amplitude_damping(0.23), &[0])
-            .unwrap();
-        rho.apply_kraus(&crate::noise::phase_damping(0.41), &[1])
-            .unwrap();
-        rho.reset(0).unwrap();
-        let expect = rho.as_slice();
-        for idx in 0..dim * dim {
-            assert!(
-                panel[idx].approx_eq(expect[idx], TOL),
-                "entry {idx}: {} vs {}",
-                panel[idx],
-                expect[idx]
-            );
-        }
-        let trace: C64 = (0..dim).map(|r| panel[r * dim + r]).sum();
-        assert!((trace.re - 1.0).abs() < TOL && trace.im.abs() < TOL);
-    }
-
-    #[test]
-    fn from_ops_validates_operands() {
-        assert!(matches!(
-            ChannelProgram::from_ops(2, vec![ChannelOp::Reset { qubit: 2 }]),
-            Err(QsimError::QubitOutOfRange { .. })
-        ));
-        assert!(matches!(
-            ChannelProgram::from_ops(
-                2,
-                vec![ChannelOp::Depol2q {
-                    qa: 1,
-                    qb: 1,
-                    p: 0.1
-                }]
-            ),
-            Err(QsimError::DuplicateQubit { .. })
-        ));
-    }
-
-    #[test]
     fn from_lowered_rejects_unlowered_and_measured_circuits() {
         let noise = GateNoise::default();
         let mut c = Circuit::new(3);
         c.cswap(0, 1, 2);
+        assert!(matches!(
+            ChannelProgram::from_lowered(&c, &noise),
+            Err(QsimError::Unsupported(_))
+        ));
+        let mut c = Circuit::new(2);
+        c.cz(0, 1);
         assert!(matches!(
             ChannelProgram::from_lowered(&c, &noise),
             Err(QsimError::Unsupported(_))

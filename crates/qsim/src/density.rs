@@ -16,7 +16,6 @@
 use crate::complex::C64;
 use crate::error::QsimError;
 use crate::gate::Gate;
-use crate::kernel::LaneScalar;
 use crate::matrix::CMatrix;
 use crate::statevector::Statevector;
 
@@ -297,8 +296,8 @@ impl DensityMatrix {
 
     /// Applies an arbitrary small unitary (2, 4 or 8 dimensional) given as a
     /// dense matrix over the listed qubits (first operand = most significant
-    /// sub-index bit). Exposed for the transpiler's equivalence tests.
-    pub fn apply_unitary_small(&mut self, m: &CMatrix, qubits: &[usize]) {
+    /// sub-index bit).
+    fn apply_unitary_small(&mut self, m: &CMatrix, qubits: &[usize]) {
         self.left_mul_small(m, qubits);
         self.right_mul_dagger_small(m, qubits);
     }
@@ -479,68 +478,6 @@ impl DensityMatrix {
         Ok(())
     }
 
-    /// Applies a precomputed two-qubit superoperator to `(qa, qb)` (`qa`
-    /// is the most significant sub-index bit). `s` is 16×16 row-major over
-    /// the vectorised 4×4 block.
-    ///
-    /// # Errors
-    ///
-    /// Returns an operand-validation error for bad qubit indices or a
-    /// dimension error if `s` is not 16×16.
-    pub fn apply_superop_2q(&mut self, qa: usize, qb: usize, s: &CMatrix) -> Result<(), QsimError> {
-        self.check_qubits(&[qa, qb])?;
-        if s.rows() != 16 || s.cols() != 16 {
-            return Err(QsimError::DimensionMismatch {
-                expected: 16,
-                actual: s.rows(),
-            });
-        }
-        let ma = 1usize << qa;
-        let mb = 1usize << qb;
-        let both = ma | mb;
-        let dim = self.dim;
-        // Row/column sub-index expansion: sub 0..4, bit1 = qa, bit0 = qb.
-        let expand = |base: usize, sub: usize| -> usize {
-            let mut idx = base;
-            if sub & 2 != 0 {
-                idx |= ma;
-            }
-            if sub & 1 != 0 {
-                idx |= mb;
-            }
-            idx
-        };
-        let mut v = [C64::ZERO; 16];
-        for r_base in 0..dim {
-            if r_base & both != 0 {
-                continue;
-            }
-            for c_base in 0..dim {
-                if c_base & both != 0 {
-                    continue;
-                }
-                for rs in 0..4 {
-                    let row = expand(r_base, rs);
-                    for cs in 0..4 {
-                        v[rs * 4 + cs] = self.data[row * dim + expand(c_base, cs)];
-                    }
-                }
-                for rs in 0..4 {
-                    let row = expand(r_base, rs);
-                    for cs in 0..4 {
-                        let i = rs * 4 + cs;
-                        let mut acc = C64::ZERO;
-                        for (j, &vj) in v.iter().enumerate() {
-                            acc += s[(i, j)] * vj;
-                        }
-                        self.data[row * dim + expand(c_base, cs)] = acc;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Applies the two-qubit depolarizing channel with Kraus parameter `p`
     /// directly via its closed form
     /// `ρ → (1−λ)ρ + λ (I/4) ⊗ Tr_{ab}(ρ)` with `λ = 16p/15` — equivalent
@@ -711,9 +648,9 @@ impl PhaseCovariantChannel {
 
     /// Applies the channel to one sub-block `(ρ00, ρ01, ρ10, ρ11)`. Each
     /// output sums the dense superoperator row's nonzero terms in their
-    /// column order, so it equals [`apply_superop_1q_columns`]'s row sum
-    /// (whose other two terms are products with exact zeros) up to the
-    /// sign of an exact zero.
+    /// column order, so on a real sub-block it equals the real part of
+    /// [`apply_superop_1q_columns`]'s row sum (whose other terms are
+    /// products with exact zeros) up to the sign of an exact zero.
     #[inline(always)]
     fn apply(&self, [w, x, y, z]: [f64; 4]) -> [f64; 4] {
         let [[p00, p03], [p30, p33]] = self.populations;
@@ -737,13 +674,13 @@ impl PhaseCovariantChannel {
 /// in registers, in one sweep.
 ///
 /// The rotation evaluates the real plane of
-/// [`DensityMatrix::apply_gate`]'s fused superoperator term for term and
-/// the channel [`apply_superop_1q_columns`]'s nonzero terms in order, so
-/// each entry equals the per-sample walk's real part up to the sign of an
-/// exact zero. Sub-blocks whose row or column base has the bit of a qubit
-/// outside `live` (the step's own operand always counts as live) are
-/// skipped: the caller guarantees every such entry is zero, which the
-/// step keeps. Pass `dim − 1` to sweep every sub-block.
+/// [`DensityMatrix::apply_gate`]'s fused superoperator term for term, and
+/// the channel the real parts of [`apply_superop_1q_columns`]'s nonzero
+/// terms in order, so each entry equals the per-sample walk's real part
+/// up to the sign of an exact zero. Sub-blocks whose row or column base
+/// has the bit of a qubit outside `live` (the step's own operand always
+/// counts as live) are skipped: the caller guarantees every such entry is
+/// zero, which the step keeps. Pass `dim − 1` to sweep every sub-block.
 ///
 /// # Panics
 ///
@@ -783,12 +720,12 @@ pub fn ry_step_columns(
 /// CX only relabels vec rows, so it is folded into the depolarizing
 /// sweep: each 16-row sub-block is read through the relabeling, its
 /// trace summed in that order and every entry written back at its
-/// natural row — the arithmetic of [`permute_cx_columns`] followed by
-/// [`apply_depolarizing_2q_columns`] with no separate permutation pass.
-/// The two relaxation sweeps then evaluate
-/// [`apply_superop_1q_columns`]'s nonzero terms in order. Each entry
-/// equals the per-sample walk's real part up to the sign of an exact
-/// zero. `live` skips sub-blocks as in [`ry_step_columns`]; both
+/// natural row — the real-part arithmetic of [`permute_cx_columns`]
+/// followed by [`apply_depolarizing_2q_columns`] with no separate
+/// permutation pass. The two relaxation sweeps then evaluate the real
+/// parts of [`apply_superop_1q_columns`]'s nonzero terms in order. Each
+/// entry equals the per-sample walk's real part up to the sign of an
+/// exact zero. `live` skips sub-blocks as in [`ry_step_columns`]; both
 /// operands count as live.
 ///
 /// # Panics
@@ -1099,22 +1036,21 @@ fn sub_block_rows_mut<T>(
 /// [`DensityMatrix::apply_superop_1q`], with identical per-element term
 /// order — the whole batch pays one pass of contiguous lane sweeps
 /// ([`crate::kernel::superop4_lanes`]) instead of `S` strided per-sample
-/// applications. Generic over the lane scalar: the structured engine's
-/// channel programs run it on a complex panel; on a real panel with a
-/// real channel it is the dense reference the lockstep preparation's
-/// block-form sweeps ([`ry_step_columns`], [`cx_step_columns`]) are
-/// pinned to.
+/// applications. The structured engine's channel programs run it; on a
+/// complex copy of a real panel its real parts are the dense reference
+/// the lockstep preparation's block-form sweeps ([`ry_step_columns`],
+/// [`cx_step_columns`]) are pinned to.
 ///
 /// # Panics
 ///
 /// Panics when `data.len() != dim² · samples`, `dim` is not a power of
 /// two, or `qubit` is out of range.
-pub fn apply_superop_1q_columns<T: LaneScalar>(
-    data: &mut [T],
+pub fn apply_superop_1q_columns(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     qubit: usize,
-    s: &[[T; 4]; 4],
+    s: &[[C64; 4]; 4],
 ) {
     assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
     assert!(1usize << qubit < dim, "qubit out of range");
@@ -1136,14 +1072,13 @@ pub fn apply_superop_1q_columns<T: LaneScalar>(
 /// indices this is a pure involution of panel rows — `(r, c) ↦
 /// (cx(r), cx(c))` with `cx` flipping the target bit where the control
 /// bit is set — executed as whole-lane row swaps with no arithmetic at
-/// all (exactly [`DensityMatrix::apply_gate`]'s CX fast path, batched),
-/// for either lane scalar.
+/// all (exactly [`DensityMatrix::apply_gate`]'s CX fast path, batched).
 ///
 /// # Panics
 ///
 /// Panics on a malformed panel shape or out-of-range/duplicate qubits.
-pub fn permute_cx_columns<T>(
-    data: &mut [T],
+pub fn permute_cx_columns(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     control: usize,
@@ -1182,17 +1117,17 @@ const DEPOL_TRACE_LANES: usize = crate::matrix::GEMM_COL_BLOCK;
 /// Applies the closed-form two-qubit depolarizing channel to `(qa, qb)`
 /// of **every column** of a `dim² × samples` vec(ρ) panel — the lockstep
 /// analogue of [`DensityMatrix::apply_depolarizing_2q`], per-element
-/// expressions replicated exactly, for either lane scalar. Each
-/// sub-block's lane-wise traces are accumulated in a fixed-size stack
-/// chunk, so the kernel allocates nothing. Dispatched through the
-/// runtime AVX recompilation ladder of [`crate::kernel`]'s lane kernels.
+/// expressions replicated exactly. Each sub-block's lane-wise traces are
+/// accumulated in a fixed-size stack chunk, so the kernel allocates
+/// nothing. Dispatched through the runtime AVX recompilation ladder of
+/// [`crate::kernel`]'s lane kernels.
 ///
 /// # Panics
 ///
 /// Panics on a malformed panel shape, bad operands, or `p` outside
 /// `[0, 15/16]`.
-pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
-    data: &mut [T],
+pub fn apply_depolarizing_2q_columns(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -1234,8 +1169,8 @@ pub fn apply_depolarizing_2q_columns<T: LaneScalar>(
 /// AVX-512 vectors enabled — identical safe Rust, identical results.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-fn depol2q_columns_avx512<T: LaneScalar>(
-    data: &mut [T],
+fn depol2q_columns_avx512(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -1249,8 +1184,8 @@ fn depol2q_columns_avx512<T: LaneScalar>(
 /// vectors enabled — identical safe Rust, identical results.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn depol2q_columns_avx<T: LaneScalar>(
-    data: &mut [T],
+fn depol2q_columns_avx(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -1261,8 +1196,8 @@ fn depol2q_columns_avx<T: LaneScalar>(
 }
 
 #[inline(always)]
-fn depol2q_columns_body<T: LaneScalar>(
-    data: &mut [T],
+fn depol2q_columns_body(
+    data: &mut [C64],
     dim: usize,
     samples: usize,
     qa: usize,
@@ -1285,7 +1220,7 @@ fn depol2q_columns_body<T: LaneScalar>(
         }
         idx
     };
-    let mut trace = [T::ZERO; DEPOL_TRACE_LANES];
+    let mut trace = [C64::ZERO; DEPOL_TRACE_LANES];
     for r_base in 0..dim {
         if r_base & both != 0 {
             continue;
@@ -1301,7 +1236,7 @@ fn depol2q_columns_body<T: LaneScalar>(
                 let mixed = &mut trace[..width];
                 // Block trace over the two-qubit subsystem, lane-wise, in
                 // the per-sample kernel's s = 0..4 accumulation order.
-                mixed.fill(T::ZERO);
+                mixed.fill(C64::ZERO);
                 for s in 0..4 {
                     let row = (expand(r_base, s) * dim + expand(c_base, s)) * samples + l0;
                     for (m, &v) in mixed.iter_mut().zip(&data[row..row + width]) {
@@ -1332,92 +1267,6 @@ fn depol2q_columns_body<T: LaneScalar>(
     }
 }
 
-/// Borrows `N` pairwise-distinct vec rows of a `dim² × samples` panel as
-/// disjoint mutable lane runs, in the caller's slot order. The rows are
-/// sorted internally and the panel split sequentially, so arbitrary
-/// (e.g. non-monotone two-qubit sub-block) row orders are supported.
-fn disjoint_rows_mut<'a, const N: usize>(
-    data: &'a mut [crate::complex::C64],
-    samples: usize,
-    rows: &[usize; N],
-) -> [&'a mut [crate::complex::C64]; N] {
-    let mut order: [usize; N] = core::array::from_fn(|i| i);
-    order.sort_unstable_by_key(|&slot| rows[slot]);
-    let mut out: [Option<&mut [crate::complex::C64]>; N] = core::array::from_fn(|_| None);
-    let mut rest = data;
-    let mut consumed = 0usize;
-    for &slot in &order {
-        let start = rows[slot] * samples;
-        let (head, tail) = core::mem::take(&mut rest).split_at_mut(start - consumed + samples);
-        let head_len = head.len();
-        out[slot] = Some(&mut head[head_len - samples..]);
-        consumed = start + samples;
-        rest = tail;
-    }
-    out.map(|o| o.expect("row indices must be pairwise distinct"))
-}
-
-/// Applies a shared two-qubit superoperator (16×16 row-major over the
-/// vectorised 4×4 sub-block, `qa` the most significant sub-index bit) to
-/// `(qa, qb)` of **every column** of a `dim² × samples` vec(ρ) panel —
-/// the lockstep analogue of [`DensityMatrix::apply_superop_2q`], with the
-/// same gather → mat-vec → scatter term order per lane
-/// ([`crate::kernel::superop16_lanes`], runtime-AVX-recompiled).
-///
-/// # Panics
-///
-/// Panics on a malformed panel shape or out-of-range/duplicate qubits.
-pub fn apply_superop_2q_columns(
-    data: &mut [crate::complex::C64],
-    dim: usize,
-    samples: usize,
-    qa: usize,
-    qb: usize,
-    s: &[[crate::complex::C64; 16]; 16],
-) {
-    assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
-    assert!(1usize << qa < dim, "qubit out of range");
-    assert!(1usize << qb < dim, "qubit out of range");
-    assert_ne!(qa, qb, "operands must differ");
-    assert_eq!(data.len(), dim * dim * samples, "panel shape mismatch");
-    if samples == 0 {
-        return;
-    }
-    let ma = 1usize << qa;
-    let mb = 1usize << qb;
-    let both = ma | mb;
-    // Row/column sub-index expansion: sub 0..4, bit1 = qa, bit0 = qb.
-    let expand = |base: usize, sub: usize| -> usize {
-        let mut idx = base;
-        if sub & 2 != 0 {
-            idx |= ma;
-        }
-        if sub & 1 != 0 {
-            idx |= mb;
-        }
-        idx
-    };
-    for r_base in 0..dim {
-        if r_base & both != 0 {
-            continue;
-        }
-        for c_base in 0..dim {
-            if c_base & both != 0 {
-                continue;
-            }
-            let mut vec_rows = [0usize; 16];
-            for rs in 0..4 {
-                let row = expand(r_base, rs) * dim;
-                for cs in 0..4 {
-                    vec_rows[rs * 4 + cs] = row + expand(c_base, cs);
-                }
-            }
-            let mut lanes = disjoint_rows_mut(data, samples, &vec_rows);
-            crate::kernel::superop16_lanes(&mut lanes, s);
-        }
-    }
-}
-
 /// Resets `qubit` to `|0⟩` in **every column** of a `dim² × samples`
 /// vec(ρ) panel — the lockstep analogue of [`DensityMatrix::reset`]'s
 /// Kraus pair `{|0⟩⟨0|, |0⟩⟨1|}`, charged in closed form
@@ -1444,76 +1293,6 @@ pub fn apply_reset_columns(
         for c0 in (0..dim).filter(|c| c & mask == 0) {
             let (v0, v1, v2, v3) = sub_block_rows_mut(data, dim, samples, mask, r0, c0);
             crate::kernel::reset_lanes(v0, v1, v2, v3);
-        }
-    }
-}
-
-/// Applies the amplitude-damping channel with parameter `gamma` to
-/// `qubit` of **every column** of a `dim² × samples` vec(ρ) panel — the
-/// lockstep closed form of [`crate::noise::amplitude_damping`]'s Kraus
-/// pair, charged through [`crate::kernel::amp_damp_lanes`].
-///
-/// # Panics
-///
-/// Panics on a malformed panel shape, a bad operand, or `gamma` outside
-/// `[0, 1]`.
-pub fn apply_amplitude_damping_columns(
-    data: &mut [crate::complex::C64],
-    dim: usize,
-    samples: usize,
-    qubit: usize,
-    gamma: f64,
-) {
-    assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
-    assert!(1usize << qubit < dim, "qubit out of range");
-    assert_eq!(data.len(), dim * dim * samples, "panel shape mismatch");
-    assert!((0.0..=1.0).contains(&gamma), "invalid probability {gamma}");
-    if samples == 0 {
-        return;
-    }
-    let damp = (1.0 - gamma).sqrt();
-    let mask = 1usize << qubit;
-    for r0 in (0..dim).filter(|r| r & mask == 0) {
-        for c0 in (0..dim).filter(|c| c & mask == 0) {
-            let (v0, v1, v2, v3) = sub_block_rows_mut(data, dim, samples, mask, r0, c0);
-            crate::kernel::amp_damp_lanes(v0, v1, v2, v3, gamma, damp);
-        }
-    }
-}
-
-/// Applies the phase-damping channel with parameter `lambda` to `qubit`
-/// of **every column** of a `dim² × samples` vec(ρ) panel — the lockstep
-/// closed form of [`crate::noise::phase_damping`]'s Kraus pair: only the
-/// two coherence rows of each sub-block shrink (by `√(1−λ)`), the
-/// populations are untouched ([`crate::kernel::phase_damp_lanes`]).
-///
-/// # Panics
-///
-/// Panics on a malformed panel shape, a bad operand, or `lambda` outside
-/// `[0, 1]`.
-pub fn apply_phase_damping_columns(
-    data: &mut [crate::complex::C64],
-    dim: usize,
-    samples: usize,
-    qubit: usize,
-    lambda: f64,
-) {
-    assert!(dim.is_power_of_two(), "ρ dimension must be a power of two");
-    assert!(1usize << qubit < dim, "qubit out of range");
-    assert_eq!(data.len(), dim * dim * samples, "panel shape mismatch");
-    assert!(
-        (0.0..=1.0).contains(&lambda),
-        "invalid probability {lambda}"
-    );
-    if samples == 0 {
-        return;
-    }
-    let damp = (1.0 - lambda).sqrt();
-    let mask = 1usize << qubit;
-    for r0 in (0..dim).filter(|r| r & mask == 0) {
-        for c0 in (0..dim).filter(|c| c & mask == 0) {
-            let (_, v1, v2, _) = sub_block_rows_mut(data, dim, samples, mask, r0, c0);
-            crate::kernel::phase_damp_lanes(v1, v2, damp);
         }
     }
 }
@@ -1568,27 +1347,6 @@ pub fn compose_superops(first: &CMatrix, second: &CMatrix) -> CMatrix {
 pub fn superop_to_array_1q(s: &CMatrix) -> [[C64; 4]; 4] {
     assert_eq!((s.rows(), s.cols()), (4, 4), "superoperator must be 4×4");
     let mut out = [[C64::ZERO; 4]; 4];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = s[(i, j)];
-        }
-    }
-    out
-}
-
-/// Converts a 16×16 [`CMatrix`] superoperator into the boxed fixed-size
-/// array [`apply_superop_2q_columns`] consumes.
-///
-/// # Panics
-///
-/// Panics unless the matrix is 16×16.
-pub fn superop_to_array_2q(s: &CMatrix) -> Box<[[C64; 16]; 16]> {
-    assert_eq!(
-        (s.rows(), s.cols()),
-        (16, 16),
-        "superoperator must be 16×16"
-    );
-    let mut out = Box::new([[C64::ZERO; 16]; 16]);
     for (i, row) in out.iter_mut().enumerate() {
         for (j, v) in row.iter_mut().enumerate() {
             *v = s[(i, j)];
@@ -1847,14 +1605,19 @@ mod tests {
         panel
     }
 
-    /// The step kernels' contract: every entry equal as `f64` to the
-    /// sequence they replace, and equal bit for bit wherever that
-    /// sequence's entry is nonzero (only exact zeros may change sign).
-    fn assert_step_pin(got: &[f64], want: &[f64], case: &str) {
-        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g, w, "{case} entry {i}");
-            if w != 0.0 {
-                assert_eq!(g.to_bits(), w.to_bits(), "{case} entry {i}");
+    /// A complex copy of a real panel, for the complex reference kernels.
+    fn complex_copy(panel: &[f64]) -> Vec<C64> {
+        panel.iter().map(|&v| C64::from_real(v)).collect()
+    }
+
+    /// The step kernels' contract: every entry equal as `f64` to the real
+    /// part of the sequence they replace, and equal bit for bit wherever
+    /// that real part is nonzero (only exact zeros may change sign).
+    fn assert_step_pin(got: &[f64], want: &[C64], case: &str) {
+        for (i, (&g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g, w.re, "{case} entry {i}");
+            if w.re != 0.0 {
+                assert_eq!(g.to_bits(), w.re.to_bits(), "{case} entry {i}");
             }
         }
     }
@@ -1863,9 +1626,10 @@ mod tests {
     fn ry_step_matches_rotation_then_dense_channel() {
         // The sequence the fused RY step replaces: each column conjugated
         // by DensityMatrix::apply_gate(RY) on its own (real parts kept),
-        // then the fused 1q channel as a dense real superoperator over
-        // the whole panel. Every qubit of dim 2–16, every set of other
-        // qubits touched earlier (the full set is the unmasked run).
+        // then the fused 1q channel as a dense superoperator over a
+        // complex copy of the whole panel. Every qubit of dim 2–16, every
+        // set of other qubits touched earlier (the full set is the
+        // unmasked run).
         let models = step_pin_models();
         for n in 1..=4usize {
             let dim = 1usize << n;
@@ -1903,10 +1667,9 @@ mod tests {
                             }
                         }
                         for (model, g) in &models {
-                            let mut want = rotated.clone();
+                            let mut want = complex_copy(&rotated);
                             if let Some(s) = g.superop_1q() {
-                                let s_real = s.map(|row| row.map(|z| z.re));
-                                apply_superop_1q_columns(&mut want, dim, samples, qubit, &s_real);
+                                apply_superop_1q_columns(&mut want, dim, samples, qubit, s);
                             }
                             let mut got = panel.clone();
                             ry_step_columns(
@@ -1930,11 +1693,12 @@ mod tests {
 
     #[test]
     fn cx_step_matches_permutation_depolarizing_and_relaxation() {
-        // The sequence the fused CX step replaces: the CX row permutation,
-        // the closed-form depolarizing channel (when the model has one),
-        // then the dense real relaxation on the control and on the
-        // target. Every ordered pair of dim 4–16, every set of other
-        // qubits touched earlier (the full set is the unmasked run).
+        // The sequence the fused CX step replaces, on a complex copy of
+        // the panel: the CX row permutation, the closed-form depolarizing
+        // channel (when the model has one), then the dense relaxation on
+        // the control and on the target. Every ordered pair of dim 4–16,
+        // every set of other qubits touched earlier (the full set is the
+        // unmasked run).
         let models = step_pin_models();
         for n in 2..=4usize {
             let dim = 1usize << n;
@@ -1947,7 +1711,7 @@ mod tests {
                             let salt = (n * 97 + control * 5 + target) as u64;
                             let panel = live_panel(dim, samples, live, salt);
                             for (model, g) in &models {
-                                let mut want = panel.clone();
+                                let mut want = complex_copy(&panel);
                                 permute_cx_columns(&mut want, dim, samples, control, target);
                                 if g.depol_2q() > 0.0 {
                                     let p = g.depol_2q();
@@ -1956,13 +1720,8 @@ mod tests {
                                     );
                                 }
                                 if let Some(s) = g.superop_2q_relax() {
-                                    let s_real = s.map(|row| row.map(|z| z.re));
-                                    apply_superop_1q_columns(
-                                        &mut want, dim, samples, control, &s_real,
-                                    );
-                                    apply_superop_1q_columns(
-                                        &mut want, dim, samples, target, &s_real,
-                                    );
+                                    apply_superop_1q_columns(&mut want, dim, samples, control, s);
+                                    apply_superop_1q_columns(&mut want, dim, samples, target, s);
                                 }
                                 let mut got = panel.clone();
                                 cx_step_columns(
@@ -1993,60 +1752,6 @@ mod tests {
         (0..len)
             .map(|i| 0.05 + ((i as f64 + salt as f64 * 0.61) * 0.7311).sin())
             .collect()
-    }
-
-    #[test]
-    fn generic_column_kernels_agree_bitwise_across_lane_scalars() {
-        // Every generic column kernel, instantiated for f64 and for C64 on
-        // the same real panel with a real channel: the f64 output must be
-        // the C64 output's real part bit for bit. Lane widths straddle
-        // the vector widths so every remainder path runs.
-        let n = 3;
-        let dim = 1usize << n;
-        let gate_noise = crate::simulator::GateNoise::from_model(
-            &crate::noise::NoiseModel::brisbane().scaled(2.0),
-        );
-        let channel = *gate_noise.superop_1q().expect("brisbane has a 1q channel");
-        let relax = *gate_noise
-            .superop_2q_relax()
-            .expect("brisbane has a relaxation channel");
-        let random_real: [[C64; 4]; 4] = core::array::from_fn(|i| {
-            core::array::from_fn(|j| C64::from_real(((i * 4 + j) as f64 * 0.83).cos()))
-        });
-        for samples in [1usize, 2, 3, 8, 33] {
-            for (case, s) in [channel, relax, random_real].iter().enumerate() {
-                let s_real = s.map(|row| row.map(|z| z.re));
-                for qubit in 0..n {
-                    let mut real = real_panel(dim * dim * samples, (case * 7 + qubit) as u64);
-                    let mut complex: Vec<C64> = real.iter().map(|&v| C64::from_real(v)).collect();
-                    apply_superop_1q_columns(&mut real, dim, samples, qubit, &s_real);
-                    apply_superop_1q_columns(&mut complex, dim, samples, qubit, s);
-                    for (i, (x, z)) in real.iter().zip(&complex).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            z.re.to_bits(),
-                            "superop S={samples} case {case} qubit {qubit} entry {i}"
-                        );
-                    }
-                }
-            }
-            for (qa, qb) in [(0usize, 1usize), (2, 0), (1, 2)] {
-                let mut real = real_panel(dim * dim * samples, (qa * 3 + qb) as u64);
-                let mut complex: Vec<C64> = real.iter().map(|&v| C64::from_real(v)).collect();
-                permute_cx_columns(&mut real, dim, samples, qa, qb);
-                permute_cx_columns(&mut complex, dim, samples, qa, qb);
-                apply_depolarizing_2q_columns(&mut real, dim, samples, qa, qb, 0.07);
-                apply_depolarizing_2q_columns(&mut complex, dim, samples, qa, qb, 0.07);
-                for (i, (x, z)) in real.iter().zip(&complex).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        z.re.to_bits(),
-                        "cx + depolarizing S={samples} ({qa}, {qb}) entry {i}"
-                    );
-                    assert_eq!(z.im, 0.0);
-                }
-            }
-        }
     }
 
     #[test]
@@ -2103,20 +1808,6 @@ mod tests {
     }
 
     #[test]
-    fn superop_2q_matches_kraus_application() {
-        let kraus = crate::noise::depolarizing_2q(0.1);
-        let s = superop_from_kraus(&kraus);
-        assert_eq!(s.rows(), 16);
-        for seed in 0..3 {
-            let mut a = random_mixed_state(100 + seed);
-            let mut b = a.clone();
-            a.apply_kraus(&kraus, &[0, 2]).unwrap();
-            b.apply_superop_2q(0, 2, &s).unwrap();
-            assert!(a.to_cmatrix().approx_eq(&b.to_cmatrix(), 1e-10));
-        }
-    }
-
-    #[test]
     fn identity_superop_is_noop() {
         let id = superop_from_kraus(&[CMatrix::identity(2)]);
         let s = superop_to_array_1q(&id);
@@ -2148,15 +1839,6 @@ mod tests {
         assert!(rho.apply_depolarizing_2q(0, 1, 1.0).is_err());
         assert!(rho.apply_depolarizing_2q(0, 1, -0.1).is_err());
         assert!(rho.apply_depolarizing_2q(0, 1, 0.0).is_ok());
-    }
-
-    #[test]
-    fn superop_validation() {
-        let mut rho = DensityMatrix::new(2).unwrap();
-        let s4 = CMatrix::identity(4);
-        assert!(rho.apply_superop_2q(0, 1, &s4).is_err()); // wrong dim
-        let s16 = CMatrix::identity(16);
-        assert!(rho.apply_superop_2q(0, 5, &s16).is_err()); // bad qubit
     }
 
     #[test]

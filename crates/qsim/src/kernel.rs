@@ -96,34 +96,6 @@ pub(crate) fn avx512_autovec_active() -> bool {
     }
 }
 
-/// The scalar held in the lanes of a `4^n × S` vec(ρ) panel: [`C64`]
-/// for the structured engine's channel-program walk, and `f64` for a real
-/// panel such as the lockstep noisy preparation's, whose step kernels
-/// ([`crate::density::ry_step_columns`],
-/// [`crate::density::cx_step_columns`]) are pinned to the `f64` sequence
-/// of these kernels. The generic lane
-/// kernels evaluate the same expression in the same term order for both,
-/// so an `f64` panel equals the real parts of a real-valued `C64` panel
-/// bit for bit.
-pub trait LaneScalar:
-    Copy
-    + core::ops::Add<Output = Self>
-    + core::ops::AddAssign
-    + core::ops::Mul<Output = Self>
-    + core::ops::Mul<f64, Output = Self>
-{
-    /// The additive identity.
-    const ZERO: Self;
-}
-
-impl LaneScalar for f64 {
-    const ZERO: f64 = 0.0;
-}
-
-impl LaneScalar for C64 {
-    const ZERO: C64 = C64::ZERO;
-}
-
 /// The batched 1q-superoperator lane kernel: applies one shared 4×4
 /// superoperator (a fused noise channel) across the sample lanes of one
 /// row quadruple of a `4^n × S` vec(ρ) panel — the whole-batch analogue
@@ -132,15 +104,14 @@ impl LaneScalar for C64 {
 /// per-element term order, so lockstep and per-sample walks agree to the
 /// bit. Each lane is a tiny `4×4 · 4×1` GEMM; the panel layout makes the
 /// four operand rows contiguous lane runs, which is what lets the
-/// compiler vectorise across samples. One body serves both lane scalars
-/// ([`LaneScalar`]). Dispatched through the runtime AVX recompilation
-/// ladder.
-pub fn superop4_lanes<T: LaneScalar>(
-    v0: &mut [T],
-    v1: &mut [T],
-    v2: &mut [T],
-    v3: &mut [T],
-    s: &[[T; 4]; 4],
+/// compiler vectorise across samples. Dispatched through the runtime AVX
+/// recompilation ladder.
+pub fn superop4_lanes(
+    v0: &mut [C64],
+    v1: &mut [C64],
+    v2: &mut [C64],
+    v3: &mut [C64],
+    s: &[[C64; 4]; 4],
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx512_autovec_active() {
@@ -167,12 +138,12 @@ pub fn superop4_lanes<T: LaneScalar>(
 /// enabled — identical safe Rust, identical results.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
-fn superop4_avx512<T: LaneScalar>(
-    v0: &mut [T],
-    v1: &mut [T],
-    v2: &mut [T],
-    v3: &mut [T],
-    s: &[[T; 4]; 4],
+fn superop4_avx512(
+    v0: &mut [C64],
+    v1: &mut [C64],
+    v2: &mut [C64],
+    v3: &mut [C64],
+    s: &[[C64; 4]; 4],
 ) {
     superop4_body(v0, v1, v2, v3, s);
 }
@@ -181,23 +152,17 @@ fn superop4_avx512<T: LaneScalar>(
 /// identical safe Rust, identical results.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn superop4_avx<T: LaneScalar>(
-    v0: &mut [T],
-    v1: &mut [T],
-    v2: &mut [T],
-    v3: &mut [T],
-    s: &[[T; 4]; 4],
-) {
+fn superop4_avx(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64], s: &[[C64; 4]; 4]) {
     superop4_body(v0, v1, v2, v3, s);
 }
 
 #[inline(always)]
-fn superop4_body<T: LaneScalar>(
-    v0: &mut [T],
-    v1: &mut [T],
-    v2: &mut [T],
-    v3: &mut [T],
-    s: &[[T; 4]; 4],
+fn superop4_body(
+    v0: &mut [C64],
+    v1: &mut [C64],
+    v2: &mut [C64],
+    v3: &mut [C64],
+    s: &[[C64; 4]; 4],
 ) {
     for (((a, b), c_), d) in v0
         .iter_mut()
@@ -206,7 +171,7 @@ fn superop4_body<T: LaneScalar>(
         .zip(v3.iter_mut())
     {
         let v = [*a, *b, *c_, *d];
-        let mut out = [T::ZERO; 4];
+        let mut out = [C64::ZERO; 4];
         for (i, o) in out.iter_mut().enumerate() {
             let row = &s[i];
             *o = row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
@@ -386,16 +351,12 @@ fn encode_readout_body<const FUSED: bool>(
     }
 }
 
-/// The batched 16×16 superoperator lane kernel: applies one shared 16×16
-/// complex matrix across the sample lanes of sixteen row runs of a
-/// `4^n × S` vec(ρ) panel. Two callers share it: the two-qubit
-/// superoperator conjugation
-/// ([`crate::density::apply_superop_2q_columns`], rows = the sixteen vec
-/// rows of one two-qubit sub-block) and the structured swap-test readout
-/// sweep ([`crate::channel::SwapTestMpo`], rows = 4 bond panels × 4 field
-/// rows). Per lane the arithmetic matches
-/// [`crate::density::DensityMatrix::apply_superop_2q`]'s gather → 16×16
-/// mat-vec → scatter loop term for term. Dispatched through the runtime
+/// The batched 16×16 lane kernel of the structured SWAP-test readout
+/// sweep ([`crate::channel::SwapTestMpo`]): applies one shared 16×16
+/// complex matrix across the sample lanes of sixteen row runs (4 bond
+/// panels × 4 field rows of one qubit pair). Per lane it gathers the
+/// sixteen entries, forms each output as the mat-vec row summed in index
+/// order, and scatters the results back. Dispatched through the runtime
 /// AVX recompilation ladder.
 pub fn superop16_lanes(rows: &mut [&mut [C64]; 16], s: &[[C64; 16]; 16]) {
     #[cfg(target_arch = "x86_64")]
@@ -496,104 +457,6 @@ fn reset_body(v0: &mut [C64], v1: &mut [C64], v2: &mut [C64], v3: &mut [C64]) {
         *b = C64::ZERO;
         *c_ = C64::ZERO;
         *d = C64::ZERO;
-    }
-}
-
-/// The batched amplitude-damping lane kernel: per lane
-/// `ρ00 ← ρ00 + γ·ρ11`, `ρ01 ← √(1−γ)·ρ01`, `ρ10 ← √(1−γ)·ρ10`,
-/// `ρ11 ← (1−γ)·ρ11` — the closed form of
-/// [`crate::noise::amplitude_damping`]'s Kraus pair. `damp = √(1−γ)` and
-/// `keep = 1−γ` are hoisted by the caller so every lane pays multiplies
-/// only. Dispatched through the runtime AVX recompilation ladder.
-pub fn amp_damp_lanes(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    gamma: f64,
-    damp: f64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
-        // requirement of the safe `#[target_feature]` rung.
-        unsafe {
-            amp_damp_avx(v0, v1, v2, v3, gamma, damp);
-        }
-        return;
-    }
-    amp_damp_body(v0, v1, v2, v3, gamma, damp);
-}
-
-/// [`amp_damp_lanes`]'s body recompiled with 256-bit AVX vectors enabled —
-/// identical safe Rust, identical results.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn amp_damp_avx(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    gamma: f64,
-    damp: f64,
-) {
-    amp_damp_body(v0, v1, v2, v3, gamma, damp);
-}
-
-#[inline(always)]
-fn amp_damp_body(
-    v0: &mut [C64],
-    v1: &mut [C64],
-    v2: &mut [C64],
-    v3: &mut [C64],
-    gamma: f64,
-    damp: f64,
-) {
-    let keep = 1.0 - gamma;
-    for (((a, b), c_), d) in v0
-        .iter_mut()
-        .zip(v1.iter_mut())
-        .zip(v2.iter_mut())
-        .zip(v3.iter_mut())
-    {
-        *a += d.scale(gamma);
-        *b = b.scale(damp);
-        *c_ = c_.scale(damp);
-        *d = d.scale(keep);
-    }
-}
-
-/// The batched phase-damping lane kernel: per lane the coherences shrink,
-/// `ρ01 ← √(1−λ)·ρ01`, `ρ10 ← √(1−λ)·ρ10`, and the populations are
-/// untouched — the closed form of [`crate::noise::phase_damping`]'s
-/// Kraus pair. `damp = √(1−λ)` is hoisted by the caller. Dispatched
-/// through the runtime AVX recompilation ladder.
-pub fn phase_damp_lanes(v1: &mut [C64], v2: &mut [C64], damp: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_autovec_active() {
-        // SAFETY: `avx_autovec_active` verified AVX at runtime, the only
-        // requirement of the safe `#[target_feature]` rung.
-        unsafe {
-            phase_damp_avx(v1, v2, damp);
-        }
-        return;
-    }
-    phase_damp_body(v1, v2, damp);
-}
-
-/// [`phase_damp_lanes`]'s body recompiled with 256-bit AVX vectors
-/// enabled — identical safe Rust, identical results.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn phase_damp_avx(v1: &mut [C64], v2: &mut [C64], damp: f64) {
-    phase_damp_body(v1, v2, damp);
-}
-
-#[inline(always)]
-fn phase_damp_body(v1: &mut [C64], v2: &mut [C64], damp: f64) {
-    for (b, c_) in v1.iter_mut().zip(v2.iter_mut()) {
-        *b = b.scale(damp);
-        *c_ = c_.scale(damp);
     }
 }
 
@@ -1040,12 +903,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_damping_lanes_match_closed_forms() {
+    fn reset_lanes_match_closed_form() {
+        // ρ00 + ρ11 survives, everything else vanishes.
         let lanes = 9;
-        let mk = || -> Vec<Vec<C64>> { (0..4).map(|r| dense(1, lanes, 40 + r as u64)).collect() };
-
-        // Reset: ρ00 + ρ11 survives, everything else vanishes.
-        let mut v = mk();
+        let mut v: Vec<Vec<C64>> = (0..4).map(|r| dense(1, lanes, 40 + r as u64)).collect();
         let orig = v.clone();
         {
             let (a, rest) = v.split_at_mut(1);
@@ -1058,42 +919,6 @@ mod tests {
             for row in v.iter().take(4).skip(1) {
                 assert_eq!(row[j], C64::ZERO);
             }
-        }
-
-        // Amplitude damping at γ: population transfer + coherence decay.
-        let gamma: f64 = 0.37;
-        let damp = (1.0 - gamma).sqrt();
-        let mut v = mk();
-        let orig = v.clone();
-        {
-            let (a, rest) = v.split_at_mut(1);
-            let (b, rest) = rest.split_at_mut(1);
-            let (c, d) = rest.split_at_mut(1);
-            amp_damp_lanes(&mut a[0], &mut b[0], &mut c[0], &mut d[0], gamma, damp);
-        }
-        for j in 0..lanes {
-            assert!(v[0][j].approx_eq(orig[0][j] + orig[3][j].scale(gamma), 1e-14));
-            assert!(v[1][j].approx_eq(orig[1][j].scale(damp), 1e-14));
-            assert!(v[2][j].approx_eq(orig[2][j].scale(damp), 1e-14));
-            assert!(v[3][j].approx_eq(orig[3][j].scale(1.0 - gamma), 1e-14));
-        }
-
-        // Phase damping at λ: only the coherences shrink.
-        let lambda: f64 = 0.52;
-        let damp = (1.0 - lambda).sqrt();
-        let mut v = mk();
-        let orig = v.clone();
-        {
-            let (_, rest) = v.split_at_mut(1);
-            let (b, rest) = rest.split_at_mut(1);
-            let (c, _) = rest.split_at_mut(1);
-            phase_damp_lanes(&mut b[0], &mut c[0], damp);
-        }
-        for j in 0..lanes {
-            assert_eq!(v[0][j], orig[0][j]);
-            assert!(v[1][j].approx_eq(orig[1][j].scale(damp), 1e-14));
-            assert!(v[2][j].approx_eq(orig[2][j].scale(damp), 1e-14));
-            assert_eq!(v[3][j], orig[3][j]);
         }
     }
 

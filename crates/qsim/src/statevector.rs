@@ -126,23 +126,6 @@ impl Statevector {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Rescales to unit norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::NotNormalized`] if the current norm is zero.
-    pub fn normalize(&mut self) -> Result<(), QsimError> {
-        let n = self.norm_sqr();
-        if n <= 0.0 {
-            return Err(QsimError::NotNormalized { norm_sqr: n });
-        }
-        let s = n.sqrt().recip();
-        for a in &mut self.amps {
-            *a = a.scale(s);
-        }
-        Ok(())
-    }
-
     fn check_qubits(&self, qubits: &[usize]) -> Result<(), QsimError> {
         for (i, &q) in qubits.iter().enumerate() {
             if q >= self.num_qubits {
@@ -196,18 +179,6 @@ impl Statevector {
             Gate::CSwap => self.kernel_cswap(qubits[0], qubits[1], qubits[2]),
             _ => unreachable!("gate dispatch is exhaustive"),
         }
-        Ok(())
-    }
-
-    /// Applies an arbitrary 2×2 matrix to one qubit (used by state
-    /// preparation and the transpiler tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::QubitOutOfRange`] for a bad operand.
-    pub fn apply_matrix_1q(&mut self, q: usize, m: &[[C64; 2]; 2]) -> Result<(), QsimError> {
-        self.check_qubits(&[q])?;
-        self.kernel_1q(q, m);
         Ok(())
     }
 

@@ -638,41 +638,6 @@ impl ScoreClient {
         Ok(client)
     }
 
-    /// Connects, retrying transport failures under `retry` — a client
-    /// started before (or racing) its server converges instead of
-    /// failing fast.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] when every attempt fails; the last error wins.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs,
-        retry: RetryPolicy,
-    ) -> Result<Self, ServeError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let mut attempt = 0u32;
-        loop {
-            match TcpStream::connect(&addrs[..]) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    return Ok(ScoreClient {
-                        stream,
-                        addrs,
-                        read_timeout: None,
-                        write_timeout: None,
-                        retry,
-                        frame: Vec::new(),
-                    });
-                }
-                Err(_) if attempt < retry.max_retries => {
-                    std::thread::sleep(retry.backoff(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(ServeError::Io(e)),
-            }
-        }
-    }
-
     /// Sets the read/write deadlines for every subsequent `score` call.
     /// `None` reverts that direction to blocking indefinitely.
     ///

@@ -3,9 +3,8 @@
 //! reproduce the dense fused-superoperator engine — across random ansatz
 //! draws, register widths n ∈ {2, 3}, reset counts, the
 //! ideal/Brisbane/scaled noise models, and batch sizes straddling the
-//! lockstep column-block boundary — and the new per-op column kernels
-//! (reset, amplitude damping, phase damping, general 2q superoperator)
-//! must satisfy their channel laws against the per-sample dense kernels.
+//! lockstep column-block boundary — and the reset column kernel must
+//! satisfy its channel law against the per-sample dense kernel.
 //!
 //! The dense engine is the bit-exact small-n oracle here; the structured
 //! path reassociates floating-point products (per-qubit 1q-run fusion,
@@ -23,10 +22,7 @@ use quorum::core::ensemble::EnsembleGroup;
 use quorum::core::{ExecutionMode, QuorumConfig};
 use quorum::data::Dataset;
 use quorum::sim::complex::C64;
-use quorum::sim::density::{
-    apply_amplitude_damping_columns, apply_phase_damping_columns, apply_reset_columns,
-    apply_superop_2q_columns, superop_from_kraus, superop_to_array_2q, DensityMatrix,
-};
+use quorum::sim::density::{apply_reset_columns, DensityMatrix};
 use quorum::sim::matrix::{CMatrix, GEMM_COL_BLOCK};
 use quorum::sim::NoiseModel;
 
@@ -208,55 +204,6 @@ proptest! {
             prop_assert!((d - s).abs() <= 1.0 / shots as f64, "dense {} vs structured {}", d, s);
         }
     }
-
-    /// Amplitude damping as a column kernel against the per-sample Kraus
-    /// oracle, across the whole parameter range, on every qubit of both
-    /// widths — entrywise equality and exact trace preservation.
-    #[test]
-    fn amplitude_damping_columns_match_kraus_and_preserve_trace(
-        gamma_ppm in 0u64..=1_000_000,
-        salt in 0u64..10_000,
-    ) {
-        let gamma = gamma_ppm as f64 / 1e6;
-        for num_qubits in 1usize..=2 {
-            let dim = 1usize << num_qubits;
-            let samples = 3;
-            for qubit in 0..num_qubits {
-                let (states, mut panel) = state_panel(num_qubits, samples, salt);
-                apply_amplitude_damping_columns(&mut panel, dim, samples, qubit, gamma);
-                for (j, s) in states.iter().enumerate() {
-                    let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
-                    rho.apply_kraus(&quorum::sim::noise::amplitude_damping(gamma), &[qubit])
-                        .unwrap();
-                    assert_column_matches(&panel, samples, j, dim, &rho, "amp-damp");
-                }
-            }
-        }
-    }
-
-    /// Phase damping as a column kernel against the per-sample Kraus
-    /// oracle, across the whole parameter range.
-    #[test]
-    fn phase_damping_columns_match_kraus_and_preserve_trace(
-        lambda_ppm in 0u64..=1_000_000,
-        salt in 0u64..10_000,
-    ) {
-        let lambda = lambda_ppm as f64 / 1e6;
-        for num_qubits in 1usize..=2 {
-            let dim = 1usize << num_qubits;
-            let samples = 3;
-            for qubit in 0..num_qubits {
-                let (states, mut panel) = state_panel(num_qubits, samples, salt);
-                apply_phase_damping_columns(&mut panel, dim, samples, qubit, lambda);
-                for (j, s) in states.iter().enumerate() {
-                    let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
-                    rho.apply_kraus(&quorum::sim::noise::phase_damping(lambda), &[qubit])
-                        .unwrap();
-                    assert_column_matches(&panel, samples, j, dim, &rho, "phase-damp");
-                }
-            }
-        }
-    }
 }
 
 /// Reset as a column kernel against the per-sample oracle: the reset
@@ -273,36 +220,6 @@ fn reset_columns_match_per_sample_reset_and_preserve_trace() {
                 let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
                 rho.reset(qubit).unwrap();
                 assert_column_matches(&panel, samples, j, dim, &rho, "reset");
-            }
-        }
-    }
-}
-
-/// The general 16×16 two-qubit superoperator column kernel against the
-/// per-sample dense oracle, for a non-CX unitary conjugation (the op the
-/// channel IR emits for 2q gates surviving lowering) on every ordered
-/// qubit pair — including pairs where the sub-index order is reversed
-/// relative to the register order.
-#[test]
-fn superop_2q_columns_match_per_sample_oracle() {
-    use quorum::sim::gate::Gate;
-    let s_mat = superop_from_kraus(&[Gate::Swap.matrix()]);
-    let s = superop_to_array_2q(&s_mat);
-    for num_qubits in 2usize..=3 {
-        let dim = 1usize << num_qubits;
-        let samples = 3;
-        for qa in 0..num_qubits {
-            for qb in 0..num_qubits {
-                if qa == qb {
-                    continue;
-                }
-                let (states, mut panel) = state_panel(num_qubits, samples, 11);
-                apply_superop_2q_columns(&mut panel, dim, samples, qa, qb, &s);
-                for (j, st) in states.iter().enumerate() {
-                    let mut rho = DensityMatrix::from_cmatrix(st).unwrap();
-                    rho.apply_superop_2q(qa, qb, &s_mat).unwrap();
-                    assert_column_matches(&panel, samples, j, dim, &rho, "superop-2q");
-                }
             }
         }
     }
